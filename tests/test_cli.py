@@ -12,6 +12,7 @@ from twistorcheck.serialize import dump_report, load_scenario
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
+REPORTS = REPO / "reports"
 
 ALL_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.json"))
 
@@ -25,6 +26,8 @@ def test_fixture_scenarios_pass(name, tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["summary"]["fail"] == 0
     assert report["toolkit"]["name"] == "twistorcheck"
+    # golden gate: refactors must reproduce the committed report byte for byte
+    assert out.read_bytes() == (REPORTS / name).read_bytes()
 
 
 def test_reports_are_byte_identical(tmp_path, capsys):
