@@ -78,11 +78,15 @@ class FiberEquation:
 
 
 class TwistorModel:
-    """Bundle degrees + fiber equations + real structure (+ optional extras)."""
+    """Bundle degrees + fiber equations + real structure (+ optional extras).
+
+    The closed-form family (``family``, ``mu``, ``expected_regular_rank``) is
+    recognised here from the degrees, rules and equations; nothing on a model
+    changes after construction apart from the lazily built section basis.
+    """
 
     def __init__(self, name, degrees, coordinates, rules, equations,
-                 component_equations=(), exact=False, family=None,
-                 mu=None, lam=None, reality=None, expected_regular_rank=None):
+                 component_equations=(), exact=False, lam=None, reality=None):
         self.name = name
         self.degrees = tuple(degrees)
         self.coordinates = tuple(coordinates)
@@ -90,11 +94,10 @@ class TwistorModel:
         self.equations = tuple(equations)
         self.component_equations = tuple(component_equations)
         self.exact = exact
-        self.family = family
-        self.mu = mu
         self.lam = lam
         self.reality = reality
-        self.expected_regular_rank = expected_regular_rank
+        self.family, self.mu, self.expected_regular_rank = _recognise_family(
+            self.degrees, self.rules, self.equations, exact)
         self._basis = None
 
     @property
@@ -108,12 +111,43 @@ class TwistorModel:
     def nparams(self) -> int:
         return self.section_basis.nparams
 
-    def one(self):
-        return GaussianRational(1) if self.exact else 1 + 0j
-
     def __repr__(self):
         return (f"TwistorModel({self.name!r}, degrees={self.degrees}, "
                 f"{len(self.equations)} equation(s))")
+
+
+_QUADRIC_RULES = (SigmaCoordRule(1, 1, 2), SigmaCoordRule(0, 1, 2),
+                  SigmaCoordRule(2, -1, 2))
+
+
+def _recognise_family(degrees, rules, equations, exact):
+    """(family, mu, expected_regular_rank) of a model's closed-form family.
+
+    Equation-free bundles are "linear"; the swap/minus rank-three model with
+    the single equation x*y = z^2 + mu (coefficients exactly 1 and -1) is
+    "quadric"; anything else is (None, None, None) and falls back to Newton.
+    """
+    if not equations:
+        return "linear", None, 0
+    if degrees != (2, 2, 2) or len(equations) != 1 or rules != _QUADRIC_RULES:
+        return None, None, None
+    eq = equations[0]
+    if eq.twist != 4:
+        return None, None, None
+    mu = CoeffPoly.zero(4, exact=exact)
+    seen = set()
+    for exps, coeff in eq.monomials:
+        if exps == (1, 1, 0) and coeff.coeffs[0] == 1:
+            seen.add("xy")
+        elif exps == (0, 0, 2) and coeff.coeffs[0] == -1:
+            seen.add("z2")
+        elif exps == (0, 0, 0):
+            mu = (-coeff).with_bound(4)
+        else:
+            return None, None, None
+    if {"xy", "z2"} <= seen:
+        return "quadric", mu, 5
+    return None, None, None
 
 
 def _coeff_form(basis: SectionBasis, coord: int, power: int, exact: bool) -> MPoly:
@@ -127,8 +161,7 @@ def _coeff_form(basis: SectionBasis, coord: int, power: int, exact: bool) -> MPo
 def build_quadric(exact: bool = False) -> TwistorModel:
     """Rank-three model with the cone equation x*y = z^2 and swap/minus rules."""
     degrees = (2, 2, 2)
-    rules = (SigmaCoordRule(1, 1, 2), SigmaCoordRule(0, 1, 2),
-             SigmaCoordRule(2, -1, 2))
+    rules = _QUADRIC_RULES
     one = make_complex(1, 0, exact)
     eq = FiberEquation(4, (
         ((1, 1, 0), CoeffPoly.const(0, one)),
@@ -141,9 +174,7 @@ def build_quadric(exact: bool = False) -> TwistorModel:
     # double-zero condition on the x coordinate, as a complex equation
     component = x1 * x1 - (x0 * x2) * 4
     model = TwistorModel("quadric", degrees, ("x", "y", "z"), rules, (eq,),
-                         component_equations=(component,), exact=exact,
-                         family="quadric", mu=CoeffPoly.zero(4, exact=exact),
-                         expected_regular_rank=5)
+                         component_equations=(component,), exact=exact)
     model._basis = basis
     return model
 
@@ -180,8 +211,7 @@ def build_deformed(lam, reality: str, exact: bool = False) -> TwistorModel:
         raise RealityError(
             f"coefficient is not tau-{reality}; pullback does not match")
     degrees = (2, 2, 2)
-    rules = (SigmaCoordRule(1, 1, 2), SigmaCoordRule(0, 1, 2),
-             SigmaCoordRule(2, -1, 2))
+    rules = _QUADRIC_RULES
     one = make_complex(1, 0, exact)
     mu = lam * lam
     eq = FiberEquation(4, (
@@ -190,16 +220,14 @@ def build_deformed(lam, reality: str, exact: bool = False) -> TwistorModel:
         ((0, 0, 0), -mu),
     ))
     return TwistorModel("deformed", degrees, ("x", "y", "z"), rules, (eq,),
-                        exact=exact, family="quadric", mu=mu, lam=lam,
-                        reality=reality, expected_regular_rank=5)
+                        exact=exact, lam=lam, reality=reality)
 
 
 def build_smooth_o11(exact: bool = False) -> TwistorModel:
     """Total space of O(1)+O(1) with the quaternionic pair rule; no equations."""
     degrees = (1, 1)
     rules = (SigmaCoordRule(1, -1, 1), SigmaCoordRule(0, 1, 1))
-    return TwistorModel("smooth-o11", degrees, ("a", "b"), rules, (),
-                        exact=exact, family="linear", expected_regular_rank=0)
+    return TwistorModel("smooth-o11", degrees, ("a", "b"), rules, (), exact=exact)
 
 
 def glue_cone_twistor(equations, weights, l: int, rules,
@@ -237,45 +265,8 @@ def glue_cone_twistor(equations, weights, l: int, rules,
     check_rule_parity(degrees, rules)
     coordinates = tuple(coordinates) if coordinates else tuple(
         f"u{i}" for i in range(len(weights)))
-    model = TwistorModel(name, degrees, coordinates, rules, tuple(fiber_eqs),
-                         exact=exact)
-    _tag_family(model)
-    return model
-
-
-def _tag_family(model: TwistorModel):
-    """Register closed-form solvers when the structure is recognized."""
-    if not model.equations:
-        model.family = "linear"
-        model.expected_regular_rank = 0
-        return
-    if model.family is not None:
-        return
-    if model.degrees != (2, 2, 2) or len(model.equations) != 1:
-        return
-    want = (SigmaCoordRule(1, 1, 2), SigmaCoordRule(0, 1, 2),
-            SigmaCoordRule(2, -1, 2))
-    if model.rules != want:
-        return
-    eq = model.equations[0]
-    if eq.twist != 4:
-        return
-    mu = CoeffPoly.zero(4, exact=model.exact)
-    seen = set()
-    for exps, coeff in eq.monomials:
-        if exps == (1, 1, 0) and coeff.coeffs[0] == 1:
-            seen.add("xy")
-        elif exps == (0, 0, 2) and coeff.coeffs[0] == -1:
-            seen.add("z2")
-        elif exps == (0, 0, 0):
-            mu = (-coeff).with_bound(4)
-            seen.add("const")
-        else:
-            return
-    if {"xy", "z2"} <= seen:
-        model.family = "quadric"
-        model.mu = mu
-        model.expected_regular_rank = 5
+    return TwistorModel(name, degrees, coordinates, rules, tuple(fiber_eqs),
+                        exact=exact)
 
 
 def squaring_section(a, b, variant: str = "minus", exact: bool = False):
@@ -390,10 +381,8 @@ def _equations_match(e1: FiberEquation, e2: FiberEquation, tol: float):
 
 
 _BUILTIN_RULES = {
-    "quadric": (SigmaCoordRule(1, 1, 2), SigmaCoordRule(0, 1, 2),
-                SigmaCoordRule(2, -1, 2)),
-    "deformed": (SigmaCoordRule(1, 1, 2), SigmaCoordRule(0, 1, 2),
-                 SigmaCoordRule(2, -1, 2)),
+    "quadric": _QUADRIC_RULES,
+    "deformed": _QUADRIC_RULES,
     "smooth-o11": (SigmaCoordRule(1, -1, 1), SigmaCoordRule(0, 1, 1)),
 }
 

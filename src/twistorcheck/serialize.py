@@ -15,9 +15,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ScenarioError
-from .models import (FiberEquation, TwistorModel, _tag_family)
+from .models import FiberEquation, TwistorModel
 from .mpoly import MPoly
-from .projline import CoeffPoly, SigmaCoordRule
+from .projline import CoeffPoly, SigmaCoordRule, reality_fixed_space
 from .scalars import GaussianRational, parse_exact_scalar
 
 KNOWN_OPS = ("validate", "sections", "solve-fiber", "singular-scan", "branch",
@@ -132,20 +132,24 @@ def model_from_dict(d: dict) -> TwistorModel:
             bound = twist - sum(e * k for e, k in zip(exps, degrees))
             monos.append((exps, _coeffpoly_from_list(mono["coeffs"], bound, exact)))
         eqs.append(FiberEquation(twist, tuple(monos)))
-    model = TwistorModel(d.get("name", "model"), degrees, coords, rules,
-                         tuple(eqs), exact=exact)
+    comp_docs = d.get("componentEquations", [])
+    # the basis is needed up front only to size the component polynomials
+    basis = reality_fixed_space(degrees, rules, names=coords,
+                                exact=exact) if comp_docs else None
     comps = []
-    for comp in d.get("componentEquations", []):
+    for comp in comp_docs:
         terms = {}
         for term in comp:
             exps = tuple(int(e) for e in term["exponents"])
             terms[exps] = decode_scalar(term["coeff"], exact)
-        comps.append(MPoly(model.nparams, terms))
-    model.component_equations = tuple(comps)
-    if d.get("lambda") is not None:
-        model.lam = _coeffpoly_from_list(d["lambda"], 2, exact)
-        model.reality = d.get("reality")
-    _tag_family(model)
+        comps.append(MPoly(basis.nparams, terms))
+    lam = d.get("lambda")
+    if lam is not None:
+        lam = _coeffpoly_from_list(lam, 2, exact)
+    model = TwistorModel(d.get("name", "model"), degrees, coords, rules,
+                         tuple(eqs), component_equations=comps, exact=exact,
+                         lam=lam, reality=d.get("reality"))
+    model._basis = basis
     return model
 
 
