@@ -2,9 +2,9 @@
 
 Membership, fiber incidence, fiber solving, Jacobian rank scans, branch
 tests, normal-sheaf splitting and the hypercomplex/weakly-hypercomplex
-classification pipeline.  Closed-form fiber solvers are registered for the
-quadric family (x*y = z^2 + mu) and for equation-free bundles; everything
-else falls back to seeded multistart Newton.
+classification pipeline.  The family table ``_FAMILIES`` holds closed-form
+fiber solvers for the quadric family (x*y = z^2 + mu) and for equation-free
+bundles; everything else falls back to seeded multistart Newton.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,10 +40,12 @@ class SolveConfig:
     branch_checks: int = 6
     continuation_step: float = 0.05
     cluster_radius: float = 0.35
-    family_samples: int = 24
 
 
 DEFAULT_CONFIG = SolveConfig()
+
+# sections drawn from a positive-dimensional fiber family as its solutions
+_FAMILY_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -187,7 +190,8 @@ def _quadric_incidence(pt: P1Point, values):
     return x_part, z0_p, r_p, nu
 
 
-def _quadric_reduce(model: TwistorModel, pt: P1Point, values, cfg: SolveConfig):
+def _quadric_reduce(model: TwistorModel, sys, pt: P1Point, values,
+                    cfg: SolveConfig):
     """Closed-form fiber solver for x*y = z^2 + mu.
 
     Incidence at the point and its antipodal image restricts the parameters
@@ -195,7 +199,7 @@ def _quadric_reduce(model: TwistorModel, pt: P1Point, values, cfg: SolveConfig):
     the kernel of a small linear system, so the fiber is two points, one
     point, empty, or an ellipsoid family.
     """
-    mu = (model.mu or CoeffPoly.zero(4)).to_float()
+    mu = model.mu.to_float()
     x_part, z0_p, r_p, nu = _quadric_incidence(pt, values)
     x_p = CoeffPoly(2, list(x_part))
     y_p = _pair_partner(x_p)
@@ -257,10 +261,11 @@ def _quadric_reduce(model: TwistorModel, pt: P1Point, values, cfg: SolveConfig):
                            basis_params=basis_params, shape=pmat,
                            radius_sq=float(-val))
     rng = np.random.default_rng(cfg.seed)
-    return fam.sample(min(cfg.family_samples, 8), rng), fam
+    return fam.sample(_FAMILY_SAMPLES, rng), fam
 
 
-def _linear_reduce(model: TwistorModel, pt: P1Point, values, cfg: SolveConfig):
+def _linear_reduce(model: TwistorModel, sys, pt: P1Point, values,
+                   cfg: SolveConfig):
     """Fiber solver for equation-free bundles: one real-linear solve."""
     amat = incidence_rows(model, pt)
     b = _incidence_rhs(values)
@@ -274,7 +279,7 @@ def _linear_reduce(model: TwistorModel, pt: P1Point, values, cfg: SolveConfig):
                            basis_params=kernel,
                            shape=np.eye(kernel.shape[0]), radius_sq=1.0)
     rng = np.random.default_rng(cfg.seed)
-    return fam.sample(min(cfg.family_samples, 8), rng), fam
+    return fam.sample(_FAMILY_SAMPLES, rng), fam
 
 
 def _gauss_newton(resfn, jacfn, x0, cfg: SolveConfig):
@@ -327,12 +332,16 @@ def _newton_multistart(model, sys, pt, values, cfg: SolveConfig):
     return _dedup(found, cfg.dedup_radius)
 
 
+def _newton_reduce(model, sys, pt, values, cfg: SolveConfig):
+    return _newton_multistart(model, sys, pt, values, cfg), None
+
+
 def solve_fiber(model: TwistorModel, zeta, target, cfg: SolveConfig | None = None,
                 sys: RealEquationSystem | None = None) -> FiberSolveResult:
     """All real sections of the model meeting a given fiber point.
 
-    Registered families use a closed-form reducer (complete); other models
-    use multistart Newton with heuristic completeness.
+    Closed-form families use their reducer (complete); other models use
+    multistart Newton with heuristic completeness.
     """
     cfg = cfg or DEFAULT_CONFIG
     if isinstance(target, FiberPoint):
@@ -346,28 +355,17 @@ def solve_fiber(model: TwistorModel, zeta, target, cfg: SolveConfig | None = Non
         raise DimensionError("fiber value count differs from coordinate count")
     if not _point_on_fiber(model, pt, values, cfg):
         raise FiberError("target does not satisfy the fiber equations")
-    if model.family == "quadric":
-        sols, fam = _quadric_reduce(model, pt, values, cfg)
-        method = "closed-form"
-        complete = True
-    elif model.family == "linear":
-        sols, fam = _linear_reduce(model, pt, values, cfg)
-        method = "linear"
-        complete = True
-    else:
-        sys = sys or real_section_system(model)
-        sols = _newton_multistart(model, sys, pt, values, cfg)
-        fam = None
-        method = "newton-multistart"
-        complete = False
+    family = _FAMILIES[model.family]
     sys = sys or real_section_system(model)
+    sols, fam = family.reduce(model, sys, pt, values, cfg)
     kept = []
     for s in sols:
         s = np.asarray(s, dtype=float)
         if sys.membership(s, tol=max(cfg.tol, 1e-8)).passed:
             kept.append(s)
     sols = _dedup(kept, cfg.dedup_radius)
-    return FiberSolveResult(_sorted_solutions(sols), complete, fam, method)
+    return FiberSolveResult(_sorted_solutions(sols), family.complete, fam,
+                            family.method)
 
 
 @dataclass
@@ -555,8 +553,13 @@ def _cluster(points, radius):
 def sample_sections(model: TwistorModel, n: int, rng,
                     cfg: SolveConfig | None = None):
     """Random points of the section space, by whatever route the model allows."""
-    cfg = cfg or DEFAULT_CONFIG
-    if model.family == "quadric" and (model.mu is None or model.mu.is_zero(0.0)):
+    return _FAMILIES[model.family].sample(model, n, rng, cfg or DEFAULT_CONFIG)
+
+
+def _quadric_sample(model: TwistorModel, n: int, rng, cfg: SolveConfig):
+    """Squared rank-two sections on the cone; fiber solves through random
+    points of the fiber when mu is nonzero."""
+    if model.mu.is_zero(0.0):
         out = []
         for _ in range(n):
             a = complex(rng.standard_normal(), rng.standard_normal())
@@ -564,28 +567,32 @@ def sample_sections(model: TwistorModel, n: int, rng,
             variant = "minus" if rng.random() < 0.5 else "plus"
             out.append(squaring_section(a, b, variant))
         return out
-    if model.family == "quadric":
-        mu = model.mu.to_float()
-        out = []
-        attempts = 0
-        while len(out) < n and attempts < 6 * n:
-            attempts += 1
-            zeta = P1Point.std(complex(rng.standard_normal(),
-                                       rng.standard_normal()) * 0.5).canonical()
-            x = complex(rng.standard_normal(), rng.standard_normal())
-            z = complex(rng.standard_normal(), rng.standard_normal())
-            if abs(x) < 0.2:
-                continue
-            muval = mu.eval_point(zeta)
-            y = (z * z + muval) / x
-            try:
-                res = solve_fiber(model, zeta, (x, y, z), cfg)
-            except FiberError:
-                continue
-            out.extend(res.solutions)
-        return out[:n]
-    if model.family == "linear":
-        return [rng.standard_normal(model.nparams) for _ in range(n)]
+    mu = model.mu.to_float()
+    out = []
+    attempts = 0
+    while len(out) < n and attempts < 6 * n:
+        attempts += 1
+        zeta = P1Point.std(complex(rng.standard_normal(),
+                                   rng.standard_normal()) * 0.5).canonical()
+        x = complex(rng.standard_normal(), rng.standard_normal())
+        z = complex(rng.standard_normal(), rng.standard_normal())
+        if abs(x) < 0.2:
+            continue
+        muval = mu.eval_point(zeta)
+        y = (z * z + muval) / x
+        try:
+            res = solve_fiber(model, zeta, (x, y, z), cfg)
+        except FiberError:
+            continue
+        out.extend(res.solutions)
+    return out[:n]
+
+
+def _linear_sample(model: TwistorModel, n: int, rng, cfg: SolveConfig):
+    return [rng.standard_normal(model.nparams) for _ in range(n)]
+
+
+def _no_sample(model: TwistorModel, n: int, rng, cfg: SolveConfig):
     return []
 
 
@@ -643,7 +650,7 @@ def _collapse_double_zeros(points, poly: CoeffPoly):
     return out
 
 
-def _singular_fiber_pairs(model: TwistorModel, cfg: SolveConfig):
+def _quadric_singular_pairs(model: TwistorModel):
     """Representative antipodal pairs of singular fiber points.
 
     Returns (pairs, notes); each pair is (point, values) with the antipodal
@@ -651,50 +658,73 @@ def _singular_fiber_pairs(model: TwistorModel, cfg: SolveConfig):
     the zeros of mu (over every base point when mu vanishes identically).
     """
     notes = []
-    ncoord = len(model.degrees)
-    vertex = (0j,) * ncoord
-    if model.family == "quadric":
-        mu = (model.mu or CoeffPoly.zero(4)).to_float()
-        if mu.is_zero(1e-13):
-            notes.append("fiberwise cone vertex is singular over the whole base; "
-                         "sampling representative base points")
-            pts = [P1Point.std(0j), P1Point.std(0.62 + 0.31j),
-                   P1Point.inf(0.41 - 0.27j)]
-            return [(p, vertex) for p in pts], notes
-        if model.lam is not None:
-            points = _section_zero_points(model.lam.to_float(), 2)
-        else:
-            points = _collapse_double_zeros(
-                _section_zero_points(mu, 4), mu)
-        reps = []
-        used = [False] * len(points)
-        for i, p in enumerate(points):
-            if used[i]:
-                continue
-            used[i] = True
-            anti = p.antipodal()
-            for j in range(i + 1, len(points)):
-                if not used[j] and points[j].same_point(anti, tol=1e-5):
-                    used[j] = True
-                    break
-            if not any(p.same_point(q, tol=1e-5) for q, _ in reps):
-                reps.append((p, vertex))
-        notes.append(f"total-space singular points over {len(reps)} "
-                     "antipodal zero pair(s) of the deformation term")
-        return reps, notes
-    if not model.equations:
-        return [], notes
-    # generic cone-style check: the zero section is singular when no equation
-    # has constant or linear monomials
+    vertex = (0j,) * len(model.degrees)
+    mu = model.mu.to_float()
+    if mu.is_zero(1e-13):
+        notes.append("fiberwise cone vertex is singular over the whole base; "
+                     "sampling representative base points")
+        pts = [P1Point.std(0j), P1Point.std(0.62 + 0.31j),
+               P1Point.inf(0.41 - 0.27j)]
+        return [(p, vertex) for p in pts], notes
+    if model.lam is not None:
+        points = _section_zero_points(model.lam.to_float(), 2)
+    else:
+        points = _collapse_double_zeros(
+            _section_zero_points(mu, 4), mu)
+    reps = []
+    used = [False] * len(points)
+    for i, p in enumerate(points):
+        if used[i]:
+            continue
+        used[i] = True
+        anti = p.antipodal()
+        for j in range(i + 1, len(points)):
+            if not used[j] and points[j].same_point(anti, tol=1e-5):
+                used[j] = True
+                break
+        if not any(p.same_point(q, tol=1e-5) for q, _ in reps):
+            reps.append((p, vertex))
+    notes.append(f"total-space singular points over {len(reps)} "
+                 "antipodal zero pair(s) of the deformation term")
+    return reps, notes
+
+
+def _linear_singular_pairs(model: TwistorModel):
+    return [], []
+
+
+def _cone_singular_pairs(model: TwistorModel):
+    """The zero section is fiberwise singular when no equation has constant
+    or linear monomials; otherwise no locator applies (pairs None)."""
     has_low = any(sum(exps) < 2 and not coeff.is_zero(1e-13)
                   for eq in model.equations for exps, coeff in eq.monomials)
     if not has_low:
-        notes.append("zero section is fiberwise singular (no low-order monomials); "
-                     "sampling representative base points")
+        vertex = (0j,) * len(model.degrees)
         pts = [P1Point.std(0j), P1Point.std(0.62 + 0.31j)]
-        return [(p, vertex) for p in pts], notes
-    notes.append("no registered singular-point locator for this model")
-    return None, notes
+        return [(p, vertex) for p in pts], [
+            "zero section is fiberwise singular (no low-order monomials); "
+            "sampling representative base points"]
+    return None, ["no registered singular-point locator for this model"]
+
+
+class _Family(NamedTuple):
+    """Per-family fiber reducer, section sampler and singular-pair locator."""
+
+    reduce: Callable      # (model, sys, pt, values, cfg) -> (solutions, family)
+    method: str
+    complete: bool
+    sample: Callable      # (model, n, rng, cfg) -> list of parameter vectors
+    singular_pairs: Callable  # model -> (pairs or None, notes)
+
+
+_FAMILIES = {
+    "quadric": _Family(_quadric_reduce, "closed-form", True, _quadric_sample,
+                       _quadric_singular_pairs),
+    "linear": _Family(_linear_reduce, "linear", True, _linear_sample,
+                      _linear_singular_pairs),
+    None: _Family(_newton_reduce, "newton-multistart", False, _no_sample,
+                  _cone_singular_pairs),
+}
 
 
 @dataclass
@@ -712,7 +742,7 @@ def classify_hypercomplex(model: TwistorModel,
     rng = np.random.default_rng(cfg.seed)
     sys = real_section_system(model)
     evidence = {"model": model.name, "seed": cfg.seed}
-    pairs, notes = _singular_fiber_pairs(model, cfg)
+    pairs, notes = _FAMILIES[model.family].singular_pairs(model)
     evidence["notes"] = notes
     families = []
     if pairs is None:
