@@ -6,8 +6,12 @@ Usage:
     twistorcheck quotient-census --group Q8
     twistorcheck classify --model deformed --seed 1
 
-Every subcommand accepts --model/--tol/--seed/--out/--exact where relevant;
-a human summary goes to stdout, the machine-readable report only to --out.
+Every op lives in the ``OPS`` table: its function, whether it reads a model,
+whether it samples, and its subcommand flags.  A standalone subcommand runs
+as a one-task scenario, so ``--out`` writes the same report schema as
+``run``.  Every subcommand accepts --tol/--seed/--out/--exact and, where a
+model applies, --model; a human summary goes to stdout, the machine-readable
+report only to --out.
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 bad input.
 """
 
@@ -16,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,7 +69,7 @@ def _parse_zeta(spec):
     return complex(spec)
 
 
-def _parse_section(args_dict, model, exact=False):
+def _parse_section(args_dict, model):
     if args_dict.get("params") is not None:
         vals = args_dict["params"]
         if isinstance(vals, str):
@@ -117,173 +122,231 @@ def _load_group(args) -> FiniteQuaternionGroup:
             return FiniteQuaternionGroup.from_table(
                 doc["table"], int(doc.get("identity", 0)),
                 name=doc.get("name", "group"))
-        return FiniteQuaternionGroup.from_quaternions(
-            doc["quaternions"], name=doc.get("name", "group"))
+        if "quaternions" in doc:
+            return FiniteQuaternionGroup.from_quaternions(
+                doc["quaternions"], name=doc.get("name", "group"))
+        raise ScenarioError("group file needs a 'quaternions' or 'table' entry")
     name = args.get("group")
     if not name:
         raise ScenarioError("quotient-census needs --group or --group-file")
     return builtin_group(name)
 
 
-def _check_expect(numbers: dict, expect) -> str:
-    if not expect:
-        return "info"
-    for key, want in expect.items():
-        got = numbers.get(key)
-        if jsonable(got) != jsonable(want):
-            return "fail"
-    return "pass"
+# Op functions: (task args, model or None, config) -> (numbers, evidence).
+
+def _op_validate(args, model, cfg):
+    rep = validate_model(model)
+    return ({"passed": rep.passed,
+             "dimension": rep.info.get("real_parameter_dimension")},
+            {"failures": rep.failures, "notes": rep.notes,
+             "equation_signs": rep.equation_signs})
 
 
-def execute_task(op: str, args: dict, model, cfg: SolveConfig, exact: bool):
-    """Run one task; returns a report record."""
-    record = {"op": op, "inputs": jsonable({k: v for k, v in args.items()
-                                            if k != "expect"})}
-    numbers = {}
-    evidence = {}
-    expect = args.get("expect")
+def _op_sections(args, model, cfg):
+    basis = model.section_basis
+    return ({"dimension": basis.nparams},
+            {"parameters": basis.param_names, "forms": basis.describe()})
 
-    if op == "validate":
-        rep = validate_model(model)
-        numbers = {"passed": rep.passed,
-                   "dimension": rep.info.get("real_parameter_dimension")}
-        evidence = {"failures": rep.failures, "notes": rep.notes,
-                    "equation_signs": rep.equation_signs}
-        record["status"] = _check_expect(numbers, expect) if expect else \
-            ("pass" if rep.passed else "fail")
-    elif op == "sections":
-        basis = model.section_basis
-        numbers = {"dimension": basis.nparams}
-        evidence = {"parameters": basis.param_names,
-                    "forms": basis.describe()}
-        record["status"] = _check_expect(numbers, expect)
-    elif op == "solve-fiber":
-        zeta = _parse_zeta(args.get("zeta"))
-        point = args.get("point")
-        if isinstance(point, str):
-            point = _parse_complex_list(point)
-        else:
-            point = [decode_scalar(v, exact=False) for v in point]
-        res = solve_fiber(model, zeta, tuple(point), cfg)
-        numbers = {"count": len(res.solutions), "complete": res.complete,
-                   "family_dim": res.family.dim if res.family else 0}
-        evidence = {"method": res.method,
-                    "solutions": [list(map(float, s)) for s in res.solutions]}
-        if len(model.degrees) == 3 and model.nparams == 9:
-            evidence["solution_tuples"] = [jsonable(quadric_tuple(s))
-                                           for s in res.solutions]
-        record["status"] = _check_expect(numbers, expect)
-    elif op == "singular-scan":
-        n = int(args.get("samples", cfg.scan_samples))
-        rng = np.random.default_rng(int(args.get("seed", cfg.seed)))
-        points = list(sample_sections(model, n, rng, cfg))
-        if args.get("include_origin", True):
-            points.append(np.zeros(model.nparams))
-        rep = singular_scan(model, points, cfg)
-        numbers = {"singular_count": len(rep.singular),
-                   "clusters": len(rep.clusters),
-                   "regular": rep.regular_count}
-        evidence = {"clusters": rep.clusters, "skipped": rep.skipped}
-        record["status"] = _check_expect(numbers, expect)
-    elif op == "branch":
-        section = _parse_section(args, model)
-        zeta = _parse_zeta(args.get("zeta"))
-        rep = branch_test(model, section, zeta, cfg)
-        numbers = {"verdict": rep.verdict, "rank": rep.rank}
-        record["status"] = _check_expect(numbers, expect)
-    elif op == "normal-bundle":
-        section = _parse_section(args, model)
-        rep = normal_splitting(model, section, cfg)
-        numbers = {
-            "splitting": list(rep.splitting.degrees) if rep.splitting else None,
-            "h0": rep.h0, "h0_minus2": rep.h0_minus2,
-            "degenerate": bool(rep.degenerate)}
-        evidence = {"degenerate_rows": jsonable(rep.degenerate),
-                    "regular_point": rep.regular_point}
-        record["status"] = _check_expect(numbers, expect)
-    elif op == "classify":
-        cls = classify_hypercomplex(model, cfg)
-        numbers = {"verdict": cls.verdict,
-                   "family_dimension": cls.evidence.get("family_dimension", 0)}
-        evidence = cls.evidence
-        record["status"] = _check_expect(numbers, expect)
-    elif op == "matrix-model":
-        if args.get("oracle_q") is not None:
-            q = args["oracle_q"]
-            if isinstance(q, str):
-                q = [float(t) for t in q.split(",")]
-            rep = rank_one_matrix_oracle([float(v) for v in q])
-            numbers = {"t": float(rep.t), "trace_b": float(rep.trace_b),
-                       "rank_a": rep.rank_a,
-                       "displayed_form_residual": rep.displayed_residual_norm,
-                       "product_identity_residual": rep.product_identity_norm}
-            evidence = {"b": jsonable(rep.b)}
-        else:
-            section = _parse_section(args, model)
-            label = args.get("label")
-            if label is None:
-                lab = component_label(section)
-                label = 1 if lab == "boundary" else lab
-            b, t = sym_matrix_model(section, int(label))
-            numbers = {"t": float(t),
-                       "trace_b": float(np.trace(np.asarray(b, dtype=float))),
-                       "label": int(label)}
-            evidence = {"b": jsonable(b)}
-        record["status"] = _check_expect(numbers, expect)
-    elif op == "quotient-census":
-        group = _load_group(args)
-        census = involution_census(group)
-        count, flags = component_count(group)
-        numbers = {"order": group.order, "involutions": len(census.involutions),
-                   "classes": census.class_count,
-                   "component_count": count,
-                   "predicate": closure_equals_quotient(group)}
-        evidence = {"classes": census.classes, "assumptions": flags,
-                    "group": group.name}
-        record["status"] = _check_expect(numbers, expect)
-    elif op == "cone-glue":
-        weights = args.get("weights", [1, 1, 1])
-        if isinstance(weights, str):
-            weights = [int(t) for t in weights.split(",")]
-        level = int(args.get("l", 2))
-        eq_spec = args.get("equations")
-        if eq_spec is None:
-            eq_spec = [[{"exponents": [1, 1, 0], "coeff": 1},
-                        {"exponents": [0, 0, 2], "coeff": -1}]]
-        equations = [[(tuple(m["exponents"]), decode_scalar(m["coeff"], False))
-                      for m in eq] for eq in eq_spec]
-        rules_spec = args.get("rules")
-        if rules_spec is None:
-            degs = [level * w for w in weights]
-            rules = (SigmaCoordRule(1, 1, degs[0]), SigmaCoordRule(0, 1, degs[1]),
-                     SigmaCoordRule(2, -1, degs[2]))
-        else:
-            rules = tuple(SigmaCoordRule(int(r["target"]), int(r["sign"]),
-                                         int(r["twist"])) for r in rules_spec)
-        glued = glue_cone_twistor(equations, weights, level, rules)
-        numbers = {"degrees": list(glued.degrees),
-                   "twists": [eq.twist for eq in glued.equations]}
-        compare = args.get("compare")
-        if compare:
-            ref = build_model_from_spec(compare)
-            numbers["equals_builtin"] = models_structurally_equal(
-                glued, ref, ignore_component_equations=True, tol=1e-12)
-        evidence = {"family": glued.family}
-        record["status"] = _check_expect(numbers, expect)
+
+def _op_solve_fiber(args, model, cfg):
+    zeta = _parse_zeta(args.get("zeta"))
+    point = args.get("point")
+    if isinstance(point, str):
+        point = _parse_complex_list(point)
     else:
-        raise ScenarioError(f"unknown op {op!r}")
+        point = [decode_scalar(v, exact=False) for v in point]
+    res = solve_fiber(model, zeta, tuple(point), cfg)
+    numbers = {"count": len(res.solutions), "complete": res.complete,
+               "family_dim": res.family.dim if res.family else 0}
+    evidence = {"method": res.method,
+                "solutions": [list(map(float, s)) for s in res.solutions]}
+    if len(model.degrees) == 3 and model.nparams == 9:
+        evidence["solution_tuples"] = [jsonable(quadric_tuple(s))
+                                       for s in res.solutions]
+    return numbers, evidence
 
-    record["numbers"] = jsonable(numbers)
-    record["evidence"] = jsonable(evidence)
-    return record
+
+def _op_singular_scan(args, model, cfg):
+    n = int(args.get("samples", cfg.scan_samples))
+    rng = np.random.default_rng(int(args.get("seed", cfg.seed)))
+    points = list(sample_sections(model, n, rng, cfg))
+    if args.get("include_origin", True):
+        points.append(np.zeros(model.nparams))
+    rep = singular_scan(model, points, cfg)
+    numbers = {"singular_count": len(rep.singular),
+               "clusters": len(rep.clusters),
+               "regular": rep.regular_count}
+    return numbers, {"clusters": rep.clusters, "skipped": rep.skipped}
 
 
-def _needs_model(op):
-    return op not in ("quotient-census", "cone-glue", "matrix-model")
+def _op_branch(args, model, cfg):
+    section = _parse_section(args, model)
+    zeta = _parse_zeta(args.get("zeta"))
+    rep = branch_test(model, section, zeta, cfg)
+    return {"verdict": rep.verdict, "rank": rep.rank}, {}
 
 
-def run_scenario_doc(doc: dict, out_path=None) -> int:
+def _op_normal_bundle(args, model, cfg):
+    section = _parse_section(args, model)
+    rep = normal_splitting(model, section, cfg)
+    numbers = {
+        "splitting": list(rep.splitting.degrees) if rep.splitting else None,
+        "h0": rep.h0, "h0_minus2": rep.h0_minus2,
+        "degenerate": bool(rep.degenerate)}
+    evidence = {"degenerate_rows": jsonable(rep.degenerate),
+                "regular_point": rep.regular_point}
+    return numbers, evidence
+
+
+def _op_classify(args, model, cfg):
+    cls = classify_hypercomplex(model, cfg)
+    numbers = {"verdict": cls.verdict,
+               "family_dimension": cls.evidence.get("family_dimension", 0)}
+    return numbers, cls.evidence
+
+
+def _op_matrix_model(args, model, cfg):
+    if args.get("oracle_q") is not None:
+        q = args["oracle_q"]
+        if isinstance(q, str):
+            q = [float(t) for t in q.split(",")]
+        rep = rank_one_matrix_oracle([float(v) for v in q])
+        numbers = {"t": float(rep.t), "trace_b": float(rep.trace_b),
+                   "rank_a": rep.rank_a,
+                   "displayed_form_residual": rep.displayed_residual_norm,
+                   "product_identity_residual": rep.product_identity_norm}
+        return numbers, {"b": jsonable(rep.b)}
+    section = _parse_section(args, model)
+    label = args.get("label")
+    if label is None:
+        lab = component_label(section)
+        label = 1 if lab == "boundary" else lab
+    b, t = sym_matrix_model(section, int(label))
+    numbers = {"t": float(t),
+               "trace_b": float(np.trace(np.asarray(b, dtype=float))),
+               "label": int(label)}
+    return numbers, {"b": jsonable(b)}
+
+
+def _op_quotient_census(args, model, cfg):
+    group = _load_group(args)
+    census = involution_census(group)
+    count, flags = component_count(group)
+    numbers = {"order": group.order, "involutions": len(census.involutions),
+               "classes": census.class_count,
+               "component_count": count,
+               "predicate": closure_equals_quotient(group)}
+    evidence = {"classes": census.classes, "assumptions": flags,
+                "group": group.name}
+    return numbers, evidence
+
+
+def _op_cone_glue(args, model, cfg):
+    weights = args.get("weights", [1, 1, 1])
+    if isinstance(weights, str):
+        weights = [int(t) for t in weights.split(",")]
+    level = int(args.get("l", 2))
+    eq_spec = args.get("equations")
+    if eq_spec is None:
+        eq_spec = [[{"exponents": [1, 1, 0], "coeff": 1},
+                    {"exponents": [0, 0, 2], "coeff": -1}]]
+    equations = [[(tuple(m["exponents"]), decode_scalar(m["coeff"], False))
+                  for m in eq] for eq in eq_spec]
+    rules_spec = args.get("rules")
+    if rules_spec is None:
+        if len(weights) != 3:
+            raise ScenarioError("the default swap/minus rules need three "
+                                "weights; give explicit rules otherwise")
+        degs = [level * w for w in weights]
+        rules = (SigmaCoordRule(1, 1, degs[0]), SigmaCoordRule(0, 1, degs[1]),
+                 SigmaCoordRule(2, -1, degs[2]))
+    else:
+        rules = tuple(SigmaCoordRule(int(r["target"]), int(r["sign"]),
+                                     int(r["twist"])) for r in rules_spec)
+    glued = glue_cone_twistor(equations, weights, level, rules)
+    numbers = {"degrees": list(glued.degrees),
+               "twists": [eq.twist for eq in glued.equations]}
+    compare = args.get("compare")
+    if compare:
+        ref = build_model_from_spec(compare)
+        numbers["equals_builtin"] = models_structurally_equal(
+            glued, ref, ignore_component_equations=True, tol=1e-12)
+    return numbers, {"family": glued.family}
+
+
+class _Op(NamedTuple):
+    run: Callable          # op function, see above
+    model: str | None      # "required", "optional", or None: no --model flag
+    samples: bool = False  # draws random samples, so a seed is required
+    flags: tuple = ()      # subcommand flags beyond the common ones
+
+
+_SECTION_FLAGS = (("--section", {}), ("--params", {}))
+
+OPS = {
+    "validate": _Op(_op_validate, "required"),
+    "sections": _Op(_op_sections, "required"),
+    "solve-fiber": _Op(_op_solve_fiber, "required", flags=(
+        ("--zeta", {"default": "0"}), ("--point", {"required": True}),
+        ("--expect-count", {"type": int}))),
+    "singular-scan": _Op(_op_singular_scan, "required", samples=True, flags=(
+        ("--samples", {"type": int, "default": 60}),)),
+    "branch": _Op(_op_branch, "required",
+                  flags=_SECTION_FLAGS + (("--zeta", {"default": "0"}),)),
+    "normal-bundle": _Op(_op_normal_bundle, "required", flags=_SECTION_FLAGS),
+    "classify": _Op(_op_classify, "required", samples=True),
+    "matrix-model": _Op(_op_matrix_model, "optional", flags=_SECTION_FLAGS + (
+        ("--label", {"type": int}), ("--oracle-q", {}))),
+    "quotient-census": _Op(_op_quotient_census, None,
+                           flags=(("--group", {}), ("--group-file", {}))),
+    "cone-glue": _Op(_op_cone_glue, None, flags=(
+        ("--weights", {"default": "1,1,1"}),
+        ("--l", {"type": int, "default": 2}),
+        ("--equations-json", {}), ("--rules-json", {}), ("--compare", {}))),
+}
+
+
+def execute_task(op: str, args: dict, model, cfg: SolveConfig):
+    """Run one task; returns a report record.
+
+    A task with an ``expect`` object passes when every expected number
+    matches; without one it is ``info``, unless its numbers carry their own
+    ``passed`` verdict.
+    """
+    numbers, evidence = OPS[op].run(args, model, cfg)
+    expect = args.get("expect")
+    if expect:
+        matched = all(jsonable(numbers.get(k)) == jsonable(v)
+                      for k, v in expect.items())
+        status = "pass" if matched else "fail"
+    elif "passed" in numbers:
+        status = "pass" if numbers["passed"] else "fail"
+    else:
+        status = "info"
+    return {"op": op,
+            "inputs": jsonable({k: v for k, v in args.items() if k != "expect"}),
+            "status": status,
+            "numbers": jsonable(numbers),
+            "evidence": jsonable(evidence)}
+
+
+def _check_ops(doc: dict):
+    """Reject unknown ops, and sampling ops without a seed, before any task runs."""
+    for task in doc["tasks"]:
+        op = OPS.get(task["op"])
+        if op is None:
+            raise ScenarioError(f"unknown op {task['op']!r}")
+        if op.samples and doc.get("seed") is None and task.get("seed") is None:
+            raise ScenarioError(f"op {task['op']!r} samples and requires a seed")
+
+
+def run_scenario_doc(doc: dict, out_path=None) -> dict:
+    """Run a scenario: one stdout line per task, the report to its target.
+
+    Returns the report; the caller turns its summary into the exit code.
+    """
     validate_scenario(doc)
+    _check_ops(doc)
     exact = bool(doc.get("exact", False))
     cfg = SolveConfig(seed=int(doc.get("seed", 0)))
     tols = doc.get("tolerances", {})
@@ -298,9 +361,9 @@ def run_scenario_doc(doc: dict, out_path=None) -> int:
         task_model = model
         if args.get("model") is not None:
             task_model = build_model_from_spec(args["model"], exact=exact)
-        if _needs_model(op) and task_model is None:
+        if OPS[op].model == "required" and task_model is None:
             raise ScenarioError(f"op {op!r} requires a model")
-        records.append(execute_task(op, args, task_model, cfg, exact))
+        records.append(execute_task(op, args, task_model, cfg))
     report = {
         "toolkit": {"name": "twistorcheck", "version": __version__},
         "mode": "exact" if exact else "float",
@@ -322,21 +385,21 @@ def run_scenario_doc(doc: dict, out_path=None) -> int:
         marker = {"pass": "PASS", "fail": "FAIL", "info": "info"}[rec["status"]]
         brief = ", ".join(f"{k}={v}" for k, v in rec["numbers"].items())
         print(f"[{marker}] {rec['op']}: {brief}")
-    target = out_path or doc.get("out") or doc.get("outputPath")
+    target = out_path or doc.get("out")
     if target:
         write_report(report, target)
         print(f"report written to {target}")
-    return 1 if report["summary"]["fail"] else 0
+    return report
 
 
 def run_scenario(path: str, out_path=None) -> int:
     """Execute a scenario file; exit code 0/1/2 per the contract."""
     try:
-        doc = load_scenario(path)
-        return run_scenario_doc(doc, out_path)
-    except (ScenarioError, TwistorCheckError, OSError, ValueError) as exc:
+        report = run_scenario_doc(load_scenario(path), out_path)
+    except (TwistorCheckError, OSError, ValueError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
+    return 1 if report["summary"]["fail"] else 0
 
 
 def _add_common(parser, model=True):
@@ -364,105 +427,52 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("scenario")
     run_p.add_argument("--out")
 
-    specs = {
-        "validate": [],
-        "sections": [],
-        "solve-fiber": [("--zeta", {"default": "0"}),
-                        ("--point", {"required": True}),
-                        ("--expect-count", {"type": int})],
-        "singular-scan": [("--samples", {"type": int, "default": 60})],
-        "branch": [("--section", {}), ("--params", {}),
-                   ("--zeta", {"default": "0"})],
-        "normal-bundle": [("--section", {}), ("--params", {})],
-        "classify": [],
-        "matrix-model": [("--section", {}), ("--params", {}),
-                         ("--label", {"type": int}), ("--oracle-q", {})],
-        "quotient-census": [("--group", {}), ("--group-file", {})],
-        "cone-glue": [("--weights", {"default": "1,1,1"}),
-                      ("--l", {"type": int, "default": 2}),
-                      ("--equations-json", {}),
-                      ("--rules-json", {}),
-                      ("--compare", {})],
-    }
-    for name, extra in specs.items():
+    for name, op in OPS.items():
         p = sub.add_parser(name)
-        _add_common(p, model=name not in ("quotient-census", "cone-glue",
-                                          "matrix-model") or name == "matrix-model")
-        for flag, kw in extra:
+        _add_common(p, model=op.model is not None)
+        for flag, kw in op.flags:
             p.add_argument(flag, **kw)
     return parser
 
 
-def _args_to_task(command, ns) -> dict:
-    args = {}
-    mapping = {
-        "solve-fiber": ["zeta", "point"],
-        "singular-scan": ["samples"],
-        "branch": ["section", "params", "zeta"],
-        "normal-bundle": ["section", "params"],
-        "matrix-model": ["section", "params", "label"],
-        "quotient-census": ["group", "group_file"],
-        "cone-glue": ["weights", "l", "compare"],
-    }
-    for key in mapping.get(command, []):
-        val = getattr(ns, key.replace("-", "_"), None)
-        if val is not None:
-            args[key] = val
-    if command == "solve-fiber" and getattr(ns, "expect_count", None) is not None:
-        args["expect"] = {"count": ns.expect_count}
-    if command == "matrix-model" and getattr(ns, "oracle_q", None) is not None:
-        args["oracle_q"] = ns.oracle_q
-    if command == "cone-glue":
-        if getattr(ns, "equations_json", None):
-            args["equations"] = json.loads(ns.equations_json)
-        if getattr(ns, "rules_json", None):
-            args["rules"] = json.loads(ns.rules_json)
-    args["seed"] = ns.seed
-    return args
+def _standalone_doc(ns) -> dict:
+    """The one-task scenario a standalone subcommand stands for."""
+    task = {"op": ns.command}
+    for flag, _ in OPS[ns.command].flags:
+        key = flag[2:].replace("-", "_")
+        if getattr(ns, key) is not None:
+            task[key] = getattr(ns, key)
+    if "expect_count" in task:
+        task["expect"] = {"count": task.pop("expect_count")}
+    for key in ("equations", "rules"):
+        if key + "_json" in task:
+            task[key] = json.loads(task.pop(key + "_json"))
+    task["seed"] = ns.seed
+    doc = {"seed": ns.seed, "exact": ns.exact, "tolerances": {"tol": ns.tol},
+           "tasks": [task]}
+    if hasattr(ns, "model"):
+        spec = {"builtin": ns.model} if not ns.model.endswith(".json") \
+            else {"file": ns.model}
+        if ns.model == "deformed" and ns.lam:
+            spec["lambda"] = ns.lam
+            spec["reality"] = ns.reality
+        doc["model"] = spec
+    return doc
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     if ns.command == "run":
-        return run_scenario(ns.scenario, getattr(ns, "out", None))
+        return run_scenario(ns.scenario, ns.out)
     try:
-        exact = bool(getattr(ns, "exact", False))
-        cfg = SolveConfig(seed=ns.seed, tol=ns.tol)
-        model = None
-        if hasattr(ns, "model"):
-            spec = {"builtin": ns.model} if not ns.model.endswith(".json") \
-                else {"file": ns.model}
-            if ns.model == "deformed" and ns.lam:
-                spec["lambda"] = ns.lam
-                spec["reality"] = ns.reality
-            model = build_model_from_spec(spec, exact=exact)
-        task = _args_to_task(ns.command, ns)
-        record = execute_task(ns.command, task, model, cfg, exact)
-    except (ScenarioError, TwistorCheckError, OSError, ValueError,
-            json.JSONDecodeError) as exc:
+        report = run_scenario_doc(_standalone_doc(ns), ns.out)
+    except (TwistorCheckError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    brief = ", ".join(f"{k}={v}" for k, v in record["numbers"].items())
-    marker = {"pass": "PASS", "fail": "FAIL", "info": "info"}[record["status"]]
-    print(f"[{marker}] {record['op']}: {brief}")
-    if record["evidence"]:
-        print(json.dumps(record["evidence"], sort_keys=True, indent=2)[:2000])
-    if getattr(ns, "out", None):
-        report = {
-            "toolkit": {"name": "twistorcheck", "version": __version__},
-            "mode": "exact" if exact else "float",
-            "seed": ns.seed,
-            "config": {k: getattr(cfg, k) for k in
-                       ("tol", "rank_rtol", "newton_tol", "max_iter",
-                        "dedup_radius", "multistart", "fiber_tol")},
-            "tasks": [record],
-            "summary": {"pass": int(record["status"] == "pass"),
-                        "fail": int(record["status"] == "fail"),
-                        "info": int(record["status"] == "info")},
-        }
-        write_report(report, ns.out)
-    return 1 if record["status"] == "fail" else 0
+    evidence = report["tasks"][0]["evidence"]
+    if evidence:
+        print(json.dumps(evidence, sort_keys=True, indent=2)[:2000])
+    return 1 if report["summary"]["fail"] else 0
 
 
 if __name__ == "__main__":
