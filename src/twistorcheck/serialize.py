@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import ModelError, ScenarioError
 from .models import FiberEquation, TwistorModel
 from .mpoly import MPoly
 from .projline import CoeffPoly, SigmaCoordRule, reality_fixed_space
@@ -111,6 +111,8 @@ def model_to_dict(model: TwistorModel) -> dict:
 
 
 def model_from_dict(d: dict) -> TwistorModel:
+    if not isinstance(d, dict) or not {"degrees", "rules"} <= d.keys():
+        raise ModelError("a model needs 'degrees' and 'rules' entries")
     exact = d.get("mode", "float") == "exact"
     degrees = tuple(int(k) for k in d["degrees"])
     coords = tuple(d.get("coordinates") or [f"u{i}" for i in range(len(degrees))])

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from twistorcheck.cli import main, run_scenario
+from twistorcheck.cli import OPS, main, run_scenario
 from twistorcheck.serialize import dump_report, load_scenario
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -155,3 +155,64 @@ def test_group_file_interface(tmp_path, capsys):
 def test_report_dump_is_stable():
     rep = {"b": 1, "a": [1.5, {"z": complex(1, 2)}]}
     assert dump_report(rep) == dump_report(rep)
+
+
+def test_group_file_without_elements_exits_2(tmp_path, capsys):
+    gpath = tmp_path / "group.json"
+    gpath.write_text(json.dumps({"name": "nothing"}))
+    assert main(["quotient-census", "--group-file", str(gpath)]) == 2
+    assert "'quaternions' or 'table'" in capsys.readouterr().err
+
+
+def test_model_file_without_rules_exits_2(tmp_path, capsys):
+    mpath = tmp_path / "model.json"
+    mpath.write_text(json.dumps({"degrees": [1, 1]}))
+    assert main(["validate", "--model", str(mpath)]) == 2
+    assert "'rules'" in capsys.readouterr().err
+
+
+def test_cone_glue_default_rules_need_three_weights(capsys):
+    assert main(["cone-glue", "--weights", "1,1"]) == 2
+    assert "three weights" in capsys.readouterr().err
+
+
+def test_standalone_out_writes_the_run_report_schema(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["quotient-census", "--group", "Z2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    golden = json.loads((REPORTS / "quotient-z2.json").read_text())
+    assert report.keys() == golden.keys()
+    assert report["config"] == golden["config"]
+    assert report["tasks"][0]["numbers"] == golden["tasks"][0]["numbers"]
+
+
+# README example arguments per subcommand (fixture arguments where the
+# README gives none); models are swept over every builtin
+SWEEP_ARGS = {
+    "validate": [],
+    "sections": [],
+    "solve-fiber": ["--zeta", "0", "--point", "1,1,1", "--expect-count", "2"],
+    "singular-scan": ["--samples", "200", "--seed", "1"],
+    "branch": ["--section", "1,0,0,0,1"],
+    "normal-bundle": ["--section", "1,0,0,0,1"],
+    "classify": ["--seed", "1"],
+    "matrix-model": ["--section", "1,0,0,0,1"],
+    "quotient-census": ["--group", "Q8"],
+    "cone-glue": ["--weights", "1,1,1", "--l", "2", "--compare", "quadric"],
+}
+SWEEP = [(command, model) for command, op in OPS.items()
+         for model in (("quadric", "deformed", "smooth-o11") if op.model
+                       else (None,))]
+
+
+@pytest.mark.parametrize("command,model", SWEEP)
+def test_float_cli_sweep_honours_exit_contract(command, model, capsys):
+    argv = [command] + SWEEP_ARGS[command]
+    if model is not None:
+        argv += ["--model", model]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in captured.out + captured.err
+    assert (code == 1) == ("[FAIL]" in captured.out), captured.out
