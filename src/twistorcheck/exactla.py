@@ -41,35 +41,3 @@ def exact_rank(mat) -> int:
         return 0
     _, pivots = _rref(mat)
     return len(pivots)
-
-
-def exact_nullspace(mat, ncols=None):
-    """Basis of the right null space; vectors are lists."""
-    if not mat:
-        return [[1 if i == j else 0 for i in range(ncols or 0)] for j in range(ncols or 0)]
-    ncols = len(mat[0])
-    rows, pivots = _rref(mat)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [0] * ncols
-        vec[f] = 1
-        for r, c in enumerate(pivots):
-            vec[c] = -rows[r][f]
-        basis.append(vec)
-    return basis
-
-
-def exact_solve_particular(mat, rhs):
-    """One solution of ``mat @ x = rhs`` with free variables set to 0, or None."""
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    aug = [list(r) + [b] for r, b in zip(mat, rhs)]
-    rows, pivots = _rref(aug)
-    if ncols in pivots:
-        return None  # inconsistent
-    x = [0] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][ncols]
-    return x

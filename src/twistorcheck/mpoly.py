@@ -38,12 +38,6 @@ class MPoly:
         return MPoly(nvars, {(0,) * nvars: c})
 
     @staticmethod
-    def variable(nvars: int, i: int) -> "MPoly":
-        e = [0] * nvars
-        e[i] = 1
-        return MPoly(nvars, {tuple(e): 1})
-
-    @staticmethod
     def linear(nvars: int, coeffs, const=0) -> "MPoly":
         """sum coeffs[i] * x_i + const"""
         terms = {}
@@ -85,12 +79,6 @@ class MPoly:
     def __rmul__(self, other):
         return self * other
 
-    def power(self, n: int) -> "MPoly":
-        out = MPoly.const(self.nvars, 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def diff(self, i: int) -> "MPoly":
         out = {}
         for e, c in self.terms.items():
@@ -129,9 +117,6 @@ class MPoly:
             elif abs(c) > tol:
                 return False
         return True
-
-    def max_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def to_float(self) -> "MPoly":
         def conv(c):

@@ -42,10 +42,6 @@ class P1Point:
     def inf(w) -> "P1Point":
         return P1Point(INF, w)
 
-    @staticmethod
-    def infinity() -> "P1Point":
-        return P1Point(INF, 0j)
-
     def antipodal(self) -> "P1Point":
         """Antipodal image; never divides, just swaps chart."""
         other = INF if self.chart == STD else STD
@@ -57,10 +53,6 @@ class P1Point:
             other = INF if self.chart == STD else STD
             return P1Point(other, 1 / self.value)
         return self
-
-    def as_complex_pair(self):
-        """(chart, complex value) with float value."""
-        return self.chart, to_complex(self.value)
 
     def same_point(self, other: "P1Point", tol: float = 1e-12) -> bool:
         a, b = self.canonical(), other.canonical()
@@ -163,9 +155,6 @@ class CoeffPoly:
             cs.pop()
         return cs
 
-    def conj_coeffs(self) -> "CoeffPoly":
-        return CoeffPoly(self.degree_bound, [conj_of(c) for c in self.coeffs])
-
     def to_float(self) -> "CoeffPoly":
         return CoeffPoly(self.degree_bound, [to_complex(c) for c in self.coeffs])
 
@@ -208,7 +197,6 @@ class SigmaCoordRule:
     partner: int
     sign: int
     twist: int
-    conjugate: bool = True
 
 
 def tau_pullback(s: CoeffPoly, rule: SigmaCoordRule) -> CoeffPoly:

@@ -26,10 +26,6 @@ def quat_mul(a, b):
             a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
 
 
-def quat_conj(a):
-    return (a[0], -a[1], -a[2], -a[3])
-
-
 def quat_norm_sq(a):
     return sum(float(v) * float(v) for v in a)
 

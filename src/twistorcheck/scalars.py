@@ -92,10 +92,6 @@ class GaussianRational:
     def norm_sq(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -119,11 +115,6 @@ class GaussianRational:
         if self.im == 0:
             return f"GR({self.re})"
         return f"GR({self.re}, {self.im})"
-
-
-GR_ZERO = GaussianRational(0)
-GR_ONE = GaussianRational(1)
-GR_I = GaussianRational(0, 1)
 
 
 def is_exact(x) -> bool:
@@ -175,12 +166,6 @@ def make_complex(re, im, exact: bool):
     return complex(re, im)
 
 
-def scalar_is_zero(x, tol: float = 0.0) -> bool:
-    if is_exact(x):
-        return x == 0
-    return abs(x) <= tol
-
-
 def exact_sqrt(f: Fraction):
     """Square root of a nonnegative rational, or None if not a perfect square."""
     f = Fraction(f)
@@ -192,31 +177,6 @@ def exact_sqrt(f: Fraction):
     ds = math.isqrt(f.denominator)
     if ns * ns == f.numerator and ds * ds == f.denominator:
         return Fraction(ns, ds)
-    return None
-
-
-def gaussian_sqrt(g: GaussianRational):
-    """Exact square root of a Gaussian rational, or None if not a perfect square."""
-    if not isinstance(g, GaussianRational):
-        g = GaussianRational(g)
-    if g.im == 0 and g.re >= 0:
-        r = exact_sqrt(g.re)
-        return None if r is None else GaussianRational(r)
-    # (p + qi)^2 = (p^2 - q^2) + 2pq i with p^2 + q^2 = |g|
-    n = exact_sqrt(g.norm_sq())
-    if n is None:
-        return None
-    p2 = (n + g.re) / 2
-    q2 = (n - g.re) / 2
-    p = exact_sqrt(p2)
-    q = exact_sqrt(q2)
-    if p is None or q is None:
-        return None
-    if g.im < 0:
-        q = -q
-    cand = GaussianRational(p, q)
-    if cand * cand == g:
-        return cand
     return None
 
 
