@@ -451,12 +451,10 @@ def _standalone_doc(ns) -> dict:
     doc = {"seed": ns.seed, "exact": ns.exact, "tolerances": {"tol": ns.tol},
            "tasks": [task]}
     if hasattr(ns, "model"):
-        spec = {"builtin": ns.model} if not ns.model.endswith(".json") \
-            else {"file": ns.model}
+        doc["model"] = ns.model
         if ns.model == "deformed" and ns.lam:
-            spec["lambda"] = ns.lam
-            spec["reality"] = ns.reality
-        doc["model"] = spec
+            doc["model"] = {"builtin": "deformed", "lambda": ns.lam,
+                            "reality": ns.reality}
     return doc
 
 

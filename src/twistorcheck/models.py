@@ -158,23 +158,28 @@ def _coeff_form(basis: SectionBasis, coord: int, power: int, exact: bool) -> MPo
     return MPoly.linear(basis.nparams, coeffs)
 
 
+def _quadric_family_model(name, exact, mu=None, **extras) -> TwistorModel:
+    """x*y = z^2 (+ mu) on O(2)+O(2)+O(2) with the swap/minus rules."""
+    one = make_complex(1, 0, exact)
+    monos = (((1, 1, 0), CoeffPoly.const(0, one)),
+             ((0, 0, 2), CoeffPoly.const(0, -one)))
+    if mu is not None:
+        monos += (((0, 0, 0), -mu),)
+    return TwistorModel(name, (2, 2, 2), ("x", "y", "z"), _QUADRIC_RULES,
+                        (FiberEquation(4, monos),), exact=exact, **extras)
+
+
 def build_quadric(exact: bool = False) -> TwistorModel:
     """Rank-three model with the cone equation x*y = z^2 and swap/minus rules."""
-    degrees = (2, 2, 2)
-    rules = _QUADRIC_RULES
-    one = make_complex(1, 0, exact)
-    eq = FiberEquation(4, (
-        ((1, 1, 0), CoeffPoly.const(0, one)),
-        ((0, 0, 2), CoeffPoly.const(0, -one)),
-    ))
-    basis = reality_fixed_space(degrees, rules, names=("x", "y", "z"), exact=exact)
+    basis = reality_fixed_space((2, 2, 2), _QUADRIC_RULES, names=("x", "y", "z"),
+                                exact=exact)
     x0 = _coeff_form(basis, 0, 0, exact)
     x1 = _coeff_form(basis, 0, 1, exact)
     x2 = _coeff_form(basis, 0, 2, exact)
     # double-zero condition on the x coordinate, as a complex equation
     component = x1 * x1 - (x0 * x2) * 4
-    model = TwistorModel("quadric", degrees, ("x", "y", "z"), rules, (eq,),
-                         component_equations=(component,), exact=exact)
+    model = _quadric_family_model("quadric", exact,
+                                  component_equations=(component,))
     model._basis = basis
     return model
 
@@ -210,17 +215,8 @@ def build_deformed(lam, reality: str, exact: bool = False) -> TwistorModel:
     if actual != reality:
         raise RealityError(
             f"coefficient is not tau-{reality}; pullback does not match")
-    degrees = (2, 2, 2)
-    rules = _QUADRIC_RULES
-    one = make_complex(1, 0, exact)
-    mu = lam * lam
-    eq = FiberEquation(4, (
-        ((1, 1, 0), CoeffPoly.const(0, one)),
-        ((0, 0, 2), CoeffPoly.const(0, -one)),
-        ((0, 0, 0), -mu),
-    ))
-    return TwistorModel("deformed", degrees, ("x", "y", "z"), rules, (eq,),
-                        exact=exact, lam=lam, reality=reality)
+    return _quadric_family_model("deformed", exact, mu=lam * lam, lam=lam,
+                                 reality=reality)
 
 
 def build_smooth_o11(exact: bool = False) -> TwistorModel:
@@ -293,11 +289,7 @@ def squaring_section(a, b, variant: str = "minus", exact: bool = False):
     else:
         x1 = 2 * ab_bar
         r = abs2(b) - abs2(a)
-    params = [real_of(x0), imag_of(x0), real_of(x1), imag_of(x1),
-              real_of(x2), imag_of(x2), real_of(z0), imag_of(z0), r]
-    if exact:
-        return params
-    return np.array([float(p) for p in params])
+    return quadric_params(x0, x1, x2, z0, r, exact=exact)
 
 
 def quadric_params(x0, x1, x2, z0, r, exact: bool = False):
