@@ -20,6 +20,7 @@ from .mpoly import MPoly
 from .projline import CoeffPoly, SigmaCoordRule, reality_fixed_space
 from .scalars import GaussianRational, parse_exact_scalar
 
+
 def encode_scalar(x):
     if isinstance(x, GaussianRational):
         return [str(x.re), str(x.im)]
