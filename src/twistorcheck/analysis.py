@@ -5,6 +5,11 @@ tests, normal-sheaf splitting and the hypercomplex/weakly-hypercomplex
 classification pipeline.  The family table ``_FAMILIES`` holds closed-form
 fiber solvers for the quadric family (x*y = z^2 + mu) and for equation-free
 bundles; everything else falls back to seeded multistart Newton.
+
+Numeric ops (``solve_fiber``, ``branch_test``, ``singular_scan``,
+``sample_sections``, ``classify_hypercomplex`` and the float branch of
+``normal_splitting``) take the model's float view and float inputs once, at
+entry; the helpers below them see floats only.
 """
 
 from __future__ import annotations
@@ -17,10 +22,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import (DimensionError, FiberError, ModelError, OriginError)
+from .exactla import numerical_rank
 from .models import TwistorModel, squaring_section
 from .projline import (CoeffPoly, P1Point, SplittingType, as_p1,
                        kernel_splitting, poly_divmod)
-from .scalars import abs2, conj_of, exact_sqrt, is_exact, to_complex
+from .scalars import abs2, certifies, conj_of, exact_sqrt, is_exact
 from .systems import RealEquationSystem, real_section_system
 
 
@@ -64,13 +70,17 @@ def evaluate_section(model: TwistorModel, params, zeta) -> FiberPoint:
     return FiberPoint(pt, values)
 
 
+def _float_point(pt: P1Point) -> P1Point:
+    return P1Point(pt.chart, complex(pt.value))
+
+
 def _point_on_fiber(model: TwistorModel, pt: P1Point, values, cfg: SolveConfig):
-    scale = 1.0 + sum(float(abs2(to_complex(v))) for v in values)
+    scale = 1.0 + sum(abs2(v) for v in values)
     for eq in model.equations:
-        coeff_scale = 1.0 + max((max(abs(to_complex(c)) for c in g.coeffs)
+        coeff_scale = 1.0 + max((max(abs(c) for c in g.coeffs)
                                  for _, g in eq.monomials), default=0.0)
-        val = eq.eval_at(pt, [to_complex(v) for v in values])
-        if abs(to_complex(val)) > cfg.fiber_tol * scale * coeff_scale:
+        val = eq.eval_at(pt, values)
+        if abs(val) > cfg.fiber_tol * scale * coeff_scale:
             return False
     return True
 
@@ -78,10 +88,7 @@ def _point_on_fiber(model: TwistorModel, pt: P1Point, values, cfg: SolveConfig):
 def _num_rank(mat: np.ndarray, rtol: float) -> int:
     if mat.size == 0:
         return 0
-    svals = np.linalg.svd(mat, compute_uv=False)
-    if svals[0] == 0:
-        return 0
-    return int(np.sum(svals > rtol * svals[0]))
+    return numerical_rank(np.linalg.svd(mat, compute_uv=False), rtol)
 
 
 def _num_nullspace(mat: np.ndarray, rtol: float) -> np.ndarray:
@@ -89,9 +96,7 @@ def _num_nullspace(mat: np.ndarray, rtol: float) -> np.ndarray:
     if mat.size == 0:
         return np.eye(mat.shape[1] if mat.ndim == 2 else 0)
     u, svals, vh = np.linalg.svd(mat)
-    cutoff = rtol * (svals[0] if len(svals) and svals[0] > 0 else 1.0)
-    rank = int(np.sum(svals > cutoff))
-    return vh[rank:]
+    return vh[numerical_rank(svals, rtol):]
 
 
 def incidence_rows(model: TwistorModel, pt: P1Point):
@@ -99,8 +104,8 @@ def incidence_rows(model: TwistorModel, pt: P1Point):
     basis = model.section_basis
     mats = basis.complex_matrices()
     rows = []
+    z = pt.value
     for i, k in enumerate(model.degrees):
-        z = to_complex(pt.value)
         if pt.chart == "std":
             powvec = np.array([z ** m for m in range(k + 1)])
         else:
@@ -114,8 +119,7 @@ def incidence_rows(model: TwistorModel, pt: P1Point):
 def _incidence_rhs(values):
     out = []
     for v in values:
-        vc = to_complex(v)
-        out.extend([vc.real, vc.imag])
+        out.extend([v.real, v.imag])
     return np.array(out)
 
 
@@ -158,17 +162,17 @@ def _pair_partner(cp: CoeffPoly) -> CoeffPoly:
 
 def _ztype_coords(cp: CoeffPoly, tol: float = 1e-8):
     """(Re c0, Im c0, c1) for a z-type triple; checks the type identity."""
-    c0, c1, c2 = (to_complex(c) for c in cp.coeffs)
+    c0, c1, c2 = cp.coeffs
     scale = 1.0 + abs(c0) + abs(c1) + abs(c2)
     if abs(c2 + c0.conjugate()) > tol * scale or abs(c1.imag) > tol * scale:
         raise ModelError("polynomial is not of z-type")
-    return np.array([c0.real, c0.imag, c1.real])
+    return np.array([c0.real, c0.imag, c1.real], dtype=float)
 
 
 def _quadric_incidence(pt: P1Point, values):
     """Incidence rows, particular solutions and the pinned-pair factor."""
-    z = to_complex(pt.value)
-    x_val, y_val, z_val = (to_complex(v) for v in values)
+    z = pt.value
+    x_val, y_val, z_val = values
     if pt.chart == "std":
         e1 = np.array([1.0, z, z * z])
         e2 = np.array([np.conj(z) ** 2, -np.conj(z), 1.0])
@@ -199,19 +203,18 @@ def _quadric_reduce(model: TwistorModel, sys, pt: P1Point, values,
     the kernel of a small linear system, so the fiber is two points, one
     point, empty, or an ellipsoid family.
     """
-    mu = model.mu.to_float()
     x_part, z0_p, r_p, nu = _quadric_incidence(pt, values)
     x_p = CoeffPoly(2, list(x_part))
     y_p = _pair_partner(x_p)
     z_p = CoeffPoly(2, [z0_p, r_p, -np.conj(z0_p)])
-    g_p = x_p * y_p - z_p * z_p - mu
+    g_p = x_p * y_p - z_p * z_p - model.mu
     quot, rem = poly_divmod(g_p.coeffs, nu.trimmed(1e-13), tol=1e-13)
-    scale = 1.0 + max(abs(to_complex(c)) for c in g_p.coeffs)
-    if any(abs(to_complex(c)) > 1e-7 * scale for c in rem):
+    scale = 1.0 + max(abs(c) for c in g_p.coeffs)
+    if any(abs(c) > 1e-7 * scale for c in rem):
         raise FiberError("incidence data is inconsistent with the fiber equation")
     while len(quot) > 3:
         top = quot.pop()
-        if abs(to_complex(top)) > 1e-7 * scale:
+        if abs(top) > 1e-7 * scale:
             raise FiberError("incidence data is inconsistent with the fiber equation")
     h_p = CoeffPoly(2, quot)
     i_unit = 1j
@@ -322,7 +325,7 @@ def _newton_multistart(model, sys, pt, values, cfg: SolveConfig):
         return np.vstack([np.asarray(sys.jacobian_at(x), dtype=float), amat])
 
     rng = np.random.default_rng(cfg.seed)
-    scale = 1.0 + math.sqrt(sum(float(abs2(to_complex(v))) for v in values))
+    scale = 1.0 + math.sqrt(sum(abs2(v) for v in values))
     found = []
     for _ in range(cfg.multistart):
         x0 = rng.standard_normal(sys.nvars) * scale
@@ -344,13 +347,12 @@ def solve_fiber(model: TwistorModel, zeta, target, cfg: SolveConfig | None = Non
     multistart Newton with heuristic completeness.
     """
     cfg = cfg or DEFAULT_CONFIG
+    model = model.float_view()
     if isinstance(target, FiberPoint):
-        pt = target.zeta
-        values = target.values
-    else:
-        # the chart of the point fixes the chart of the values: no canonicalizing
-        pt = zeta if isinstance(zeta, P1Point) else P1Point.std(complex(zeta))
-        values = tuple(target)
+        zeta, target = target.zeta, target.values
+    # the chart of the point fixes the chart of the values: no canonicalizing
+    pt = _float_point(zeta if isinstance(zeta, P1Point) else P1Point.std(zeta))
+    values = tuple(complex(v) for v in target)
     if len(values) != len(model.degrees):
         raise DimensionError("fiber value count differs from coordinate count")
     if not _point_on_fiber(model, pt, values, cfg):
@@ -385,11 +387,12 @@ def branch_test(model: TwistorModel, params, zeta,
     Jacobian there (an isolated simple solution).
     """
     cfg = cfg or DEFAULT_CONFIG
+    model = model.float_view()
     sys = sys or real_section_system(model)
     p = np.array([float(v) for v in params])
     if not sys.membership(p, tol=max(cfg.tol, 1e-8)).passed:
         raise ModelError("branch test requires a point of the section space")
-    pt = as_p1(zeta)
+    pt = _float_point(as_p1(zeta))
     amat = incidence_rows(model, pt)
     sysjac = np.asarray(sys.jacobian_at(p), dtype=float) if len(sys) else \
         np.zeros((0, sys.nvars))
@@ -415,18 +418,23 @@ def normal_splitting(model: TwistorModel, params,
 
     Each equation row is its gradient along the embedded section; the kernel
     subsheaf of the coordinate bundle is the normal sheaf of the section.
+    An exact model with exact parameters certifies the splitting exactly;
+    otherwise it is computed on the float view.
     """
     cfg = cfg or DEFAULT_CONFIG
+    params = list(params)
+    exact = certifies(model.exact, params)
+    if not exact:
+        model = model.float_view()
+        params = [float(v) for v in params]
     sys = sys or real_section_system(model)
-    membership = sys.membership(list(params), tol=max(cfg.tol, 1e-8))
+    membership = sys.membership(params, tol=max(cfg.tol, 1e-8))
     if not membership.passed:
         raise ModelError("normal splitting requires a point of the section space")
-    basis = model.section_basis
-    polys = basis.embed(list(params))
+    polys = model.section_basis.embed(params)
     regular = True
     if sys.expected_regular_rank is not None and len(sys):
-        pf = [float(v) for v in params]
-        regular = sys.jacobian_rank(pf, cfg.rank_rtol) == sys.expected_regular_rank
+        regular = sys.jacobian_rank(params, cfg.rank_rtol) == sys.expected_regular_rank
     rows = []
     degenerate = []
     for jdx, eq in enumerate(model.equations):
@@ -443,9 +451,7 @@ def normal_splitting(model: TwistorModel, params,
         return NormalBundleReport(None, None, None, degenerate, regular)
     splitting = kernel_splitting(rows, list(model.degrees),
                                  [eq.twist for eq in model.equations],
-                                 exact=model.exact and all(
-                                     is_exact(v) for v in params),
-                                 rank_rtol=cfg.rank_rtol)
+                                 exact=exact, rank_rtol=cfg.rank_rtol)
     return NormalBundleReport(splitting, splitting.h0(0), splitting.h0(-2),
                               [], regular)
 
@@ -498,7 +504,7 @@ def singular_scan(model: TwistorModel, points,
                   sys: RealEquationSystem | None = None) -> SingularReport:
     """Classify candidate sections by Jacobian rank and cluster the deficient ones."""
     cfg = cfg or DEFAULT_CONFIG
-    sys = sys or real_section_system(model)
+    sys = sys or real_section_system(model.float_view())
     expected = sys.expected_regular_rank
     entries = []
     skipped = 0
@@ -553,6 +559,7 @@ def _cluster(points, radius):
 def sample_sections(model: TwistorModel, n: int, rng,
                     cfg: SolveConfig | None = None):
     """Random points of the section space, by whatever route the model allows."""
+    model = model.float_view()
     return _FAMILIES[model.family].sample(model, n, rng, cfg or DEFAULT_CONFIG)
 
 
@@ -567,7 +574,7 @@ def _quadric_sample(model: TwistorModel, n: int, rng, cfg: SolveConfig):
             variant = "minus" if rng.random() < 0.5 else "plus"
             out.append(squaring_section(a, b, variant))
         return out
-    mu = model.mu.to_float()
+    mu = model.mu
     out = []
     attempts = 0
     while len(out) < n and attempts < 6 * n:
@@ -606,7 +613,7 @@ def _section_zero_points(poly: CoeffPoly, bound: int):
 
 
 def _chart_value(target: P1Point, p: P1Point) -> complex:
-    v = to_complex(p.value)
+    v = p.value
     if p.chart == target.chart:
         return v
     return 1.0 / v  # only used for points near the chart overlap
@@ -614,12 +621,12 @@ def _chart_value(target: P1Point, p: P1Point) -> complex:
 
 def _polish_double_zero(poly: CoeffPoly, pt: P1Point) -> P1Point:
     """Newton-polish a double zero of the section against its derivative."""
-    coeffs = [to_complex(c) for c in poly.coeffs]
+    coeffs = poly.coeffs
     if pt.chart != "std":
         coeffs = list(reversed(coeffs))
     deriv = [m * c for m, c in enumerate(coeffs)][1:]
     dderiv = [m * c for m, c in enumerate(deriv)][1:]
-    z = to_complex(pt.value)
+    z = pt.value
     for _ in range(4):
         fp = sum(c * z ** m for m, c in enumerate(deriv))
         fpp = sum(c * z ** m for m, c in enumerate(dderiv))
@@ -659,7 +666,7 @@ def _quadric_singular_pairs(model: TwistorModel):
     """
     notes = []
     vertex = (0j,) * len(model.degrees)
-    mu = model.mu.to_float()
+    mu = model.mu
     if mu.is_zero(1e-13):
         notes.append("fiberwise cone vertex is singular over the whole base; "
                      "sampling representative base points")
@@ -667,7 +674,7 @@ def _quadric_singular_pairs(model: TwistorModel):
                P1Point.inf(0.41 - 0.27j)]
         return [(p, vertex) for p in pts], notes
     if model.lam is not None:
-        points = _section_zero_points(model.lam.to_float(), 2)
+        points = _section_zero_points(model.lam, 2)
     else:
         points = _collapse_double_zeros(
             _section_zero_points(mu, 4), mu)
@@ -739,6 +746,7 @@ def classify_hypercomplex(model: TwistorModel,
     fiber points force the weak verdict; otherwise isolated singular sections
     plus unbranched incidence maps give the strong one."""
     cfg = cfg or DEFAULT_CONFIG
+    model = model.float_view()
     rng = np.random.default_rng(cfg.seed)
     sys = real_section_system(model)
     evidence = {"model": model.name, "seed": cfg.seed}
@@ -749,8 +757,7 @@ def classify_hypercomplex(model: TwistorModel,
         evidence["singular_fiber_points"] = "unknown"
         return HCClassification("Undetermined", evidence)
     evidence["singular_fiber_points"] = [
-        {"chart": p.chart, "value": [to_complex(p.value).real,
-                                     to_complex(p.value).imag]}
+        {"chart": p.chart, "value": [p.value.real, p.value.imag]}
         for p, _ in pairs]
     for pt, values in pairs:
         try:
@@ -840,9 +847,7 @@ def _examine_family(model, sys, pt, values, res: FiberSolveResult,
                     confirmed = True
                     break
         entry = {
-            "point": {"chart": pt.chart,
-                      "value": [to_complex(pt.value).real,
-                                to_complex(pt.value).imag]},
+            "point": {"chart": pt.chart, "value": [pt.value.real, pt.value.imag]},
             "corank": int(corank),
             "dim": int(corank),
             "certified": bool(confirmed),
@@ -869,7 +874,7 @@ def _sigma_image_values(model: TwistorModel, values, from_chart: str):
     """
     out = [None] * len(values)
     for i, rule in enumerate(model.rules):
-        src = conj_of(to_complex(values[rule.partner]))
+        src = conj_of(values[rule.partner])
         factor = rule.sign if from_chart == "std" else rule.sign * ((-1) ** model.degrees[i])
         out[i] = factor * src
     return tuple(out)
@@ -920,28 +925,26 @@ def sym_matrix_model(params, label: int, exact: bool = False, tol: float = 1e-9)
     p = [Fraction(v) for v in p] if exact else [float(v) for v in p]
     x0r, x0i, x1r, x1i, x2r, x2i, z0r, z0i, _ = p
     s = label
-    half = (lambda v: v / 2) if exact else (lambda v: v / 2.0)
     m0 = _hypot_scalar(x0r, x0i, exact)
     m2 = _hypot_scalar(x2r, x2i, exact)
     t = s * (m0 + m2)
     a = [[None] * 4 for _ in range(4)]
-    a[0][0] = half(s * (m0 + x0r))
-    a[1][1] = half(s * (m0 - x0r))
-    a[2][2] = half(s * (m2 + x2r))
-    a[3][3] = half(s * (m2 - x2r))
-    a[0][1] = half(s * x0i)
-    a[2][3] = half(-s * x2i)
-    a[0][2] = half(half(2 * s * z0r - x1r))
-    a[1][3] = half(half(-x1r - 2 * s * z0r))
-    a[1][2] = half(half(2 * s * z0i - x1i))
-    a[0][3] = half(half(2 * s * z0i + x1i))
+    a[0][0] = s * (m0 + x0r) / 2
+    a[1][1] = s * (m0 - x0r) / 2
+    a[2][2] = s * (m2 + x2r) / 2
+    a[3][3] = s * (m2 - x2r) / 2
+    a[0][1] = s * x0i / 2
+    a[2][3] = -s * x2i / 2
+    a[0][2] = (2 * s * z0r - x1r) / 2 / 2
+    a[1][3] = (-x1r - 2 * s * z0r) / 2 / 2
+    a[1][2] = (2 * s * z0i - x1i) / 2 / 2
+    a[0][3] = (2 * s * z0i + x1i) / 2 / 2
     for i in range(4):
         for j in range(i + 1, 4):
             a[j][i] = a[i][j]
     _check_rank_one(a, tol, exact)
-    quarter = t / 4 if exact else t / 4.0
-    b = [[a[i][j] - (quarter if i == j else (0 if exact else 0.0))
-          for j in range(4)] for i in range(4)]
+    b = [[a[i][j] - (t / 4 if i == j else 0) for j in range(4)]
+         for i in range(4)]
     if exact:
         return b, t
     return np.array(b, dtype=float), float(t)
@@ -985,7 +988,7 @@ def rank_one_matrix_oracle(q) -> MatrixOracleReport:
     q = [Fraction(v) for v in q] if exact else [float(v) for v in q]
     a = [[q[i] * q[j] for j in range(n)] for i in range(n)]
     t = sum(a[i][i] for i in range(n))
-    quarter = t / 4 if exact else t / 4.0
+    quarter = t / 4
     ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     b = [[a[i][j] - quarter * ident[i][j] for j in range(n)] for i in range(n)]
 

@@ -41,12 +41,13 @@ from .serialize import (decode_scalar, jsonable, load_model_file,
                         load_scenario, model_from_dict, validate_scenario,
                         write_report)
 
-DEFAULT_LAMBDA_FLOAT = [1j, 0.0, -1j]
-DEFAULT_LAMBDA_EXACT = ["i", "0", "-i"]
+DEFAULT_LAMBDA = ["i", "0", "-i"]
 
 
-def _parse_complex_list(text: str):
-    return [complex(tok) for tok in text.split(",") if tok.strip()]
+def _parse_complex_list(text: str, exact: bool):
+    # float tokens keep Python's complex syntax, which also reads '1e-3j'
+    return [decode_scalar(tok, True) if exact else complex(tok)
+            for tok in text.split(",") if tok.strip()]
 
 
 def _parse_zeta(spec):
@@ -69,7 +70,7 @@ def _parse_zeta(spec):
     return complex(spec)
 
 
-def _parse_section(args_dict, model):
+def _parse_section(args_dict, model, exact):
     if args_dict.get("params") is not None:
         vals = args_dict["params"]
         if isinstance(vals, str):
@@ -79,13 +80,13 @@ def _parse_section(args_dict, model):
     if sec is None:
         raise ScenarioError("task needs a 'section' or 'params' argument")
     if isinstance(sec, str):
-        vals = _parse_complex_list(sec)
+        vals = _parse_complex_list(sec, exact)
     else:
-        vals = [decode_scalar(v, exact=False) for v in sec]
+        vals = [decode_scalar(v, exact) for v in sec]
     if len(vals) != 5 or (model is not None and len(model.degrees) != 3):
         raise ScenarioError("coefficient tuples require the 3-coordinate model; "
                             "use 'params' otherwise")
-    return quadric_params(*vals)
+    return quadric_params(*vals, exact=exact)
 
 
 def build_model_from_spec(spec, exact: bool = False):
@@ -106,7 +107,7 @@ def build_model_from_spec(spec, exact: bool = False):
     if name == "deformed":
         lam = spec.get("lambda")
         if lam is None:
-            lam = DEFAULT_LAMBDA_EXACT if exact else DEFAULT_LAMBDA_FLOAT
+            lam = DEFAULT_LAMBDA
         if isinstance(lam, str):
             lam = [t for t in lam.split(",") if t.strip()]
         coeffs = [decode_scalar(v, exact) for v in lam]
@@ -132,9 +133,10 @@ def _load_group(args) -> FiniteQuaternionGroup:
     return builtin_group(name)
 
 
-# Op functions: (task args, model or None, config) -> (numbers, evidence).
+# Op functions: (task args, model or None, config, exact mode) ->
+# (numbers, evidence).  Section and point tokens decode in the scenario's mode.
 
-def _op_validate(args, model, cfg):
+def _op_validate(args, model, cfg, exact):
     rep = validate_model(model)
     return ({"passed": rep.passed,
              "dimension": rep.info.get("real_parameter_dimension")},
@@ -142,19 +144,19 @@ def _op_validate(args, model, cfg):
              "equation_signs": rep.equation_signs})
 
 
-def _op_sections(args, model, cfg):
+def _op_sections(args, model, cfg, exact):
     basis = model.section_basis
     return ({"dimension": basis.nparams},
             {"parameters": basis.param_names, "forms": basis.describe()})
 
 
-def _op_solve_fiber(args, model, cfg):
+def _op_solve_fiber(args, model, cfg, exact):
     zeta = _parse_zeta(args.get("zeta"))
     point = args.get("point")
     if isinstance(point, str):
-        point = _parse_complex_list(point)
+        point = _parse_complex_list(point, exact)
     else:
-        point = [decode_scalar(v, exact=False) for v in point]
+        point = [decode_scalar(v, exact) for v in point]
     res = solve_fiber(model, zeta, tuple(point), cfg)
     numbers = {"count": len(res.solutions), "complete": res.complete,
                "family_dim": res.family.dim if res.family else 0}
@@ -166,7 +168,7 @@ def _op_solve_fiber(args, model, cfg):
     return numbers, evidence
 
 
-def _op_singular_scan(args, model, cfg):
+def _op_singular_scan(args, model, cfg, exact):
     n = int(args.get("samples", cfg.scan_samples))
     rng = np.random.default_rng(int(args.get("seed", cfg.seed)))
     points = list(sample_sections(model, n, rng, cfg))
@@ -179,15 +181,15 @@ def _op_singular_scan(args, model, cfg):
     return numbers, {"clusters": rep.clusters, "skipped": rep.skipped}
 
 
-def _op_branch(args, model, cfg):
-    section = _parse_section(args, model)
+def _op_branch(args, model, cfg, exact):
+    section = _parse_section(args, model, exact)
     zeta = _parse_zeta(args.get("zeta"))
     rep = branch_test(model, section, zeta, cfg)
     return {"verdict": rep.verdict, "rank": rep.rank}, {}
 
 
-def _op_normal_bundle(args, model, cfg):
-    section = _parse_section(args, model)
+def _op_normal_bundle(args, model, cfg, exact):
+    section = _parse_section(args, model, exact)
     rep = normal_splitting(model, section, cfg)
     numbers = {
         "splitting": list(rep.splitting.degrees) if rep.splitting else None,
@@ -198,14 +200,14 @@ def _op_normal_bundle(args, model, cfg):
     return numbers, evidence
 
 
-def _op_classify(args, model, cfg):
+def _op_classify(args, model, cfg, exact):
     cls = classify_hypercomplex(model, cfg)
     numbers = {"verdict": cls.verdict,
                "family_dimension": cls.evidence.get("family_dimension", 0)}
     return numbers, cls.evidence
 
 
-def _op_matrix_model(args, model, cfg):
+def _op_matrix_model(args, model, cfg, exact):
     if args.get("oracle_q") is not None:
         q = args["oracle_q"]
         if isinstance(q, str):
@@ -216,19 +218,19 @@ def _op_matrix_model(args, model, cfg):
                    "displayed_form_residual": rep.displayed_residual_norm,
                    "product_identity_residual": rep.product_identity_norm}
         return numbers, {"b": jsonable(rep.b)}
-    section = _parse_section(args, model)
+    section = _parse_section(args, model, exact)
     label = args.get("label")
     if label is None:
         lab = component_label(section)
         label = 1 if lab == "boundary" else lab
-    b, t = sym_matrix_model(section, int(label))
+    b, t = sym_matrix_model(section, int(label), exact=exact)
     numbers = {"t": float(t),
                "trace_b": float(np.trace(np.asarray(b, dtype=float))),
                "label": int(label)}
     return numbers, {"b": jsonable(b)}
 
 
-def _op_quotient_census(args, model, cfg):
+def _op_quotient_census(args, model, cfg, exact):
     group = _load_group(args)
     census = involution_census(group)
     count, flags = component_count(group)
@@ -241,7 +243,7 @@ def _op_quotient_census(args, model, cfg):
     return numbers, evidence
 
 
-def _op_cone_glue(args, model, cfg):
+def _op_cone_glue(args, model, cfg, exact):
     weights = args.get("weights", [1, 1, 1])
     if isinstance(weights, str):
         weights = [int(t) for t in weights.split(",")]
@@ -306,14 +308,14 @@ OPS = {
 }
 
 
-def execute_task(op: str, args: dict, model, cfg: SolveConfig):
-    """Run one task; returns a report record.
+def execute_task(op: str, args: dict, model, cfg: SolveConfig, exact: bool):
+    """Run one task in the scenario's mode; returns a report record.
 
     A task with an ``expect`` object passes when every expected number
     matches; without one it is ``info``, unless its numbers carry their own
     ``passed`` verdict.
     """
-    numbers, evidence = OPS[op].run(args, model, cfg)
+    numbers, evidence = OPS[op].run(args, model, cfg, exact)
     expect = args.get("expect")
     if expect:
         matched = all(jsonable(numbers.get(k)) == jsonable(v)
@@ -363,7 +365,7 @@ def run_scenario_doc(doc: dict, out_path=None) -> dict:
             task_model = build_model_from_spec(args["model"], exact=exact)
         if OPS[op].model == "required" and task_model is None:
             raise ScenarioError(f"op {op!r} requires a model")
-        records.append(execute_task(op, args, task_model, cfg))
+        records.append(execute_task(op, args, task_model, cfg, exact))
     report = {
         "toolkit": {"name": "twistorcheck", "version": __version__},
         "mode": "exact" if exact else "float",

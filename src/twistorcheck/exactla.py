@@ -1,10 +1,16 @@
-"""Exact linear algebra over Fraction or GaussianRational entries.
+"""Rank of small matrices: exact elimination and the numerical cutoff.
 
-Matrices are lists of row lists.  Only small systems appear in this toolkit,
-so plain Gaussian elimination with first-nonzero pivoting is enough.
+Exact matrices are lists of row lists over int, Fraction or
+GaussianRational entries; only small systems appear in this toolkit, so
+plain Gaussian elimination with first-nonzero pivoting is enough.  Float
+matrices go through their singular values and one relative cutoff.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+
+import numpy as np
 
 
 def _rref(mat):
@@ -23,7 +29,7 @@ def _rref(mat):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
+        inv = Fraction(1) / rows[r][c]
         rows[r] = [v * inv for v in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c] != 0:
@@ -41,3 +47,10 @@ def exact_rank(mat) -> int:
         return 0
     _, pivots = _rref(mat)
     return len(pivots)
+
+
+def numerical_rank(svals, rtol: float) -> int:
+    """Singular values (descending) above ``rtol`` times the largest; 0 if none."""
+    if len(svals) == 0 or svals[0] == 0:
+        return 0
+    return int(np.sum(svals > rtol * svals[0]))

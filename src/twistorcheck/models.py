@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (DegreeError, ModelError, NonInvolutiveError, RealityError,
                      WeightError)
+from .exactla import numerical_rank
 from .mpoly import MPoly
 from .projline import (CoeffPoly, P1Point, SectionBasis, SigmaCoordRule,
                        check_rule_parity, reality_fixed_space, tau_pullback)
@@ -83,6 +84,8 @@ class TwistorModel:
     The closed-form family (``family``, ``mu``, ``expected_regular_rank``) is
     recognised here from the degrees, rules and equations; nothing on a model
     changes after construction apart from the lazily built section basis.
+    An exact model keeps its exact coefficients; numeric ops run on
+    :meth:`float_view`.
     """
 
     def __init__(self, name, degrees, coordinates, rules, equations,
@@ -97,8 +100,25 @@ class TwistorModel:
         self.lam = lam
         self.reality = reality
         self.family, self.mu, self.expected_regular_rank = _recognise_family(
-            self.degrees, self.rules, self.equations, exact)
+            self.degrees, self.rules, self.equations)
         self._basis = None
+
+    def float_view(self) -> "TwistorModel":
+        """The model with complex coefficients, the input of every numeric op.
+
+        A float model is its own view.  The view is not cached: building it
+        is cheap, and ops nested inside an op are handed the view already.
+        """
+        if not self.exact:
+            return self
+        equations = [FiberEquation(eq.twist, tuple((e, c.to_float())
+                                                   for e, c in eq.monomials))
+                     for eq in self.equations]
+        return TwistorModel(
+            self.name, self.degrees, self.coordinates, self.rules, equations,
+            [c.map_coeffs(complex) for c in self.component_equations],
+            lam=None if self.lam is None else self.lam.to_float(),
+            reality=self.reality)
 
     @property
     def section_basis(self) -> SectionBasis:
@@ -120,7 +140,7 @@ _QUADRIC_RULES = (SigmaCoordRule(1, 1, 2), SigmaCoordRule(0, 1, 2),
                   SigmaCoordRule(2, -1, 2))
 
 
-def _recognise_family(degrees, rules, equations, exact):
+def _recognise_family(degrees, rules, equations):
     """(family, mu, expected_regular_rank) of a model's closed-form family.
 
     Equation-free bundles are "linear"; the swap/minus rank-three model with
@@ -134,7 +154,7 @@ def _recognise_family(degrees, rules, equations, exact):
     eq = equations[0]
     if eq.twist != 4:
         return None, None, None
-    mu = CoeffPoly.zero(4, exact=exact)
+    mu = CoeffPoly.zero(4)
     seen = set()
     for exps, coeff in eq.monomials:
         if exps == (1, 1, 0) and coeff.coeffs[0] == 1:
@@ -150,9 +170,9 @@ def _recognise_family(degrees, rules, equations, exact):
     return None, None, None
 
 
-def _coeff_form(basis: SectionBasis, coord: int, power: int, exact: bool) -> MPoly:
+def _coeff_form(basis: SectionBasis, coord: int, power: int) -> MPoly:
     """Section coefficient as a complex-linear polynomial in the real parameters."""
-    coeffs = [make_complex(0, 0, exact)] * basis.nparams
+    coeffs = [0] * basis.nparams
     for p, unit in basis.slots[coord][power]:
         coeffs[p] = coeffs[p] + unit
     return MPoly.linear(basis.nparams, coeffs)
@@ -173,9 +193,9 @@ def build_quadric(exact: bool = False) -> TwistorModel:
     """Rank-three model with the cone equation x*y = z^2 and swap/minus rules."""
     basis = reality_fixed_space((2, 2, 2), _QUADRIC_RULES, names=("x", "y", "z"),
                                 exact=exact)
-    x0 = _coeff_form(basis, 0, 0, exact)
-    x1 = _coeff_form(basis, 0, 1, exact)
-    x2 = _coeff_form(basis, 0, 2, exact)
+    x0 = _coeff_form(basis, 0, 0)
+    x1 = _coeff_form(basis, 0, 1)
+    x2 = _coeff_form(basis, 0, 2)
     # double-zero condition on the x coordinate, as a complex equation
     component = x1 * x1 - (x0 * x2) * 4
     model = _quadric_family_model("quadric", exact,
@@ -274,11 +294,8 @@ def squaring_section(a, b, variant: str = "minus", exact: bool = False):
     """
     if variant not in ("minus", "plus"):
         raise ModelError(f"unknown squaring variant {variant!r}")
-    if exact:
-        a = a if isinstance(a, GaussianRational) else GaussianRational(a)
-        b = b if isinstance(b, GaussianRational) else GaussianRational(b)
-    else:
-        a, b = complex(a), complex(b)
+    convert = GaussianRational if exact else complex
+    a, b = convert(a), convert(b)
     ab_bar = a * conj_of(b)
     x0 = a * a
     x2 = conj_of(b) * conj_of(b)
@@ -416,22 +433,18 @@ def validate_model(model: TwistorModel, rng=None) -> ValidationReport:
         rng = rng or np.random.default_rng(20240901)
         ncoord = len(model.degrees)
         expected = min(len(model.equations), ncoord)
+        partials = [[eq.partial(c, model.degrees) for c in range(ncoord)]
+                    for eq in model.float_view().equations]
         ranks = []
         for chart_point in [P1Point.std(0.37 - 0.21j), P1Point.std(0.61 + 0.4j),
                             P1Point.inf(0.152 + 0.73j), P1Point.inf(-0.5 + 0.12j)]:
             best = 0
             for _ in range(4):
                 u = rng.standard_normal(ncoord) + 1j * rng.standard_normal(ncoord)
-                jac = np.zeros((len(model.equations), ncoord), dtype=complex)
-                for r, eq in enumerate(model.equations):
-                    feq = eq if not model.exact else FiberEquation(
-                        eq.twist, tuple((e, c.to_float()) for e, c in eq.monomials))
-                    for c in range(ncoord):
-                        jac[r, c] = feq.partial(c, model.degrees).eval_at(
-                            chart_point, u)
-                svals = np.linalg.svd(jac, compute_uv=False)
-                cutoff = 1e-7 * (svals[0] if len(svals) and svals[0] > 0 else 1.0)
-                best = max(best, int(np.sum(svals > cutoff)))
+                jac = np.array([[part.eval_at(chart_point, u) for part in row]
+                                for row in partials], dtype=complex)
+                best = max(best, numerical_rank(
+                    np.linalg.svd(jac, compute_uv=False), 1e-7))
             ranks.append(best)
         if len(set(ranks)) != 1:
             report.fail("generic_fiber_rank",

@@ -7,7 +7,7 @@ operations, so one class serves both backends.
 
 from __future__ import annotations
 
-from .scalars import imag_of, is_exact, real_of, to_complex
+from .scalars import imag_of, is_exact, real_of
 
 
 class MPoly:
@@ -117,12 +117,6 @@ class MPoly:
             elif abs(c) > tol:
                 return False
         return True
-
-    def to_float(self) -> "MPoly":
-        def conv(c):
-            f = to_complex(c)
-            return f.real if abs(f.imag) == 0 else f
-        return MPoly(self.nvars, {e: conv(c) for e, c in self.terms.items()})
 
     def normalized_sign(self) -> "MPoly":
         """Scale by -1 if the coefficient of the smallest exponent is negative."""

@@ -19,9 +19,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegreeError, NonInvolutiveError
-from .exactla import exact_rank
+from .exactla import exact_rank, numerical_rank
 from .scalars import (GaussianRational, abs2, conj_of, imag_of, is_exact,
-                      make_complex, real_of, to_complex)
+                      make_complex, real_of)
 
 STD = "std"
 INF = "inf"
@@ -56,7 +56,7 @@ class P1Point:
 
     def same_point(self, other: "P1Point", tol: float = 1e-12) -> bool:
         a, b = self.canonical(), other.canonical()
-        av, bv = to_complex(a.value), to_complex(b.value)
+        av, bv = complex(a.value), complex(b.value)
         if a.chart == b.chart:
             return abs(av - bv) <= tol
         if abs(av) < 1e-30 or abs(bv) < 1e-30:
@@ -94,9 +94,8 @@ class CoeffPoly:
         self.coeffs = coeffs
 
     @staticmethod
-    def zero(degree_bound: int, exact: bool = False) -> "CoeffPoly":
-        z = GaussianRational(0) if exact else 0j
-        return CoeffPoly(degree_bound, [z] * (degree_bound + 1))
+    def zero(degree_bound: int) -> "CoeffPoly":
+        return CoeffPoly(degree_bound, [0] * (degree_bound + 1))
 
     @staticmethod
     def const(degree_bound: int, c) -> "CoeffPoly":
@@ -156,7 +155,7 @@ class CoeffPoly:
         return cs
 
     def to_float(self) -> "CoeffPoly":
-        return CoeffPoly(self.degree_bound, [to_complex(c) for c in self.coeffs])
+        return CoeffPoly(self.degree_bound, [complex(c) for c in self.coeffs])
 
     def __eq__(self, other):
         if not isinstance(other, CoeffPoly):
@@ -354,7 +353,7 @@ class SectionBasis:
                 m = np.zeros((k + 1, self.nparams), dtype=complex)
                 for row in range(k + 1):
                     for p, c in self.slots[i][row]:
-                        m[row, p] += to_complex(c)
+                        m[row, p] += complex(c)
                 mats.append(m)
             self._float_cache = mats
         return self._float_cache
@@ -367,7 +366,7 @@ class SectionBasis:
             for m in range(k + 1):
                 parts = []
                 for p, c in self.slots[i][m]:
-                    cc = to_complex(c)
+                    cc = complex(c)
                     name = self.param_names[p].replace(".re", "'").replace(".im", "''")
                     if cc == 1:
                         parts.append(name)
@@ -470,10 +469,7 @@ def _nullity_at_twist(mat, source_degrees, target_degrees, m, exact, rank_rtol):
         return 0
     if nrows == 0:
         return ncols
-    if exact:
-        big = [[GaussianRational(0) for _ in range(ncols)] for _ in range(nrows)]
-    else:
-        big = np.zeros((nrows, ncols), dtype=complex)
+    big = [[0] * ncols for _ in range(nrows)]
     col0 = 0
     for i, k in enumerate(source_degrees):
         row0 = 0
@@ -487,20 +483,17 @@ def _nullity_at_twist(mat, source_degrees, target_degrees, m, exact, rank_rtol):
                         r = cpow + epow
                         if r >= rows[j]:
                             continue
-                        if exact:
-                            g = coeff if isinstance(coeff, GaussianRational) \
-                                else GaussianRational(coeff)
-                            big[row0 + r][col0 + cpow] = big[row0 + r][col0 + cpow] + g
-                        else:
-                            big[row0 + r, col0 + cpow] += coeff
+                        big[row0 + r][col0 + cpow] += coeff
             row0 += rows[j]
         col0 += cols[i]
+    return ncols - _rank(big, exact, rank_rtol)
+
+
+def _rank(rows, exact, rank_rtol):
     if exact:
-        return ncols - exact_rank(big)
-    svals = np.linalg.svd(big, compute_uv=False)
-    cutoff = rank_rtol * (svals[0] if len(svals) and svals[0] > 0 else 1.0)
-    rank = int(np.sum(svals > cutoff))
-    return ncols - rank
+        return exact_rank(rows)
+    svals = np.linalg.svd(np.array(rows, dtype=complex), compute_uv=False)
+    return numerical_rank(svals, rank_rtol)
 
 
 def kernel_splitting(entries, source_degrees, target_degrees,
@@ -521,26 +514,11 @@ def kernel_splitting(entries, source_degrees, target_degrees,
     # generic rank of the evaluated matrix fixes the kernel rank
     grank = 0
     if target_degrees:
-        if exact:
-            for z in _GENERIC_EXACT_POINTS:
-                rows = []
-                for j in range(len(target_degrees)):
-                    row = []
-                    for i in range(nsrc):
-                        e = mat[j][i]
-                        v = e.eval_std(z) if e is not None else 0
-                        row.append(v if isinstance(v, GaussianRational)
-                                   else GaussianRational(v))
-                    rows.append(row)
-                grank = max(grank, exact_rank(rows))
-        else:
-            for z in _GENERIC_EVAL_POINTS:
-                a = np.array([[mat[j][i].eval_std(z) if mat[j][i] is not None else 0.0
-                               for i in range(nsrc)]
-                              for j in range(len(target_degrees))], dtype=complex)
-                svals = np.linalg.svd(a, compute_uv=False)
-                cutoff = rank_rtol * (svals[0] if len(svals) and svals[0] > 0 else 1.0)
-                grank = max(grank, int(np.sum(svals > cutoff)))
+        points = _GENERIC_EXACT_POINTS if exact else _GENERIC_EVAL_POINTS
+        for z in points:
+            rows = [[e.eval_std(z) if e is not None else 0 for e in row]
+                    for row in mat]
+            grank = max(grank, _rank(rows, exact, rank_rtol))
     kernel_rank = nsrc - grank
     if kernel_rank == 0:
         return SplittingType(())

@@ -279,10 +279,9 @@ def veronese_quotient_check(samples, variant: str = "minus",
             failures.append({"sample": str((a, b)), "issue": "collapse"})
     counts = {}
     if fiber_check:
-        fmodel = build_quadric(exact=False)
+        fmodel = model.float_view()
         for a, b in samples[:fiber_check]:
-            af, bf = complex(float(a.re), float(a.im)) if exact else complex(a), \
-                complex(float(b.re), float(b.im)) if exact else complex(b)
+            af, bf = complex(a), complex(b)
             if abs(af) + abs(bf) < 1e-9:
                 continue
             sec = squaring_section(af, bf, variant)

@@ -4,6 +4,10 @@ Float mode uses Python ``complex``/``float``; exact mode uses
 ``fractions.Fraction`` for reals and :class:`GaussianRational` for complex
 values.  The helpers here dispatch on type so polynomial and linear-algebra
 code can stay backend-agnostic.
+
+One policy decides the backend: exact models keep exact coefficients,
+numeric ops run on ``TwistorModel.float_view()`` with float inputs, and the
+exact branch runs only where it certifies a fact (see :func:`certifies`).
 """
 
 from __future__ import annotations
@@ -121,6 +125,11 @@ def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction, GaussianRational))
 
 
+def certifies(exact: bool, values) -> bool:
+    """Whether the exact branch applies: an exact model and all-exact inputs."""
+    return exact and all(is_exact(v) for v in values)
+
+
 def conj_of(x):
     if isinstance(x, (GaussianRational, complex)):
         return x.conjugate()
@@ -152,12 +161,6 @@ def abs2(x):
     if isinstance(x, complex):
         return x.real * x.real + x.imag * x.imag
     return x * x
-
-
-def to_complex(x) -> complex:
-    if isinstance(x, GaussianRational):
-        return complex(x)
-    return complex(x)
 
 
 def make_complex(re, im, exact: bool):

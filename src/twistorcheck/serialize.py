@@ -18,7 +18,8 @@ from .errors import ModelError, ScenarioError
 from .models import FiberEquation, TwistorModel
 from .mpoly import MPoly
 from .projline import CoeffPoly, SigmaCoordRule, reality_fixed_space
-from .scalars import GaussianRational, parse_exact_scalar
+from .scalars import (GaussianRational, make_complex, parse_exact_scalar,
+                      real_of)
 
 
 def encode_scalar(x):
@@ -34,22 +35,16 @@ def encode_scalar(x):
 
 
 def decode_scalar(v, exact: bool):
+    """One JSON scalar in the given mode; an ``[re, im]`` pair decodes each
+    part by the same rule, so exact mode rejects non-integer floats in both."""
     if isinstance(v, str):
         g = parse_exact_scalar(v)
         if exact:
             return g if g.im != 0 else g.re
         return complex(g)
     if isinstance(v, (list, tuple)):
-        re, im = v
-        if exact:
-            re = parse_exact_scalar(str(re)) if isinstance(re, str) else Fraction(re)
-            im = parse_exact_scalar(str(im)) if isinstance(im, str) else Fraction(im)
-            re = re.re if isinstance(re, GaussianRational) else re
-            im = im.re if isinstance(im, GaussianRational) else im
-            return GaussianRational(re, im)
-        re = float(parse_exact_scalar(re).re) if isinstance(re, str) else float(re)
-        im = float(parse_exact_scalar(im).re) if isinstance(im, str) else float(im)
-        return complex(re, im)
+        re, im = (real_of(decode_scalar(part, exact)) for part in v)
+        return make_complex(re, im, exact)
     if exact:
         if isinstance(v, float) and not v.is_integer():
             raise ScenarioError(f"exact mode requires rational strings, got {v}")

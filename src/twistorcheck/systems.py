@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ModelError
-from .exactla import exact_rank
+from .exactla import exact_rank, numerical_rank
 from .mpoly import MPoly
 from .models import TwistorModel, _coeff_form
-from .scalars import abs2, is_exact
+from .scalars import abs2, certifies
 
 
 @dataclass
@@ -57,7 +57,7 @@ class RealEquationSystem:
         if len(p) != self.nvars:
             raise DimensionError(
                 f"expected {self.nvars} parameters, got {len(p)}")
-        if self.exact and all(is_exact(v) for v in p):
+        if certifies(self.exact, p):
             return [[entry.evaluate(p) for entry in row] for row in self.jacobian]
         pf = [float(v) for v in p]
         return np.array([[float(entry.evaluate(pf)) for entry in row]
@@ -65,7 +65,7 @@ class RealEquationSystem:
 
     def membership(self, p, tol: float = 1e-9) -> MembershipReport:
         res = self.residuals(p)
-        if self.exact and all(is_exact(v) for v in p):
+        if certifies(self.exact, p):
             passed = all(r == 0 for r in res)
             mx = max((abs(float(r)) for r in res), default=0.0)
             return MembershipReport(passed, res, mx, 0.0, list(self.labels))
@@ -79,10 +79,7 @@ class RealEquationSystem:
             return 0
         jac = self.jacobian_at(p)
         if isinstance(jac, np.ndarray):
-            svals = np.linalg.svd(jac, compute_uv=False)
-            if len(svals) == 0 or svals[0] == 0:
-                return 0
-            return int(np.sum(svals > rank_rtol * svals[0]))
+            return numerical_rank(np.linalg.svd(jac, compute_uv=False), rank_rtol)
         return exact_rank(jac)
 
 
@@ -104,7 +101,7 @@ def real_section_system(model: TwistorModel) -> RealEquationSystem:
     zero = MPoly.zero(n)
     coord_polys = []
     for i, k in enumerate(model.degrees):
-        coord_polys.append([_coeff_form(basis, i, m, model.exact)
+        coord_polys.append([_coeff_form(basis, i, m)
                             for m in range(k + 1)])
     equations = []
     labels = []

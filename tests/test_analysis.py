@@ -1,17 +1,22 @@
 """Fiber solving, loci detection, classification and the matrix model."""
 
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from twistorcheck import (FiberError, ModelError, OriginError, P1Point,
-                          SolveConfig, branch_test, classify_hypercomplex,
+from twistorcheck import (FiberError, GaussianRational, ModelError, OriginError,
+                          P1Point, SolveConfig, branch_test,
+                          build_deformed, build_quadric, classify_hypercomplex,
                           component_label, evaluate_section, normal_splitting,
                           quadric_params, quadric_tuple, rank_one_matrix_oracle,
                           singular_scan, solve_fiber, squaring_section,
                           sym_matrix_model)
 from twistorcheck.analysis import _newton_multistart, sample_sections
+from twistorcheck.projline import SplittingType
+from twistorcheck.serialize import jsonable
 from twistorcheck.systems import real_section_system
 
 CFG = SolveConfig(seed=7)
@@ -300,3 +305,43 @@ def test_sample_sections_deformed(deformed, rng):
     sys = real_section_system(deformed)
     assert len(pts) == 10
     assert all(sys.membership(p, tol=1e-8).passed for p in pts)
+
+
+# exact backend: numeric ops run on the float view, certificates stay exact
+G = GaussianRational
+EXACT_SECTIONS = [(G(Fraction(1, 2), Fraction(-3, 5)), G(Fraction(2, 7), Fraction(1, 3))),
+                  (G(1, 2), G(Fraction(-1, 3), 0))]
+
+
+@pytest.mark.parametrize("name", ["quadric", "deformed"])
+def test_exact_classify_evidence_equals_float(name):
+    if name == "quadric":
+        exact, floats = build_quadric(exact=True), build_quadric()
+    else:
+        exact = build_deformed([G(0, 1), 0, G(0, -1)], "antireal", exact=True)
+        floats = build_deformed([1j, 0j, -1j], "antireal")
+    cfg = SolveConfig(seed=3)
+    a = classify_hypercomplex(exact, cfg)
+    b = classify_hypercomplex(floats, cfg)
+    assert a.verdict == b.verdict
+    assert json.dumps(jsonable(a.evidence), sort_keys=True) == \
+        json.dumps(jsonable(b.evidence), sort_keys=True)
+
+
+def test_exact_quadric_fiber_at_a_rational_target(quadric_exact):
+    for a, b in EXACT_SECTIONS:
+        sec = squaring_section(a, b, "minus", exact=True)
+        target = evaluate_section(quadric_exact, sec, G(Fraction(1, 3), Fraction(1, 4)))
+        res = solve_fiber(quadric_exact, target.zeta, target.values)
+        assert len(res.solutions) == 2 and res.method == "closed-form"
+        assert min(np.linalg.norm(s - np.array([float(v) for v in sec]))
+                   for s in res.solutions) < 1e-9
+
+
+def test_exact_normal_splitting_of_rational_sections(quadric_exact):
+    for a, b in EXACT_SECTIONS:
+        for variant in ("minus", "plus"):
+            sec = squaring_section(a, b, variant, exact=True)
+            rep = normal_splitting(quadric_exact, sec)
+            assert rep.splitting == SplittingType((1, 1))
+            assert rep.h0 == 4 and rep.h0_minus2 == 0 and rep.regular_point

@@ -201,14 +201,17 @@ SWEEP_ARGS = {
     "quotient-census": ["--group", "Q8"],
     "cone-glue": ["--weights", "1,1,1", "--l", "2", "--compare", "quadric"],
 }
-SWEEP = [(command, model) for command, op in OPS.items()
+# float cases keep their "<command>-<model>" ids; --exact cases add "-exact"
+SWEEP = [pytest.param(command, model, exact,
+                      id=f"{command}-{model}" + ("-exact" if exact else ""))
+         for exact in (False, True) for command, op in OPS.items()
          for model in (("quadric", "deformed", "smooth-o11") if op.model
                        else (None,))]
 
 
-@pytest.mark.parametrize("command,model", SWEEP)
-def test_float_cli_sweep_honours_exit_contract(command, model, capsys):
-    argv = [command] + SWEEP_ARGS[command]
+@pytest.mark.parametrize("command,model,exact", SWEEP)
+def test_float_cli_sweep_honours_exit_contract(command, model, exact, capsys):
+    argv = [command] + SWEEP_ARGS[command] + (["--exact"] if exact else [])
     if model is not None:
         argv += ["--model", model]
     code = main(argv)
@@ -216,3 +219,19 @@ def test_float_cli_sweep_honours_exit_contract(command, model, capsys):
     assert code in (0, 1, 2)
     assert "Traceback" not in captured.out + captured.err
     assert (code == 1) == ("[FAIL]" in captured.out), captured.out
+
+
+def test_exact_matrix_model_rejects_a_non_square_modulus(capsys):
+    argv = ["matrix-model", "--exact", "--section", "1+i,0,0,0,1", "--label", "1"]
+    assert main(argv) == 2
+    assert "exact rational square" in capsys.readouterr().err
+
+
+def test_exact_sections_decode_exactly(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = ["matrix-model", "--exact", "--section", "1/4,0,0,0,1/4",
+            "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    evidence = json.loads(out.read_text())["tasks"][0]["evidence"]
+    assert evidence["b"][0] == ["3/16", "0", "0", "0"]

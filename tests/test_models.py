@@ -1,16 +1,19 @@
 """Model builders, validation, squaring sections and serialization."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from twistorcheck import (CoeffPoly, DegreeError, NonInvolutiveError,
-                          RealityError, SigmaCoordRule, TwistorModel,
+from twistorcheck import (CoeffPoly, DegreeError, GaussianRational,
+                          NonInvolutiveError, RealityError, ScenarioError,
+                          SigmaCoordRule, TwistorModel,
                           WeightError, build_deformed, build_quadric,
                           build_smooth_o11, glue_cone_twistor,
                           lambda_reality_type, models_structurally_equal,
                           quadric_params, squaring_section, validate_model)
 from twistorcheck.models import sigma_transform
-from twistorcheck.serialize import model_from_dict, model_to_dict
+from twistorcheck.serialize import decode_scalar, model_from_dict, model_to_dict
 from twistorcheck.systems import real_section_system
 
 QUADRIC_RULES = (SigmaCoordRule(1, 1, 2), SigmaCoordRule(0, 1, 2),
@@ -169,3 +172,27 @@ def test_exact_model_serialization_roundtrip():
     assert back.exact
     assert models_structurally_equal(back, model,
                                      ignore_component_equations=False)
+
+
+def test_exact_pairs_decode_each_part_by_the_scalar_rule():
+    with pytest.raises(ScenarioError):
+        decode_scalar([0.1, 0], exact=True)
+    assert decode_scalar(["1/2", 3], exact=True) == GaussianRational(
+        Fraction(1, 2), 3)
+    assert decode_scalar([0.1, "1/2"], exact=False) == complex(0.1, 0.5)
+
+
+def test_float_view_converts_coefficients_once():
+    fmodel = build_quadric()
+    assert fmodel.float_view() is fmodel
+    model = build_deformed([GaussianRational(0, 1), 0, GaussianRational(0, -1)],
+                           "antireal", exact=True)
+    view = model.float_view()
+    assert not view.exact and view.float_view() is view
+    assert (view.name, view.degrees, view.rules, view.family) == (
+        model.name, model.degrees, model.rules, model.family)
+    coeffs = [c for eq in view.equations for _, g in eq.monomials
+              for c in g.coeffs] + view.lam.coeffs
+    assert all(type(c) is complex for c in coeffs)
+    assert models_structurally_equal(
+        view, build_deformed([1j, 0, -1j], "antireal"), tol=1e-15)
