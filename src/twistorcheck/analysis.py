@@ -27,7 +27,7 @@ from .models import TwistorModel, squaring_section
 from .projline import (CoeffPoly, P1Point, SplittingType, as_p1,
                        kernel_splitting, poly_divmod)
 from .scalars import abs2, certifies, conj_of, exact_sqrt, is_exact
-from .systems import RealEquationSystem, real_section_system
+from .systems import real_section_system
 
 
 @dataclass
@@ -47,11 +47,18 @@ class SolveConfig:
     continuation_step: float = 0.05
     cluster_radius: float = 0.35
 
+    @property
+    def member_tol(self) -> float:
+        """Membership tolerance of solver output; never tighter than 1e-8."""
+        return max(self.tol, 1e-8)
+
 
 DEFAULT_CONFIG = SolveConfig()
 
 # sections drawn from a positive-dimensional fiber family as its solutions
 _FAMILY_SAMPLES = 8
+_LABEL_TOL = 1e-9   # relative zero test of component_label
+_MATRIX_TOL = 1e-9  # relative 2x2-minor test of the float sym_matrix_model
 
 
 @dataclass(frozen=True)
@@ -339,8 +346,8 @@ def _newton_reduce(model, sys, pt, values, cfg: SolveConfig):
     return _newton_multistart(model, sys, pt, values, cfg), None
 
 
-def solve_fiber(model: TwistorModel, zeta, target, cfg: SolveConfig | None = None,
-                sys: RealEquationSystem | None = None) -> FiberSolveResult:
+def solve_fiber(model: TwistorModel, zeta, target,
+                cfg: SolveConfig | None = None) -> FiberSolveResult:
     """All real sections of the model meeting a given fiber point.
 
     Closed-form families use their reducer (complete); other models use
@@ -358,12 +365,12 @@ def solve_fiber(model: TwistorModel, zeta, target, cfg: SolveConfig | None = Non
     if not _point_on_fiber(model, pt, values, cfg):
         raise FiberError("target does not satisfy the fiber equations")
     family = _FAMILIES[model.family]
-    sys = sys or real_section_system(model)
+    sys = real_section_system(model)
     sols, fam = family.reduce(model, sys, pt, values, cfg)
     kept = []
     for s in sols:
         s = np.asarray(s, dtype=float)
-        if sys.membership(s, tol=max(cfg.tol, 1e-8)).passed:
+        if sys.membership(s, tol=cfg.member_tol).passed:
             kept.append(s)
     sols = _dedup(kept, cfg.dedup_radius)
     return FiberSolveResult(_sorted_solutions(sols), family.complete, fam,
@@ -378,8 +385,7 @@ class BranchReport:
 
 
 def branch_test(model: TwistorModel, params, zeta,
-                cfg: SolveConfig | None = None,
-                sys: RealEquationSystem | None = None) -> BranchReport:
+                cfg: SolveConfig | None = None) -> BranchReport:
     """Multiplicity-one test of a section inside its incidence fiber.
 
     The section is unbranched at the base point when the defining system
@@ -388,9 +394,9 @@ def branch_test(model: TwistorModel, params, zeta,
     """
     cfg = cfg or DEFAULT_CONFIG
     model = model.float_view()
-    sys = sys or real_section_system(model)
+    sys = real_section_system(model)
     p = np.array([float(v) for v in params])
-    if not sys.membership(p, tol=max(cfg.tol, 1e-8)).passed:
+    if not sys.membership(p, tol=cfg.member_tol).passed:
         raise ModelError("branch test requires a point of the section space")
     pt = _float_point(as_p1(zeta))
     amat = incidence_rows(model, pt)
@@ -412,8 +418,7 @@ class NormalBundleReport:
 
 
 def normal_splitting(model: TwistorModel, params,
-                     cfg: SolveConfig | None = None,
-                     sys: RealEquationSystem | None = None) -> NormalBundleReport:
+                     cfg: SolveConfig | None = None) -> NormalBundleReport:
     """Splitting type of the kernel of the linearized fiber equations.
 
     Each equation row is its gradient along the embedded section; the kernel
@@ -427,8 +432,8 @@ def normal_splitting(model: TwistorModel, params,
     if not exact:
         model = model.float_view()
         params = [float(v) for v in params]
-    sys = sys or real_section_system(model)
-    membership = sys.membership(params, tol=max(cfg.tol, 1e-8))
+    sys = real_section_system(model)
+    membership = sys.membership(params, tol=cfg.member_tol)
     if not membership.passed:
         raise ModelError("normal splitting requires a point of the section space")
     polys = model.section_basis.embed(params)
@@ -500,17 +505,16 @@ class SingularReport:
 
 
 def singular_scan(model: TwistorModel, points,
-                  cfg: SolveConfig | None = None,
-                  sys: RealEquationSystem | None = None) -> SingularReport:
+                  cfg: SolveConfig | None = None) -> SingularReport:
     """Classify candidate sections by Jacobian rank and cluster the deficient ones."""
     cfg = cfg or DEFAULT_CONFIG
-    sys = sys or real_section_system(model.float_view())
+    sys = real_section_system(model.float_view())
     expected = sys.expected_regular_rank
     entries = []
     skipped = 0
     for p in points:
         p = np.array([float(v) for v in p])
-        if not sys.membership(p, tol=max(cfg.tol, 1e-8)).passed:
+        if not sys.membership(p, tol=cfg.member_tol).passed:
             skipped += 1
             continue
         rank = sys.jacobian_rank(p, cfg.rank_rtol) if len(sys) else 0
@@ -761,7 +765,7 @@ def classify_hypercomplex(model: TwistorModel,
         for p, _ in pairs]
     for pt, values in pairs:
         try:
-            res = solve_fiber(model, pt, values, cfg, sys=sys)
+            res = solve_fiber(model, pt, values, cfg)
         except FiberError:
             continue
         fam_entry = _examine_family(model, sys, pt, values, res, cfg)
@@ -777,9 +781,9 @@ def classify_hypercomplex(model: TwistorModel,
         evidence["scan"] = "no sampler available"
         return HCClassification("Undetermined", evidence)
     zero = np.zeros(model.nparams)
-    if sys.membership(zero, tol=max(cfg.tol, 1e-8)).passed:
+    if sys.membership(zero, tol=cfg.member_tol).passed:
         samples = list(samples) + [zero]
-    scan = singular_scan(model, samples, cfg, sys=sys)
+    scan = singular_scan(model, samples, cfg)
     evidence["scan"] = {
         "samples": len(scan.entries),
         "singular_clusters": scan.clusters,
@@ -794,7 +798,7 @@ def classify_hypercomplex(model: TwistorModel,
     for _ in range(min(cfg.branch_checks, len(regular))):
         p = regular[int(rng2.integers(len(regular)))]
         zeta = complex(rng2.standard_normal(), rng2.standard_normal()) * 0.6
-        rep = branch_test(model, p, zeta, cfg, sys=sys)
+        rep = branch_test(model, p, zeta, cfg)
         checks.append(rep.verdict)
         if rep.verdict != "unbranched":
             branch_ok = False
@@ -843,7 +847,7 @@ def _examine_family(model, sys, pt, values, res: FiberSolveResult,
             corr, ok = _gauss_newton(resfn, jacfn, pred, cfg)
             if ok and np.linalg.norm(corr - sol) > max(10 * cfg.dedup_radius,
                                                        step / 4):
-                if sys.membership(corr, tol=max(cfg.tol, 1e-8)).passed:
+                if sys.membership(corr, tol=cfg.member_tol).passed:
                     confirmed = True
                     break
         entry = {
@@ -880,17 +884,17 @@ def _sigma_image_values(model: TwistorModel, values, from_chart: str):
     return tuple(out)
 
 
-def component_label(params, tol: float = 1e-9):
+def component_label(params):
     """Sign s with |x0| - |x2| = s*r on the quadric; 'boundary' when both vanish."""
     p = [float(v) for v in params]
     if len(p) != 9:
         raise DimensionError("component labels require the 9-parameter model")
     scale = 1.0 + math.sqrt(sum(v * v for v in p))
-    if all(abs(v) <= tol * scale for v in p):
+    tol_s = _LABEL_TOL * scale
+    if all(abs(v) <= tol_s for v in p):
         raise OriginError("both components meet at the origin")
     d = math.hypot(p[0], p[1]) - math.hypot(p[4], p[5])
     r = p[8]
-    tol_s = tol * scale
     if abs(r) <= tol_s and abs(d) <= tol_s:
         return "boundary"
     plus = abs(d - r)
@@ -910,7 +914,7 @@ def _hypot_scalar(re, im, exact):
     return math.hypot(float(re), float(im))
 
 
-def sym_matrix_model(params, label: int, exact: bool = False, tol: float = 1e-9):
+def sym_matrix_model(params, label: int, exact: bool = False):
     """Traceless symmetric matrix pair (B, t) recovered from a quadric section.
 
     The section determines all pairwise products and square differences of a
@@ -942,7 +946,7 @@ def sym_matrix_model(params, label: int, exact: bool = False, tol: float = 1e-9)
     for i in range(4):
         for j in range(i + 1, 4):
             a[j][i] = a[i][j]
-    _check_rank_one(a, tol, exact)
+    _check_rank_one(a, exact)
     b = [[a[i][j] - (t / 4 if i == j else 0) for j in range(4)]
          for i in range(4)]
     if exact:
@@ -950,7 +954,7 @@ def sym_matrix_model(params, label: int, exact: bool = False, tol: float = 1e-9)
     return np.array(b, dtype=float), float(t)
 
 
-def _check_rank_one(a, tol, exact):
+def _check_rank_one(a, exact):
     scale = max(abs(float(a[i][j])) for i in range(4) for j in range(4))
     for i in range(4):
         for j in range(i + 1, 4):
@@ -961,7 +965,7 @@ def _check_rank_one(a, tol, exact):
                         if minor != 0:
                             raise ModelError(
                                 "recovered products are inconsistent (2x2 minor != 0)")
-                    elif abs(minor) > tol * (1.0 + scale) ** 2:
+                    elif abs(minor) > _MATRIX_TOL * (1.0 + scale) ** 2:
                         raise ModelError(
                             "recovered products are inconsistent beyond tolerance")
 

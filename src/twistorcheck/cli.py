@@ -63,9 +63,13 @@ def _parse_zeta(spec):
             return P1Point.inf(complex(s[4:]))
         return complex(s)
     if isinstance(spec, dict):
-        value = decode_scalar(spec.get("value", 0.0), exact=False)
-        return P1Point(spec.get("chart", "std"), value)
+        chart = spec.get("chart", "std")
+        if chart not in ("std", "inf"):
+            raise ScenarioError(f"zeta chart must be 'std' or 'inf', got {chart!r}")
+        return P1Point(chart, decode_scalar(spec.get("value", 0.0), exact=False))
     if isinstance(spec, (list, tuple)):
+        if len(spec) != 2:
+            raise ScenarioError("a zeta pair needs two entries [re, im]")
         return complex(spec[0], spec[1])
     return complex(spec)
 
@@ -94,6 +98,8 @@ def build_model_from_spec(spec, exact: bool = False):
         return None
     if isinstance(spec, str):
         spec = {"builtin": spec} if not spec.endswith(".json") else {"file": spec}
+    if not isinstance(spec, dict):
+        raise ScenarioError("a model is a builtin name, a file name or an object")
     if "file" in spec:
         return load_model_file(spec["file"])
     if "inline" in spec:
@@ -155,8 +161,10 @@ def _op_solve_fiber(args, model, cfg, exact):
     point = args.get("point")
     if isinstance(point, str):
         point = _parse_complex_list(point, exact)
-    else:
+    elif isinstance(point, (list, tuple)):
         point = [decode_scalar(v, exact) for v in point]
+    else:
+        raise ScenarioError("solve-fiber needs a 'point' list or string")
     res = solve_fiber(model, zeta, tuple(point), cfg)
     numbers = {"count": len(res.solutions), "complete": res.complete,
                "family_dim": res.family.dim if res.family else 0}
@@ -252,6 +260,9 @@ def _op_cone_glue(args, model, cfg, exact):
     if eq_spec is None:
         eq_spec = [[{"exponents": [1, 1, 0], "coeff": 1},
                     {"exponents": [0, 0, 2], "coeff": -1}]]
+    if not all(isinstance(m, dict) and {"exponents", "coeff"} <= m.keys()
+               for eq in eq_spec for m in eq):
+        raise ScenarioError("each cone-glue monomial needs 'exponents' and 'coeff'")
     equations = [[(tuple(m["exponents"]), decode_scalar(m["coeff"], False))
                   for m in eq] for eq in eq_spec]
     rules_spec = args.get("rules")

@@ -83,9 +83,9 @@ class TwistorModel:
 
     The closed-form family (``family``, ``mu``, ``expected_regular_rank``) is
     recognised here from the degrees, rules and equations; nothing on a model
-    changes after construction apart from the lazily built section basis.
-    An exact model keeps its exact coefficients; numeric ops run on
-    :meth:`float_view`.
+    changes after construction apart from the lazily built section basis and
+    induced real system.  An exact model keeps its exact coefficients;
+    numeric ops run on :meth:`float_view`.
     """
 
     def __init__(self, name, degrees, coordinates, rules, equations,
@@ -102,6 +102,7 @@ class TwistorModel:
         self.family, self.mu, self.expected_regular_rank = _recognise_family(
             self.degrees, self.rules, self.equations)
         self._basis = None
+        self._system = None
 
     def float_view(self) -> "TwistorModel":
         """The model with complex coefficients, the input of every numeric op.
@@ -205,14 +206,15 @@ def build_quadric(exact: bool = False) -> TwistorModel:
 
 
 _Z_TYPE_RULE = SigmaCoordRule(0, -1, 2)
+_REALITY_TOL = 1e-12
 
 
-def lambda_reality_type(lam: CoeffPoly, tol: float = 1e-12):
+def lambda_reality_type(lam: CoeffPoly):
     """'real', 'antireal', or None for a degree-two coefficient polynomial."""
     pulled = tau_pullback(lam, _Z_TYPE_RULE)
-    if (pulled - lam).is_zero(tol):
+    if (pulled - lam).is_zero(_REALITY_TOL):
         return "real"
-    if (pulled + lam).is_zero(tol):
+    if (pulled + lam).is_zero(_REALITY_TOL):
         return "antireal"
     return None
 

@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import DegreeError, NonInvolutiveError
 from .exactla import exact_rank, numerical_rank
-from .scalars import (GaussianRational, abs2, conj_of, imag_of, is_exact,
-                      make_complex, real_of)
+from .scalars import abs2, conj_of, imag_of, is_exact, make_complex, real_of
 
 STD = "std"
 INF = "inf"
@@ -427,7 +426,6 @@ def _entry_matrix(entries, source_degrees, target_degrees):
     if len(entries) != nt:
         raise DegreeError("row count differs from target count")
     out = []
-    exact = False
     for j in range(nt):
         if len(entries[j]) != ns:
             raise DegreeError("column count differs from source count")
@@ -453,11 +451,9 @@ def _entry_matrix(entries, source_degrees, target_degrees):
                 e = CoeffPoly(bound, trimmed)
             elif e.degree_bound < bound:
                 e = e.with_bound(bound)
-            if any(isinstance(c, (Fraction, GaussianRational)) for c in e.coeffs):
-                exact = True
             row.append(e)
         out.append(row)
-    return out, exact
+    return out
 
 
 def _nullity_at_twist(mat, source_degrees, target_degrees, m, exact, rank_rtol):
@@ -497,19 +493,18 @@ def _rank(rows, exact, rank_rtol):
 
 
 def kernel_splitting(entries, source_degrees, target_degrees,
-                     exact=None, rank_rtol: float = 1e-7) -> SplittingType:
+                     exact: bool = False, rank_rtol: float = 1e-7) -> SplittingType:
     """Splitting type of the kernel subsheaf of a polynomial matrix.
 
     The matrix maps (+)O(source_i) -> (+)O(target_j); ``entries[j][i]`` is a
     CoeffPoly of degree bound ``target_j - source_i`` (or None/zero).  Section
     counts of kernel twists are computed per twist and decoded into degrees
-    from the step function of their differences.
+    from the step function of their differences; ``exact`` computes every
+    rank exactly, for entries with rational coefficients.
     """
     source_degrees = list(source_degrees)
     target_degrees = list(target_degrees)
-    mat, inferred_exact = _entry_matrix(entries, source_degrees, target_degrees)
-    if exact is None:
-        exact = inferred_exact
+    mat = _entry_matrix(entries, source_degrees, target_degrees)
     nsrc = len(source_degrees)
     # generic rank of the evaluated matrix fixes the kernel rank
     grank = 0

@@ -249,7 +249,7 @@ class VeroneseReport:
 
 def veronese_quotient_check(samples, variant: str = "minus",
                             exact: bool = True,
-                            fiber_check: int = 0, seed: int = 0) -> VeroneseReport:
+                            fiber_check: int = 0) -> VeroneseReport:
     """Squared sections satisfy the quadric system; +-(a,b) collapse to one section.
 
     Optionally cross-checks the two-to-one fiber count through the squared

@@ -31,14 +31,10 @@ class MembershipReport:
 class RealEquationSystem:
     """List of real polynomial equations with an analytic Jacobian."""
 
-    def __init__(self, nvars, equations, labels=None, param_names=None,
-                 expected_regular_rank=None, exact=False):
+    def __init__(self, nvars, equations, labels, expected_regular_rank, exact):
         self.nvars = nvars
         self.equations = list(equations)
-        self.labels = list(labels) if labels else [
-            f"eq{i}" for i in range(len(equations))]
-        self.param_names = list(param_names) if param_names else [
-            f"p{i}" for i in range(nvars)]
+        self.labels = list(labels)
         self.expected_regular_rank = expected_regular_rank
         self.exact = exact
         self.jacobian = [[eq.diff(i) for i in range(nvars)]
@@ -95,7 +91,9 @@ def _zp_mul(a, b, nvars):
 
 
 def real_section_system(model: TwistorModel) -> RealEquationSystem:
-    """Induced real polynomial system on the model's section parameters."""
+    """Induced real polynomial system on the section parameters, built once per model."""
+    if model._system is not None:
+        return model._system
     basis = model.section_basis
     n = basis.nparams
     zero = MPoly.zero(n)
@@ -142,7 +140,6 @@ def real_section_system(model: TwistorModel) -> RealEquationSystem:
         for poly, tag in ((re, "re"), (im, "im")):
             equations.append(poly)
             labels.append(f"{model.name}.component{cdx}.{tag}")
-    return RealEquationSystem(n, equations, labels=labels,
-                              param_names=basis.param_names,
-                              expected_regular_rank=model.expected_regular_rank,
-                              exact=model.exact)
+    model._system = RealEquationSystem(n, equations, labels,
+                                       model.expected_regular_rank, model.exact)
+    return model._system

@@ -16,8 +16,10 @@ from twistorcheck import (FiberError, GaussianRational, ModelError, OriginError,
                           sym_matrix_model)
 from twistorcheck.analysis import _newton_multistart, sample_sections
 from twistorcheck.projline import SplittingType
+from twistorcheck import systems
 from twistorcheck.serialize import jsonable
 from twistorcheck.systems import real_section_system
+from conftest import ANTIREAL_LAMBDA
 
 CFG = SolveConfig(seed=7)
 
@@ -345,3 +347,36 @@ def test_exact_normal_splitting_of_rational_sections(quadric_exact):
             rep = normal_splitting(quadric_exact, sec)
             assert rep.splitting == SplittingType((1, 1))
             assert rep.h0 == 4 and rep.h0_minus2 == 0 and rep.regular_point
+
+
+@pytest.fixture()
+def system_builds(monkeypatch):
+    """Count of RealEquationSystem constructions while the test runs."""
+    builds = []
+    original = systems.RealEquationSystem
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(systems, "RealEquationSystem", counting)
+    return builds
+
+
+def test_ops_on_one_model_share_one_system(system_builds):
+    quadric = build_quadric()
+    sec = quadric_params(1, 0, 0, 0, 1)
+    solve_fiber(quadric, 0j, (1, 1, 1), CFG)
+    branch_test(quadric, sec, 0j, CFG)
+    normal_splitting(quadric, sec, CFG)
+    singular_scan(quadric, [sec, np.zeros(9)], CFG)
+    classify_hypercomplex(quadric, CFG)
+    assert len(system_builds) == 1
+    assert real_section_system(quadric) is real_section_system(quadric)
+
+
+def test_sampling_by_fiber_solves_builds_one_system(system_builds):
+    deformed = build_deformed(ANTIREAL_LAMBDA, "antireal")
+    samples = sample_sections(deformed, 60, np.random.default_rng(1), CFG)
+    assert len(samples) == 60
+    assert len(system_builds) <= 1

@@ -1,6 +1,7 @@
 """Command line contract: scenarios, exit codes, determinism."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -63,6 +64,29 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+_GLUE_NO_COEFF = {"op": "cone-glue", "equations": [[{"exponents": [1, 1, 0]}]]}
+MALFORMED_TASKS = [
+    pytest.param({"op": "solve-fiber"}, "'point'", id="point-missing"),
+    pytest.param({"op": "solve-fiber", "point": 5}, "'point'", id="point-scalar"),
+    pytest.param({"op": "solve-fiber", "point": "1,1,1", "zeta": [1]},
+                 "zeta pair", id="zeta-one-entry"),
+    pytest.param({"op": "solve-fiber", "point": "1,1,1",
+                  "zeta": {"chart": "bogus", "value": 1}},
+                 "zeta chart", id="zeta-bogus-chart"),
+    pytest.param({"op": "validate", "model": 5}, "a model is", id="model-scalar"),
+    pytest.param(_GLUE_NO_COEFF, "'coeff'", id="monomial-without-coeff"),
+]
+
+
+@pytest.mark.parametrize("task,message", MALFORMED_TASKS)
+def test_malformed_task_arguments_exit_2(task, message, tmp_path, capsys):
+    scen = tmp_path / "s.json"
+    scen.write_text(json.dumps({"model": "quadric", "tasks": [task]}))
+    assert run_scenario(str(scen)) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_failing_expectation_exits_1(tmp_path, capsys):
     doc = {"model": {"builtin": "quadric"}, "seed": 0,
            "tasks": [{"op": "solve-fiber", "zeta": "0",
@@ -106,9 +130,12 @@ def test_standalone_classify_deformed(capsys):
 
 
 def test_console_entry_point():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-m", "twistorcheck.cli",
                            "quotient-census", "--group", "Z3"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "component_count=1" in proc.stdout
 
