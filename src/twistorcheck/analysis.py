@@ -25,7 +25,7 @@ from .errors import (DimensionError, FiberError, ModelError, OriginError)
 from .exactla import numerical_rank
 from .models import TwistorModel, squaring_section
 from .projline import (CoeffPoly, P1Point, SplittingType, as_p1,
-                       kernel_splitting, poly_divmod)
+                       kernel_splitting)
 from .scalars import abs2, certifies, conj_of, exact_sqrt, is_exact
 from .systems import real_section_system
 
@@ -201,8 +201,7 @@ def _quadric_incidence(pt: P1Point, values):
     return x_part, z0_p, r_p, nu
 
 
-def _quadric_reduce(model: TwistorModel, sys, pt: P1Point, values,
-                    cfg: SolveConfig):
+def _quadric_reduce(model: TwistorModel, pt: P1Point, values, cfg: SolveConfig):
     """Closed-form fiber solver for x*y = z^2 + mu.
 
     Incidence at the point and its antipodal image restricts the parameters
@@ -215,15 +214,16 @@ def _quadric_reduce(model: TwistorModel, sys, pt: P1Point, values,
     y_p = _pair_partner(x_p)
     z_p = CoeffPoly(2, [z0_p, r_p, -np.conj(z0_p)])
     g_p = x_p * y_p - z_p * z_p - model.mu
-    quot, rem = poly_divmod(g_p.coeffs, nu.trimmed(1e-13), tol=1e-13)
-    scale = 1.0 + max(abs(c) for c in g_p.coeffs)
-    if any(abs(c) > 1e-7 * scale for c in rem):
+    # g_p = nu * h_p with deg h_p <= 2: one least-squares solve against the
+    # Toeplitz matrix of nu, which stays well conditioned over the whole base
+    toeplitz = np.zeros((5, 3), dtype=complex)
+    for j in range(3):
+        toeplitz[j:j + 3, j] = nu.coeffs
+    g = np.array(g_p.coeffs, dtype=complex)
+    h, *_ = np.linalg.lstsq(toeplitz, g, rcond=None)
+    if np.linalg.norm(toeplitz @ h - g) > 1e-7 * (1.0 + np.abs(g).max()):
         raise FiberError("incidence data is inconsistent with the fiber equation")
-    while len(quot) > 3:
-        top = quot.pop()
-        if abs(top) > 1e-7 * scale:
-            raise FiberError("incidence data is inconsistent with the fiber equation")
-    h_p = CoeffPoly(2, quot)
+    h_p = CoeffPoly(2, list(h))
     i_unit = 1j
     col_rew = _ztype_coords(y_p - x_p)
     col_imw = _ztype_coords((y_p + x_p).scale(i_unit))
@@ -274,8 +274,7 @@ def _quadric_reduce(model: TwistorModel, sys, pt: P1Point, values,
     return fam.sample(_FAMILY_SAMPLES, rng), fam
 
 
-def _linear_reduce(model: TwistorModel, sys, pt: P1Point, values,
-                   cfg: SolveConfig):
+def _linear_reduce(model: TwistorModel, pt: P1Point, values, cfg: SolveConfig):
     """Fiber solver for equation-free bundles: one real-linear solve."""
     amat = incidence_rows(model, pt)
     b = _incidence_rhs(values)
@@ -320,7 +319,8 @@ def _sorted_solutions(points):
     return sorted(points, key=lambda p: tuple(np.round(p, 9)))
 
 
-def _newton_multistart(model, sys, pt, values, cfg: SolveConfig):
+def _newton_multistart(model, pt, values, cfg: SolveConfig):
+    sys = real_section_system(model)
     amat = incidence_rows(model, pt)
     b = _incidence_rhs(values)
 
@@ -342,8 +342,8 @@ def _newton_multistart(model, sys, pt, values, cfg: SolveConfig):
     return _dedup(found, cfg.dedup_radius)
 
 
-def _newton_reduce(model, sys, pt, values, cfg: SolveConfig):
-    return _newton_multistart(model, sys, pt, values, cfg), None
+def _newton_reduce(model, pt, values, cfg: SolveConfig):
+    return _newton_multistart(model, pt, values, cfg), None
 
 
 def solve_fiber(model: TwistorModel, zeta, target,
@@ -351,7 +351,11 @@ def solve_fiber(model: TwistorModel, zeta, target,
     """All real sections of the model meeting a given fiber point.
 
     Closed-form families use their reducer (complete); other models use
-    multistart Newton with heuristic completeness.
+    multistart Newton with heuristic completeness.  On a homogeneous model
+    the solve is scale covariant, solve_fiber(s*v) = s*solve_fiber(v) for
+    real s > 0 (bit for bit when s is a power of two): the target is divided
+    by the power of two nearest its largest entry, solved at unit scale, and
+    the solutions and family are multiplied back.
     """
     cfg = cfg or DEFAULT_CONFIG
     model = model.float_view()
@@ -362,17 +366,21 @@ def solve_fiber(model: TwistorModel, zeta, target,
     values = tuple(complex(v) for v in target)
     if len(values) != len(model.degrees):
         raise DimensionError("fiber value count differs from coordinate count")
+    peak = max(abs(v) for v in values)
+    rescale = model.homogeneous and 0.0 < peak < math.inf
+    scale = 2.0 ** round(math.log2(peak)) if rescale else 1.0
+    values = tuple(v / scale for v in values)
     if not _point_on_fiber(model, pt, values, cfg):
         raise FiberError("target does not satisfy the fiber equations")
     family = _FAMILIES[model.family]
     sys = real_section_system(model)
-    sols, fam = family.reduce(model, sys, pt, values, cfg)
-    kept = []
-    for s in sols:
-        s = np.asarray(s, dtype=float)
-        if sys.membership(s, tol=cfg.member_tol).passed:
-            kept.append(s)
-    sols = _dedup(kept, cfg.dedup_radius)
+    sols, fam = family.reduce(model, pt, values, cfg)
+    kept = [np.asarray(s, dtype=float) for s in sols]
+    kept = [s for s in kept if sys.membership(s, tol=cfg.member_tol).passed]
+    sols = [s * scale for s in _dedup(kept, cfg.dedup_radius)]
+    if fam is not None:
+        fam.center_params = fam.center_params * scale
+        fam.basis_params = fam.basis_params * scale
     return FiberSolveResult(_sorted_solutions(sols), family.complete, fam,
                             family.method)
 
@@ -721,7 +729,7 @@ def _cone_singular_pairs(model: TwistorModel):
 class _Family(NamedTuple):
     """Per-family fiber reducer, section sampler and singular-pair locator."""
 
-    reduce: Callable      # (model, sys, pt, values, cfg) -> (solutions, family)
+    reduce: Callable      # (model, pt, values, cfg) -> (solutions, family)
     method: str
     complete: bool
     sample: Callable      # (model, n, rng, cfg) -> list of parameter vectors
@@ -768,7 +776,7 @@ def classify_hypercomplex(model: TwistorModel,
             res = solve_fiber(model, pt, values, cfg)
         except FiberError:
             continue
-        fam_entry = _examine_family(model, sys, pt, values, res, cfg)
+        fam_entry = _examine_family(model, pt, values, res, cfg)
         if fam_entry:
             families.append(fam_entry)
     evidence["families"] = families
@@ -808,9 +816,9 @@ def classify_hypercomplex(model: TwistorModel,
     return HCClassification("Undetermined", evidence)
 
 
-def _examine_family(model, sys, pt, values, res: FiberSolveResult,
-                    cfg: SolveConfig):
+def _examine_family(model, pt, values, res: FiberSolveResult, cfg: SolveConfig):
     """Corank + continuation certificate for sections through a singular pair."""
+    sys = real_section_system(model)
     a1 = incidence_rows(model, pt)
     b1 = _incidence_rhs(values)
     anti = pt.antipodal()

@@ -50,6 +50,22 @@ def _parse_complex_list(text: str, exact: bool):
             for tok in text.split(",") if tok.strip()]
 
 
+def _token_list(value, key: str) -> list:
+    """A list argument, given as a JSON list or a comma-separated string."""
+    if isinstance(value, str):
+        return [t for t in value.split(",") if t.strip()]
+    if not isinstance(value, (list, tuple)):
+        raise ScenarioError(f"{key!r} must be a list or a comma-separated string")
+    return list(value)
+
+
+def _check_records(records, keys: set, message: str):
+    """Reject anything but a list of objects that each hold ``keys``."""
+    if not isinstance(records, list) or not all(
+            isinstance(r, dict) and keys <= r.keys() for r in records):
+        raise ScenarioError(message)
+
+
 def _parse_zeta(spec):
     if spec is None:
         return 0j
@@ -76,9 +92,7 @@ def _parse_zeta(spec):
 
 def _parse_section(args_dict, model, exact):
     if args_dict.get("params") is not None:
-        vals = args_dict["params"]
-        if isinstance(vals, str):
-            vals = [float(t) for t in vals.split(",") if t.strip()]
+        vals = _token_list(args_dict["params"], "params")
         return np.array([float(v) for v in vals])
     sec = args_dict.get("section")
     if sec is None:
@@ -134,8 +148,9 @@ def _load_group(args) -> FiniteQuaternionGroup:
                 doc["quaternions"], name=doc.get("name", "group"))
         raise ScenarioError("group file needs a 'quaternions' or 'table' entry")
     name = args.get("group")
-    if not name:
-        raise ScenarioError("quotient-census needs --group or --group-file")
+    if not name or not isinstance(name, str):
+        raise ScenarioError("quotient-census needs --group (a group name) "
+                            "or --group-file")
     return builtin_group(name)
 
 
@@ -217,9 +232,7 @@ def _op_classify(args, model, cfg, exact):
 
 def _op_matrix_model(args, model, cfg, exact):
     if args.get("oracle_q") is not None:
-        q = args["oracle_q"]
-        if isinstance(q, str):
-            q = [float(t) for t in q.split(",")]
+        q = _token_list(args["oracle_q"], "oracle_q")
         rep = rank_one_matrix_oracle([float(v) for v in q])
         numbers = {"t": float(rep.t), "trace_b": float(rep.trace_b),
                    "rank_a": rep.rank_a,
@@ -252,17 +265,18 @@ def _op_quotient_census(args, model, cfg, exact):
 
 
 def _op_cone_glue(args, model, cfg, exact):
-    weights = args.get("weights", [1, 1, 1])
-    if isinstance(weights, str):
-        weights = [int(t) for t in weights.split(",")]
+    weights = [int(w) for w in _token_list(args.get("weights", [1, 1, 1]),
+                                           "weights")]
     level = int(args.get("l", 2))
     eq_spec = args.get("equations")
     if eq_spec is None:
         eq_spec = [[{"exponents": [1, 1, 0], "coeff": 1},
                     {"exponents": [0, 0, 2], "coeff": -1}]]
-    if not all(isinstance(m, dict) and {"exponents", "coeff"} <= m.keys()
-               for eq in eq_spec for m in eq):
-        raise ScenarioError("each cone-glue monomial needs 'exponents' and 'coeff'")
+    if not isinstance(eq_spec, list):
+        raise ScenarioError("cone-glue 'equations' is a list of monomial lists")
+    for eq in eq_spec:
+        _check_records(eq, {"exponents", "coeff"},
+                       "each cone-glue monomial needs 'exponents' and 'coeff'")
     equations = [[(tuple(m["exponents"]), decode_scalar(m["coeff"], False))
                   for m in eq] for eq in eq_spec]
     rules_spec = args.get("rules")
@@ -274,6 +288,8 @@ def _op_cone_glue(args, model, cfg, exact):
         rules = (SigmaCoordRule(1, 1, degs[0]), SigmaCoordRule(0, 1, degs[1]),
                  SigmaCoordRule(2, -1, degs[2]))
     else:
+        _check_records(rules_spec, {"target", "sign", "twist"},
+                       "each cone-glue rule needs 'target', 'sign' and 'twist'")
         rules = tuple(SigmaCoordRule(int(r["target"]), int(r["sign"]),
                                      int(r["twist"])) for r in rules_spec)
     glued = glue_cone_twistor(equations, weights, level, rules)

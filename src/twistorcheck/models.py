@@ -82,9 +82,12 @@ class TwistorModel:
     """Bundle degrees + fiber equations + real structure (+ optional extras).
 
     The closed-form family (``family``, ``mu``, ``expected_regular_rank``) is
-    recognised here from the degrees, rules and equations; nothing on a model
-    changes after construction apart from the lazily built section basis and
-    induced real system.  An exact model keeps its exact coefficients;
+    recognised here from the degrees, rules and equations, and so is
+    ``homogeneous``: every equation is a form of degree >= 1 in the fiber
+    coordinates (vacuously so without equations), hence fibers are cones and
+    fiber(s*v) = s*fiber(v) for real s > 0.  Nothing on a model changes after
+    construction apart from the lazily built section basis and induced real
+    system.  An exact model keeps its exact coefficients;
     numeric ops run on :meth:`float_view`.
     """
 
@@ -101,6 +104,9 @@ class TwistorModel:
         self.reality = reality
         self.family, self.mu, self.expected_regular_rank = _recognise_family(
             self.degrees, self.rules, self.equations)
+        form_degrees = [{sum(exps) for exps, _ in eq.monomials}
+                        for eq in self.equations]
+        self.homogeneous = all(len(d) == 1 and 0 not in d for d in form_degrees)
         self._basis = None
         self._system = None
 

@@ -167,27 +167,6 @@ class CoeffPoly:
         return f"CoeffPoly({self.degree_bound}, {self.coeffs})"
 
 
-def poly_divmod(num, den, tol: float = 0.0):
-    """Divide coefficient lists (index = power); returns (quotient, remainder)."""
-    num = list(num)
-    den = list(den)
-    while len(den) > 1 and (den[-1] == 0 or (not is_exact(den[-1]) and abs(den[-1]) <= tol)):
-        den.pop()
-    if all(c == 0 for c in den):
-        raise ZeroDivisionError("division by zero polynomial")
-    q = [0] * max(1, len(num) - len(den) + 1)
-    r = list(num)
-    d = len(den) - 1
-    lead = den[-1]
-    for i in range(len(r) - 1, d - 1, -1):
-        c = r[i] / lead
-        q[i - d] = c
-        if c != 0:
-            for j, dc in enumerate(den):
-                r[i - d + j] = r[i - d + j] - c * dc
-    return q, r[:d] if d else [0]
-
-
 @dataclass(frozen=True)
 class SigmaCoordRule:
     """Antiholomorphic coordinate rule: (tau u)_i = sign * z^twist * conj(u_partner(-1/conj(z)))."""

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistorcheck import (FiberError, GaussianRational, ModelError, OriginError,
                           P1Point, SolveConfig, branch_test,
@@ -16,7 +18,7 @@ from twistorcheck import (FiberError, GaussianRational, ModelError, OriginError,
                           sym_matrix_model)
 from twistorcheck.analysis import _newton_multistart, sample_sections
 from twistorcheck.projline import SplittingType
-from twistorcheck import systems
+from twistorcheck import serialize, systems
 from twistorcheck.serialize import jsonable
 from twistorcheck.systems import real_section_system
 from conftest import ANTIREAL_LAMBDA
@@ -102,7 +104,6 @@ def test_solve_fiber_rotation_covariance(quadric, rng):
 
 
 def test_solve_fiber_matches_newton_multistart(quadric, rng):
-    sys = real_section_system(quadric)
     cfg = SolveConfig(seed=3, multistart=60)
     for _ in range(3):
         a = complex(rng.standard_normal(), rng.standard_normal())
@@ -110,11 +111,94 @@ def test_solve_fiber_matches_newton_multistart(quadric, rng):
         sec = squaring_section(a, b, "minus")
         target = evaluate_section(quadric, sec, 0j)
         closed = solve_fiber(quadric, None, target, cfg)
-        newton = _newton_multistart(quadric, sys, target.zeta,
-                                    target.values, cfg)
+        newton = _newton_multistart(quadric, target.zeta, target.values, cfg)
         for sol in newton:
             assert min(np.linalg.norm(sol - np.asarray(c))
                        for c in closed.solutions) < 1e-6
+
+
+def _finds_planted(res, planted):
+    """Two sections, one of them the planted one to 1e-9 relative."""
+    return len(res.solutions) == 2 and min(
+        np.linalg.norm(np.asarray(s) - planted)
+        for s in res.solutions) <= 1e-9 * np.linalg.norm(planted)
+
+
+@pytest.mark.parametrize("chart", ["std", "inf"])
+def test_closed_form_fiber_over_the_whole_base(quadric, rng, chart):
+    for exponent in range(-12, 13, 2):
+        for variant in ("minus", "plus"):
+            a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            planted = squaring_section(a, b, variant)
+            zeta = 10.0 ** exponent * np.exp(2j * np.pi * rng.random())
+            target = evaluate_section(quadric, planted, P1Point(chart, zeta))
+            res = solve_fiber(quadric, target.zeta, target.values, CFG)
+            assert _finds_planted(res, planted), (exponent, variant)
+
+
+def test_deformed_closed_form_fiber_over_the_whole_base(deformed, rng):
+    for planted in sample_sections(deformed, 3, rng, CFG):
+        for exponent in range(-12, 13, 4):
+            for chart in ("std", "inf"):
+                zeta = 10.0 ** exponent * np.exp(2j * np.pi * rng.random())
+                target = evaluate_section(deformed, planted, P1Point(chart, zeta))
+                res = solve_fiber(deformed, target.zeta, target.values, CFG)
+                assert min(np.linalg.norm(s - planted) for s in res.solutions) \
+                    <= 1e-9 * np.linalg.norm(planted), (exponent, chart)
+
+
+@pytest.mark.parametrize("chart", ["std", "inf"])
+def test_closed_form_fiber_at_every_scale(quadric, rng, chart):
+    for exponent in range(-10, 11, 2):
+        a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        planted = squaring_section(a, b, "minus") * 10.0 ** exponent
+        zeta = complex(rng.standard_normal(), rng.standard_normal())
+        target = evaluate_section(quadric, planted, P1Point(chart, zeta))
+        res = solve_fiber(quadric, target.zeta, target.values, CFG)
+        assert _finds_planted(res, planted), exponent
+
+
+def test_newton_fiber_on_the_doubled_cone_at_every_scale(quadric):
+    doc = serialize.model_to_dict(quadric)
+    for eq in doc["equations"]:
+        for mono in eq["monomials"]:
+            mono["coeffs"] = [[2 * re, 2 * im] for re, im in mono["coeffs"]]
+    doubled = serialize.model_from_dict(doc)
+    unit = squaring_section(0.3 + 0.7j, -1.1 + 0.2j, "minus")
+    for exponent in range(-8, 9, 2):
+        planted = unit * 10.0 ** exponent
+        target = evaluate_section(doubled, planted, 0.4 - 0.3j)
+        res = solve_fiber(doubled, target.zeta, target.values, CFG)
+        assert res.method == "newton-multistart"
+        assert _finds_planted(res, planted), exponent
+    assert doubled.family is None and doubled.homogeneous
+
+
+def test_off_fiber_targets_are_rejected_at_every_scale(quadric):
+    for exponent in range(-12, 13, 2):
+        t = 10.0 ** exponent
+        with pytest.raises(FiberError):
+            solve_fiber(quadric, 0j, (t, t, t / 2), CFG)
+
+
+_unit = st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(a=st.tuples(_unit, _unit), b=st.tuples(_unit, _unit),
+       zeta=st.tuples(_unit, _unit), exponent=st.floats(-8.0, 8.0))
+def test_cone_fiber_is_scale_covariant(quadric, a, b, zeta, exponent):
+    s = 10.0 ** exponent
+    planted = squaring_section(complex(*a), complex(*b), "plus")
+    target = evaluate_section(quadric, planted, complex(*zeta))
+    base = solve_fiber(quadric, target.zeta, target.values, CFG)
+    scaled = solve_fiber(quadric, target.zeta,
+                         tuple(s * v for v in target.values), CFG)
+    assert len(scaled.solutions) == len(base.solutions)
+    tol = 1e-9 * s * (1.0 + np.linalg.norm(planted))
+    for sol in base.solutions:
+        assert min(np.linalg.norm(s * sol - other)
+                   for other in scaled.solutions) <= tol
 
 
 def test_smooth_fiber_unique(smooth, rng):

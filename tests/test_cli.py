@@ -75,6 +75,15 @@ MALFORMED_TASKS = [
                  "zeta chart", id="zeta-bogus-chart"),
     pytest.param({"op": "validate", "model": 5}, "a model is", id="model-scalar"),
     pytest.param(_GLUE_NO_COEFF, "'coeff'", id="monomial-without-coeff"),
+    pytest.param({"op": "cone-glue", "equations": 5}, "monomial lists",
+                 id="equations-scalar"),
+    pytest.param({"op": "cone-glue", "rules": [{"target": 1, "twist": 2}] * 3},
+                 "'sign'", id="rule-without-sign"),
+    pytest.param({"op": "branch", "params": 5}, "'params'", id="params-scalar"),
+    pytest.param({"op": "quotient-census", "group": 5}, "group name",
+                 id="group-scalar"),
+    pytest.param({"op": "matrix-model", "oracle_q": 5}, "'oracle_q'",
+                 id="oracle-q-scalar"),
 ]
 
 
