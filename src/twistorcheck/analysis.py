@@ -368,7 +368,7 @@ def solve_fiber(model: TwistorModel, zeta, target,
         raise DimensionError("fiber value count differs from coordinate count")
     peak = max(abs(v) for v in values)
     rescale = model.homogeneous and 0.0 < peak < math.inf
-    scale = 2.0 ** round(math.log2(peak)) if rescale else 1.0
+    scale = 2.0 ** min(round(math.log2(peak)), 1023) if rescale else 1.0
     values = tuple(v / scale for v in values)
     if not _point_on_fiber(model, pt, values, cfg):
         raise FiberError("target does not satisfy the fiber equations")

@@ -83,8 +83,9 @@ class TwistorModel:
 
     The closed-form family (``family``, ``mu``, ``expected_regular_rank``) is
     recognised here from the degrees, rules and equations, and so is
-    ``homogeneous``: every equation is a form of degree >= 1 in the fiber
-    coordinates (vacuously so without equations), hence fibers are cones and
+    ``homogeneous``: every fiber equation is a form of degree >= 1 in the
+    fiber coordinates and every component equation one in the section
+    parameters (vacuously so without equations), hence fibers are cones and
     fiber(s*v) = s*fiber(v) for real s > 0.  Nothing on a model changes after
     construction apart from the lazily built section basis and induced real
     system.  An exact model keeps its exact coefficients;
@@ -106,6 +107,8 @@ class TwistorModel:
             self.degrees, self.rules, self.equations)
         form_degrees = [{sum(exps) for exps, _ in eq.monomials}
                         for eq in self.equations]
+        form_degrees += [{sum(exps) for exps in comp.terms}
+                         for comp in self.component_equations]
         self.homogeneous = all(len(d) == 1 and 0 not in d for d in form_degrees)
         self._basis = None
         self._system = None

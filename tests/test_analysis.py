@@ -181,6 +181,35 @@ def test_off_fiber_targets_are_rejected_at_every_scale(quadric):
             solve_fiber(quadric, 0j, (t, t, t / 2), CFG)
 
 
+def test_affine_component_equation_is_solved_at_its_own_scale(quadric):
+    # the cone with the affine constraint p0 = planted[0]: no longer a cone
+    planted = squaring_section(0.3 + 0.7j, -1.1 + 0.2j, "minus") * 1e3
+    doc = serialize.model_to_dict(quadric)
+    n = quadric.nparams
+    doc["componentEquations"].append(
+        [{"exponents": [1] + [0] * (n - 1), "coeff": 1.0},
+         {"exponents": [0] * n, "coeff": -float(planted[0])}])
+    pinned = serialize.model_from_dict(doc)
+    assert pinned.family == "quadric" and not pinned.homogeneous
+    target = evaluate_section(pinned, planted, 0.4 - 0.3j)
+    res = solve_fiber(pinned, target.zeta, target.values, CFG)
+    assert len(res.solutions) == 1
+    assert np.linalg.norm(res.solutions[0] - planted) \
+        <= 1e-9 * np.linalg.norm(planted)
+
+
+def test_cone_fiber_near_the_largest_float(quadric):
+    unit = squaring_section(0.3 + 0.7j, -1.1 + 0.2j, "minus")
+    target = evaluate_section(quadric, unit, 0.4 - 0.3j)
+    # max |v| lands above 2**1023.5, where the nearest power of two overflows
+    f = 2.0 ** 1023.75 / max(abs(v) for v in target.values)
+    res = solve_fiber(quadric, target.zeta,
+                      tuple(f * v for v in target.values), CFG)
+    assert len(res.solutions) == 2
+    assert min(np.linalg.norm(s / f - unit) for s in res.solutions) \
+        <= 1e-9 * np.linalg.norm(unit)
+
+
 _unit = st.floats(-2.0, 2.0)
 
 
