@@ -291,20 +291,43 @@ def _linear_reduce(model: TwistorModel, pt: P1Point, values, cfg: SolveConfig):
     return fam.sample(_FAMILY_SAMPLES, rng), fam
 
 
+def _lstsq_steps(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Minimum-norm solutions of jac[k] @ step[k] = -r[k], by one stacked SVD
+    with the cutoff of np.linalg.lstsq(rcond=None)."""
+    u, svals, vh = np.linalg.svd(jac, full_matrices=False)
+    keep = svals > np.finfo(float).eps * max(jac.shape[1:]) * svals[:, :1]
+    inv = np.divide(1.0, svals, out=np.zeros_like(svals), where=keep)
+    coef = np.einsum("kmj,km->kj", u, -r) * inv
+    return np.einsum("kji,kj->ki", vh, coef)
+
+
+def _converged(r: np.ndarray, x: np.ndarray, cfg: SolveConfig) -> np.ndarray:
+    scale = 1.0 + (x * x).sum(axis=1)
+    return np.abs(r).max(axis=1, initial=0.0) <= cfg.newton_tol * scale
+
+
 def _gauss_newton(resfn, jacfn, x0, cfg: SolveConfig):
+    """Gauss-Newton on every row of ``x0`` at once; rows never interact.
+
+    ``resfn``/``jacfn`` map stacked points (k, n) to residuals (k, m) and
+    Jacobians (k, m, n).  Only unconverged rows are stepped; a row stops when
+    its residual is within newton_tol*(1+|x|^2) or its step stalls.  Returns
+    the final rows and a mask of the converged ones.
+    """
     x = np.array(x0, dtype=float)
+    active = np.arange(len(x))
     for _ in range(cfg.max_iter):
-        r = resfn(x)
-        scale = 1.0 + float(x @ x)
-        if np.linalg.norm(r, ord=np.inf) <= cfg.newton_tol * scale:
-            return x, True
-        jac = jacfn(x)
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        x = x + step
-        if np.linalg.norm(step) <= 1e-15 * (1.0 + np.linalg.norm(x)):
+        r = resfn(x[active])
+        moving = ~_converged(r, x[active], cfg)
+        active, r = active[moving], r[moving]
+        if not len(active):
             break
-    r = resfn(x)
-    return x, bool(np.linalg.norm(r, ord=np.inf) <= cfg.newton_tol * (1.0 + float(x @ x)))
+        step = _lstsq_steps(jacfn(x[active]), r)
+        x[active] += step
+        stalled = (np.linalg.norm(step, axis=1)
+                   <= 1e-15 * (1.0 + np.linalg.norm(x[active], axis=1)))
+        active = active[~stalled]
+    return x, _converged(resfn(x), x, cfg)
 
 
 def _dedup(points, radius):
@@ -316,30 +339,37 @@ def _dedup(points, radius):
 
 
 def _sorted_solutions(points):
-    return sorted(points, key=lambda p: tuple(np.round(p, 9)))
+    """Sort by entries rounded to 9 decimals after dividing every point by the
+    power of two above the largest entry, so the key cannot overflow."""
+    peak = max((float(np.abs(p).max(initial=0.0)) for p in points), default=0.0)
+    shift = -math.frexp(peak)[1]
+    return sorted(points, key=lambda p: tuple(np.round(np.ldexp(p, shift), 9)))
 
 
 def _newton_multistart(model, pt, values, cfg: SolveConfig):
     sys = real_section_system(model)
-    amat = incidence_rows(model, pt)
-    b = _incidence_rhs(values)
-
-    def resfn(x):
-        return np.concatenate([np.array([float(v) for v in sys.residuals(x)]),
-                               amat @ x - b])
-
-    def jacfn(x):
-        return np.vstack([np.asarray(sys.jacobian_at(x), dtype=float), amat])
-
+    resfn, jacfn = _with_incidence(sys, [(incidence_rows(model, pt),
+                                          _incidence_rhs(values))])
     rng = np.random.default_rng(cfg.seed)
     scale = 1.0 + math.sqrt(sum(abs2(v) for v in values))
-    found = []
-    for _ in range(cfg.multistart):
-        x0 = rng.standard_normal(sys.nvars) * scale
-        x, ok = _gauss_newton(resfn, jacfn, x0, cfg)
-        if ok:
-            found.append(x)
-    return _dedup(found, cfg.dedup_radius)
+    x, ok = _gauss_newton(resfn, jacfn,
+                          rng.standard_normal((cfg.multistart, sys.nvars)) * scale,
+                          cfg)
+    return _dedup(list(x[ok]), cfg.dedup_radius)
+
+
+def _with_incidence(sys, incidences):
+    """Stacked residual and Jacobian maps of the system plus incidence rows
+    (amat, b), for _gauss_newton."""
+    def resfn(x):
+        return np.hstack([sys.residuals(x)] + [
+            np.einsum("kn,rn->kr", x, a) - b for a, b in incidences])
+
+    def jacfn(x):
+        return np.concatenate([sys.jacobian_at(x)] + [
+            np.broadcast_to(a, (len(x),) + a.shape) for a, _ in incidences], axis=1)
+
+    return resfn, jacfn
 
 
 def _newton_reduce(model, pt, values, cfg: SolveConfig):
@@ -376,7 +406,7 @@ def solve_fiber(model: TwistorModel, zeta, target,
     sys = real_section_system(model)
     sols, fam = family.reduce(model, pt, values, cfg)
     kept = [np.asarray(s, dtype=float) for s in sols]
-    kept = [s for s in kept if sys.membership(s, tol=cfg.member_tol).passed]
+    kept = [s for s, ok in zip(kept, sys.members(kept, cfg.member_tol)) if ok]
     sols = [s * scale for s in _dedup(kept, cfg.dedup_radius)]
     if fam is not None:
         fam.center_params = fam.center_params * scale
@@ -408,9 +438,7 @@ def branch_test(model: TwistorModel, params, zeta,
         raise ModelError("branch test requires a point of the section space")
     pt = _float_point(as_p1(zeta))
     amat = incidence_rows(model, pt)
-    sysjac = np.asarray(sys.jacobian_at(p), dtype=float) if len(sys) else \
-        np.zeros((0, sys.nvars))
-    aug = np.vstack([sysjac, amat])
+    aug = np.vstack([sys.jacobian_at(p), amat])
     rank = _num_rank(aug, cfg.rank_rtol)
     verdict = "unbranched" if rank == sys.nvars else "branched"
     return BranchReport(verdict, rank, sys.nvars)
@@ -518,16 +546,14 @@ def singular_scan(model: TwistorModel, points,
     cfg = cfg or DEFAULT_CONFIG
     sys = real_section_system(model.float_view())
     expected = sys.expected_regular_rank
-    entries = []
-    skipped = 0
-    for p in points:
-        p = np.array([float(v) for v in p])
-        if not sys.membership(p, tol=cfg.member_tol).passed:
-            skipped += 1
-            continue
-        rank = sys.jacobian_rank(p, cfg.rank_rtol) if len(sys) else 0
-        deficient = expected is not None and rank < expected
-        entries.append(ScanEntry(p, rank, deficient))
+    pts = np.asarray(points, dtype=float)[sys.members(points, cfg.member_tol)]
+    skipped = len(points) - len(pts)
+    ranks = [0] * len(pts)
+    if len(sys):
+        svals = np.linalg.svd(sys.jacobian_at(pts), compute_uv=False)
+        ranks = [numerical_rank(s, cfg.rank_rtol) for s in svals]
+    entries = [ScanEntry(p, rank, expected is not None and rank < expected)
+               for p, rank in zip(pts, ranks)]
     singular = [e for e in entries if e.deficient]
     clusters = _cluster([e.params for e in singular], cfg.cluster_radius)
     cluster_info = []
@@ -819,22 +845,10 @@ def classify_hypercomplex(model: TwistorModel,
 def _examine_family(model, pt, values, res: FiberSolveResult, cfg: SolveConfig):
     """Corank + continuation certificate for sections through a singular pair."""
     sys = real_section_system(model)
-    a1 = incidence_rows(model, pt)
-    b1 = _incidence_rhs(values)
-    anti = pt.antipodal()
     anti_values = _sigma_image_values(model, values, pt.chart)
-    a2 = incidence_rows(model, anti)
-    b2 = _incidence_rhs(anti_values)
-
-    def resfn(x):
-        parts = [np.array([float(v) for v in sys.residuals(x)])] if len(sys) else []
-        parts.extend([a1 @ x - b1, a2 @ x - b2])
-        return np.concatenate(parts)
-
-    def jacfn(x):
-        parts = [np.asarray(sys.jacobian_at(x), dtype=float)] if len(sys) else []
-        parts.extend([a1, a2])
-        return np.vstack(parts)
+    resfn, jacfn = _with_incidence(sys, [
+        (incidence_rows(model, pt), _incidence_rhs(values)),
+        (incidence_rows(model, pt.antipodal()), _incidence_rhs(anti_values))])
 
     candidates = list(res.solutions)
     if res.family is not None:
@@ -843,7 +857,7 @@ def _examine_family(model, pt, values, res: FiberSolveResult, cfg: SolveConfig):
     best = None
     for sol in candidates:
         sol = np.asarray(sol, dtype=float)
-        jac = jacfn(sol)
+        jac = jacfn(sol[None])[0]
         corank = sys.nvars - _num_rank(jac, cfg.rank_rtol)
         if corank < 1:
             continue
@@ -851,8 +865,8 @@ def _examine_family(model, pt, values, res: FiberSolveResult, cfg: SolveConfig):
         step = cfg.continuation_step * (1.0 + np.linalg.norm(sol))
         confirmed = False
         for kdir in kernel[:2]:
-            pred = sol + step * kdir
-            corr, ok = _gauss_newton(resfn, jacfn, pred, cfg)
+            corr, ok = _gauss_newton(resfn, jacfn, [sol + step * kdir], cfg)
+            corr, ok = corr[0], ok[0]
             if ok and np.linalg.norm(corr - sol) > max(10 * cfg.dedup_radius,
                                                        step / 4):
                 if sys.membership(corr, tol=cfg.member_tol).passed:

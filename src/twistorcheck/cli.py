@@ -277,6 +277,8 @@ def _op_cone_glue(args, model, cfg, exact):
     for eq in eq_spec:
         _check_records(eq, {"exponents", "coeff"},
                        "each cone-glue monomial needs 'exponents' and 'coeff'")
+        if not all(isinstance(m["exponents"], list) for m in eq):
+            raise ScenarioError("cone-glue 'exponents' must be a list of integers")
     equations = [[(tuple(m["exponents"]), decode_scalar(m["coeff"], False))
                   for m in eq] for eq in eq_spec]
     rules_spec = args.get("rules")
@@ -359,14 +361,33 @@ def execute_task(op: str, args: dict, model, cfg: SolveConfig, exact: bool):
             "evidence": jsonable(evidence)}
 
 
+def _check_int(obj: dict, key: str):
+    if obj.get(key) is not None:
+        try:
+            int(obj[key])
+        except (TypeError, ValueError):
+            raise ScenarioError(f"{key!r} must be an integer") from None
+
+
 def _check_ops(doc: dict):
-    """Reject unknown ops, and sampling ops without a seed, before any task runs."""
+    """Reject unknown ops, sampling ops without a seed and malformed common
+    arguments, before any task runs."""
+    _check_int(doc, "seed")
+    if not isinstance(doc.get("tolerances", {}), dict):
+        raise ScenarioError("'tolerances' must be an object")
     for task in doc["tasks"]:
         op = OPS.get(task["op"])
         if op is None:
             raise ScenarioError(f"unknown op {task['op']!r}")
         if op.samples and doc.get("seed") is None and task.get("seed") is None:
             raise ScenarioError(f"op {task['op']!r} samples and requires a seed")
+        if task.get("expect") is not None and not isinstance(task["expect"], dict):
+            raise ScenarioError("'expect' must be an object of expected numbers")
+        if task.get("section") is not None and not isinstance(
+                task["section"], (str, list, tuple)):
+            raise ScenarioError("'section' must be a list or a comma-separated string")
+        _check_int(task, "seed")
+        _check_int(task, "samples")
 
 
 def run_scenario_doc(doc: dict, out_path=None) -> dict:

@@ -9,6 +9,8 @@ scalar from the middle when d is even) are emitted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,7 +18,7 @@ from .errors import DimensionError, ModelError
 from .exactla import exact_rank, numerical_rank
 from .mpoly import MPoly
 from .models import TwistorModel, _coeff_form
-from .scalars import abs2, certifies
+from .scalars import certifies
 
 
 @dataclass
@@ -29,7 +31,13 @@ class MembershipReport:
 
 
 class RealEquationSystem:
-    """List of real polynomial equations with an analytic Jacobian."""
+    """List of real polynomial equations with an analytic Jacobian.
+
+    Exact inputs to an exact system are evaluated on the ``MPoly`` equations,
+    which certify facts.  Every other input is evaluated in floats on a
+    compiled form built on first use: a point or a stacked ``(S, n)`` array
+    of points goes through one power table and two matrix products.
+    """
 
     def __init__(self, nvars, equations, labels, expected_regular_rank, exact):
         self.nvars = nvars
@@ -37,38 +45,84 @@ class RealEquationSystem:
         self.labels = list(labels)
         self.expected_regular_rank = expected_regular_rank
         self.exact = exact
-        self.jacobian = [[eq.diff(i) for i in range(nvars)]
-                         for eq in self.equations]
+        self._compiled = None
 
     def __len__(self):
         return len(self.equations)
 
-    def residuals(self, p):
+    @cached_property
+    def jacobian(self):
+        """Exact partial derivatives, one row of ``MPoly`` per equation."""
+        return [[eq.diff(i) for i in range(self.nvars)] for eq in self.equations]
+
+    def _certifies(self, p) -> bool:
+        """Whether p takes the exact path; numeric arrays never do."""
+        if isinstance(p, np.ndarray) and p.dtype != object:
+            return False
         if len(p) != self.nvars:
             raise DimensionError(
                 f"expected {self.nvars} parameters, got {len(p)}")
-        return [eq.evaluate(p) for eq in self.equations]
+        return certifies(self.exact, p)
+
+    def _monomials(self, x: np.ndarray) -> np.ndarray:
+        """Values of the compiled monomials at each row of ``x``."""
+        if self._compiled is None:
+            self._compiled = _compile(self.equations, self.nvars)
+        exps = self._compiled.exps
+        table = np.empty(x.shape + (int(exps.max(initial=0)) + 1,))
+        table[..., 0] = 1.0
+        for k in range(1, table.shape[-1]):
+            table[..., k] = table[..., k - 1] * x
+        return table[..., np.arange(self.nvars), exps].prod(axis=-1)
+
+    def residuals(self, p):
+        """Residuals at p: exact values when certified, else a float array
+        (one row per point of a stacked input)."""
+        if self._certifies(p):
+            return [eq.evaluate(p) for eq in self.equations]
+        x = self._float_points(p)
+        # einsum sums each row in a fixed order, so rows never interact
+        return np.einsum("...m,me->...e", self._monomials(x), self._compiled.res)
 
     def jacobian_at(self, p):
-        if len(p) != self.nvars:
-            raise DimensionError(
-                f"expected {self.nvars} parameters, got {len(p)}")
-        if certifies(self.exact, p):
+        """Jacobian at p: exact rows when certified, else a float array of
+        shape (len, nvars), or (S, len, nvars) for a stacked input."""
+        if self._certifies(p):
             return [[entry.evaluate(p) for entry in row] for row in self.jacobian]
-        pf = [float(v) for v in p]
-        return np.array([[float(entry.evaluate(pf)) for entry in row]
-                         for row in self.jacobian])
+        x = self._float_points(p)
+        flat = np.einsum("...m,me->...e", self._monomials(x), self._compiled.jac)
+        return flat.reshape(x.shape[:-1] + (len(self), self.nvars))
+
+    def _float_points(self, p) -> np.ndarray:
+        x = np.asarray(p, dtype=float)
+        if x.shape == (0,):  # an empty list of points
+            x = x.reshape(0, self.nvars)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.nvars:
+            raise DimensionError(
+                f"expected {self.nvars} parameters, got shape {x.shape}")
+        return x
+
+    def _float_margins(self, x: np.ndarray, tol: float):
+        """Residuals, their largest magnitude and the scaled tolerance per point."""
+        res = self.residuals(x)
+        return (res, np.abs(res).max(axis=-1, initial=0.0),
+                tol * (1.0 + (x * x).sum(axis=-1)))
+
+    def members(self, points, tol: float = 1e-9) -> np.ndarray:
+        """Float membership of each point of a list or stacked array, as a mask."""
+        x = self._float_points(points)
+        _, mx, scale = self._float_margins(x, tol)
+        return mx <= scale
 
     def membership(self, p, tol: float = 1e-9) -> MembershipReport:
-        res = self.residuals(p)
-        if certifies(self.exact, p):
+        if self._certifies(p):
+            res = self.residuals(p)
             passed = all(r == 0 for r in res)
             mx = max((abs(float(r)) for r in res), default=0.0)
             return MembershipReport(passed, res, mx, 0.0, list(self.labels))
-        scale = tol * (1.0 + sum(float(abs2(v)) for v in p))
-        resf = [float(r) for r in res]
-        mx = max((abs(r) for r in resf), default=0.0)
-        return MembershipReport(mx <= scale, resf, mx, scale, list(self.labels))
+        res, mx, scale = self._float_margins(self._float_points(p), tol)
+        return MembershipReport(bool(mx <= scale), res.tolist(), float(mx),
+                                float(scale), list(self.labels))
 
     def jacobian_rank(self, p, rank_rtol: float = 1e-7) -> int:
         if not self.equations:
@@ -77,6 +131,37 @@ class RealEquationSystem:
         if isinstance(jac, np.ndarray):
             return numerical_rank(np.linalg.svd(jac, compute_uv=False), rank_rtol)
         return exact_rank(jac)
+
+
+class _Compiled(NamedTuple):
+    """Float form of a system over the union of its monomials."""
+
+    exps: np.ndarray  # (M, nvars) exponents of residual and Jacobian monomials
+    res: np.ndarray   # (M, len): residuals = monomials @ res
+    jac: np.ndarray   # (M, len * nvars): Jacobian entries, row major
+
+
+def _compile(equations, nvars) -> _Compiled:
+    """Exponent and coefficient matrices; the Jacobian coefficient of a
+    monomial c*x^e along x_i is c*e_i at the exponent e - 1_i."""
+    index = {}
+    res, jac = [], []
+    for k, eq in enumerate(equations):
+        for e, c in eq.terms.items():
+            res.append((index.setdefault(e, len(index)), k, float(c)))
+            for i, p in enumerate(e):
+                if p:
+                    d = e[:i] + (p - 1,) + e[i + 1:]
+                    jac.append((index.setdefault(d, len(index)), k * nvars + i,
+                                float(c * p)))
+    exps = np.array(list(index), dtype=np.intp).reshape(len(index), nvars)
+    mats = []
+    for entries, width in ((res, len(equations)), (jac, len(equations) * nvars)):
+        mat = np.zeros((len(index), width))
+        for m, col, c in entries:
+            mat[m, col] = c
+        mats.append(mat)
+    return _Compiled(exps, *mats)
 
 
 def _zp_mul(a, b, nvars):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from twistorcheck import build_deformed, build_quadric, build_smooth_o11
+from twistorcheck import (SigmaCoordRule, build_deformed, build_quadric,
+                          build_smooth_o11, glue_cone_twistor, serialize)
 from twistorcheck.systems import real_section_system
 
 ANTIREAL_LAMBDA = [1j, 0.0, -1j]
@@ -30,6 +31,25 @@ def deformed():
 @pytest.fixture(scope="session")
 def smooth():
     return build_smooth_o11()
+
+
+@pytest.fixture(scope="session")
+def doubled(quadric):
+    """The quadric cone with doubled fiber coefficients: solved by Newton."""
+    doc = serialize.model_to_dict(quadric)
+    for eq in doc["equations"]:
+        for mono in eq["monomials"]:
+            mono["coeffs"] = [[2 * re, 2 * im] for re, im in mono["coeffs"]]
+    return serialize.model_from_dict(doc)
+
+
+@pytest.fixture(scope="session")
+def a2_cone():
+    """H/Z3 as the glued cone uv = w^3 with weights (3, 3, 2) and l = 1."""
+    rules = (SigmaCoordRule(1, -1, 3), SigmaCoordRule(0, 1, 3),
+             SigmaCoordRule(2, -1, 2))
+    return glue_cone_twistor([[((1, 1, 0), 1.0), ((0, 0, 3), -1.0)]],
+                             (3, 3, 2), 1, rules)
 
 
 @pytest.fixture()

@@ -16,7 +16,9 @@ from twistorcheck import (FiberError, GaussianRational, ModelError, OriginError,
                           quadric_params, quadric_tuple, rank_one_matrix_oracle,
                           singular_scan, solve_fiber, squaring_section,
                           sym_matrix_model)
-from twistorcheck.analysis import _newton_multistart, sample_sections
+from twistorcheck.analysis import (_gauss_newton, _incidence_rhs,
+                                  _newton_multistart, _with_incidence,
+                                  incidence_rows, sample_sections)
 from twistorcheck.projline import SplittingType
 from twistorcheck import serialize, systems
 from twistorcheck.serialize import jsonable
@@ -115,6 +117,28 @@ def test_solve_fiber_matches_newton_multistart(quadric, rng):
         for sol in newton:
             assert min(np.linalg.norm(sol - np.asarray(c))
                        for c in closed.solutions) < 1e-6
+
+
+@pytest.mark.parametrize("max_iter", [50, 8])
+def test_batched_gauss_newton_rows_do_not_interact(doubled, max_iter):
+    # the doubled cone's 40 multistart rows, at a target and at the vertex;
+    # with 8 iterations some rows stop unconverged
+    cfg = SolveConfig(seed=7, max_iter=max_iter)
+    sys = real_section_system(doubled)
+    planted = squaring_section(0.3 + 0.7j, -1.1 + 0.2j, "minus")
+    pt = P1Point.std(0.4 - 0.3j)
+    converged = []
+    for values in (evaluate_section(doubled, planted, pt).values, (0j, 0j, 0j)):
+        resfn, jacfn = _with_incidence(
+            sys, [(incidence_rows(doubled, pt), _incidence_rhs(values))])
+        starts = np.random.default_rng(cfg.seed).standard_normal(
+            (cfg.multistart, sys.nvars)) * 2.0
+        x, ok = _gauss_newton(resfn, jacfn, starts, cfg)
+        converged.extend(ok)
+        for i, start in enumerate(starts):
+            alone, alone_ok = _gauss_newton(resfn, jacfn, [start], cfg)
+            assert np.array_equal(alone[0], x[i]) and alone_ok[0] == ok[i]
+    assert any(converged) and all(converged) == (max_iter == 50)
 
 
 def _finds_planted(res, planted):

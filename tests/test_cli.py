@@ -84,6 +84,15 @@ MALFORMED_TASKS = [
                  id="group-scalar"),
     pytest.param({"op": "matrix-model", "oracle_q": 5}, "'oracle_q'",
                  id="oracle-q-scalar"),
+    pytest.param({"op": "validate", "expect": 5}, "'expect'", id="expect-scalar"),
+    pytest.param({"op": "branch", "section": 5}, "'section'",
+                 id="section-scalar"),
+    pytest.param({"op": "singular-scan", "seed": 0, "samples": [1]}, "'samples'",
+                 id="samples-list"),
+    pytest.param({"op": "singular-scan", "seed": [1]}, "'seed'", id="seed-list"),
+    pytest.param({"op": "cone-glue",
+                  "equations": [[{"exponents": 5, "coeff": 1}]]}, "'exponents'",
+                 id="exponents-scalar"),
 ]
 
 
@@ -91,6 +100,19 @@ MALFORMED_TASKS = [
 def test_malformed_task_arguments_exit_2(task, message, tmp_path, capsys):
     scen = tmp_path / "s.json"
     scen.write_text(json.dumps({"model": "quadric", "tasks": [task]}))
+    assert run_scenario(str(scen)) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fields,message", [
+    pytest.param({"seed": [1]}, "'seed'", id="seed-list"),
+    pytest.param({"tolerances": 5}, "'tolerances'", id="tolerances-scalar"),
+])
+def test_malformed_scenario_fields_exit_2(fields, message, tmp_path, capsys):
+    scen = tmp_path / "s.json"
+    scen.write_text(json.dumps({"model": "quadric", "tasks": [{"op": "validate"}],
+                                **fields}))
     assert run_scenario(str(scen)) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err

@@ -1,7 +1,11 @@
 """Induced real systems: equation counts, membership, Jacobians."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistorcheck import DimensionError, build_deformed, quadric_params
 from twistorcheck.systems import real_section_system
@@ -102,3 +106,44 @@ def test_exact_jacobian_rank(quadric_exact):
                            "minus", exact=True)
     assert system.jacobian_rank(sec) == 5
     assert system.jacobian_rank([Fraction(0)] * 9) == 0
+
+
+@pytest.mark.parametrize("name", ["quadric", "deformed", "smooth", "doubled",
+                                  "a2_cone"])
+def test_compiled_form_matches_mpoly(name, request):
+    # reference: the MPoly equations and their per-entry MPoly.diff Jacobian
+    system = real_section_system(request.getfixturevalue(name).float_view())
+    points = np.random.default_rng(20240811).standard_normal((50, system.nvars))
+    res = system.residuals(points)
+    jac = system.jacobian_at(points)
+    assert res.shape == (50, len(system))
+    assert jac.shape == (50, len(system), system.nvars)
+    for p, r, j in zip(points, res, jac):
+        vals = p.tolist()
+        ref_r = np.array([eq.evaluate(vals) for eq in system.equations], dtype=float)
+        ref_j = np.array([[e.evaluate(vals) for e in row] for row in system.jacobian],
+                         dtype=float).reshape(j.shape)
+        assert np.abs(r - ref_r).max(initial=0.0) \
+            <= 1e-13 * max(1.0, np.abs(ref_r).max(initial=0.0))
+        assert np.abs(j - ref_j).max(initial=0.0) \
+            <= 1e-14 * max(1.0, np.abs(ref_j).max(initial=0.0))
+        # a single point gives the row of the stacked evaluation, bit for bit
+        assert np.array_equal(system.residuals(p), r)
+        assert np.array_equal(system.jacobian_at(p), j)
+
+
+_rational = st.fractions(min_value=-4, max_value=4, max_denominator=30)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(p=st.lists(_rational, min_size=9, max_size=9))
+def test_float_residuals_agree_with_exact_at_rational_points(quadric_exact, p):
+    system = real_section_system(quadric_exact)
+    exact_res = system.residuals(p)
+    exact_jac = system.jacobian_at(p)
+    assert all(isinstance(r, (int, Fraction)) for r in exact_res)
+    x = np.array([float(v) for v in p])
+    tol = 1e-14 * (1.0 + float(x @ x))
+    assert np.abs(system.residuals(x) - np.array(exact_res, dtype=float)).max() <= tol
+    assert np.abs(system.jacobian_at(x) - np.array(exact_jac, dtype=float)).max() \
+        <= 1e-14 * (1.0 + np.abs(x).max())
