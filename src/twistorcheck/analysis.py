@@ -309,20 +309,21 @@ def _converged(r: np.ndarray, x: np.ndarray, cfg: SolveConfig) -> np.ndarray:
 def _gauss_newton(resfn, jacfn, x0, cfg: SolveConfig):
     """Gauss-Newton on every row of ``x0`` at once; rows never interact.
 
-    ``resfn``/``jacfn`` map stacked points (k, n) to residuals (k, m) and
-    Jacobians (k, m, n).  Only unconverged rows are stepped; a row stops when
-    its residual is within newton_tol*(1+|x|^2) or its step stalls.  Returns
-    the final rows and a mask of the converged ones.
+    ``resfn``/``jacfn`` map stacked points (k, n) and the indices of their
+    rows in ``x0`` to residuals (k, m) and Jacobians (k, m, n).  Only
+    unconverged rows are stepped; a row stops when its residual is within
+    newton_tol*(1+|x|^2) or its step stalls.  Returns the final rows and a
+    mask of the converged ones.
     """
     x = np.array(x0, dtype=float)
     active = np.arange(len(x))
     for _ in range(cfg.max_iter):
-        r = resfn(x[active])
+        r = resfn(x[active], active)
         moving = ~_converged(r, x[active], cfg)
         active, r = active[moving], r[moving]
         if not len(active):
             break
-        step = _lstsq_steps(jacfn(x[active]), r)
+        step = _lstsq_steps(jacfn(x[active], active), r)
         x[active] += step
         stalled = (np.linalg.norm(step, axis=1)
                    <= 1e-15 * (1.0 + np.linalg.norm(x[active], axis=1)))
@@ -360,14 +361,22 @@ def _newton_multistart(model, pt, values, cfg: SolveConfig):
 
 def _with_incidence(sys, incidences):
     """Stacked residual and Jacobian maps of the system plus incidence rows
-    (amat, b), for _gauss_newton."""
-    def resfn(x):
-        return np.hstack([sys.residuals(x)] + [
-            np.einsum("kn,rn->kr", x, a) - b for a, b in incidences])
+    (amat, b), for _gauss_newton.
 
-    def jacfn(x):
+    A block is shared by every point, amat (r, n) and b (r,), or given per
+    row of the start array, (k, r, n) and (k, r); the maps then pick the
+    blocks of the rows they are passed (all rows by default).
+    """
+    def resfn(x, rows=slice(None)):
+        return np.hstack([sys.residuals(x)] + [
+            np.einsum("kn,rn->kr", x, a) - b if a.ndim == 2
+            else np.einsum("kn,krn->kr", x, a[rows]) - b[rows]
+            for a, b in incidences])
+
+    def jacfn(x, rows=slice(None)):
         return np.concatenate([sys.jacobian_at(x)] + [
-            np.broadcast_to(a, (len(x),) + a.shape) for a, _ in incidences], axis=1)
+            np.broadcast_to(a, (len(x),) + a.shape) if a.ndim == 2 else a[rows]
+            for a, _ in incidences], axis=1)
 
     return resfn, jacfn
 
@@ -790,21 +799,19 @@ def classify_hypercomplex(model: TwistorModel,
     evidence = {"model": model.name, "seed": cfg.seed}
     pairs, notes = _FAMILIES[model.family].singular_pairs(model)
     evidence["notes"] = notes
-    families = []
     if pairs is None:
         evidence["singular_fiber_points"] = "unknown"
         return HCClassification("Undetermined", evidence)
     evidence["singular_fiber_points"] = [
         {"chart": p.chart, "value": [p.value.real, p.value.imag]}
         for p, _ in pairs]
+    fibers = []
     for pt, values in pairs:
         try:
-            res = solve_fiber(model, pt, values, cfg)
+            fibers.append((pt, values, solve_fiber(model, pt, values, cfg)))
         except FiberError:
             continue
-        fam_entry = _examine_family(model, pt, values, res, cfg)
-        if fam_entry:
-            families.append(fam_entry)
+    families = [e for e in _examine_pairs(model, fibers, cfg) if e]
     evidence["families"] = families
     certified = [f for f in families if f["certified"]]
     if certified:
@@ -842,53 +849,85 @@ def classify_hypercomplex(model: TwistorModel,
     return HCClassification("Undetermined", evidence)
 
 
-def _examine_family(model, pt, values, res: FiberSolveResult, cfg: SolveConfig):
-    """Corank + continuation certificate for sections through a singular pair."""
-    sys = real_section_system(model)
-    anti_values = _sigma_image_values(model, values, pt.chart)
-    resfn, jacfn = _with_incidence(sys, [
-        (incidence_rows(model, pt), _incidence_rhs(values)),
-        (incidence_rows(model, pt.antipodal()), _incidence_rhs(anti_values))])
+def _examine_pairs(model, fibers, cfg: SolveConfig):
+    """Corank + continuation certificates for the sections through every
+    singular pair, one entry (or None) per (point, values, fiber) item.
 
-    candidates = list(res.solutions)
-    if res.family is not None:
-        rng = np.random.default_rng(cfg.seed + 7)
-        candidates.extend(res.family.sample(2, rng))
-    best = None
-    for sol in candidates:
-        sol = np.asarray(sol, dtype=float)
-        jac = jacfn(sol[None])[0]
-        corank = sys.nvars - _num_rank(jac, cfg.rank_rtol)
-        if corank < 1:
-            continue
-        kernel = _num_nullspace(jac, cfg.rank_rtol)
-        step = cfg.continuation_step * (1.0 + np.linalg.norm(sol))
-        confirmed = False
-        for kdir in kernel[:2]:
-            corr, ok = _gauss_newton(resfn, jacfn, [sol + step * kdir], cfg)
-            corr, ok = corr[0], ok[0]
-            if ok and np.linalg.norm(corr - sol) > max(10 * cfg.dedup_radius,
-                                                       step / 4):
-                if sys.membership(corr, tol=cfg.member_tol).passed:
-                    confirmed = True
-                    break
-        entry = {
-            "point": {"chart": pt.chart, "value": [pt.value.real, pt.value.imag]},
-            "corank": int(corank),
-            "dim": int(corank),
-            "certified": bool(confirmed),
-            "solution": [float(v) for v in sol],
-        }
+    Round j examines the j-th candidate of every pair without a certified
+    entry: one stacked SVD of the full Jacobians (system plus the incidence
+    rows at the point and its antipodal image) gives each corank and kernel,
+    and one Gauss-Newton call corrects a step along up to two kernel
+    directions of every candidate of corank >= 1.  A pair keeps its first
+    confirmed candidate, else its first one of corank >= 1.
+    """
+    sys = real_section_system(model)
+    amats, rhs = [], []
+    for pt, values, _ in fibers:
+        anti = pt.antipodal()
+        amats.append(np.vstack([incidence_rows(model, pt),
+                                incidence_rows(model, anti)]))
+        rhs.append(np.concatenate([
+            _incidence_rhs(values),
+            _incidence_rhs(_sigma_image_values(model, values, pt.chart))]))
+    amats, rhs = np.array(amats), np.array(rhs)
+    candidates = []
+    for _, _, res in fibers:
+        cands = list(res.solutions)
         if res.family is not None:
-            entry["reducer_family_dim"] = res.family.dim
-            entry["samples"] = [[float(v) for v in s]
-                                for s in res.family.sample(
-                                    4, np.random.default_rng(cfg.seed + 11))]
-        if confirmed:
-            return entry
-        if best is None:
-            best = entry
-    return best
+            cands.extend(res.family.sample(2, np.random.default_rng(cfg.seed + 7)))
+        candidates.append([np.asarray(c, dtype=float) for c in cands])
+    entries = [None] * len(fibers)
+    certified = [False] * len(fibers)
+    for j in range(max(map(len, candidates), default=0)):
+        pairs = [i for i, c in enumerate(candidates)
+                 if j < len(c) and not certified[i]]
+        if not pairs:
+            break
+        sols = np.array([candidates[i][j] for i in pairs])
+        jacs = np.concatenate([sys.jacobian_at(sols), amats[pairs]], axis=1)
+        _, svals, vh = np.linalg.svd(jacs)
+        ranks = [numerical_rank(sv, cfg.rank_rtol) for sv in svals]
+        steps = [cfg.continuation_step * (1.0 + np.linalg.norm(sol)) for sol in sols]
+        owner, starts = [], []  # continuation rows: candidate, start point
+        for c, rank in enumerate(ranks):
+            for kdir in vh[c, rank:rank + 2]:
+                owner.append(c)
+                starts.append(sols[c] + steps[c] * kdir)
+        confirmed = [False] * len(pairs)
+        if owner:
+            src = [pairs[c] for c in owner]
+            resfn, jacfn = _with_incidence(sys, [(amats[src], rhs[src])])
+            corr, ok = _gauss_newton(resfn, jacfn, starts, cfg)
+            member = np.zeros(len(corr), dtype=bool)
+            member[ok] = sys.members(corr[ok], cfg.member_tol)
+            for row, c in enumerate(owner):
+                moved = np.linalg.norm(corr[row] - sols[c]) > max(
+                    10 * cfg.dedup_radius, steps[c] / 4)
+                confirmed[c] = confirmed[c] or bool(member[row] and moved)
+        for c, i in enumerate(pairs):
+            corank = sys.nvars - ranks[c]
+            if corank >= 1 and (confirmed[c] or entries[i] is None):
+                entries[i] = _family_entry(fibers[i], corank, confirmed[c],
+                                           sols[c], cfg)
+                certified[i] = confirmed[c]
+    return entries
+
+
+def _family_entry(fiber, corank, confirmed, sol, cfg: SolveConfig):
+    pt, _, res = fiber
+    entry = {
+        "point": {"chart": pt.chart, "value": [pt.value.real, pt.value.imag]},
+        "corank": int(corank),
+        "dim": int(corank),
+        "certified": bool(confirmed),
+        "solution": [float(v) for v in sol],
+    }
+    if res.family is not None:
+        entry["reducer_family_dim"] = res.family.dim
+        entry["samples"] = [[float(v) for v in s]
+                            for s in res.family.sample(
+                                4, np.random.default_rng(cfg.seed + 11))]
+    return entry
 
 
 def _sigma_image_values(model: TwistorModel, values, from_chart: str):

@@ -369,12 +369,29 @@ def _check_int(obj: dict, key: str):
             raise ScenarioError(f"{key!r} must be an integer") from None
 
 
+# the SolveConfig fields a scenario's "tolerances" object may set
+TOLERANCES = ("tol", "rank_rtol", "newton_tol", "dedup_radius", "fiber_tol")
+
+
+def _check_tolerances(tols):
+    if not isinstance(tols, dict):
+        raise ScenarioError("'tolerances' must be an object")
+    for key, value in tols.items():
+        if key not in TOLERANCES:
+            raise ScenarioError(f"unknown tolerance {key!r}; "
+                                f"expected one of {', '.join(TOLERANCES)}")
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and 0 < value <= sys.float_info.max):
+            raise ScenarioError(f"tolerance {key!r} must be a finite positive number")
+
+
 def _check_ops(doc: dict):
     """Reject unknown ops, sampling ops without a seed and malformed common
     arguments, before any task runs."""
     _check_int(doc, "seed")
-    if not isinstance(doc.get("tolerances", {}), dict):
-        raise ScenarioError("'tolerances' must be an object")
+    if not isinstance(doc.get("exact", False), bool):
+        raise ScenarioError("'exact' must be true or false")
+    _check_tolerances(doc.get("tolerances", {}))
     for task in doc["tasks"]:
         op = OPS.get(task["op"])
         if op is None:
@@ -397,12 +414,10 @@ def run_scenario_doc(doc: dict, out_path=None) -> dict:
     """
     validate_scenario(doc)
     _check_ops(doc)
-    exact = bool(doc.get("exact", False))
+    exact = doc.get("exact", False)
     cfg = SolveConfig(seed=int(doc.get("seed", 0)))
-    tols = doc.get("tolerances", {})
-    for key in ("tol", "rank_rtol", "newton_tol", "dedup_radius", "fiber_tol"):
-        if key in tols:
-            setattr(cfg, key, float(tols[key]))
+    for key, value in doc.get("tolerances", {}).items():
+        setattr(cfg, key, float(value))
     model = build_model_from_spec(doc.get("model"), exact=exact)
     records = []
     for task in doc["tasks"]:

@@ -16,11 +16,12 @@ from twistorcheck import (FiberError, GaussianRational, ModelError, OriginError,
                           quadric_params, quadric_tuple, rank_one_matrix_oracle,
                           singular_scan, solve_fiber, squaring_section,
                           sym_matrix_model)
-from twistorcheck.analysis import (_gauss_newton, _incidence_rhs,
-                                  _newton_multistart, _with_incidence,
-                                  incidence_rows, sample_sections)
+from twistorcheck.analysis import (_FAMILIES, FiberSolveResult, _examine_pairs,
+                                  _gauss_newton, _incidence_rhs, _newton_multistart,
+                                  _with_incidence, incidence_rows,
+                                  sample_sections)
 from twistorcheck.projline import SplittingType
-from twistorcheck import serialize, systems
+from twistorcheck import analysis, serialize, systems
 from twistorcheck.serialize import jsonable
 from twistorcheck.systems import real_section_system
 from conftest import ANTIREAL_LAMBDA
@@ -139,6 +140,21 @@ def test_batched_gauss_newton_rows_do_not_interact(doubled, max_iter):
             alone, alone_ok = _gauss_newton(resfn, jacfn, [start], cfg)
             assert np.array_equal(alone[0], x[i]) and alone_ok[0] == ok[i]
     assert any(converged) and all(converged) == (max_iter == 50)
+    # rows with their own incidence blocks: a base point per row, the planted
+    # target on odd rows and the vertex on even ones; each row equals its
+    # start run alone against its block as a shared one
+    blocks = []
+    for i, (re, im) in enumerate(np.random.default_rng(1).standard_normal((len(starts), 2))):
+        pt_i = P1Point.std(complex(re, im))
+        values = evaluate_section(doubled, planted, pt_i).values if i % 2 else (0j,) * 3
+        blocks.append((incidence_rows(doubled, pt_i), _incidence_rhs(values)))
+    resfn, jacfn = _with_incidence(sys, [(np.array([a for a, _ in blocks]),
+                                          np.array([b for _, b in blocks]))])
+    x, ok = _gauss_newton(resfn, jacfn, starts, cfg)
+    for i, start in enumerate(starts):
+        alone, alone_ok = _gauss_newton(*_with_incidence(sys, [blocks[i]]), [start], cfg)
+        assert np.array_equal(alone[0], x[i]) and alone_ok[0] == ok[i]
+    assert ok[1::2].any()
 
 
 def _finds_planted(res, planted):
@@ -379,6 +395,55 @@ def test_classify_all_three(quadric, deformed, smooth):
     assert cls.verdict == "WeaklyHypercomplex"
     assert cls.evidence["family_dimension"] == 2
     assert classify_hypercomplex(smooth, cfg).verdict == "Hypercomplex"
+
+
+@pytest.mark.parametrize("name,verdict", [
+    ("quadric", "Hypercomplex"), ("deformed", "WeaklyHypercomplex"),
+    ("smooth", "Hypercomplex"), ("doubled", "Undetermined"),
+    ("a2_cone", "WeaklyHypercomplex")])
+def test_batched_examination_equals_each_pair_alone(name, verdict, request):
+    model = request.getfixturevalue(name).float_view()
+    pairs, _ = _FAMILIES[model.family].singular_pairs(model)
+    fibers = [(pt, values, solve_fiber(model, pt, values, CFG))
+              for pt, values in pairs]
+    entries = _examine_pairs(model, fibers, CFG)
+    assert entries == [_examine_pairs(model, [f], CFG)[0] for f in fibers]
+    cls = classify_hypercomplex(model, CFG)
+    assert cls.verdict == verdict
+    assert cls.evidence["families"] == [e for e in entries if e]
+
+
+@pytest.fixture()
+def newton_rows(monkeypatch):
+    """Row counts of the _gauss_newton calls made while the test runs."""
+    rows = []
+    original = analysis._gauss_newton
+
+    def counting(resfn, jacfn, x0, cfg):
+        rows.append(len(x0))
+        return original(resfn, jacfn, x0, cfg)
+
+    monkeypatch.setattr(analysis, "_gauss_newton", counting)
+    return rows
+
+
+def test_examination_rounds_walk_past_regular_candidates(deformed, newton_rows):
+    # the second copy of the vertex pair starts with a generic point of
+    # corank 0, so its certified candidate comes one round later
+    model = deformed.float_view()
+    (pt, values), = _FAMILIES[model.family].singular_pairs(model)[0]
+    res = solve_fiber(model, pt, values, CFG)
+    generic = np.random.default_rng(3).standard_normal(model.nparams)
+    late = FiberSolveResult([generic] + res.solutions, res.complete, res.family,
+                            res.method)
+    first, second = _examine_pairs(model, [(pt, values, res), (pt, values, late)], CFG)
+    assert newton_rows == [2, 2] and first["certified"] and first == second
+
+
+def test_classify_runs_one_gauss_newton_call(newton_rows):
+    # the quadric cone: 3 vertex pairs x 2 kernel directions, one batched call
+    classify_hypercomplex(build_quadric())
+    assert newton_rows == [6]
 
 
 def test_classify_deterministic(deformed):

@@ -108,6 +108,19 @@ def test_malformed_task_arguments_exit_2(task, message, tmp_path, capsys):
 @pytest.mark.parametrize("fields,message", [
     pytest.param({"seed": [1]}, "'seed'", id="seed-list"),
     pytest.param({"tolerances": 5}, "'tolerances'", id="tolerances-scalar"),
+    pytest.param({"exact": [1]}, "'exact'", id="exact-list"),
+    pytest.param({"exact": "false"}, "'exact'", id="exact-string"),
+    pytest.param({"tolerances": {"tol": [1]}}, "'tol'", id="tol-list"),
+    pytest.param({"tolerances": {"tol": "nan"}}, "'tol'", id="tol-string"),
+    pytest.param({"tolerances": {"tol": float("nan")}}, "'tol'", id="tol-nan"),
+    pytest.param({"tolerances": {"fiber_tol": float("inf")}}, "'fiber_tol'",
+                 id="fiber_tol-inf"),
+    pytest.param({"tolerances": {"rank_rtol": 0}}, "'rank_rtol'", id="rank_rtol-zero"),
+    pytest.param({"tolerances": {"newton_tol": True}}, "'newton_tol'",
+                 id="newton_tol-bool"),
+    pytest.param({"tolerances": {"dedup_radius": 10 ** 400}}, "'dedup_radius'",
+                 id="dedup_radius-huge"),
+    pytest.param({"tolerances": {"max_iter": 5}}, "'max_iter'", id="max_iter"),
 ])
 def test_malformed_scenario_fields_exit_2(fields, message, tmp_path, capsys):
     scen = tmp_path / "s.json"
@@ -116,6 +129,13 @@ def test_malformed_scenario_fields_exit_2(fields, message, tmp_path, capsys):
     assert run_scenario(str(scen)) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_standalone_nan_tolerance_exits_2(capsys):
+    code = main(["solve-fiber", "--model", "quadric", "--point", "1,1,1",
+                 "--tol", "nan"])
+    err = capsys.readouterr().err
+    assert code == 2 and "'tol'" in err
 
 
 def test_failing_expectation_exits_1(tmp_path, capsys):
