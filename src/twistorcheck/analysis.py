@@ -390,21 +390,25 @@ def solve_fiber(model: TwistorModel, zeta, target,
     """All real sections of the model meeting a given fiber point.
 
     Closed-form families use their reducer (complete); other models use
-    multistart Newton with heuristic completeness.  On a homogeneous model
-    the solve is scale covariant, solve_fiber(s*v) = s*solve_fiber(v) for
-    real s > 0 (bit for bit when s is a power of two): the target is divided
-    by the power of two nearest its largest entry, solved at unit scale, and
-    the solutions and family are multiplied back.
+    multistart Newton with heuristic completeness.  The solve runs in the
+    canonical chart of the point: values given in the other chart are
+    multiplied by w**k_i, w the new chart value.  On a homogeneous model the
+    solve is scale covariant, solve_fiber(s*v) = s*solve_fiber(v) for real
+    s > 0 (bit for bit when s is a power of two): the target is divided by the
+    power of two nearest its largest entry, solved at unit scale, and the
+    solutions and family are multiplied back.
     """
     cfg = cfg or DEFAULT_CONFIG
     model = model.float_view()
     if isinstance(target, FiberPoint):
         zeta, target = target.zeta, target.values
-    # the chart of the point fixes the chart of the values: no canonicalizing
-    pt = _float_point(zeta if isinstance(zeta, P1Point) else P1Point.std(zeta))
+    given = _float_point(zeta if isinstance(zeta, P1Point) else P1Point.std(zeta))
     values = tuple(complex(v) for v in target)
     if len(values) != len(model.degrees):
         raise DimensionError("fiber value count differs from coordinate count")
+    pt = given.canonical()
+    if pt is not given:
+        values = tuple(v * pt.value ** k for v, k in zip(values, model.degrees))
     peak = max(abs(v) for v in values)
     rescale = model.homogeneous and 0.0 < peak < math.inf
     scale = 2.0 ** min(round(math.log2(peak)), 1023) if rescale else 1.0

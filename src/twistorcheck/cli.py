@@ -4,22 +4,22 @@ Usage:
     twistorcheck run scenario.json [--out report.json]
     twistorcheck solve-fiber --model quadric --zeta 0 --point 1,1,1
     twistorcheck quotient-census --group Q8
-    twistorcheck classify --model deformed --seed 1
 
 Every op lives in the ``OPS`` table: its function, whether it reads a model,
-whether it samples, and its subcommand flags.  A standalone subcommand runs
-as a one-task scenario, so ``--out`` writes the same report schema as
-``run``.  Every subcommand accepts --tol/--seed/--out/--exact and, where a
-model applies, --model; a human summary goes to stdout, the machine-readable
-report only to --out.
+whether it samples, and the schema of its task keys with their subcommand
+flags.  A standalone subcommand runs as a one-task scenario, so ``--out``
+writes the same report schema as ``run``; a human summary goes to stdout.
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 bad input.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
+from dataclasses import replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -34,128 +34,183 @@ from .models import (build_deformed, build_quadric, build_smooth_o11,
                      glue_cone_twistor, models_structurally_equal,
                      quadric_params, quadric_tuple, validate_model)
 from .projline import P1Point, SigmaCoordRule
-from .quotients import (FiniteQuaternionGroup, builtin_group,
-                        closure_equals_quotient, component_count,
-                        involution_census)
-from .serialize import (decode_scalar, jsonable, load_model_file,
-                        load_scenario, model_from_dict, validate_scenario,
+from .quotients import (builtin_group, closure_equals_quotient,
+                        component_count, involution_census)
+from .serialize import (decode_scalar, jsonable, load_group_file,
+                        load_model_file, load_scenario, model_from_dict,
                         write_report)
 
-DEFAULT_LAMBDA = ["i", "0", "-i"]
+# Argument schema.  Every key a scenario may hold is declared once, as an
+# Arg of a kind from KINDS.  _check_ops decodes a whole scenario against it
+# before the first task runs, so each op receives decoded arguments.
+
+class Arg(NamedTuple):
+    kind: str                      # a KINDS name
+    default: object = None         # decoded like a given value; None: none
+    required: bool | str = False   # a string names a group: one of its keys is needed
+    flag: str | None = None        # the subcommand flag that sets the key
 
 
-def _parse_complex_list(text: str, exact: bool):
-    # float tokens keep Python's complex syntax, which also reads '1e-3j'
-    return [decode_scalar(tok, True) if exact else complex(tok)
-            for tok in text.split(",") if tok.strip()]
+def _given(ok: bool, value):
+    """The value, or the TypeError that _decode reports as a wrong kind."""
+    if not ok:
+        raise TypeError
+    return value
 
 
-def _token_list(value, key: str) -> list:
-    """A list argument, given as a JSON list or a comma-separated string."""
+def _list(value) -> list:
+    return _given(isinstance(value, list), value)
+
+
+def _tokens(value, read) -> list:
+    """A JSON list, or a comma-separated string's tokens each read by ``read``."""
     if isinstance(value, str):
-        return [t for t in value.split(",") if t.strip()]
-    if not isinstance(value, (list, tuple)):
-        raise ScenarioError(f"{key!r} must be a list or a comma-separated string")
-    return list(value)
+        return [read(t) for t in value.split(",") if t.strip()]
+    return _list(value)
 
 
-def _check_records(records, keys: set, message: str):
-    """Reject anything but a list of objects that each hold ``keys``."""
-    if not isinstance(records, list) or not all(
-            isinstance(r, dict) and keys <= r.keys() for r in records):
-        raise ScenarioError(message)
+def _complex(token, exact: bool):
+    """One complex number in the given mode: a number, an [re, im] pair, or a
+    string such as '1/2-i'; float strings also take Python's syntax ('1e-3j')."""
+    try:
+        x = complex(_given(isinstance(token, str) and not exact, token))
+    except (TypeError, ValueError):
+        x = decode_scalar(_given(not isinstance(token, bool), token), exact)
+    return x if exact else _given(cmath.isfinite(x), x)
 
 
-def _parse_zeta(spec):
-    if spec is None:
-        return 0j
-    if isinstance(spec, P1Point):
-        return spec
-    if isinstance(spec, str):
-        s = spec.strip()
-        if s == "inf":
-            return P1Point.inf(0j)
-        if s.startswith("inf:"):
-            return P1Point.inf(complex(s[4:]))
-        return complex(s)
-    if isinstance(spec, dict):
-        chart = spec.get("chart", "std")
-        if chart not in ("std", "inf"):
-            raise ScenarioError(f"zeta chart must be 'std' or 'inf', got {chart!r}")
-        return P1Point(chart, decode_scalar(spec.get("value", 0.0), exact=False))
-    if isinstance(spec, (list, tuple)):
-        if len(spec) != 2:
-            raise ScenarioError("a zeta pair needs two entries [re, im]")
-        return complex(spec[0], spec[1])
-    return complex(spec)
+def _section_tuple(value, exact: bool):
+    """The parameters of a quadric section from its coefficient tuple."""
+    vals = [_complex(t, exact) for t in _tokens(value, str)]
+    return quadric_params(*_given(len(vals) == 5, vals), exact=exact)
 
 
-def _parse_section(args_dict, model, exact):
-    if args_dict.get("params") is not None:
-        vals = _token_list(args_dict["params"], "params")
-        return np.array([float(v) for v in vals])
-    sec = args_dict.get("section")
-    if sec is None:
-        raise ScenarioError("task needs a 'section' or 'params' argument")
-    if isinstance(sec, str):
-        vals = _parse_complex_list(sec, exact)
-    else:
-        vals = [decode_scalar(v, exact) for v in sec]
-    if len(vals) != 5 or (model is not None and len(model.degrees) != 3):
-        raise ScenarioError("coefficient tuples require the 3-coordinate model; "
-                            "use 'params' otherwise")
-    return quadric_params(*vals, exact=exact)
+def _zeta(value, exact):
+    """A base point, always read in float mode."""
+    if isinstance(value, dict):
+        return P1Point(**_decode(value, ZETA, "a zeta", False))
+    text = value.strip() if isinstance(value, str) else ""
+    if text == "inf" or text.startswith("inf:"):
+        return P1Point.inf(_complex(text[4:] if text != "inf" else 0, False))
+    return _complex(value, False)
 
 
 def build_model_from_spec(spec, exact: bool = False):
-    if spec in (None, {}, ""):
-        return None
+    """The model a spec names: a builtin name, a .json file name, or an
+    object; a builtin object may set its own mode with "exact"."""
     if isinstance(spec, str):
-        spec = {"builtin": spec} if not spec.endswith(".json") else {"file": spec}
+        spec = {"file" if spec.endswith(".json") else "builtin": spec}
     if not isinstance(spec, dict):
         raise ScenarioError("a model is a builtin name, a file name or an object")
+    spec = _decode(spec, MODEL, "a model", exact)
     if "file" in spec:
         return load_model_file(spec["file"])
     if "inline" in spec:
         return model_from_dict(spec["inline"])
-    name = spec.get("builtin", "quadric")
     exact = spec.get("exact", exact)
+    name = spec["builtin"]
     if name == "quadric":
         return build_quadric(exact=exact)
     if name in ("smooth-o11", "smooth"):
         return build_smooth_o11(exact=exact)
     if name == "deformed":
-        lam = spec.get("lambda")
-        if lam is None:
-            lam = DEFAULT_LAMBDA
-        if isinstance(lam, str):
-            lam = [t for t in lam.split(",") if t.strip()]
-        coeffs = [decode_scalar(v, exact) for v in lam]
-        return build_deformed(coeffs, spec.get("reality", "antireal"), exact=exact)
+        return build_deformed(spec["lambda"], spec["reality"], exact=exact)
     raise ScenarioError(f"unknown builtin model {name!r}")
 
 
-def _load_group(args) -> FiniteQuaternionGroup:
-    if args.get("group_file"):
-        with open(args["group_file"], "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if "table" in doc:
-            return FiniteQuaternionGroup.from_table(
-                doc["table"], int(doc.get("identity", 0)),
-                name=doc.get("name", "group"))
-        if "quaternions" in doc:
-            return FiniteQuaternionGroup.from_quaternions(
-                doc["quaternions"], name=doc.get("name", "group"))
-        raise ScenarioError("group file needs a 'quaternions' or 'table' entry")
-    name = args.get("group")
-    if not name or not isinstance(name, str):
-        raise ScenarioError("quotient-census needs --group (a group name) "
-                            "or --group-file")
-    return builtin_group(name)
+# kind -> (what a value must be, decoder (value, exact mode) -> decoded value)
+KINDS = {
+    "count": ("a non-negative integer",
+              lambda v, x: _given(type(v) is int and v >= 0, v)),
+    "int": ("an integer", lambda v, x: _given(type(v) is int, v)),
+    "bool": ("true or false", lambda v, x: _given(type(v) is bool, v)),
+    "str": ("a string", lambda v, x: _given(isinstance(v, str), v)),
+    "chart": ("a zeta chart: std or inf", lambda v, x: _given(v in ("std", "inf"), v)),
+    "object": ("an object", lambda v, x: _given(isinstance(v, dict), v)),
+    "positive": ("a finite positive number", lambda v, x: float(_given(
+        type(v) in (int, float) and 0 < v <= sys.float_info.max, v))),
+    "counts": ("a list of non-negative integers", lambda v, x: [
+        _given(type(n) is int and n >= 0, n) for n in _tokens(v, int)]),
+    "reals": ("a list of finite real numbers", lambda v, x: [
+        _given(type(t) in (int, float) and math.isfinite(t), float(t))
+        for t in _tokens(v, float)]),
+    "point": ("a list of complex numbers",
+              lambda v, x: [_complex(t, x) for t in _tokens(v, str)]),
+    "section": ("a quadric coefficient tuple x0, x1, x2, z0, r", _section_tuple),
+    "scalar": ("a complex number", _complex),
+    "zeta": ('"inf", "inf:<w>", a complex number, a zeta pair [re, im] or '
+             '{chart, value}', _zeta),
+    "model": ("a builtin name, a file name or an object", build_model_from_spec),
+    # monomials as (exponents, coeff) and rules as SigmaCoordRule(target, sign, twist)
+    "equations": ("a list of monomial lists", lambda v, x: [
+        [tuple(_decode(m, MONOMIAL, "a monomial", False).values()) for m in _list(eq)]
+        for eq in _list(v)]),
+    "rules": ("a list of {target, sign, twist} rules", lambda v, x: tuple(
+        SigmaCoordRule(*_decode(r, RULE, "a rule", False).values()) for r in _list(v))),
+    "group": ("a builtin group name (Z<n>, BD<4n>, Q8, ...)",
+              lambda v, x: builtin_group(_given(isinstance(v, str), v))),
+    "group-file": ("a JSON file with 'quaternions' or a 'table'",
+                   lambda v, x: load_group_file(_given(isinstance(v, str), v))),
+    "tolerances": ("an object of tolerances",
+                   lambda v, x: _decode(v, TOLERANCE_ARGS, "'tolerances'", x)),
+    "tasks": ("a non-empty task list", lambda v, x: list(_given(bool(v), _list(v)))),
+}
 
 
-# Op functions: (task args, model or None, config, exact mode) ->
-# (numbers, evidence).  Section and point tokens decode in the scenario's mode.
+def _decode(obj, schema: dict, what: str, exact: bool) -> dict:
+    """Check an object against its schema and decode every value; an absent
+    key takes its default, if it has one.  A decoded "exact" key sets the
+    mode of the keys after it."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{what} must be an object")
+    unknown = sorted(set(obj) - set(schema))
+    if unknown:
+        raise ScenarioError(f"unknown key {unknown[0]!r} in {what}; "
+                            f"expected one of {', '.join(schema)}")
+    for group in {a.required for a in schema.values()} - {True, False}:
+        keys = [k for k, a in schema.items() if a.required == group]
+        if not any(k in obj for k in keys):
+            raise ScenarioError(f"{what} needs {' or '.join(map(repr, keys))}")
+    out = {}
+    for key, arg in schema.items():
+        if key not in obj and arg.required is True:
+            raise ScenarioError(f"{what} needs {key!r}")
+        if key not in obj and arg.default is None:
+            continue
+        value = obj.get(key, arg.default)
+        desc, decode = KINDS[arg.kind]
+        try:
+            out[key] = decode(_given(value is not None, value), exact)
+        except (TypeError, ValueError, LookupError, ArithmeticError) as exc:
+            got = json.dumps(value, default=repr)[:60]
+            why = f" ({exc})" if str(exc) else ""
+            raise ScenarioError(f"{key!r} must be {desc}, got {got}{why}") from None
+        if key == "exact" and key in obj:
+            exact = out[key]
+    return out
+
+
+# the SolveConfig fields a scenario's "tolerances" object may set
+TOLERANCES = ("tol", "rank_rtol", "newton_tol", "dedup_radius", "fiber_tol")
+TOLERANCE_ARGS = {key: Arg("positive") for key in TOLERANCES}
+SCENARIO = {"exact": Arg("bool", False), "seed": Arg("count"),
+            "tolerances": Arg("tolerances", {}), "model": Arg("model"),
+            "out": Arg("str"), "tasks": Arg("tasks", required=True)}
+# the keys of every task; a task's own model and seed replace the scenario's
+COMMON = {"op": Arg("str", required=True), "expect": Arg("object"),
+          "model": Arg("model"), "seed": Arg("count")}
+MODEL = {"builtin": Arg("str", "quadric"), "file": Arg("str"),
+         "inline": Arg("object"), "exact": Arg("bool"),  # decoded before "lambda"
+         "lambda": Arg("point", ["i", "0", "-i"]), "reality": Arg("str", "antireal")}
+ZETA = {"chart": Arg("chart", "std"), "value": Arg("scalar", 0.0)}
+MONOMIAL = {"exponents": Arg("counts", required=True),
+            "coeff": Arg("scalar", required=True)}
+RULE = {"target": Arg("count", required=True), "sign": Arg("int", required=True),
+        "twist": Arg("int", required=True)}
+
+
+# Op functions: (decoded task args, model or None, config, exact mode) ->
+# (numbers, evidence).
 
 def _op_validate(args, model, cfg, exact):
     rep = validate_model(model)
@@ -172,15 +227,7 @@ def _op_sections(args, model, cfg, exact):
 
 
 def _op_solve_fiber(args, model, cfg, exact):
-    zeta = _parse_zeta(args.get("zeta"))
-    point = args.get("point")
-    if isinstance(point, str):
-        point = _parse_complex_list(point, exact)
-    elif isinstance(point, (list, tuple)):
-        point = [decode_scalar(v, exact) for v in point]
-    else:
-        raise ScenarioError("solve-fiber needs a 'point' list or string")
-    res = solve_fiber(model, zeta, tuple(point), cfg)
+    res = solve_fiber(model, args["zeta"], tuple(args["point"]), cfg)
     numbers = {"count": len(res.solutions), "complete": res.complete,
                "family_dim": res.family.dim if res.family else 0}
     evidence = {"method": res.method,
@@ -192,10 +239,9 @@ def _op_solve_fiber(args, model, cfg, exact):
 
 
 def _op_singular_scan(args, model, cfg, exact):
-    n = int(args.get("samples", cfg.scan_samples))
-    rng = np.random.default_rng(int(args.get("seed", cfg.seed)))
-    points = list(sample_sections(model, n, rng, cfg))
-    if args.get("include_origin", True):
+    rng = np.random.default_rng(cfg.seed)
+    points = list(sample_sections(model, args["samples"], rng, cfg))
+    if args["include_origin"]:
         points.append(np.zeros(model.nparams))
     rep = singular_scan(model, points, cfg)
     numbers = {"singular_count": len(rep.singular),
@@ -204,16 +250,23 @@ def _op_singular_scan(args, model, cfg, exact):
     return numbers, {"clusters": rep.clusters, "skipped": rep.skipped}
 
 
+def _section(args, model):
+    """The section's parameters, from 'params' or a quadric 'section'."""
+    if "params" in args:
+        return np.array(args["params"])
+    if model is not None and len(model.degrees) != 3:
+        raise ScenarioError("coefficient tuples require the 3-coordinate model; "
+                            "use 'params' otherwise")
+    return args["section"]
+
+
 def _op_branch(args, model, cfg, exact):
-    section = _parse_section(args, model, exact)
-    zeta = _parse_zeta(args.get("zeta"))
-    rep = branch_test(model, section, zeta, cfg)
+    rep = branch_test(model, _section(args, model), args["zeta"], cfg)
     return {"verdict": rep.verdict, "rank": rep.rank}, {}
 
 
 def _op_normal_bundle(args, model, cfg, exact):
-    section = _parse_section(args, model, exact)
-    rep = normal_splitting(model, section, cfg)
+    rep = normal_splitting(model, _section(args, model), cfg)
     numbers = {
         "splitting": list(rep.splitting.degrees) if rep.splitting else None,
         "h0": rep.h0, "h0_minus2": rep.h0_minus2,
@@ -231,20 +284,19 @@ def _op_classify(args, model, cfg, exact):
 
 
 def _op_matrix_model(args, model, cfg, exact):
-    if args.get("oracle_q") is not None:
-        q = _token_list(args["oracle_q"], "oracle_q")
-        rep = rank_one_matrix_oracle([float(v) for v in q])
+    if "oracle_q" in args:
+        rep = rank_one_matrix_oracle(args["oracle_q"])
         numbers = {"t": float(rep.t), "trace_b": float(rep.trace_b),
                    "rank_a": rep.rank_a,
                    "displayed_form_residual": rep.displayed_residual_norm,
                    "product_identity_residual": rep.product_identity_norm}
         return numbers, {"b": jsonable(rep.b)}
-    section = _parse_section(args, model, exact)
+    section = _section(args, model)
     label = args.get("label")
     if label is None:
         lab = component_label(section)
         label = 1 if lab == "boundary" else lab
-    b, t = sym_matrix_model(section, int(label), exact=exact)
+    b, t = sym_matrix_model(section, label, exact=exact)
     numbers = {"t": float(t),
                "trace_b": float(np.trace(np.asarray(b, dtype=float))),
                "label": int(label)}
@@ -252,7 +304,7 @@ def _op_matrix_model(args, model, cfg, exact):
 
 
 def _op_quotient_census(args, model, cfg, exact):
-    group = _load_group(args)
+    group = args.get("group_file", args.get("group"))
     census = involution_census(group)
     count, flags = component_count(group)
     numbers = {"order": group.order, "involutions": len(census.involutions),
@@ -265,43 +317,21 @@ def _op_quotient_census(args, model, cfg, exact):
 
 
 def _op_cone_glue(args, model, cfg, exact):
-    weights = [int(w) for w in _token_list(args.get("weights", [1, 1, 1]),
-                                           "weights")]
-    level = int(args.get("l", 2))
-    eq_spec = args.get("equations")
-    if eq_spec is None:
-        eq_spec = [[{"exponents": [1, 1, 0], "coeff": 1},
-                    {"exponents": [0, 0, 2], "coeff": -1}]]
-    if not isinstance(eq_spec, list):
-        raise ScenarioError("cone-glue 'equations' is a list of monomial lists")
-    for eq in eq_spec:
-        _check_records(eq, {"exponents", "coeff"},
-                       "each cone-glue monomial needs 'exponents' and 'coeff'")
-        if not all(isinstance(m["exponents"], list) for m in eq):
-            raise ScenarioError("cone-glue 'exponents' must be a list of integers")
-    equations = [[(tuple(m["exponents"]), decode_scalar(m["coeff"], False))
-                  for m in eq] for eq in eq_spec]
-    rules_spec = args.get("rules")
-    if rules_spec is None:
+    weights, level, rules = args["weights"], args["l"], args.get("rules")
+    if rules is None:
         if len(weights) != 3:
             raise ScenarioError("the default swap/minus rules need three "
                                 "weights; give explicit rules otherwise")
         degs = [level * w for w in weights]
         rules = (SigmaCoordRule(1, 1, degs[0]), SigmaCoordRule(0, 1, degs[1]),
                  SigmaCoordRule(2, -1, degs[2]))
-    else:
-        _check_records(rules_spec, {"target", "sign", "twist"},
-                       "each cone-glue rule needs 'target', 'sign' and 'twist'")
-        rules = tuple(SigmaCoordRule(int(r["target"]), int(r["sign"]),
-                                     int(r["twist"])) for r in rules_spec)
-    glued = glue_cone_twistor(equations, weights, level, rules)
+    glued = glue_cone_twistor(args["equations"], weights, level, rules)
     numbers = {"degrees": list(glued.degrees),
                "twists": [eq.twist for eq in glued.equations]}
-    compare = args.get("compare")
-    if compare:
-        ref = build_model_from_spec(compare)
+    if "compare" in args:
         numbers["equals_builtin"] = models_structurally_equal(
-            glued, ref, ignore_component_equations=True, tol=1e-12)
+            glued, args["compare"].float_view(),
+            ignore_component_equations=True, tol=1e-12)
     return numbers, {"family": glued.family}
 
 
@@ -309,42 +339,50 @@ class _Op(NamedTuple):
     run: Callable          # op function, see above
     model: str | None      # "required", "optional", or None: no --model flag
     samples: bool = False  # draws random samples, so a seed is required
-    flags: tuple = ()      # subcommand flags beyond the common ones
+    args: dict = {}        # task keys beyond COMMON: key -> Arg
 
 
-_SECTION_FLAGS = (("--section", {}), ("--params", {}))
+_SECTION = {"section": Arg("section", required="section", flag="--section"),
+            "params": Arg("reals", required="section", flag="--params")}
+_ZETA = Arg("zeta", "0", flag="--zeta")
 
 OPS = {
     "validate": _Op(_op_validate, "required"),
     "sections": _Op(_op_sections, "required"),
-    "solve-fiber": _Op(_op_solve_fiber, "required", flags=(
-        ("--zeta", {"default": "0"}), ("--point", {"required": True}),
-        ("--expect-count", {"type": int}))),
-    "singular-scan": _Op(_op_singular_scan, "required", samples=True, flags=(
-        ("--samples", {"type": int, "default": 60}),)),
-    "branch": _Op(_op_branch, "required",
-                  flags=_SECTION_FLAGS + (("--zeta", {"default": "0"}),)),
-    "normal-bundle": _Op(_op_normal_bundle, "required", flags=_SECTION_FLAGS),
+    "solve-fiber": _Op(_op_solve_fiber, "required", args={
+        "zeta": _ZETA, "point": Arg("point", required=True, flag="--point"),
+        "expect": Arg("object", flag="--expect-count")}),
+    "singular-scan": _Op(_op_singular_scan, "required", samples=True, args={
+        "samples": Arg("count", SolveConfig.scan_samples, flag="--samples"),
+        "include_origin": Arg("bool", True)}),
+    "branch": _Op(_op_branch, "required", args={**_SECTION, "zeta": _ZETA}),
+    "normal-bundle": _Op(_op_normal_bundle, "required", args=_SECTION),
     "classify": _Op(_op_classify, "required", samples=True),
-    "matrix-model": _Op(_op_matrix_model, "optional", flags=_SECTION_FLAGS + (
-        ("--label", {"type": int}), ("--oracle-q", {}))),
-    "quotient-census": _Op(_op_quotient_census, None,
-                           flags=(("--group", {}), ("--group-file", {}))),
-    "cone-glue": _Op(_op_cone_glue, None, flags=(
-        ("--weights", {"default": "1,1,1"}),
-        ("--l", {"type": int, "default": 2}),
-        ("--equations-json", {}), ("--rules-json", {}), ("--compare", {}))),
+    "matrix-model": _Op(_op_matrix_model, "optional", args={
+        **_SECTION, "label": Arg("int", flag="--label"),
+        "oracle_q": Arg("reals", required="section", flag="--oracle-q")}),
+    "quotient-census": _Op(_op_quotient_census, None, args={
+        "group": Arg("group", required="group", flag="--group"),
+        "group_file": Arg("group-file", required="group", flag="--group-file")}),
+    "cone-glue": _Op(_op_cone_glue, None, args={
+        "weights": Arg("counts", [1, 1, 1], flag="--weights"),
+        "l": Arg("count", 2, flag="--l"),
+        "equations": Arg("equations", [[{"exponents": [1, 1, 0], "coeff": 1},
+                                        {"exponents": [0, 0, 2], "coeff": -1}]],
+                         flag="--equations-json"),
+        "rules": Arg("rules", flag="--rules-json"),
+        "compare": Arg("model", flag="--compare")}),
 }
 
 
-def execute_task(op: str, args: dict, model, cfg: SolveConfig, exact: bool):
-    """Run one task in the scenario's mode; returns a report record.
+def execute_task(task: dict, args: dict, model, cfg: SolveConfig, exact: bool):
+    """Run one task, given as written and as decoded; returns its record.
 
     A task with an ``expect`` object passes when every expected number
     matches; without one it is ``info``, unless its numbers carry their own
     ``passed`` verdict.
     """
-    numbers, evidence = OPS[op].run(args, model, cfg, exact)
+    numbers, evidence = OPS[args["op"]].run(args, model, cfg, exact)
     expect = args.get("expect")
     if expect:
         matched = all(jsonable(numbers.get(k)) == jsonable(v)
@@ -354,57 +392,30 @@ def execute_task(op: str, args: dict, model, cfg: SolveConfig, exact: bool):
         status = "pass" if numbers["passed"] else "fail"
     else:
         status = "info"
-    return {"op": op,
-            "inputs": jsonable({k: v for k, v in args.items() if k != "expect"}),
+    return {"op": args["op"],
+            "inputs": jsonable({k: v for k, v in task.items()
+                                if k not in ("op", "expect")}),
             "status": status,
             "numbers": jsonable(numbers),
             "evidence": jsonable(evidence)}
 
 
-def _check_int(obj: dict, key: str):
-    if obj.get(key) is not None:
-        try:
-            int(obj[key])
-        except (TypeError, ValueError):
-            raise ScenarioError(f"{key!r} must be an integer") from None
-
-
-# the SolveConfig fields a scenario's "tolerances" object may set
-TOLERANCES = ("tol", "rank_rtol", "newton_tol", "dedup_radius", "fiber_tol")
-
-
-def _check_tolerances(tols):
-    if not isinstance(tols, dict):
-        raise ScenarioError("'tolerances' must be an object")
-    for key, value in tols.items():
-        if key not in TOLERANCES:
-            raise ScenarioError(f"unknown tolerance {key!r}; "
-                                f"expected one of {', '.join(TOLERANCES)}")
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and 0 < value <= sys.float_info.max):
-            raise ScenarioError(f"tolerance {key!r} must be a finite positive number")
-
-
-def _check_ops(doc: dict):
-    """Reject unknown ops, sampling ops without a seed and malformed common
-    arguments, before any task runs."""
-    _check_int(doc, "seed")
-    if not isinstance(doc.get("exact", False), bool):
-        raise ScenarioError("'exact' must be true or false")
-    _check_tolerances(doc.get("tolerances", {}))
-    for task in doc["tasks"]:
-        op = OPS.get(task["op"])
-        if op is None:
-            raise ScenarioError(f"unknown op {task['op']!r}")
-        if op.samples and doc.get("seed") is None and task.get("seed") is None:
-            raise ScenarioError(f"op {task['op']!r} samples and requires a seed")
-        if task.get("expect") is not None and not isinstance(task["expect"], dict):
-            raise ScenarioError("'expect' must be an object of expected numbers")
-        if task.get("section") is not None and not isinstance(
-                task["section"], (str, list, tuple)):
-            raise ScenarioError("'section' must be a list or a comma-separated string")
-        _check_int(task, "seed")
-        _check_int(task, "samples")
+def _check_ops(doc) -> dict:
+    """Check and decode a whole scenario before any task runs: the schema,
+    plus a seed for every sampling op and a model for every op that needs one."""
+    scenario = _decode(doc, SCENARIO, "the scenario", False)
+    for i, task in enumerate(scenario["tasks"]):
+        name = task.get("op") if isinstance(task, dict) else None
+        if not (isinstance(name, str) and name in OPS):
+            raise ScenarioError(f"unknown op {name!r}; ops are {', '.join(OPS)}")
+        op = OPS[name]
+        scenario["tasks"][i] = task = _decode(task, {**COMMON, **op.args},
+                                              f"a {name!r} task", scenario["exact"])
+        if op.samples and "seed" not in scenario and "seed" not in task:
+            raise ScenarioError(f"op {name!r} samples and requires a seed")
+        if op.model == "required" and "model" not in scenario and "model" not in task:
+            raise ScenarioError(f"op {name!r} requires a model")
+    return scenario
 
 
 def run_scenario_doc(doc: dict, out_path=None) -> dict:
@@ -412,45 +423,28 @@ def run_scenario_doc(doc: dict, out_path=None) -> dict:
 
     Returns the report; the caller turns its summary into the exit code.
     """
-    validate_scenario(doc)
-    _check_ops(doc)
-    exact = doc.get("exact", False)
-    cfg = SolveConfig(seed=int(doc.get("seed", 0)))
-    for key, value in doc.get("tolerances", {}).items():
-        setattr(cfg, key, float(value))
-    model = build_model_from_spec(doc.get("model"), exact=exact)
+    scenario = _check_ops(doc)
+    cfg = SolveConfig(seed=scenario.get("seed", 0), **scenario["tolerances"])
     records = []
-    for task in doc["tasks"]:
-        args = dict(task)
-        op = args.pop("op")
-        task_model = model
-        if args.get("model") is not None:
-            task_model = build_model_from_spec(args["model"], exact=exact)
-        if OPS[op].model == "required" and task_model is None:
-            raise ScenarioError(f"op {op!r} requires a model")
-        records.append(execute_task(op, args, task_model, cfg, exact))
+    for task, args in zip(doc["tasks"], scenario["tasks"]):
+        model = args.get("model", scenario.get("model"))
+        task_cfg = cfg if "seed" not in args else replace(cfg, seed=args["seed"])
+        records.append(execute_task(task, args, model, task_cfg, scenario["exact"]))
     report = {
         "toolkit": {"name": "twistorcheck", "version": __version__},
-        "mode": "exact" if exact else "float",
-        "seed": doc.get("seed"),
-        "config": {k: getattr(cfg, k) for k in
-                   ("tol", "rank_rtol", "newton_tol", "max_iter",
-                    "dedup_radius", "multistart", "fiber_tol",
-                    "scan_samples", "branch_checks", "continuation_step",
-                    "cluster_radius")},
+        "mode": "exact" if scenario["exact"] else "float",
+        "seed": scenario.get("seed"),
+        "config": {k: v for k, v in vars(cfg).items() if k != "seed"},
         "scenario": doc,
         "tasks": records,
-        "summary": {
-            "pass": sum(1 for r in records if r["status"] == "pass"),
-            "fail": sum(1 for r in records if r["status"] == "fail"),
-            "info": sum(1 for r in records if r["status"] == "info"),
-        },
+        "summary": {status: sum(r["status"] == status for r in records)
+                    for status in ("pass", "fail", "info")},
     }
     for rec in records:
         marker = {"pass": "PASS", "fail": "FAIL", "info": "info"}[rec["status"]]
         brief = ", ".join(f"{k}={v}" for k, v in rec["numbers"].items())
         print(f"[{marker}] {rec['op']}: {brief}")
-    target = out_path or doc.get("out")
+    target = out_path or scenario.get("out")
     if target:
         write_report(report, target)
         print(f"report written to {target}")
@@ -495,24 +489,22 @@ def build_parser() -> argparse.ArgumentParser:
     for name, op in OPS.items():
         p = sub.add_parser(name)
         _add_common(p, model=op.model is not None)
-        for flag, kw in op.flags:
-            p.add_argument(flag, **kw)
+        for key, arg in op.args.items():
+            if arg.flag:  # --expect-count n sets expect to {"count": n}
+                p.add_argument(arg.flag, dest=key, required=arg.required is True,
+                               type=int if arg.kind in ("count", "int")
+                               or key == "expect" else None)
     return parser
 
 
 def _standalone_doc(ns) -> dict:
     """The one-task scenario a standalone subcommand stands for."""
     task = {"op": ns.command}
-    for flag, _ in OPS[ns.command].flags:
-        key = flag[2:].replace("-", "_")
-        if getattr(ns, key) is not None:
-            task[key] = getattr(ns, key)
-    if "expect_count" in task:
-        task["expect"] = {"count": task.pop("expect_count")}
-    for key in ("equations", "rules"):
-        if key + "_json" in task:
-            task[key] = json.loads(task.pop(key + "_json"))
-    task["seed"] = ns.seed
+    for key, arg in OPS[ns.command].args.items():
+        value = getattr(ns, key) if arg.flag else None
+        if value is not None:
+            task[key] = ({"count": value} if key == "expect" else json.loads(value)
+                         if arg.flag.endswith("-json") else value)
     doc = {"seed": ns.seed, "exact": ns.exact, "tolerances": {"tol": ns.tol},
            "tasks": [task]}
     if hasattr(ns, "model"):

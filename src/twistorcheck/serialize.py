@@ -18,6 +18,7 @@ from .errors import ModelError, ScenarioError
 from .models import FiberEquation, TwistorModel
 from .mpoly import MPoly
 from .projline import CoeffPoly, SigmaCoordRule, reality_fixed_space
+from .quotients import FiniteQuaternionGroup
 from .scalars import (GaussianRational, make_complex, parse_exact_scalar,
                       real_of)
 
@@ -150,31 +151,32 @@ def load_model_file(path: str) -> TwistorModel:
         return model_from_dict(json.load(fh))
 
 
+def load_group_file(path: str) -> FiniteQuaternionGroup:
+    """A group file: unit 'quaternions' or a multiplication 'table'."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if "table" in doc:
+        return FiniteQuaternionGroup.from_table(
+            doc["table"], int(doc.get("identity", 0)), name=doc.get("name", "group"))
+    if "quaternions" in doc:
+        return FiniteQuaternionGroup.from_quaternions(
+            doc["quaternions"], name=doc.get("name", "group"))
+    raise ScenarioError("group file needs a 'quaternions' or 'table' entry")
+
+
 def save_model_file(model: TwistorModel, path: str):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(model_to_dict(model), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def validate_scenario(doc: dict) -> dict:
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario must be a JSON object")
-    tasks = doc.get("tasks")
-    if not isinstance(tasks, list) or not tasks:
-        raise ScenarioError("scenario needs a non-empty 'tasks' list")
-    for t in tasks:
-        if not isinstance(t, dict) or "op" not in t:
-            raise ScenarioError("each task needs an 'op' field")
-    return doc
-
-
-def load_scenario(path: str) -> dict:
+def load_scenario(path: str):
+    """The JSON document of a scenario file; cli checks it against its schema."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
-    return validate_scenario(doc)
 
 
 def dump_report(report: dict) -> str:

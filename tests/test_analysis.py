@@ -270,6 +270,36 @@ def test_cone_fiber_is_scale_covariant(quadric, a, b, zeta, exponent):
                    for other in scaled.solutions) <= tol
 
 
+def _same_solutions(res, other, planted):
+    tol = 1e-8 * (1.0 + np.linalg.norm(planted))
+    return len(res.solutions) == len(other.solutions) and all(
+        min(np.linalg.norm(s - t) for t in other.solutions) <= tol
+        for s in res.solutions)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(["quadric", "deformed"]), seed=st.integers(0, 2 ** 32),
+       exponent=st.floats(-6.0, 6.0), turn=st.floats(0.0, 1.0))
+def test_fiber_is_chart_and_antipodal_covariant(quadric, deformed, name, seed,
+                                                 exponent, turn):
+    from twistorcheck.analysis import _sigma_image_values
+    model = {"quadric": quadric, "deformed": deformed}[name]
+    planted = sample_sections(model, 1, np.random.default_rng(seed), CFG)[0]
+    zeta = 10.0 ** exponent * np.exp(2j * np.pi * turn)
+    # values from the embedded polynomials in the standard chart, as given
+    polys = model.section_basis.embed(list(planted))
+    values = tuple(s.eval_point(P1Point.std(zeta)) for s in polys)
+    chart_image = tuple(v / zeta ** k for v, k in zip(values, model.degrees))
+    std = solve_fiber(model, P1Point.std(zeta), values, CFG)
+    inf = solve_fiber(model, P1Point.inf(1 / zeta), chart_image, CFG)
+    sigma = solve_fiber(model, P1Point.std(zeta).antipodal(),
+                        _sigma_image_values(model, values, "std"), CFG)
+    assert min(np.linalg.norm(s - planted) for s in std.solutions) \
+        <= 1e-9 * np.linalg.norm(planted)
+    assert _same_solutions(std, inf, planted) and _same_solutions(inf, std, planted)
+    assert _same_solutions(std, sigma, planted) and _same_solutions(sigma, std, planted)
+
+
 def test_smooth_fiber_unique(smooth, rng):
     for _ in range(10):
         z = complex(rng.standard_normal(), rng.standard_normal())

@@ -7,7 +7,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from twistorcheck import cli
 from twistorcheck.cli import OPS, main, run_scenario
 from twistorcheck.serialize import dump_report, load_scenario
 
@@ -93,6 +96,27 @@ MALFORMED_TASKS = [
     pytest.param({"op": "cone-glue",
                   "equations": [[{"exponents": 5, "coeff": 1}]]}, "'exponents'",
                  id="exponents-scalar"),
+    pytest.param({"op": "quotient-census", "group_file": 1}, "'group_file'",
+                 id="group-file-int"),
+    pytest.param({"op": "cone-glue", "l": [1]}, "'l'", id="l-list"),
+    pytest.param({"op": "singular-scan", "seed": 0, "samples": 2.7}, "'samples'",
+                 id="samples-float"),
+    pytest.param({"op": "singular-scan", "seed": 0, "samples": -5}, "'samples'",
+                 id="samples-negative"),
+    pytest.param({"op": "singular-scan", "seed": 0, "samples": None}, "'samples'",
+                 id="samples-null"),
+    pytest.param({"op": "singular-scan", "seed": 0, "include_origin": "false"},
+                 "'include_origin'", id="include-origin-string"),
+    pytest.param({"op": "matrix-model", "oracle_q": "nan,1,1,1"}, "'oracle_q'",
+                 id="oracle-q-nan"),
+    pytest.param({"op": "solve-fiber", "point": "1,1,1", "zeta": "nan"}, "'zeta'",
+                 id="zeta-nan"),
+    pytest.param({"op": "singular-scan", "seed": 0, "sample": 10}, "'sample'",
+                 id="unknown-key"),
+    pytest.param({"op": "validate", "model": {"builtin": "deformed", "lambda": 5}},
+                 "'lambda'", id="task-model-lambda-int"),
+    pytest.param({"op": "cone-glue", "compare": {"builtin": "quadric", "exact": [1]}},
+                 "'exact'", id="compare-exact-list"),
 ]
 
 
@@ -121,6 +145,15 @@ def test_malformed_task_arguments_exit_2(task, message, tmp_path, capsys):
     pytest.param({"tolerances": {"dedup_radius": 10 ** 400}}, "'dedup_radius'",
                  id="dedup_radius-huge"),
     pytest.param({"tolerances": {"max_iter": 5}}, "'max_iter'", id="max_iter"),
+    pytest.param({"seed": None}, "'seed'", id="seed-null"),
+    pytest.param({"out": 5}, "'out'", id="out-int"),
+    pytest.param({"colour": 1}, "'colour'", id="unknown-key"),
+    pytest.param({"model": {"builtin": "quadric", "exact": "no"}}, "'exact'",
+                 id="model-exact-string"),
+    pytest.param({"model": {"builtin": "deformed", "lambda": 5}}, "'lambda'",
+                 id="model-lambda-int"),
+    pytest.param({"model": {"builtin": "quadric", "colour": 1}}, "'colour'",
+                 id="model-unknown-key"),
 ])
 def test_malformed_scenario_fields_exit_2(fields, message, tmp_path, capsys):
     scen = tmp_path / "s.json"
@@ -313,3 +346,90 @@ def test_exact_sections_decode_exactly(tmp_path, capsys):
     capsys.readouterr()
     evidence = json.loads(out.read_text())["tasks"][0]["evidence"]
     assert evidence["b"][0] == ["3/16", "0", "0", "0"]
+
+
+def test_planted_point_in_the_std_chart_far_from_zero(capsys):
+    # a section of the quadric evaluated at zeta = 20 in the standard chart
+    point = "12.749999999999996+35j,308.05-414.12j,-137.2-20.050000000000008j"
+    assert main(["solve-fiber", "--model", "quadric", "--zeta", "20",
+                 "--point", point, "--expect-count", "2"]) == 0
+    assert "count=2" in capsys.readouterr().out
+
+
+# a fuzzed fixture task replaces one value by one of these, or drops the key
+MUTATIONS = [5, [1], "x", {}, None]
+FIXTURE_TASKS = [(doc, i) for doc in (json.loads((FIXTURES / name).read_text())
+                                      for name in ALL_FIXTURES)
+                 for i in range(len(doc["tasks"]))]
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_fixture_tasks_honour_exit_contract(data, tmp_path, capsys):
+    doc, index = data.draw(st.sampled_from(FIXTURE_TASKS))
+    task = dict(doc["tasks"][index])
+    key = data.draw(st.sampled_from(sorted(task)))
+    mutation = data.draw(st.integers(0, len(MUTATIONS)))
+    if mutation == len(MUTATIONS):
+        del task[key]
+    else:
+        task[key] = MUTATIONS[mutation]
+    scenario = {k: v for k, v in doc.items() if k not in ("tasks", "out")}
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps({**scenario, "tasks": [task]}))
+    code = run_scenario(str(path))
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert (code == 1) == ("[FAIL]" in captured.out), captured.out + captured.err
+
+
+def _schema_rows(schema):
+    """README table rows of a schema: key, type, default, required, flag."""
+    rows = []
+    for key, arg in schema.items():
+        group = [f"`{k}`" for k, a in schema.items() if a.required == arg.required]
+        required = ("yes" if arg.required is True else
+                    "one of " + ", ".join(group) if arg.required else "no")
+        default = "—" if arg.default is None else f"`{json.dumps(arg.default)}`"
+        flag = f"`{arg.flag}`" if arg.flag else "—"
+        rows.append(f"| `{key}` | {arg.kind} | {default} | {required} | {flag} |")
+    return rows
+
+
+def _readme_tables():
+    """The rows of each '#### `name`' table in the README."""
+    tables, name = {}, None
+    for line in (REPO / "README.md").read_text().splitlines():
+        if line.startswith("#### `"):
+            name = line[6:-1]
+            tables[name] = []
+        elif name and line.startswith("| `"):
+            tables[name].append(line)
+    return tables
+
+
+def test_readme_tables_match_the_schema():
+    schemas = {"scenario": cli.SCENARIO, "tolerances": cli.TOLERANCE_ARGS,
+               "every task": cli.COMMON, "model object": cli.MODEL,
+               "zeta object": cli.ZETA, "monomial": cli.MONOMIAL, "rule": cli.RULE}
+    schemas.update({name: op.args for name, op in OPS.items() if op.args})
+    tables = _readme_tables()
+    assert tables.keys() == schemas.keys()
+    for name, schema in schemas.items():
+        assert tables[name] == _schema_rows(schema), name
+        for arg in schema.values():
+            assert arg.kind in cli.KINDS
+    readme = (REPO / "README.md").read_text()
+    assert all(f"`{kind}`: " in readme for kind in cli.KINDS)
+
+
+def test_every_subcommand_flag_sets_a_key_of_its_op():
+    common = {"-h", "--help", "--model", "--lam", "--reality", "--exact", "--tol",
+              "--seed", "--out"}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if a.dest == "command").choices
+    for name, op in OPS.items():
+        flags = {flag: action.dest for action in subparsers[name]._actions
+                 for flag in action.option_strings if flag not in common}
+        assert flags == {arg.flag: key for key, arg in op.args.items() if arg.flag}
