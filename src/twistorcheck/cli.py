@@ -18,6 +18,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from typing import Callable, NamedTuple
@@ -455,6 +456,8 @@ def run_scenario(path: str, out_path=None) -> int:
     """Execute a scenario file; exit code 0/1/2 per the contract."""
     try:
         report = run_scenario_doc(load_scenario(path), out_path)
+    except BrokenPipeError:  # a closed stdout is handled by main
+        raise
     except (TwistorCheckError, OSError, ValueError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
@@ -517,10 +520,25 @@ def _standalone_doc(ns) -> dict:
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
-    if ns.command == "run":
-        return run_scenario(ns.scenario, ns.out)
+    try:
+        if ns.command == "run":
+            code = run_scenario(ns.scenario, ns.out)
+        else:
+            code = _run_standalone(ns)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed early: point it at devnull so that the
+        # interpreter's final flush is silent, and exit 2
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
+
+
+def _run_standalone(ns) -> int:
     try:
         report = run_scenario_doc(_standalone_doc(ns), ns.out)
+    except BrokenPipeError:
+        raise
     except (TwistorCheckError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,52 +1,63 @@
 """Rank of small matrices: exact elimination and the numerical cutoff.
 
 Exact matrices are lists of row lists over int, Fraction or
-GaussianRational entries; only small systems appear in this toolkit, so
-plain Gaussian elimination with first-nonzero pivoting is enough.  Float
-matrices go through their singular values and one relative cutoff.
+GaussianRational entries.  Their rank comes from one fraction-free
+(Bareiss) elimination over Python ints.  Float matrices go through their
+singular values and one relative cutoff.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 import numpy as np
 
-
-def _rref(mat):
-    """Row-reduce a copy of ``mat``; returns (rows, pivot column list)."""
-    rows = [list(r) for r in mat]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+from .scalars import GaussianRational, imag_of, real_of
 
 
 def exact_rank(mat) -> int:
-    if not mat or not mat[0]:
-        return 0
-    _, pivots = _rref(mat)
-    return len(pivots)
+    """Rank over the Gaussian rationals.
+
+    A matrix A + iB with B != 0 has half the rank of the real block matrix
+    [[A, -B], [B, A]]; a rational row keeps its rank when it is scaled by
+    the lcm of its denominators, which leaves integer rows.
+    """
+    re = [[real_of(v) for v in row] for row in mat]
+    if not any(isinstance(v, GaussianRational) and v.im for row in mat for v in row):
+        return _integer_rank([common_denominator(row)[0] for row in re])
+    im = [[imag_of(v) for v in row] for row in mat]
+    block = ([a + [-v for v in b] for a, b in zip(re, im)]
+             + [b + a for a, b in zip(re, im)])
+    return _integer_rank([common_denominator(row)[0] for row in block]) // 2
+
+
+def common_denominator(values):
+    """Integers n and the lcm d of the denominators, with values = n / d."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _integer_rank(rows) -> int:
+    """Bareiss elimination: after k pivots every entry is a (k+1)-minor, so
+    the division by the previous pivot is exact."""
+    rank, prev = 0, 1
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        p = top[c]
+        for i in range(rank + 1, len(rows)):
+            row = rows[i]
+            f = row[c]
+            rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        prev = p
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
 
 
 def numerical_rank(svals, rtol: float) -> int:

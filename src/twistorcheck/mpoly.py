@@ -55,8 +55,15 @@ class MPoly:
             other = MPoly.const(self.nvars, other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return MPoly(self.nvars, out)
+            if e in out:
+                s = out[e] + c
+                if s != 0:
+                    out[e] = s
+                else:
+                    del out[e]
+            else:
+                out[e] = c
+        return _mpoly(self.nvars, out)
 
     __radd__ = __add__
 
@@ -64,29 +71,27 @@ class MPoly:
         return self + (-other if isinstance(other, MPoly) else MPoly.const(self.nvars, -other))
 
     def __neg__(self):
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _mpoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, MPoly):
-            return MPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
+            return _mpoly(self.nvars, _nonzero(
+                {e: c * other for e, c in self.terms.items()}))
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return MPoly(self.nvars, out)
+                t = c1 * c2
+                out[e] = out[e] + t if e in out else t
+        return _mpoly(self.nvars, _nonzero(out))
 
     def __rmul__(self, other):
         return self * other
 
     def diff(self, i: int) -> "MPoly":
-        out = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                out[tuple(e2)] = out.get(tuple(e2), 0) + c * e[i]
-        return MPoly(self.nvars, out)
+        # distinct exponents stay distinct and c * e[i] != 0: nothing to add or drop
+        return _mpoly(self.nvars, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                                   for e, c in self.terms.items() if e[i]})
 
     def evaluate(self, vals):
         acc = 0
@@ -145,3 +150,15 @@ class MPoly:
             c = self.terms[e]
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return "MPoly(" + " + ".join(bits) + ")"
+
+
+def _nonzero(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if c != 0}
+
+
+def _mpoly(nvars: int, terms: dict) -> MPoly:
+    """MPoly over ``terms`` as given: tuple exponents, no zero coefficient."""
+    poly = object.__new__(MPoly)
+    poly.nvars = nvars
+    poly.terms = terms
+    return poly

@@ -17,7 +17,12 @@ from fractions import Fraction
 
 
 class GaussianRational:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
+
+    Both parts are always ``Fraction`` instances.  The public constructor
+    normalises its arguments; arithmetic builds its results with
+    :func:`_gr`, which trusts parts that are already ``Fraction``.
+    """
 
     __slots__ = ("re", "im")
 
@@ -35,15 +40,17 @@ class GaussianRational:
     def _coerce(self, other):
         if isinstance(other, GaussianRational):
             return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
+        if isinstance(other, Fraction):
+            return _gr(other, _ZERO)
+        if isinstance(other, int):
+            return _gr(Fraction(other), _ZERO)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return _gr(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
@@ -51,20 +58,25 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return _gr(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return _gr(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):  # a real factor scales both parts
+            return _gr(self.re * other, self.im * other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
+        if not o.im:
+            return _gr(self.re * o.re, self.im * o.re)
+        if not self.im:
+            return _gr(self.re * o.re, self.re * o.im)
+        return _gr(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
@@ -75,8 +87,8 @@ class GaussianRational:
         n = o.re * o.re + o.im * o.im
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational((self.re * o.re + self.im * o.im) / n,
-                                (self.im * o.re - self.re * o.im) / n)
+        return _gr((self.re * o.re + self.im * o.im) / n,
+                   (self.im * o.re - self.re * o.im) / n)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -85,24 +97,32 @@ class GaussianRational:
         return o / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self.re, -self.im)
 
     def __pos__(self):
         return self
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _gr(self.re, -self.im)
 
     def norm_sq(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
     def __eq__(self, other):
+        if isinstance(other, int):
+            return not self.im and self.re == other
         o = self._coerce(other)
         if o is None:
             if isinstance(other, complex):
                 return complex(self) == other
             return NotImplemented
         return self.re == o.re and self.im == o.im
+
+    def __ne__(self, other):
+        if isinstance(other, int):
+            return bool(self.im) or self.re != other
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
         if self.im == 0:
@@ -119,6 +139,17 @@ class GaussianRational:
         if self.im == 0:
             return f"GR({self.re})"
         return f"GR({self.re}, {self.im})"
+
+
+_ZERO = Fraction(0)
+
+
+def _gr(re: Fraction, im: Fraction) -> GaussianRational:
+    """GaussianRational from parts that are already ``Fraction``; no checks."""
+    z = object.__new__(GaussianRational)
+    z.re = re
+    z.im = im
+    return z
 
 
 def is_exact(x) -> bool:

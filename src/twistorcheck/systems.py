@@ -8,17 +8,18 @@ scalar from the middle when d is even) are emitted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, ModelError
-from .exactla import exact_rank, numerical_rank
+from .exactla import common_denominator, exact_rank, numerical_rank
 from .mpoly import MPoly
 from .models import TwistorModel, _coeff_form
-from .scalars import certifies
+from .scalars import GaussianRational, certifies, real_of
 
 
 @dataclass
@@ -33,9 +34,10 @@ class MembershipReport:
 class RealEquationSystem:
     """List of real polynomial equations with an analytic Jacobian.
 
-    Exact inputs to an exact system are evaluated on the ``MPoly`` equations,
-    which certify facts.  Every other input is evaluated in floats on a
-    compiled form built on first use: a point or a stacked ``(S, n)`` array
+    Residuals and Jacobian entries are evaluated on one compiled form, built
+    on first use, for both scalar kinds.  Exact inputs to an exact system,
+    which certify facts, are evaluated in integers over common denominators;
+    every other input in floats, where a point or a stacked ``(S, n)`` array
     of points goes through one power table and two matrix products.
     """
 
@@ -45,15 +47,13 @@ class RealEquationSystem:
         self.labels = list(labels)
         self.expected_regular_rank = expected_regular_rank
         self.exact = exact
-        self._compiled = None
 
     def __len__(self):
         return len(self.equations)
 
     @cached_property
-    def jacobian(self):
-        """Exact partial derivatives, one row of ``MPoly`` per equation."""
-        return [[eq.diff(i) for i in range(self.nvars)] for eq in self.equations]
+    def _compiled(self) -> "_Compiled":
+        return _Compiled(self.equations, self.nvars)
 
     def _certifies(self, p) -> bool:
         """Whether p takes the exact path; numeric arrays never do."""
@@ -66,8 +66,6 @@ class RealEquationSystem:
 
     def _monomials(self, x: np.ndarray) -> np.ndarray:
         """Values of the compiled monomials at each row of ``x``."""
-        if self._compiled is None:
-            self._compiled = _compile(self.equations, self.nvars)
         exps = self._compiled.exps
         table = np.empty(x.shape + (int(exps.max(initial=0)) + 1,))
         table[..., 0] = 1.0
@@ -75,11 +73,25 @@ class RealEquationSystem:
             table[..., k] = table[..., k - 1] * x
         return table[..., np.arange(self.nvars), exps].prod(axis=-1)
 
+    def _exact_values(self, p, jacobian: bool) -> list:
+        """Exact residuals, or Jacobian entries row major, at the exact point p."""
+        if any(isinstance(v, GaussianRational) and v.im for v in p):
+            raise ModelError("section parameters are real")
+        num, den = common_denominator([real_of(v) for v in p])
+        comp = self._compiled
+        scale, columns = comp.integer_jac if jacobian else comp.integer_res
+        # every monomial is brought to the top degree, so one denominator serves all
+        powers = [den ** k for k in range(comp.degree + 1)]
+        mono = [math.prod([num[i] for i in f]) * powers[comp.degree - len(f)]
+                for f in comp.factors]
+        total = scale * powers[-1]
+        return [Fraction(sum([c * mono[m] for m, c in col]), total) for col in columns]
+
     def residuals(self, p):
         """Residuals at p: exact values when certified, else a float array
         (one row per point of a stacked input)."""
         if self._certifies(p):
-            return [eq.evaluate(p) for eq in self.equations]
+            return self._exact_values(p, False)
         x = self._float_points(p)
         # einsum sums each row in a fixed order, so rows never interact
         return np.einsum("...m,me->...e", self._monomials(x), self._compiled.res)
@@ -88,7 +100,8 @@ class RealEquationSystem:
         """Jacobian at p: exact rows when certified, else a float array of
         shape (len, nvars), or (S, len, nvars) for a stacked input."""
         if self._certifies(p):
-            return [[entry.evaluate(p) for entry in row] for row in self.jacobian]
+            flat = self._exact_values(p, True)
+            return [flat[k:k + self.nvars] for k in range(0, len(flat), self.nvars)]
         x = self._float_points(p)
         flat = np.einsum("...m,me->...e", self._monomials(x), self._compiled.jac)
         return flat.reshape(x.shape[:-1] + (len(self), self.nvars))
@@ -133,35 +146,65 @@ class RealEquationSystem:
         return exact_rank(jac)
 
 
-class _Compiled(NamedTuple):
-    """Float form of a system over the union of its monomials."""
+class _Compiled:
+    """A system over the union of its residual and Jacobian monomials.
 
-    exps: np.ndarray  # (M, nvars) exponents of residual and Jacobian monomials
-    res: np.ndarray   # (M, len): residuals = monomials @ res
-    jac: np.ndarray   # (M, len * nvars): Jacobian entries, row major
+    Each residual, and each Jacobian entry row major, is a column of
+    (monomial, exact coefficient) pairs; the Jacobian coefficient of a
+    monomial c*x^e along x_i is c*e_i at the exponent e - 1_i.  The float
+    matrices and the integer columns are derived from these coefficients.
+    """
+
+    def __init__(self, equations, nvars):
+        index = {}
+        self.res_terms = [[] for _ in equations]
+        self.jac_terms = [[] for _ in range(len(equations) * nvars)]
+        for k, eq in enumerate(equations):
+            for e, c in eq.terms.items():
+                self.res_terms[k].append((index.setdefault(e, len(index)), c))
+                for i, p in enumerate(e):
+                    if p:
+                        d = e[:i] + (p - 1,) + e[i + 1:]
+                        self.jac_terms[k * nvars + i].append(
+                            (index.setdefault(d, len(index)), c * p))
+        # (M, nvars) exponents, and per monomial its variables with repeats
+        self.exps = np.array(list(index), dtype=np.intp).reshape(len(index), nvars)
+        self.factors = [[i for i, p in enumerate(e) for _ in range(p)] for e in index]
+        self.degree = max(map(len, self.factors), default=0)
+
+    @cached_property
+    def res(self) -> np.ndarray:
+        """(M, len) float coefficients: residuals = monomials @ res."""
+        return self._float_matrix(self.res_terms)
+
+    @cached_property
+    def jac(self) -> np.ndarray:
+        """(M, len * nvars) float coefficients of the Jacobian, row major."""
+        return self._float_matrix(self.jac_terms)
+
+    @cached_property
+    def integer_res(self):
+        """The residual coefficients as integers over one common denominator."""
+        return _integer_columns(self.res_terms)
+
+    @cached_property
+    def integer_jac(self):
+        """The Jacobian coefficients as integers over one common denominator."""
+        return _integer_columns(self.jac_terms)
+
+    def _float_matrix(self, columns) -> np.ndarray:
+        mat = np.zeros((len(self.exps), len(columns)))
+        for col, terms in enumerate(columns):
+            for m, c in terms:
+                mat[m, col] = float(c)
+        return mat
 
 
-def _compile(equations, nvars) -> _Compiled:
-    """Exponent and coefficient matrices; the Jacobian coefficient of a
-    monomial c*x^e along x_i is c*e_i at the exponent e - 1_i."""
-    index = {}
-    res, jac = [], []
-    for k, eq in enumerate(equations):
-        for e, c in eq.terms.items():
-            res.append((index.setdefault(e, len(index)), k, float(c)))
-            for i, p in enumerate(e):
-                if p:
-                    d = e[:i] + (p - 1,) + e[i + 1:]
-                    jac.append((index.setdefault(d, len(index)), k * nvars + i,
-                                float(c * p)))
-    exps = np.array(list(index), dtype=np.intp).reshape(len(index), nvars)
-    mats = []
-    for entries, width in ((res, len(equations)), (jac, len(equations) * nvars)):
-        mat = np.zeros((len(index), width))
-        for m, col, c in entries:
-            mat[m, col] = c
-        mats.append(mat)
-    return _Compiled(exps, *mats)
+def _integer_columns(columns):
+    """(d, columns of (monomial, integer)) with coefficient = integer / d."""
+    flat, den = common_denominator([c for col in columns for _, c in col])
+    it = iter(flat)
+    return den, [[(m, next(it)) for m, _ in col] for col in columns]
 
 
 def _zp_mul(a, b, nvars):

@@ -224,6 +224,26 @@ def test_console_entry_point():
     assert "component_count=1" in proc.stdout
 
 
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_exits_2_without_a_traceback(unbuffered):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:  # the first print meets the closed pipe, else the final flush
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "twistorcheck.cli",
+                               "solve-fiber", "--model", "quadric", "--point", "1,1,1"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "Broken pipe" not in proc.stderr
+
+
 def test_scenario_loader_validates():
     doc = load_scenario(str(FIXTURES / "quadric-full.json"))
     assert doc["tasks"][0]["op"] == "validate"

@@ -1,5 +1,6 @@
 """Induced real systems: equation counts, membership, Jacobians."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistorcheck import DimensionError, build_deformed, quadric_params
+from twistorcheck import (DimensionError, ModelError, SigmaCoordRule,
+                          build_deformed, build_quadric, build_smooth_o11,
+                          glue_cone_twistor, quadric_params)
+from twistorcheck.scalars import GaussianRational as GR
 from twistorcheck.systems import real_section_system
 
 from conftest import fd_jacobian
@@ -113,6 +117,7 @@ def test_exact_jacobian_rank(quadric_exact):
 def test_compiled_form_matches_mpoly(name, request):
     # reference: the MPoly equations and their per-entry MPoly.diff Jacobian
     system = real_section_system(request.getfixturevalue(name).float_view())
+    jacobian = _mpoly_jacobian(system)
     points = np.random.default_rng(20240811).standard_normal((50, system.nvars))
     res = system.residuals(points)
     jac = system.jacobian_at(points)
@@ -121,7 +126,7 @@ def test_compiled_form_matches_mpoly(name, request):
     for p, r, j in zip(points, res, jac):
         vals = p.tolist()
         ref_r = np.array([eq.evaluate(vals) for eq in system.equations], dtype=float)
-        ref_j = np.array([[e.evaluate(vals) for e in row] for row in system.jacobian],
+        ref_j = np.array([[e.evaluate(vals) for e in row] for row in jacobian],
                          dtype=float).reshape(j.shape)
         assert np.abs(r - ref_r).max(initial=0.0) \
             <= 1e-13 * max(1.0, np.abs(ref_r).max(initial=0.0))
@@ -130,6 +135,43 @@ def test_compiled_form_matches_mpoly(name, request):
         # a single point gives the row of the stacked evaluation, bit for bit
         assert np.array_equal(system.residuals(p), r)
         assert np.array_equal(system.jacobian_at(p), j)
+
+
+def _mpoly_jacobian(system):
+    return [[eq.diff(i) for i in range(system.nvars)] for eq in system.equations]
+
+
+def _exact_a2_cone():
+    rules = (SigmaCoordRule(1, -1, 3), SigmaCoordRule(0, 1, 3),
+             SigmaCoordRule(2, -1, 2))
+    return glue_cone_twistor([[((1, 1, 0), 1), ((0, 0, 3), -1)]],
+                             (3, 3, 2), 1, rules, exact=True)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_quadric(exact=True),
+    lambda: build_deformed([GR(0, 1), GR(0), GR(0, -1)], "antireal", exact=True),
+    lambda: build_smooth_o11(exact=True),
+    _exact_a2_cone,
+], ids=["quadric", "deformed", "smooth-o11", "a2_cone"])
+def test_exact_compiled_form_equals_mpoly(build):
+    system = real_section_system(build())
+    jacobian = _mpoly_jacobian(system)
+    rng = random.Random(20240811)
+    for _ in range(20):
+        p = [Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+             for _ in range(system.nvars)]
+        assert system.residuals(p) == [eq.evaluate(p) for eq in system.equations]
+        assert system.jacobian_at(p) == [[e.evaluate(p) for e in row]
+                                         for row in jacobian]
+
+
+def test_exact_parameters_must_be_real(quadric_exact):
+    system = real_section_system(quadric_exact)
+    with pytest.raises(ModelError):
+        system.residuals([GR(0, 1)] + [Fraction(0)] * 8)
+    assert system.residuals([GR(1)] + [Fraction(0)] * 8) \
+        == system.residuals([Fraction(1)] + [Fraction(0)] * 8)
 
 
 _rational = st.fractions(min_value=-4, max_value=4, max_denominator=30)
