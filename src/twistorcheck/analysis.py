@@ -22,11 +22,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import (DimensionError, FiberError, ModelError, OriginError)
-from .exactla import numerical_rank
+from .exactla import exact_rank, numerical_rank
 from .models import TwistorModel, squaring_section
 from .projline import (CoeffPoly, P1Point, SplittingType, as_p1,
                        kernel_splitting)
-from .scalars import abs2, certifies, conj_of, exact_sqrt, is_exact
+from .scalars import abs2, certifies, exact_sqrt
 from .systems import real_section_system
 
 
@@ -164,7 +164,7 @@ class FiberSolveResult:
 def _pair_partner(cp: CoeffPoly) -> CoeffPoly:
     """Swap-rule partner of a degree-2 coefficient triple (sign +1)."""
     c0, c1, c2 = cp.coeffs
-    return CoeffPoly(2, [conj_of(c2), -conj_of(c1), conj_of(c0)])
+    return CoeffPoly(2, [c2.conjugate(), -c1.conjugate(), c0.conjugate()])
 
 
 def _ztype_coords(cp: CoeffPoly, tol: float = 1e-8):
@@ -943,7 +943,7 @@ def _sigma_image_values(model: TwistorModel, values, from_chart: str):
     """
     out = [None] * len(values)
     for i, rule in enumerate(model.rules):
-        src = conj_of(values[rule.partner])
+        src = values[rule.partner].conjugate()
         factor = rule.sign if from_chart == "std" else rule.sign * ((-1) ** model.degrees[i])
         out[i] = factor * src
     return tuple(out)
@@ -1020,17 +1020,17 @@ def sym_matrix_model(params, label: int, exact: bool = False):
 
 
 def _check_rank_one(a, exact):
-    scale = max(abs(float(a[i][j])) for i in range(4) for j in range(4))
+    if exact:
+        if exact_rank(a) > 1:
+            raise ModelError("recovered products are inconsistent (2x2 minor != 0)")
+        return
+    scale = max(abs(a[i][j]) for i in range(4) for j in range(4))
     for i in range(4):
         for j in range(i + 1, 4):
             for k in range(4):
                 for m in range(k + 1, 4):
                     minor = a[i][k] * a[j][m] - a[i][m] * a[j][k]
-                    if exact:
-                        if minor != 0:
-                            raise ModelError(
-                                "recovered products are inconsistent (2x2 minor != 0)")
-                    elif abs(minor) > _MATRIX_TOL * (1.0 + scale) ** 2:
+                    if abs(minor) > _MATRIX_TOL * (1.0 + scale) ** 2:
                         raise ModelError(
                             "recovered products are inconsistent beyond tolerance")
 
@@ -1050,7 +1050,7 @@ class MatrixOracleReport:
 
 def rank_one_matrix_oracle(q) -> MatrixOracleReport:
     """Independent identities for A = q q^T, t = tr A, B = A - (t/4) Id."""
-    exact = all(is_exact(v) for v in q)
+    exact = certifies(True, q)
     n = 4
     if len(q) != n:
         raise DimensionError("oracle expects a real 4-vector")

@@ -37,6 +37,7 @@ from .models import (build_deformed, build_quadric, build_smooth_o11,
 from .projline import P1Point, SigmaCoordRule
 from .quotients import (builtin_group, closure_equals_quotient,
                         component_count, involution_census)
+from .scalars import certifies
 from .serialize import (decode_scalar, jsonable, load_group_file,
                         load_model_file, load_scenario, model_from_dict,
                         write_report)
@@ -148,7 +149,7 @@ KINDS = {
         for eq in _list(v)]),
     "rules": ("a list of {target, sign, twist} rules", lambda v, x: tuple(
         SigmaCoordRule(*_decode(r, RULE, "a rule", False).values()) for r in _list(v))),
-    "group": ("a builtin group name (Z<n>, BD<4n>, Q8, ...)",
+    "group": ("a builtin group name: Z<n>, BD<4n> or Q8",
               lambda v, x: builtin_group(_given(isinstance(v, str), v))),
     "group-file": ("a JSON file with 'quaternions' or a 'table'",
                    lambda v, x: load_group_file(_given(isinstance(v, str), v))),
@@ -210,10 +211,9 @@ RULE = {"target": Arg("count", required=True), "sign": Arg("int", required=True)
         "twist": Arg("int", required=True)}
 
 
-# Op functions: (decoded task args, model or None, config, exact mode) ->
-# (numbers, evidence).
+# Op functions: (decoded task args, model or None, config) -> (numbers, evidence).
 
-def _op_validate(args, model, cfg, exact):
+def _op_validate(args, model, cfg):
     rep = validate_model(model)
     return ({"passed": rep.passed,
              "dimension": rep.info.get("real_parameter_dimension")},
@@ -221,25 +221,24 @@ def _op_validate(args, model, cfg, exact):
              "equation_signs": rep.equation_signs})
 
 
-def _op_sections(args, model, cfg, exact):
+def _op_sections(args, model, cfg):
     basis = model.section_basis
     return ({"dimension": basis.nparams},
             {"parameters": basis.param_names, "forms": basis.describe()})
 
 
-def _op_solve_fiber(args, model, cfg, exact):
+def _op_solve_fiber(args, model, cfg):
     res = solve_fiber(model, args["zeta"], tuple(args["point"]), cfg)
     numbers = {"count": len(res.solutions), "complete": res.complete,
                "family_dim": res.family.dim if res.family else 0}
     evidence = {"method": res.method,
                 "solutions": [list(map(float, s)) for s in res.solutions]}
     if len(model.degrees) == 3 and model.nparams == 9:
-        evidence["solution_tuples"] = [jsonable(quadric_tuple(s))
-                                       for s in res.solutions]
+        evidence["solution_tuples"] = [quadric_tuple(s) for s in res.solutions]
     return numbers, evidence
 
 
-def _op_singular_scan(args, model, cfg, exact):
+def _op_singular_scan(args, model, cfg):
     rng = np.random.default_rng(cfg.seed)
     points = list(sample_sections(model, args["samples"], rng, cfg))
     if args["include_origin"]:
@@ -261,50 +260,50 @@ def _section(args, model):
     return args["section"]
 
 
-def _op_branch(args, model, cfg, exact):
+def _op_branch(args, model, cfg):
     rep = branch_test(model, _section(args, model), args["zeta"], cfg)
     return {"verdict": rep.verdict, "rank": rep.rank}, {}
 
 
-def _op_normal_bundle(args, model, cfg, exact):
+def _op_normal_bundle(args, model, cfg):
     rep = normal_splitting(model, _section(args, model), cfg)
     numbers = {
         "splitting": list(rep.splitting.degrees) if rep.splitting else None,
         "h0": rep.h0, "h0_minus2": rep.h0_minus2,
         "degenerate": bool(rep.degenerate)}
-    evidence = {"degenerate_rows": jsonable(rep.degenerate),
+    evidence = {"degenerate_rows": rep.degenerate,
                 "regular_point": rep.regular_point}
     return numbers, evidence
 
 
-def _op_classify(args, model, cfg, exact):
+def _op_classify(args, model, cfg):
     cls = classify_hypercomplex(model, cfg)
     numbers = {"verdict": cls.verdict,
                "family_dimension": cls.evidence.get("family_dimension", 0)}
     return numbers, cls.evidence
 
 
-def _op_matrix_model(args, model, cfg, exact):
+def _op_matrix_model(args, model, cfg):
     if "oracle_q" in args:
         rep = rank_one_matrix_oracle(args["oracle_q"])
         numbers = {"t": float(rep.t), "trace_b": float(rep.trace_b),
                    "rank_a": rep.rank_a,
                    "displayed_form_residual": rep.displayed_residual_norm,
                    "product_identity_residual": rep.product_identity_norm}
-        return numbers, {"b": jsonable(rep.b)}
+        return numbers, {"b": rep.b}
     section = _section(args, model)
     label = args.get("label")
     if label is None:
         lab = component_label(section)
         label = 1 if lab == "boundary" else lab
-    b, t = sym_matrix_model(section, label, exact=exact)
+    b, t = sym_matrix_model(section, label, exact=certifies(True, section))
     numbers = {"t": float(t),
                "trace_b": float(np.trace(np.asarray(b, dtype=float))),
                "label": int(label)}
-    return numbers, {"b": jsonable(b)}
+    return numbers, {"b": b}
 
 
-def _op_quotient_census(args, model, cfg, exact):
+def _op_quotient_census(args, model, cfg):
     group = args.get("group_file", args.get("group"))
     census = involution_census(group)
     count, flags = component_count(group)
@@ -317,7 +316,7 @@ def _op_quotient_census(args, model, cfg, exact):
     return numbers, evidence
 
 
-def _op_cone_glue(args, model, cfg, exact):
+def _op_cone_glue(args, model, cfg):
     weights, level, rules = args["weights"], args["l"], args.get("rules")
     if rules is None:
         if len(weights) != 3:
@@ -376,14 +375,14 @@ OPS = {
 }
 
 
-def execute_task(task: dict, args: dict, model, cfg: SolveConfig, exact: bool):
+def execute_task(task: dict, args: dict, model, cfg: SolveConfig):
     """Run one task, given as written and as decoded; returns its record.
 
     A task with an ``expect`` object passes when every expected number
     matches; without one it is ``info``, unless its numbers carry their own
     ``passed`` verdict.
     """
-    numbers, evidence = OPS[args["op"]].run(args, model, cfg, exact)
+    numbers, evidence = OPS[args["op"]].run(args, model, cfg)
     expect = args.get("expect")
     if expect:
         matched = all(jsonable(numbers.get(k)) == jsonable(v)
@@ -430,7 +429,7 @@ def run_scenario_doc(doc: dict, out_path=None) -> dict:
     for task, args in zip(doc["tasks"], scenario["tasks"]):
         model = args.get("model", scenario.get("model"))
         task_cfg = cfg if "seed" not in args else replace(cfg, seed=args["seed"])
-        records.append(execute_task(task, args, model, task_cfg, scenario["exact"]))
+        records.append(execute_task(task, args, model, task_cfg))
     report = {
         "toolkit": {"name": "twistorcheck", "version": __version__},
         "mode": "exact" if scenario["exact"] else "float",

@@ -12,8 +12,6 @@ import math
 
 import numpy as np
 
-from .scalars import GaussianRational, imag_of, real_of
-
 
 def exact_rank(mat) -> int:
     """Rank over the Gaussian rationals.
@@ -22,10 +20,10 @@ def exact_rank(mat) -> int:
     [[A, -B], [B, A]]; a rational row keeps its rank when it is scaled by
     the lcm of its denominators, which leaves integer rows.
     """
-    re = [[real_of(v) for v in row] for row in mat]
-    if not any(isinstance(v, GaussianRational) and v.im for row in mat for v in row):
+    re = [[v.real for v in row] for row in mat]
+    if not any(v.imag for row in mat for v in row):
         return _integer_rank([common_denominator(row)[0] for row in re])
-    im = [[imag_of(v) for v in row] for row in mat]
+    im = [[v.imag for v in row] for row in mat]
     block = ([a + [-v for v in b] for a, b in zip(re, im)]
              + [b + a for a, b in zip(re, im)])
     return _integer_rank([common_denominator(row)[0] for row in block]) // 2

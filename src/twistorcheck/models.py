@@ -19,8 +19,7 @@ from .exactla import numerical_rank
 from .mpoly import MPoly
 from .projline import (CoeffPoly, P1Point, SectionBasis, SigmaCoordRule,
                        check_rule_parity, reality_fixed_space, tau_pullback)
-from .scalars import (GaussianRational, abs2, conj_of, imag_of, make_complex,
-                      real_of)
+from .scalars import GaussianRational, abs2, is_exact, make_complex
 
 
 @dataclass(frozen=True)
@@ -285,6 +284,8 @@ def glue_cone_twistor(equations, weights, l: int, rules,
             elif d != wdeg:
                 raise WeightError(
                     f"equation is not weighted-homogeneous: degrees {wdeg} and {d}")
+            if exact and not is_exact(coeff):
+                raise ModelError(f"an exact model needs exact coefficients, got {coeff!r}")
             monos.append((exps, CoeffPoly.const(0, coeff)))
         if wdeg is None:
             raise WeightError("empty equation")
@@ -307,9 +308,9 @@ def squaring_section(a, b, variant: str = "minus", exact: bool = False):
         raise ModelError(f"unknown squaring variant {variant!r}")
     convert = GaussianRational if exact else complex
     a, b = convert(a), convert(b)
-    ab_bar = a * conj_of(b)
+    ab_bar = a * b.conjugate()
     x0 = a * a
-    x2 = conj_of(b) * conj_of(b)
+    x2 = b.conjugate() * b.conjugate()
     z0 = a * b
     if variant == "minus":
         x1 = -2 * ab_bar
@@ -322,8 +323,8 @@ def squaring_section(a, b, variant: str = "minus", exact: bool = False):
 
 def quadric_params(x0, x1, x2, z0, r, exact: bool = False):
     """Parameter vector from the coefficient tuple (x0, x1, x2, z0, r)."""
-    vals = [real_of(x0), imag_of(x0), real_of(x1), imag_of(x1),
-            real_of(x2), imag_of(x2), real_of(z0), imag_of(z0), real_of(r)]
+    vals = [x0.real, x0.imag, x1.real, x1.imag, x2.real, x2.imag,
+            z0.real, z0.imag, r.real]
     if exact:
         return vals
     return np.array([float(v) for v in vals])

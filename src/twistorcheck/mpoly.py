@@ -7,7 +7,7 @@ operations, so one class serves both backends.
 
 from __future__ import annotations
 
-from .scalars import imag_of, is_exact, real_of
+from .scalars import negligible
 
 
 class MPoly:
@@ -110,26 +110,19 @@ class MPoly:
 
     def split_real_imag(self):
         """(real part, imaginary part) of a complex-coefficient polynomial."""
-        re = {e: real_of(c) for e, c in self.terms.items()}
-        im = {e: imag_of(c) for e, c in self.terms.items()}
+        re = {e: c.real for e, c in self.terms.items()}
+        im = {e: c.imag for e, c in self.terms.items()}
         return MPoly(self.nvars, re), MPoly(self.nvars, im)
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        for c in self.terms.values():
-            if is_exact(c):
-                if c != 0:
-                    return False
-            elif abs(c) > tol:
-                return False
-        return True
+        return all(negligible(c, tol) for c in self.terms.values())
 
     def normalized_sign(self) -> "MPoly":
         """Scale by -1 if the coefficient of the smallest exponent is negative."""
         if not self.terms:
             return self
         lead = self.terms[min(self.terms)]
-        s = real_of(lead)
-        if s < 0 or (s == 0 and imag_of(lead) < 0):
+        if lead.real < 0 or (lead.real == 0 and lead.imag < 0):
             return -self
         return self
 

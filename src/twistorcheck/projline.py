@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegreeError, NonInvolutiveError
 from .exactla import exact_rank, numerical_rank
-from .scalars import abs2, conj_of, imag_of, is_exact, make_complex, real_of
+from .scalars import abs2, make_complex, negligible
 
 STD = "std"
 INF = "inf"
@@ -44,7 +44,7 @@ class P1Point:
     def antipodal(self) -> "P1Point":
         """Antipodal image; never divides, just swaps chart."""
         other = INF if self.chart == STD else STD
-        return P1Point(other, -conj_of(self.value))
+        return P1Point(other, -self.value.conjugate())
 
     def canonical(self) -> "P1Point":
         """Representative with |value| <= 1 (prefers the current chart on ties)."""
@@ -144,12 +144,12 @@ class CoeffPoly:
         return CoeffPoly(k, list(self.coeffs))
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return all(c == 0 or (not is_exact(c) and abs(c) <= tol) for c in self.coeffs)
+        return all(negligible(c, tol) for c in self.coeffs)
 
     def trimmed(self, tol: float = 0.0):
         """Coefficients with the zero tail removed (honest degree view)."""
         cs = list(self.coeffs)
-        while len(cs) > 1 and (cs[-1] == 0 or (not is_exact(cs[-1]) and abs(cs[-1]) <= tol)):
+        while len(cs) > 1 and negligible(cs[-1], tol):
             cs.pop()
         return cs
 
@@ -183,7 +183,7 @@ def tau_pullback(s: CoeffPoly, rule: SigmaCoordRule) -> CoeffPoly:
         raise DegreeError(f"degree bound {s.degree_bound} != rule twist {k}")
     out = []
     for j in range(k + 1):
-        c = conj_of(s.coeffs[k - j])
+        c = s.coeffs[k - j].conjugate()
         if (k - j) % 2:
             c = -c
         out.append(c * rule.sign)
@@ -278,7 +278,7 @@ class SectionBasis:
         factor = sign * ((-1) ** (k - m))
         out = []
         for p, unit_c in self.slots[src][k - m]:
-            out.append((p, conj_of(unit_c) * factor))
+            out.append((p, unit_c.conjugate() * factor))
         self.slots[i][m] = out
 
     def embed(self, params):
@@ -310,17 +310,17 @@ class SectionBasis:
             if kind == "pair":
                 for m in range(k + 1):
                     (p_re, _), (p_im, _) = self.slots[lead][m]
-                    params[p_re] = real_of(coeffs[m])
-                    params[p_im] = imag_of(coeffs[m])
+                    params[p_re] = coeffs[m].real
+                    params[p_im] = coeffs[m].imag
             else:
                 half = k // 2
                 for m in range(half):
                     (p_re, _), (p_im, _) = self.slots[lead][m]
-                    params[p_re] = real_of(coeffs[m])
-                    params[p_im] = imag_of(coeffs[m])
+                    params[p_re] = coeffs[m].real
+                    params[p_im] = coeffs[m].imag
                 (p_mid, factor), = self.slots[lead][half]
                 val = coeffs[half]
-                params[p_mid] = real_of(val) if imag_of(factor) == 0 else imag_of(val)
+                params[p_mid] = val.real if factor.imag == 0 else val.imag
         return params
 
     def complex_matrices(self):

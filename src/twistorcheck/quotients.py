@@ -163,24 +163,20 @@ def closure_equals_quotient(group: FiniteQuaternionGroup) -> bool:
                for g in range(group.order))
 
 
-def component_count(group: FiniteQuaternionGroup,
-                    action: str = "left-multiplication"):
+def component_count(group: FiniteQuaternionGroup):
     """Number of regular components of the closure quotient, with assumptions.
 
     Counts conjugacy classes of square roots of the identity.  For left
     multiplication on a quaternionic vector space each twisted fixed set is
-    connected and the action is free away from the origin; other actions
-    demote the count to a lower bound.
+    connected and the action is free away from the origin.
     """
-    census = involution_census(group)
-    count = census.class_count
     flags = {
-        "action": action,
+        "action": "left-multiplication",
         "connected_fixed_sets_assumed": True,
-        "free_away_from_origin": action == "left-multiplication",
-        "lower_bound": action != "left-multiplication",
+        "free_away_from_origin": True,
+        "lower_bound": False,
     }
-    return count, flags
+    return involution_census(group).class_count, flags
 
 
 def cyclic_group(k: int) -> FiniteQuaternionGroup:
@@ -210,26 +206,13 @@ def binary_dihedral(n: int) -> FiniteQuaternionGroup:
     return FiniteQuaternionGroup.from_quaternions(els, name=f"BD{4 * n}")
 
 
-BUILTIN_GROUPS = {
-    "Z1": lambda: cyclic_group(1),
-    "Z2": lambda: cyclic_group(2),
-    "Z3": lambda: cyclic_group(3),
-    "Z4": lambda: cyclic_group(4),
-    "Z5": lambda: cyclic_group(5),
-    "Z6": lambda: cyclic_group(6),
-    "Q8": quaternion_group_q8,
-    "BD8": lambda: binary_dihedral(2),
-    "BD12": lambda: binary_dihedral(3),
-    "BD16": lambda: binary_dihedral(4),
-}
-
-
 def builtin_group(name: str) -> FiniteQuaternionGroup:
+    """The group a name gives: Z<n>, Q8 or BD<4n> (any letter case)."""
     key = name.upper()
     if key.startswith("Z") and key[1:].isdigit():
         return cyclic_group(int(key[1:]))
-    if key in BUILTIN_GROUPS:
-        return BUILTIN_GROUPS[key]()
+    if key == "Q8":
+        return quaternion_group_q8()
     if key.startswith("BD") and key[2:].isdigit():
         order = int(key[2:])
         if order % 4:

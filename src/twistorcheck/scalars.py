@@ -2,8 +2,9 @@
 
 Float mode uses Python ``complex``/``float``; exact mode uses
 ``fractions.Fraction`` for reals and :class:`GaussianRational` for complex
-values.  The helpers here dispatch on type so polynomial and linear-algebra
-code can stay backend-agnostic.
+values.  Every scalar the package handles, numpy's included, answers
+``.real``, ``.imag`` and ``.conjugate()``, so polynomial and linear-algebra
+code reads parts and conjugates without asking for the type.
 
 One policy decides the backend: exact models keep exact coefficients,
 numeric ops run on ``TwistorModel.float_view()`` with float inputs, and the
@@ -102,11 +103,16 @@ class GaussianRational:
     def __pos__(self):
         return self
 
+    @property
+    def real(self) -> Fraction:
+        return self.re
+
+    @property
+    def imag(self) -> Fraction:
+        return self.im
+
     def conjugate(self):
         return _gr(self.re, -self.im)
-
-    def norm_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -161,37 +167,14 @@ def certifies(exact: bool, values) -> bool:
     return exact and all(is_exact(v) for v in values)
 
 
-def conj_of(x):
-    if isinstance(x, (GaussianRational, complex)):
-        return x.conjugate()
-    return x
-
-
-def real_of(x):
-    if isinstance(x, GaussianRational):
-        return x.re
-    if isinstance(x, complex):
-        return x.real
-    return x
-
-
-def imag_of(x):
-    if isinstance(x, GaussianRational):
-        return x.im
-    if isinstance(x, complex):
-        return x.imag
-    if isinstance(x, (int, Fraction)):
-        return Fraction(0)
-    return 0.0
+def negligible(x, tol: float = 0.0) -> bool:
+    """Whether x counts as zero: exactly for exact values, within tol otherwise."""
+    return x == 0 or (not is_exact(x) and abs(x) <= tol)
 
 
 def abs2(x):
     """Squared modulus; exact for exact inputs."""
-    if isinstance(x, GaussianRational):
-        return x.norm_sq()
-    if isinstance(x, complex):
-        return x.real * x.real + x.imag * x.imag
-    return x * x
+    return x.real * x.real + x.imag * x.imag
 
 
 def make_complex(re, im, exact: bool):

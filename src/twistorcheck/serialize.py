@@ -19,8 +19,7 @@ from .models import FiberEquation, TwistorModel
 from .mpoly import MPoly
 from .projline import CoeffPoly, SigmaCoordRule, reality_fixed_space
 from .quotients import FiniteQuaternionGroup
-from .scalars import (GaussianRational, make_complex, parse_exact_scalar,
-                      real_of)
+from .scalars import GaussianRational, make_complex, parse_exact_scalar
 
 
 def encode_scalar(x):
@@ -44,7 +43,7 @@ def decode_scalar(v, exact: bool):
             return g if g.im != 0 else g.re
         return complex(g)
     if isinstance(v, (list, tuple)):
-        re, im = (real_of(decode_scalar(part, exact)) for part in v)
+        re, im = (decode_scalar(part, exact).real for part in v)
         return make_complex(re, im, exact)
     if exact:
         if isinstance(v, float) and not v.is_integer():

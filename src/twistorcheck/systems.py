@@ -19,7 +19,7 @@ from .errors import DimensionError, ModelError
 from .exactla import common_denominator, exact_rank, numerical_rank
 from .mpoly import MPoly
 from .models import TwistorModel, _coeff_form
-from .scalars import GaussianRational, certifies, real_of
+from .scalars import certifies
 
 
 @dataclass
@@ -75,9 +75,9 @@ class RealEquationSystem:
 
     def _exact_values(self, p, jacobian: bool) -> list:
         """Exact residuals, or Jacobian entries row major, at the exact point p."""
-        if any(isinstance(v, GaussianRational) and v.im for v in p):
+        if any(v.imag for v in p):
             raise ModelError("section parameters are real")
-        num, den = common_denominator([real_of(v) for v in p])
+        num, den = common_denominator([v.real for v in p])
         comp = self._compiled
         scale, columns = comp.integer_jac if jacobian else comp.integer_res
         # every monomial is brought to the top degree, so one denominator serves all

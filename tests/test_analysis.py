@@ -518,8 +518,9 @@ def test_sym_matrix_model_recovers_outer_product(rng):
 
 
 def test_sym_matrix_model_rejects_off_variety():
-    with pytest.raises(ModelError):
-        sym_matrix_model(quadric_params(1, 1, 1, 1, 1), 1)
+    for exact in (False, True):
+        with pytest.raises(ModelError):
+            sym_matrix_model(quadric_params(1, 1, 1, 1, 1, exact=exact), 1, exact=exact)
 
 
 def test_matrix_oracle_examples():

@@ -358,6 +358,21 @@ def test_exact_matrix_model_rejects_a_non_square_modulus(capsys):
     assert "exact rational square" in capsys.readouterr().err
 
 
+def test_matrix_model_float_params_ignore_the_exact_flag(tmp_path, capsys):
+    # float params take the float path in either mode, as branch and normal-bundle do
+    reports = []
+    for flag in ([], ["--exact"]):
+        out = tmp_path / f"report{len(reports)}.json"
+        argv = ["matrix-model", "--params", "0.3,0.4,0,0,0,0,0,0,0.5",
+                "--out", str(out)] + flag
+        assert main(argv) == 0
+        reports.append(json.loads(out.read_text())["tasks"][0])
+    capsys.readouterr()
+    assert reports[0]["numbers"] == reports[1]["numbers"]
+    assert reports[0]["numbers"]["t"] == 0.5
+    assert reports[0]["evidence"] == reports[1]["evidence"]
+
+
 def test_exact_sections_decode_exactly(tmp_path, capsys):
     out = tmp_path / "report.json"
     argv = ["matrix-model", "--exact", "--section", "1/4,0,0,0,1/4",

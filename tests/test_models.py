@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from twistorcheck import (CoeffPoly, DegreeError, GaussianRational,
-                          NonInvolutiveError, RealityError, ScenarioError,
+                          ModelError, NonInvolutiveError, RealityError, ScenarioError,
                           SigmaCoordRule, TwistorModel,
                           WeightError, build_deformed, build_quadric,
                           build_smooth_o11, glue_cone_twistor,
@@ -120,6 +120,13 @@ def test_glue_rejects_inhomogeneous():
     eqs = [[((1, 1, 0), 1), ((0, 0, 1), -1)]]
     with pytest.raises(WeightError):
         glue_cone_twistor(eqs, (1, 1, 1), 2, QUADRIC_RULES)
+
+
+def test_exact_glue_rejects_float_coefficients():
+    eqs = [[((1, 1, 0), 1.0), ((0, 0, 2), -1.0)]]
+    with pytest.raises(ModelError, match="exact coefficients"):
+        glue_cone_twistor(eqs, (1, 1, 1), 2, QUADRIC_RULES, exact=True)
+    assert glue_cone_twistor(eqs, (1, 1, 1), 2, QUADRIC_RULES).family == "quadric"
 
 
 def test_glue_doubles_degrees():

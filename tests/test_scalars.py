@@ -30,6 +30,10 @@ def test_arithmetic_keeps_fraction_parts(a, b, q):
         results.append(q / a)
     assert all(_parts_are_fractions(z) for z in results)
     assert a * b == GR(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+    for z in (a, b):
+        assert (z.real, z.imag) == (z.re, z.im)
+        assert complex(z.real, z.imag) == complex(z)
+        assert complex(z.conjugate()) == complex(z).conjugate()
     if b:
         assert (a / b) * b == a
 
