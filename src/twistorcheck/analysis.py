@@ -306,29 +306,57 @@ def _converged(r: np.ndarray, x: np.ndarray, cfg: SolveConfig) -> np.ndarray:
     return np.abs(r).max(axis=1, initial=0.0) <= cfg.newton_tol * scale
 
 
-def _gauss_newton(resfn, jacfn, x0, cfg: SolveConfig):
-    """Gauss-Newton on every row of ``x0`` at once; rows never interact.
+def _incidence_slice(amats, rhs, rtol: float):
+    """The solutions of each incidence block amats[k] @ x = rhs[k], (k, r, n)
+    and (k, r), as a slice base[k] + kernel[k]·y, for _gauss_newton.
 
-    ``resfn``/``jacfn`` map stacked points (k, n) and the indices of their
-    rows in ``x0`` to residuals (k, m) and Jacobians (k, m, n).  Only
-    unconverged rows are stepped; a row stops when its residual is within
-    newton_tol*(1+|x|^2) or its step stalls.  Returns the final rows and a
-    mask of the converged ones.
+    One stacked SVD with the numerical_rank cutoff gives the minimum-norm
+    solutions base (k, n) and orthonormal kernel bases (k, d, n); a basis of
+    smaller dimension is padded with zero rows up to the largest one.
+    """
+    u, svals, vh = np.linalg.svd(amats)
+    p = svals.shape[1]
+    ranks = np.array([numerical_rank(sv, rtol) for sv in svals])
+    inv = np.divide(1.0, svals, out=np.zeros_like(svals),
+                    where=np.arange(p) < ranks[:, None])
+    coef = np.einsum("krj,kr->kj", u[:, :, :p], rhs) * inv
+    base = np.einsum("kjn,kj->kn", vh[:, :p], coef)
+    low = ranks.min()
+    kernel = vh[:, low:] * (np.arange(low, vh.shape[1]) >= ranks[:, None])[..., None]
+    return base, kernel
+
+
+def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig):
+    """Gauss-Newton for the system on incidence slices, on every row of
+    ``x0`` at once; rows never interact.
+
+    Each start row is projected onto its slice base + kernel·y (see
+    _incidence_slice; one slice of shape (1, n), (1, d, n) is shared by every
+    row) and stepped inside it: the residual is the system's, the Jacobian
+    the reduced J(x)·kernelᵀ, and each minimum-norm step is lifted back by
+    the kernel.  Only unconverged rows are stepped; a row stops when its
+    residual is within newton_tol*(1+|x|^2) or its step stalls.  Returns the
+    final rows and a mask of the converged ones.
     """
     x = np.array(x0, dtype=float)
+    kernel = np.broadcast_to(kernel, (len(x),) + kernel.shape[1:])
+    x = base + np.einsum("kd,kdn->kn", np.einsum("kn,kdn->kd", x - base, kernel),
+                         kernel)
     active = np.arange(len(x))
     for _ in range(cfg.max_iter):
-        r = resfn(x[active], active)
+        r = sys.residuals(x[active])
         moving = ~_converged(r, x[active], cfg)
         active, r = active[moving], r[moving]
         if not len(active):
             break
-        step = _lstsq_steps(jacfn(x[active], active), r)
+        basis = kernel[active]
+        jac = np.einsum("kmn,kdn->kmd", sys.jacobian_at(x[active]), basis)
+        step = np.einsum("kd,kdn->kn", _lstsq_steps(jac, r), basis)
         x[active] += step
         stalled = (np.linalg.norm(step, axis=1)
                    <= 1e-15 * (1.0 + np.linalg.norm(x[active], axis=1)))
         active = active[~stalled]
-    return x, _converged(resfn(x), x, cfg)
+    return x, _converged(sys.residuals(x), x, cfg)
 
 
 def _dedup(points, radius):
@@ -349,36 +377,14 @@ def _sorted_solutions(points):
 
 def _newton_multistart(model, pt, values, cfg: SolveConfig):
     sys = real_section_system(model)
-    resfn, jacfn = _with_incidence(sys, [(incidence_rows(model, pt),
-                                          _incidence_rhs(values))])
+    base, kernel = _incidence_slice(incidence_rows(model, pt)[None],
+                                    _incidence_rhs(values)[None], cfg.rank_rtol)
     rng = np.random.default_rng(cfg.seed)
     scale = 1.0 + math.sqrt(sum(abs2(v) for v in values))
-    x, ok = _gauss_newton(resfn, jacfn,
+    x, ok = _gauss_newton(sys, base, kernel,
                           rng.standard_normal((cfg.multistart, sys.nvars)) * scale,
                           cfg)
     return _dedup(list(x[ok]), cfg.dedup_radius)
-
-
-def _with_incidence(sys, incidences):
-    """Stacked residual and Jacobian maps of the system plus incidence rows
-    (amat, b), for _gauss_newton.
-
-    A block is shared by every point, amat (r, n) and b (r,), or given per
-    row of the start array, (k, r, n) and (k, r); the maps then pick the
-    blocks of the rows they are passed (all rows by default).
-    """
-    def resfn(x, rows=slice(None)):
-        return np.hstack([sys.residuals(x)] + [
-            np.einsum("kn,rn->kr", x, a) - b if a.ndim == 2
-            else np.einsum("kn,krn->kr", x, a[rows]) - b[rows]
-            for a, b in incidences])
-
-    def jacfn(x, rows=slice(None)):
-        return np.concatenate([sys.jacobian_at(x)] + [
-            np.broadcast_to(a, (len(x),) + a.shape) if a.ndim == 2 else a[rows]
-            for a, _ in incidences], axis=1)
-
-    return resfn, jacfn
 
 
 def _newton_reduce(model, pt, values, cfg: SolveConfig):
@@ -860,9 +866,10 @@ def _examine_pairs(model, fibers, cfg: SolveConfig):
     Round j examines the j-th candidate of every pair without a certified
     entry: one stacked SVD of the full Jacobians (system plus the incidence
     rows at the point and its antipodal image) gives each corank and kernel,
-    and one Gauss-Newton call corrects a step along up to two kernel
-    directions of every candidate of corank >= 1.  A pair keeps its first
-    confirmed candidate, else its first one of corank >= 1.
+    and one Gauss-Newton call on the incidence slices of those rows corrects
+    a step along up to two kernel directions of every candidate of corank
+    >= 1.  A pair keeps its first confirmed candidate, else its first one of
+    corank >= 1.
     """
     sys = real_section_system(model)
     amats, rhs = [], []
@@ -900,8 +907,9 @@ def _examine_pairs(model, fibers, cfg: SolveConfig):
         confirmed = [False] * len(pairs)
         if owner:
             src = [pairs[c] for c in owner]
-            resfn, jacfn = _with_incidence(sys, [(amats[src], rhs[src])])
-            corr, ok = _gauss_newton(resfn, jacfn, starts, cfg)
+            corr, ok = _gauss_newton(
+                sys, *_incidence_slice(amats[src], rhs[src], cfg.rank_rtol),
+                starts, cfg)
             member = np.zeros(len(corr), dtype=bool)
             member[ok] = sys.members(corr[ok], cfg.member_tol)
             for row, c in enumerate(owner):

@@ -10,6 +10,7 @@ complexification, hence connected).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 from .errors import GroupAxiomError, ModelError
@@ -207,18 +208,20 @@ def binary_dihedral(n: int) -> FiniteQuaternionGroup:
 
 
 def builtin_group(name: str) -> FiniteQuaternionGroup:
-    """The group a name gives: Z<n>, Q8 or BD<4n> (any letter case)."""
+    """The group a name gives: Z<n>, Q8 or BD<4n> (any letter case, n in
+    ASCII digits)."""
     key = name.upper()
-    if key.startswith("Z") and key[1:].isdigit():
-        return cyclic_group(int(key[1:]))
     if key == "Q8":
         return quaternion_group_q8()
-    if key.startswith("BD") and key[2:].isdigit():
-        order = int(key[2:])
-        if order % 4:
-            raise ModelError("binary dihedral order must be a multiple of 4")
-        return binary_dihedral(order // 4)
-    raise ModelError(f"unknown builtin group {name!r}")
+    rule = re.fullmatch(r"(Z|BD)([0-9]+)", key)
+    if rule is None:
+        raise ModelError(f"unknown builtin group {name!r}")
+    order = int(rule[2])
+    if rule[1] == "Z":
+        return cyclic_group(order)
+    if order % 4:
+        raise ModelError("binary dihedral order must be a multiple of 4")
+    return binary_dihedral(order // 4)
 
 
 @dataclass

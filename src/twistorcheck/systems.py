@@ -107,7 +107,10 @@ class RealEquationSystem:
         return flat.reshape(x.shape[:-1] + (len(self), self.nvars))
 
     def _float_points(self, p) -> np.ndarray:
-        x = np.asarray(p, dtype=float)
+        x = np.asarray(p)
+        if x.dtype.kind == "c":
+            raise ModelError("section parameters are real")
+        x = np.asarray(x, dtype=float)
         if x.shape == (0,):  # an empty list of points
             x = x.reshape(0, self.nvars)
         if x.ndim not in (1, 2) or x.shape[-1] != self.nvars:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twistorcheck import (FiberError, GaussianRational, ModelError, OriginError,
@@ -17,9 +17,9 @@ from twistorcheck import (FiberError, GaussianRational, ModelError, OriginError,
                           singular_scan, solve_fiber, squaring_section,
                           sym_matrix_model)
 from twistorcheck.analysis import (_FAMILIES, FiberSolveResult, _examine_pairs,
-                                  _gauss_newton, _incidence_rhs, _newton_multistart,
-                                  _with_incidence, incidence_rows,
-                                  sample_sections)
+                                  _gauss_newton, _incidence_rhs,
+                                  _incidence_slice, _newton_multistart,
+                                  incidence_rows, sample_sections)
 from twistorcheck.projline import SplittingType
 from twistorcheck import analysis, serialize, systems
 from twistorcheck.serialize import jsonable
@@ -120,6 +120,13 @@ def test_solve_fiber_matches_newton_multistart(quadric, rng):
                        for c in closed.solutions) < 1e-6
 
 
+def _on_incidence(x, amats, rhs):
+    """Every row of x satisfies its block amats[k] @ x[k] = rhs[k] (one block
+    of shape (1, r, n) is shared) to 1e-12 relative."""
+    gap = np.abs(np.einsum("krn,kn->kr", amats, x) - rhs).max(axis=1)
+    return bool((gap <= 1e-12 * (1.0 + np.abs(rhs).max(axis=1))).all())
+
+
 @pytest.mark.parametrize("max_iter", [50, 8])
 def test_batched_gauss_newton_rows_do_not_interact(doubled, max_iter):
     # the doubled cone's 40 multistart rows, at a target and at the vertex;
@@ -130,31 +137,91 @@ def test_batched_gauss_newton_rows_do_not_interact(doubled, max_iter):
     pt = P1Point.std(0.4 - 0.3j)
     converged = []
     for values in (evaluate_section(doubled, planted, pt).values, (0j, 0j, 0j)):
-        resfn, jacfn = _with_incidence(
-            sys, [(incidence_rows(doubled, pt), _incidence_rhs(values))])
+        amat, b = incidence_rows(doubled, pt)[None], _incidence_rhs(values)[None]
+        base, kernel = _incidence_slice(amat, b, cfg.rank_rtol)
         starts = np.random.default_rng(cfg.seed).standard_normal(
             (cfg.multistart, sys.nvars)) * 2.0
-        x, ok = _gauss_newton(resfn, jacfn, starts, cfg)
+        x, ok = _gauss_newton(sys, base, kernel, starts, cfg)
         converged.extend(ok)
+        assert _on_incidence(x, amat, b)
         for i, start in enumerate(starts):
-            alone, alone_ok = _gauss_newton(resfn, jacfn, [start], cfg)
+            alone, alone_ok = _gauss_newton(sys, base, kernel, [start], cfg)
             assert np.array_equal(alone[0], x[i]) and alone_ok[0] == ok[i]
     assert any(converged) and all(converged) == (max_iter == 50)
     # rows with their own incidence blocks: a base point per row, the planted
     # target on odd rows and the vertex on even ones; each row equals its
     # start run alone against its block as a shared one
-    blocks = []
+    amats, rhs = [], []
     for i, (re, im) in enumerate(np.random.default_rng(1).standard_normal((len(starts), 2))):
         pt_i = P1Point.std(complex(re, im))
         values = evaluate_section(doubled, planted, pt_i).values if i % 2 else (0j,) * 3
-        blocks.append((incidence_rows(doubled, pt_i), _incidence_rhs(values)))
-    resfn, jacfn = _with_incidence(sys, [(np.array([a for a, _ in blocks]),
-                                          np.array([b for _, b in blocks]))])
-    x, ok = _gauss_newton(resfn, jacfn, starts, cfg)
+        amats.append(incidence_rows(doubled, pt_i))
+        rhs.append(_incidence_rhs(values))
+    amats, rhs = np.array(amats), np.array(rhs)
+    x, ok = _gauss_newton(sys, *_incidence_slice(amats, rhs, cfg.rank_rtol),
+                          starts, cfg)
+    assert _on_incidence(x, amats, rhs)
     for i, start in enumerate(starts):
-        alone, alone_ok = _gauss_newton(*_with_incidence(sys, [blocks[i]]), [start], cfg)
+        block = _incidence_slice(amats[i:i + 1], rhs[i:i + 1], cfg.rank_rtol)
+        alone, alone_ok = _gauss_newton(sys, *block, [start], cfg)
         assert np.array_equal(alone[0], x[i]) and alone_ok[0] == ok[i]
     assert ok[1::2].any()
+
+
+def test_incidence_slice_pads_smaller_kernels_with_zero_rows(doubled):
+    # the second block repeats one incidence row, so its kernel has one more
+    # dimension; the first block's basis gets one zero row, which changes
+    # neither its slice nor the Gauss-Newton steps taken in it
+    cfg = SolveConfig(seed=7)
+    sys = real_section_system(doubled)
+    pt = P1Point.std(0.4 - 0.3j)
+    planted = squaring_section(0.3 + 0.7j, -1.1 + 0.2j, "minus")
+    amat = incidence_rows(doubled, pt)
+    b = _incidence_rhs(evaluate_section(doubled, planted, pt).values)
+    low, low_b = amat.copy(), b.copy()
+    low[5], low_b[5] = low[4], low_b[4]
+    base, kernel = _incidence_slice(np.array([amat, low]), np.array([b, low_b]),
+                                    cfg.rank_rtol)
+    assert kernel.shape == (2, 4, sys.nvars)
+    assert np.count_nonzero(np.abs(kernel[0]).max(axis=1)) == 3
+    alone_base, alone_kernel = _incidence_slice(amat[None], b[None], cfg.rank_rtol)
+    assert np.allclose(base[0], alone_base[0], atol=1e-12)
+    assert np.allclose(kernel[0].T @ kernel[0], alone_kernel[0].T @ alone_kernel[0],
+                       atol=1e-12)
+    assert _on_incidence(base, np.array([amat, low]), np.array([b, low_b]))
+    start = np.random.default_rng(cfg.seed).standard_normal(sys.nvars) * 2.0
+    x, ok = _gauss_newton(sys, base, kernel, [start, start], cfg)
+    alone, alone_ok = _gauss_newton(sys, alone_base, alone_kernel, [start], cfg)
+    assert ok[0] and alone_ok[0]
+    assert np.allclose(x[0], alone[0], atol=1e-9)
+
+
+def test_newton_rows_stay_on_their_incidence_blocks(doubled, deformed, monkeypatch):
+    # both callers: multistart (one shared block) at a target and at the
+    # vertex, and the continuation rows of classify (a block per row)
+    calls = []
+    slice_, newton = analysis._incidence_slice, analysis._gauss_newton
+
+    def slicing(amats, rhs, rtol):
+        calls.append([amats, rhs])
+        return slice_(amats, rhs, rtol)
+
+    def stepping(*args):
+        x, ok = newton(*args)
+        calls[-1].append(x)
+        return x, ok
+
+    monkeypatch.setattr(analysis, "_incidence_slice", slicing)
+    monkeypatch.setattr(analysis, "_gauss_newton", stepping)
+    planted = squaring_section(0.3 + 0.7j, -1.1 + 0.2j, "minus")
+    target = evaluate_section(doubled, planted, 0.4 - 0.3j)
+    solve_fiber(doubled, target.zeta, target.values, CFG)
+    solve_fiber(doubled, target.zeta, (0j, 0j, 0j), CFG)
+    classify_hypercomplex(build_quadric(), CFG)
+    classify_hypercomplex(deformed, CFG)
+    assert len(calls) == 4
+    for amats, rhs, x in calls:
+        assert _on_incidence(x, amats, rhs)
 
 
 def _finds_planted(res, planted):
@@ -268,6 +335,33 @@ def test_cone_fiber_is_scale_covariant(quadric, a, b, zeta, exponent):
     for sol in base.solutions:
         assert min(np.linalg.norm(s * sol - other)
                    for other in scaled.solutions) <= tol
+
+
+_decade = st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(a=st.tuples(_unit, _unit), b=st.tuples(_unit, _unit),
+       log_zeta=_decade, turn=st.floats(0.0, 1.0), log_scale=_decade,
+       chart=st.sampled_from(["std", "inf"]),
+       variant=st.sampled_from(["minus", "plus"]))
+def test_newton_fiber_of_the_doubled_cone(doubled, quadric, a, b, log_zeta, turn,
+                                          log_scale, chart, variant):
+    # the doubled cone has the quadric cone's sections, two through every
+    # point off the vertex; |zeta| and scale over 1e-2..1e2, as in the
+    # benchmark's fiber workload
+    assume(math.hypot(*a, *b) >= 0.1)
+    planted = squaring_section(complex(*a), complex(*b), variant) * 10.0 ** log_scale
+    pt = P1Point(chart, 10.0 ** log_zeta * np.exp(2j * np.pi * turn))
+    target = evaluate_section(quadric, planted, pt)
+    res = solve_fiber(doubled, target.zeta, target.values, CFG)
+    assert res.method == "newton-multistart" and len(res.solutions) == 2
+    assert min(np.linalg.norm(s - planted) for s in res.solutions) \
+        <= 1e-6 * (1.0 + np.linalg.norm(planted))
+    vtol = 1e-6 * (1.0 + max(abs(v) for v in target.values))
+    for sol in res.solutions:
+        got = evaluate_section(doubled, sol, target.zeta)
+        assert max(abs(g - v) for g, v in zip(got.values, target.values)) <= vtol
 
 
 def _same_solutions(res, other, planted):
@@ -449,9 +543,9 @@ def newton_rows(monkeypatch):
     rows = []
     original = analysis._gauss_newton
 
-    def counting(resfn, jacfn, x0, cfg):
+    def counting(sys, base, kernel, x0, cfg):
         rows.append(len(x0))
-        return original(resfn, jacfn, x0, cfg)
+        return original(sys, base, kernel, x0, cfg)
 
     monkeypatch.setattr(analysis, "_gauss_newton", counting)
     return rows

@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twistorcheck import (GroupAxiomError, binary_dihedral, builtin_group,
-                          closure_equals_quotient, component_count,
+from twistorcheck import (GroupAxiomError, ModelError, binary_dihedral,
+                          builtin_group, closure_equals_quotient,
+                          component_count,
                           cyclic_group, involution_census,
                           quaternion_group_q8, veronese_quotient_check)
 from twistorcheck.quotients import FiniteQuaternionGroup, quat_mul
@@ -95,6 +96,14 @@ def test_builtin_group_names():
     assert builtin_group("Z7").order == 7
     assert builtin_group("q8").order == 8
     assert builtin_group("BD12").order == 12
+
+
+@pytest.mark.parametrize("name", ["Z²", "BD⁸", "Z٣", "Z+3", "BD", "Q8x"])
+def test_builtin_group_rejects_names_outside_the_rules(name):
+    # superscript and other non-ASCII digits pass str.isdigit() but are not
+    # an order in the name rules
+    with pytest.raises(ModelError, match="unknown builtin group"):
+        builtin_group(name)
 
 
 def test_veronese_check_exact(rng):

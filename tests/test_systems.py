@@ -174,6 +174,17 @@ def test_exact_parameters_must_be_real(quadric_exact):
         == system.residuals([Fraction(1)] + [Fraction(0)] * 8)
 
 
+def test_float_parameters_must_be_real(quadric):
+    # a complex array is refused, not cast to its real part
+    system = real_section_system(quadric)
+    point = np.zeros(9, dtype=complex)
+    for call in (system.residuals, system.jacobian_at, system.members,
+                 system.membership):
+        for p in (point, np.stack([point, point]), list(point)):
+            with pytest.raises(ModelError, match="section parameters are real"):
+                call(p)
+
+
 _rational = st.fractions(min_value=-4, max_value=4, max_denominator=30)
 
 
