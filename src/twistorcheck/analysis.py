@@ -59,6 +59,8 @@ DEFAULT_CONFIG = SolveConfig()
 _FAMILY_SAMPLES = 8
 _LABEL_TOL = 1e-9   # relative zero test of component_label
 _MATRIX_TOL = 1e-9  # relative 2x2-minor test of the float sym_matrix_model
+# Gauss-Newton step norm ratios read as a halving (linear convergence)
+_HALVING_BAND = (0.45, 0.55)
 
 
 @dataclass(frozen=True)
@@ -90,12 +92,6 @@ def _point_on_fiber(model: TwistorModel, pt: P1Point, values, cfg: SolveConfig):
         if abs(val) > cfg.fiber_tol * scale * coeff_scale:
             return False
     return True
-
-
-def _num_rank(mat: np.ndarray, rtol: float) -> int:
-    if mat.size == 0:
-        return 0
-    return numerical_rank(np.linalg.svd(mat, compute_uv=False), rtol)
 
 
 def _num_nullspace(mat: np.ndarray, rtol: float) -> np.ndarray:
@@ -316,7 +312,7 @@ def _incidence_slice(amats, rhs, rtol: float):
     """
     u, svals, vh = np.linalg.svd(amats)
     p = svals.shape[1]
-    ranks = np.array([numerical_rank(sv, rtol) for sv in svals])
+    ranks = numerical_rank(svals, rtol)
     inv = np.divide(1.0, svals, out=np.zeros_like(svals),
                     where=np.arange(p) < ranks[:, None])
     coef = np.einsum("krj,kr->kj", u[:, :, :p], rhs) * inv
@@ -335,27 +331,37 @@ def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig):
     row) and stepped inside it: the residual is the system's, the Jacobian
     the reduced J(x)·kernelᵀ, and each minimum-norm step is lifted back by
     the kernel.  Only unconverged rows are stepped; a row stops when its
-    residual is within newton_tol*(1+|x|^2) or its step stalls.  Returns the
-    final rows and a mask of the converged ones.
+    residual is within newton_tol*(1+|x|^2) or its step stalls.  A row whose
+    step norm halved on two consecutive iterations, as at a singular root
+    where Newton only halves the error, takes a double step (Griewank 1985).
+    Returns the final rows and a mask of the converged ones.
     """
     x = np.array(x0, dtype=float)
     kernel = np.broadcast_to(kernel, (len(x),) + kernel.shape[1:])
     x = base + np.einsum("kd,kdn->kn", np.einsum("kn,kdn->kd", x - base, kernel),
                          kernel)
     active = np.arange(len(x))
+    last = np.full(len(x), np.inf)       # per active row: its last step norm,
+    halved = np.zeros(len(x), dtype=bool)  # and whether that step halved
+    lo, hi = _HALVING_BAND
     for _ in range(cfg.max_iter):
-        r = sys.residuals(x[active])
-        moving = ~_converged(r, x[active], cfg)
-        active, r = active[moving], r[moving]
-        if not len(active):
+        xa = x[active]
+        r = sys.residuals(xa)
+        moving = ~_converged(r, xa, cfg)
+        if not moving.any():
             break
+        active, xa, r = active[moving], xa[moving], r[moving]
+        last, halved = last[moving], halved[moving]
         basis = kernel[active]
-        jac = np.einsum("kmn,kdn->kmd", sys.jacobian_at(x[active]), basis)
+        jac = np.einsum("kmn,kdn->kmd", sys.jacobian_at(xa), basis)
         step = np.einsum("kd,kdn->kn", _lstsq_steps(jac, r), basis)
-        x[active] += step
-        stalled = (np.linalg.norm(step, axis=1)
-                   <= 1e-15 * (1.0 + np.linalg.norm(x[active], axis=1)))
-        active = active[~stalled]
+        norm = np.sqrt((step * step).sum(axis=1))  # np.linalg.norm, less overhead
+        halving = (lo * last < norm) & (norm < hi * last)
+        step[halving & halved] *= 2.0
+        xa += step
+        x[active] = xa
+        moved = norm > 1e-15 * (1.0 + np.sqrt((xa * xa).sum(axis=1)))
+        active, last, halved = active[moved], norm[moved], halving[moved]
     return x, _converged(sys.residuals(x), x, cfg)
 
 
@@ -451,16 +457,23 @@ def branch_test(model: TwistorModel, params, zeta,
     """
     cfg = cfg or DEFAULT_CONFIG
     model = model.float_view()
-    sys = real_section_system(model)
     p = np.array([float(v) for v in params])
-    if not sys.membership(p, tol=cfg.member_tol).passed:
+    if not real_section_system(model).membership(p, tol=cfg.member_tol).passed:
         raise ModelError("branch test requires a point of the section space")
-    pt = _float_point(as_p1(zeta))
-    amat = incidence_rows(model, pt)
-    aug = np.vstack([sys.jacobian_at(p), amat])
-    rank = _num_rank(aug, cfg.rank_rtol)
-    verdict = "unbranched" if rank == sys.nvars else "branched"
-    return BranchReport(verdict, rank, sys.nvars)
+    return _branch_reports(model, [p], [zeta], cfg)[0]
+
+
+def _branch_reports(model: TwistorModel, params, zetas, cfg: SolveConfig):
+    """Branch verdicts of sections params[k] (members) at base points
+    zetas[k], from one stacked Jacobian and one stacked SVD of [J(p); A(zeta)]."""
+    sys = real_section_system(model)
+    params = np.reshape(params, (len(zetas), sys.nvars))
+    amats = np.reshape([incidence_rows(model, _float_point(as_p1(z))) for z in zetas],
+                       (len(zetas), 2 * len(model.degrees), sys.nvars))
+    jacs = np.concatenate([sys.jacobian_at(params), amats], axis=1)
+    ranks = numerical_rank(np.linalg.svd(jacs, compute_uv=False), cfg.rank_rtol)
+    return [BranchReport("unbranched" if rank == sys.nvars else "branched",
+                         rank, sys.nvars) for rank in ranks.tolist()]
 
 
 @dataclass
@@ -567,10 +580,8 @@ def singular_scan(model: TwistorModel, points,
     expected = sys.expected_regular_rank
     pts = np.asarray(points, dtype=float)[sys.members(points, cfg.member_tol)]
     skipped = len(points) - len(pts)
-    ranks = [0] * len(pts)
-    if len(sys):
-        svals = np.linalg.svd(sys.jacobian_at(pts), compute_uv=False)
-        ranks = [numerical_rank(s, cfg.rank_rtol) for s in svals]
+    svals = np.linalg.svd(sys.jacobian_at(pts), compute_uv=False)
+    ranks = numerical_rank(svals, cfg.rank_rtol).tolist()
     entries = [ScanEntry(p, rank, expected is not None and rank < expected)
                for p, rank in zip(pts, ranks)]
     singular = [e for e in entries if e.deficient]
@@ -654,10 +665,6 @@ def _quadric_sample(model: TwistorModel, n: int, rng, cfg: SolveConfig):
 
 def _linear_sample(model: TwistorModel, n: int, rng, cfg: SolveConfig):
     return [rng.standard_normal(model.nparams) for _ in range(n)]
-
-
-def _no_sample(model: TwistorModel, n: int, rng, cfg: SolveConfig):
-    return []
 
 
 def _section_zero_points(poly: CoeffPoly, bound: int):
@@ -753,10 +760,6 @@ def _quadric_singular_pairs(model: TwistorModel):
     return reps, notes
 
 
-def _linear_singular_pairs(model: TwistorModel):
-    return [], []
-
-
 def _cone_singular_pairs(model: TwistorModel):
     """The zero section is fiberwise singular when no equation has constant
     or linear monomials; otherwise no locator applies (pairs None)."""
@@ -785,9 +788,9 @@ _FAMILIES = {
     "quadric": _Family(_quadric_reduce, "closed-form", True, _quadric_sample,
                        _quadric_singular_pairs),
     "linear": _Family(_linear_reduce, "linear", True, _linear_sample,
-                      _linear_singular_pairs),
-    None: _Family(_newton_reduce, "newton-multistart", False, _no_sample,
-                  _cone_singular_pairs),
+                      lambda model: ([], [])),
+    None: _Family(_newton_reduce, "newton-multistart", False,
+                  lambda model, n, rng, cfg: [], _cone_singular_pairs),
 }
 
 
@@ -842,19 +845,15 @@ def classify_hypercomplex(model: TwistorModel,
     }
     isolated = all(c["diameter"] <= cfg.dedup_radius or c["size"] == 1
                    for c in scan.clusters)
-    branch_ok = True
-    checks = []
     regular = [e.params for e in scan.entries if not e.deficient]
     rng2 = np.random.default_rng(cfg.seed + 1)
+    picks, zetas = [], []
     for _ in range(min(cfg.branch_checks, len(regular))):
-        p = regular[int(rng2.integers(len(regular)))]
-        zeta = complex(rng2.standard_normal(), rng2.standard_normal()) * 0.6
-        rep = branch_test(model, p, zeta, cfg)
-        checks.append(rep.verdict)
-        if rep.verdict != "unbranched":
-            branch_ok = False
-    evidence["branch_checks"] = checks
-    if isolated and branch_ok:
+        picks.append(regular[int(rng2.integers(len(regular)))])
+        zetas.append(complex(rng2.standard_normal(), rng2.standard_normal()) * 0.6)
+    checks = evidence["branch_checks"] = [
+        rep.verdict for rep in _branch_reports(model, picks, zetas, cfg)]
+    if isolated and all(v == "unbranched" for v in checks):
         return HCClassification("Hypercomplex", evidence)
     return HCClassification("Undetermined", evidence)
 
@@ -897,7 +896,7 @@ def _examine_pairs(model, fibers, cfg: SolveConfig):
         sols = np.array([candidates[i][j] for i in pairs])
         jacs = np.concatenate([sys.jacobian_at(sols), amats[pairs]], axis=1)
         _, svals, vh = np.linalg.svd(jacs)
-        ranks = [numerical_rank(sv, cfg.rank_rtol) for sv in svals]
+        ranks = numerical_rank(svals, cfg.rank_rtol).tolist()
         steps = [cfg.continuation_step * (1.0 + np.linalg.norm(sol)) for sol in sols]
         owner, starts = [], []  # continuation rows: candidate, start point
         for c, rank in enumerate(ranks):

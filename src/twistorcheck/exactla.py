@@ -58,8 +58,9 @@ def _integer_rank(rows) -> int:
     return rank
 
 
-def numerical_rank(svals, rtol: float) -> int:
-    """Singular values (descending) above ``rtol`` times the largest; 0 if none."""
-    if len(svals) == 0 or svals[0] == 0:
-        return 0
-    return int(np.sum(svals > rtol * svals[0]))
+def numerical_rank(svals, rtol: float):
+    """Singular values (descending along the last axis) above ``rtol`` times
+    the largest; 0 if none.  An int for one vector, an int array for a stack."""
+    svals = np.asarray(svals)
+    ranks = (svals > rtol * svals[..., :1]).sum(axis=-1)
+    return ranks if svals.ndim > 1 else int(ranks)

@@ -450,14 +450,13 @@ def validate_model(model: TwistorModel, rng=None) -> ValidationReport:
         ranks = []
         for chart_point in [P1Point.std(0.37 - 0.21j), P1Point.std(0.61 + 0.4j),
                             P1Point.inf(0.152 + 0.73j), P1Point.inf(-0.5 + 0.12j)]:
-            best = 0
+            jacs = []  # the best rank of four random points of the fiber
             for _ in range(4):
                 u = rng.standard_normal(ncoord) + 1j * rng.standard_normal(ncoord)
-                jac = np.array([[part.eval_at(chart_point, u) for part in row]
-                                for row in partials], dtype=complex)
-                best = max(best, numerical_rank(
-                    np.linalg.svd(jac, compute_uv=False), 1e-7))
-            ranks.append(best)
+                jacs.append([[part.eval_at(chart_point, u) for part in row]
+                             for row in partials])
+            svals = np.linalg.svd(np.array(jacs, dtype=complex), compute_uv=False)
+            ranks.append(int(numerical_rank(svals, 1e-7).max()))
         if len(set(ranks)) != 1:
             report.fail("generic_fiber_rank",
                         f"generic equation rank varies over the base: {ranks}")

@@ -117,15 +117,6 @@ class MPoly:
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(negligible(c, tol) for c in self.terms.values())
 
-    def normalized_sign(self) -> "MPoly":
-        """Scale by -1 if the coefficient of the smallest exponent is negative."""
-        if not self.terms:
-            return self
-        lead = self.terms[min(self.terms)]
-        if lead.real < 0 or (lead.real == 0 and lead.imag < 0):
-            return -self
-        return self
-
     def __eq__(self, other):
         if not isinstance(other, MPoly):
             return NotImplemented

@@ -116,13 +116,6 @@ class FiniteQuaternionGroup:
     def inverse(self, i: int) -> int:
         return self.table[i].index(self.identity)
 
-    def element_order(self, i: int) -> int:
-        k, acc = 1, i
-        while acc != self.identity:
-            acc = self.mul(acc, i)
-            k += 1
-        return k
-
     def conjugate(self, h: int, g: int) -> int:
         return self.mul(self.mul(h, g), self.inverse(h))
 

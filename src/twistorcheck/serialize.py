@@ -178,8 +178,20 @@ def load_scenario(path: str):
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
 
 
+def _str_keys(x) -> bool:
+    """Whether every dict inside x has string keys only."""
+    if isinstance(x, dict):
+        return all(type(k) is str for k in x) and all(map(_str_keys, x.values()))
+    return not isinstance(x, (list, tuple)) or all(map(_str_keys, x))
+
+
 def dump_report(report: dict) -> str:
-    return json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n"
+    """Sorted, indented JSON in one pass: the encoder hands jsonable each value
+    it cannot encode; a report with a non-string key goes through jsonable
+    first, so the key is spelled and sorted by its str() as there."""
+    if not _str_keys(report):
+        report = jsonable(report)
+    return json.dumps(report, sort_keys=True, indent=2, default=jsonable) + "\n"
 
 
 def write_report(report: dict, path: str):

@@ -108,6 +108,9 @@ class RealEquationSystem:
 
     def _float_points(self, p) -> np.ndarray:
         x = np.asarray(p)
+        if x.dtype == object:  # mixed scalars: exact ones beside complex ones
+            x = np.array([complex(v) for v in x.flat]).reshape(x.shape)
+            x = x if x.imag.any() else x.real
         if x.dtype.kind == "c":
             raise ModelError("section parameters are real")
         x = np.asarray(x, dtype=float)
@@ -141,8 +144,6 @@ class RealEquationSystem:
                                 float(scale), list(self.labels))
 
     def jacobian_rank(self, p, rank_rtol: float = 1e-7) -> int:
-        if not self.equations:
-            return 0
         jac = self.jacobian_at(p)
         if isinstance(jac, np.ndarray):
             return numerical_rank(np.linalg.svd(jac, compute_uv=False), rank_rtol)

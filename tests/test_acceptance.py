@@ -59,7 +59,12 @@ class _criterion:
 
 
 def _freeze(poly: MPoly):
-    return frozenset(poly.normalized_sign().terms.items())
+    """The terms of poly, scaled by -1 if the coefficient of its smallest
+    exponent is negative, so an equation and its negative compare equal."""
+    lead = poly.terms[min(poly.terms)] if poly.terms else 0
+    if lead.real < 0 or (lead.real == 0 and lead.imag < 0):
+        poly = -poly
+    return frozenset(poly.terms.items())
 
 
 def _expected_quadric_equations():

@@ -127,10 +127,10 @@ def _on_incidence(x, amats, rhs):
     return bool((gap <= 1e-12 * (1.0 + np.abs(rhs).max(axis=1))).all())
 
 
-@pytest.mark.parametrize("max_iter", [50, 8])
+@pytest.mark.parametrize("max_iter", [50, 5])
 def test_batched_gauss_newton_rows_do_not_interact(doubled, max_iter):
     # the doubled cone's 40 multistart rows, at a target and at the vertex;
-    # with 8 iterations some rows stop unconverged
+    # with 5 iterations some rows stop unconverged
     cfg = SolveConfig(seed=7, max_iter=max_iter)
     sys = real_section_system(doubled)
     planted = squaring_section(0.3 + 0.7j, -1.1 + 0.2j, "minus")
@@ -364,6 +364,20 @@ def test_newton_fiber_of_the_doubled_cone(doubled, quadric, a, b, log_zeta, turn
         assert max(abs(g - v) for g, v in zip(got.values, target.values)) <= vtol
 
 
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(log_zeta=_decade, turn=st.floats(0.0, 1.0),
+       chart=st.sampled_from(["std", "inf"]), seed=st.integers(0, 2 ** 32 - 1))
+def test_newton_fiber_of_the_doubled_cone_at_the_vertex(doubled, log_zeta, turn,
+                                                        chart, seed):
+    # the vertex target is a singular root, where Newton only halves the
+    # error each step; the double step finishes every start at the zero
+    # section, so it is returned once
+    pt = P1Point(chart, 10.0 ** log_zeta * np.exp(2j * np.pi * turn))
+    res = solve_fiber(doubled, pt, (0j, 0j, 0j), SolveConfig(seed=seed))
+    assert res.method == "newton-multistart" and len(res.solutions) == 1
+    assert np.abs(res.solutions[0]).max() <= SolveConfig().dedup_radius
+
+
 def _same_solutions(res, other, planted):
     tol = 1e-8 * (1.0 + np.linalg.norm(planted))
     return len(res.solutions) == len(other.solutions) and all(
@@ -568,6 +582,73 @@ def test_classify_runs_one_gauss_newton_call(newton_rows):
     # the quadric cone: 3 vertex pairs x 2 kernel directions, one batched call
     classify_hypercomplex(build_quadric())
     assert newton_rows == [6]
+
+
+@pytest.fixture()
+def corrector_steps(monkeypatch):
+    """Row counts of the Gauss-Newton steps taken while the test runs."""
+    rows = []
+    original = analysis._lstsq_steps
+
+    def counting(jac, r):
+        rows.append(len(jac))
+        return original(jac, r)
+
+    monkeypatch.setattr(analysis, "_lstsq_steps", counting)
+    return rows
+
+
+def test_double_step_finishes_classify_at_the_singular_root(deformed, corrector_steps,
+                                                            monkeypatch):
+    # the quadric's continuation rows fall back to the zero section, a
+    # singular root, in a few steps with the double step and in many without
+    # it (an empty halving band); the deformed model's rows converge
+    # quadratically, and both evidences are the same either way
+    runs = {}
+    for double, band in ((True, analysis._HALVING_BAND), (False, (1.0, 1.0))):
+        monkeypatch.setattr(analysis, "_HALVING_BAND", band)
+        for name, model in (("quadric", build_quadric()), ("deformed", deformed)):
+            corrector_steps.clear()
+            evidence = jsonable(classify_hypercomplex(model, CFG).evidence)
+            runs[name, double] = len(corrector_steps), evidence
+    steps = {key: count for key, (count, _) in runs.items()}
+    assert steps["quadric", True] <= 4 < 10 < steps["quadric", False]
+    assert steps["deformed", True] == steps["deformed", False] == 3
+    for name in ("quadric", "deformed"):
+        assert runs[name, True][1] == runs[name, False][1]
+    assert runs["deformed", True][1]["families"][0]["certified"]
+
+
+def test_classify_branch_checks_equal_branch_test_one_by_one(quadric, smooth,
+                                                             monkeypatch):
+    # the same rng2 draws over the scan's regular entries as branch_test
+    # calls one at a time; the stacked helper also agrees on the zero
+    # section, branched on the quadric cone and unbranched on smooth-o11
+    scans = []
+    scan = analysis.singular_scan
+
+    def recording(*args):
+        scans.append(scan(*args))
+        return scans[-1]
+
+    monkeypatch.setattr(analysis, "singular_scan", recording)
+    for model in (quadric, smooth):
+        cls = classify_hypercomplex(model, CFG)
+        assert cls.verdict == "Hypercomplex"
+        regular = [e.params for e in scans[-1].entries if not e.deficient]
+        rng2 = np.random.default_rng(CFG.seed + 1)
+        picks, zetas = [], []
+        for _ in range(min(CFG.branch_checks, len(regular))):
+            picks.append(regular[int(rng2.integers(len(regular)))])
+            zetas.append(complex(rng2.standard_normal(), rng2.standard_normal()) * 0.6)
+        alone = [branch_test(model, p, z, CFG) for p, z in zip(picks, zetas)]
+        assert cls.evidence["branch_checks"] == [r.verdict for r in alone]
+        assert len(alone) == CFG.branch_checks
+        picks.append(np.zeros(model.nparams))
+        zetas.append(0.3 - 0.2j)
+        alone.append(branch_test(model, picks[-1], zetas[-1], CFG))
+        assert analysis._branch_reports(model, picks, zetas, CFG) == alone
+        assert alone[-1].verdict == ("branched" if model is quadric else "unbranched")
 
 
 def test_classify_deterministic(deformed):

@@ -5,14 +5,17 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from twistorcheck import cli
 from twistorcheck.cli import OPS, main, run_scenario
-from twistorcheck.serialize import dump_report, load_scenario
+from twistorcheck.scalars import GaussianRational
+from twistorcheck.serialize import dump_report, jsonable, load_scenario
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -286,6 +289,22 @@ def test_group_file_interface(tmp_path, capsys):
 def test_report_dump_is_stable():
     rep = {"b": 1, "a": [1.5, {"z": complex(1, 2)}]}
     assert dump_report(rep) == dump_report(rep)
+
+
+def test_report_dump_spells_values_and_keys_as_jsonable():
+    # library values are encoded as the encoder meets them, and a report
+    # with a non-string key is spelled and sorted by str() as before
+    cases = [
+        {"f": Fraction(1, 3), "g": GaussianRational(1, Fraction(2)),
+         "n": [np.float32(1.5), np.int64(3), np.bool_(True), np.float64(0.1)],
+         "arr": np.array([[1, 2], [3, 4]]), "carr": np.array([1 + 2j, 3]),
+         "t": (1, (2, 3)), "special": [float("nan"), float("inf"), None, True]},
+        {10: "a", 9: "b"}, {True: 1, False: 2}, {None: 1}, {(1, 2): 3},
+        {1.5: 1, float("inf"): 2}, {"x": [{3: 4, 12: 5}]}, {"mix": {1: 2, "a": 3}},
+        {"key": {np.bool_(True): 1}}]
+    for rep in cases:
+        assert dump_report(rep) == json.dumps(jsonable(rep), sort_keys=True,
+                                              indent=2) + "\n"
 
 
 def test_group_file_without_elements_exits_2(tmp_path, capsys):

@@ -1,12 +1,14 @@
-"""Exact rank against sympy, on matrices of known rank over Q and Q(i)."""
+"""Exact rank against sympy, on matrices of known rank over Q and Q(i);
+the numerical rank of a stack against each of its rows."""
 
 from fractions import Fraction
 
+import numpy as np
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistorcheck.exactla import exact_rank
+from twistorcheck.exactla import exact_rank, numerical_rank
 from twistorcheck.scalars import GaussianRational as GR
 
 _rational = st.fractions(min_value=-5, max_value=5, max_denominator=7)
@@ -61,3 +63,28 @@ def test_complex_rank_is_not_the_rank_of_a_part():
     # the second row is i times the first; the real part alone has rank 2
     assert exact_rank([[GR(1), GR(0, 1)], [GR(0, 1), GR(-1)]]) == 1
     assert exact_rank([[GR(1), GR(0, 1)], [GR(0, 1), GR(1)]]) == 2
+
+
+def test_numerical_rank_of_a_stack_equals_each_row():
+    # stacks of products of known rank, with zero matrices (all-zero rows of
+    # singular values) and empty last axes; an int for a vector, an int array
+    # of the stack's shape otherwise
+    rng = np.random.default_rng(20240812)
+    for k, m, n in [(8, 4, 4), (6, 3, 7), (5, 8, 2), (3, 1, 1), (0, 3, 3), (4, 3, 0)]:
+        ranks = rng.integers(0, min(m, n) + 1, size=k)
+        ranks[:1] = 0
+        mats = np.array([rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+                         for r in ranks]).reshape(k, m, n)
+        svals = np.linalg.svd(mats, compute_uv=False)
+        for rtol in (1e-7, 1e-12):
+            stacked = numerical_rank(svals, rtol)
+            alone = [numerical_rank(sv, rtol) for sv in svals]
+            assert isinstance(stacked, np.ndarray) and stacked.shape == (k,)
+            assert all(type(r) is int for r in alone)
+            assert stacked.tolist() == alone == ranks.tolist()
+            if k:
+                nested = numerical_rank(svals.reshape(1, k, -1), rtol)
+                assert nested.shape == (1, k) and nested[0].tolist() == alone
+    assert numerical_rank([], 1e-7) == 0
+    assert numerical_rank(np.zeros(3), 1e-7) == 0
+    assert numerical_rank(np.zeros((2, 0)), 1e-7).tolist() == [0, 0]

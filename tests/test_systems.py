@@ -185,6 +185,30 @@ def test_float_parameters_must_be_real(quadric):
                 call(p)
 
 
+def test_mixed_float_parameters_must_be_real(quadric):
+    # a list mixing Fractions with complex or GaussianRational entries: a
+    # nonzero imaginary part is refused, a real one is converted
+    system = real_section_system(quadric)
+    planted = quadric_params(1, 0, 0, 0, 1)
+    mixed = [Fraction(v).limit_denominator() for v in planted]
+    real = [mixed[:2] + [complex(mixed[2])] + mixed[3:],
+            mixed[:4] + [GR(mixed[4])] + mixed[5:]]
+    imaginary = [mixed[:2] + [0.5j] + mixed[3:],
+                 mixed[:4] + [GR(0, Fraction(1, 2))] + mixed[5:]]
+    for call in (system.residuals, system.jacobian_at, system.members,
+                 system.membership):
+        for p in imaginary:
+            with pytest.raises(ModelError, match="section parameters are real"):
+                call(p)
+    with pytest.raises(ModelError, match="section parameters are real"):
+        system.members(imaginary)
+    for p in real:
+        assert np.array_equal(system.residuals(p), system.residuals(planted))
+        assert np.array_equal(system.jacobian_at(p), system.jacobian_at(planted))
+        assert system.membership(p).passed
+    assert system.members(real).all()
+
+
 _rational = st.fractions(min_value=-4, max_value=4, max_denominator=30)
 
 
