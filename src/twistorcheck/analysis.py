@@ -22,11 +22,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import (DimensionError, FiberError, ModelError, OriginError)
-from .exactla import exact_rank, numerical_rank
+from .exactla import _integer_rank, common_denominator, numerical_rank
 from .models import TwistorModel, squaring_section
 from .projline import (CoeffPoly, P1Point, SplittingType, as_p1,
                        kernel_splitting)
-from .scalars import abs2, certifies, exact_sqrt
+from .scalars import abs2, certifies
 from .systems import real_section_system
 
 
@@ -977,15 +977,6 @@ def component_label(params):
     return best
 
 
-def _hypot_scalar(re, im, exact):
-    if exact:
-        val = exact_sqrt(re * re + im * im)
-        if val is None:
-            raise ModelError("modulus is not an exact rational square")
-        return val
-    return math.hypot(float(re), float(im))
-
-
 def sym_matrix_model(params, label: int, exact: bool = False):
     """Traceless symmetric matrix pair (B, t) recovered from a quadric section.
 
@@ -998,11 +989,12 @@ def sym_matrix_model(params, label: int, exact: bool = False):
     p = list(params)
     if len(p) != 9:
         raise DimensionError("matrix model requires the 9-parameter model")
-    p = [Fraction(v) for v in p] if exact else [float(v) for v in p]
-    x0r, x0i, x1r, x1i, x2r, x2i, z0r, z0i, _ = p
+    if exact:
+        return _exact_matrix_model(p, label)
+    x0r, x0i, x1r, x1i, x2r, x2i, z0r, z0i, _ = [float(v) for v in p]
     s = label
-    m0 = _hypot_scalar(x0r, x0i, exact)
-    m2 = _hypot_scalar(x2r, x2i, exact)
+    m0 = math.hypot(x0r, x0i)
+    m2 = math.hypot(x2r, x2i)
     t = s * (m0 + m2)
     a = [[None] * 4 for _ in range(4)]
     a[0][0] = s * (m0 + x0r) / 2
@@ -1018,19 +1010,13 @@ def sym_matrix_model(params, label: int, exact: bool = False):
     for i in range(4):
         for j in range(i + 1, 4):
             a[j][i] = a[i][j]
-    _check_rank_one(a, exact)
+    _check_rank_one(a)
     b = [[a[i][j] - (t / 4 if i == j else 0) for j in range(4)]
          for i in range(4)]
-    if exact:
-        return b, t
     return np.array(b, dtype=float), float(t)
 
 
-def _check_rank_one(a, exact):
-    if exact:
-        if exact_rank(a) > 1:
-            raise ModelError("recovered products are inconsistent (2x2 minor != 0)")
-        return
+def _check_rank_one(a):
     scale = max(abs(a[i][j]) for i in range(4) for j in range(4))
     for i in range(4):
         for j in range(i + 1, 4):
@@ -1040,6 +1026,45 @@ def _check_rank_one(a, exact):
                     if abs(minor) > _MATRIX_TOL * (1.0 + scale) ** 2:
                         raise ModelError(
                             "recovered products are inconsistent beyond tolerance")
+
+
+def _exact_matrix_model(p, s: int):
+    """The exact (B, t) in integers.  With the section written as n / den,
+    den*|x0|, den*|x2| and the entries of 4*den*A are integers; only B and
+    t are made into Fractions."""
+    (x0r, x0i, x1r, x1i, x2r, x2i, z0r, z0i, _), den = common_denominator(
+        [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in p])
+    m0 = _integer_modulus(x0r, x0i)
+    m2 = _integer_modulus(x2r, x2i)
+    a = [[None] * 4 for _ in range(4)]
+    a[0][0] = 2 * s * (m0 + x0r)
+    a[1][1] = 2 * s * (m0 - x0r)
+    a[2][2] = 2 * s * (m2 + x2r)
+    a[3][3] = 2 * s * (m2 - x2r)
+    a[0][1] = 2 * s * x0i
+    a[2][3] = -2 * s * x2i
+    a[0][2] = 2 * s * z0r - x1r
+    a[1][3] = -x1r - 2 * s * z0r
+    a[1][2] = 2 * s * z0i - x1i
+    a[0][3] = 2 * s * z0i + x1i
+    for i in range(4):
+        for j in range(i + 1, 4):
+            a[j][i] = a[i][j]
+    if _integer_rank([row[:] for row in a]) > 1:
+        raise ModelError("recovered products are inconsistent (2x2 minor != 0)")
+    trace = s * (m0 + m2)  # den*t, which is 4*den times t/4
+    b = [[Fraction(a[i][j] - trace if i == j else a[i][j], 4 * den) for j in range(4)]
+         for i in range(4)]
+    return b, Fraction(trace, den)
+
+
+def _integer_modulus(re: int, im: int) -> int:
+    """|re + i*im|; it must be an integer for |(re + i*im) / den| to be rational."""
+    n = re * re + im * im
+    root = math.isqrt(n)
+    if root * root != n:
+        raise ModelError("modulus is not an exact rational square")
+    return root
 
 
 @dataclass

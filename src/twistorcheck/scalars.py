@@ -20,142 +20,161 @@ from fractions import Fraction
 class GaussianRational:
     """Complex number with exact rational real and imaginary parts.
 
-    Both parts are always ``Fraction`` instances.  The public constructor
-    normalises its arguments; arithmetic builds its results with
-    :func:`_gr`, which trusts parts that are already ``Fraction``.
+    The value is (a + b i) / d for Python ints with d > 0 and
+    gcd(a, b, d) == 1, so equal values have equal fields.  Arithmetic works
+    on these integers and normalises each result with one ``math.gcd``;
+    ``.re`` and ``.im`` (also ``.real`` and ``.imag``) are ``Fraction``s
+    built when read.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        if isinstance(re, GaussianRational):
+        if isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction)):
+            p, q, r, s = re.numerator, re.denominator, im.numerator, im.denominator
+        elif isinstance(re, GaussianRational):
             if im != 0:
                 raise TypeError("cannot combine GaussianRational with extra imaginary part")
-            self.re, self.im = re.re, re.im
+            self._a, self._b, self._d = re._a, re._b, re._d
             return
-        if isinstance(re, float) or isinstance(im, float):
+        elif isinstance(re, float) or isinstance(im, float):
             raise TypeError("GaussianRational does not accept floats; use exact input")
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    def _coerce(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, Fraction):
-            return _gr(other, _ZERO)
-        if isinstance(other, int):
-            return _gr(Fraction(other), _ZERO)
-        return None
+        else:
+            re, im = Fraction(re), Fraction(im)
+            p, q, r, s = re.numerator, re.denominator, im.numerator, im.denominator
+        if q != s:  # both in lowest terms, so over the lcm gcd(a, b, d) stays 1
+            d = q // math.gcd(q, s) * s
+            p, r, q = p * (d // q), r * (d // s), d
+        self._a, self._b, self._d = p, r, q
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _gr(self.re + o.re, self.im + o.im)
+        d = self._d
+        if isinstance(other, GaussianRational):
+            e = other._d
+            if d == e:
+                return _gr(self._a + other._a, self._b + other._b, d)
+            return _gr(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
+        if isinstance(other, int):  # gcd(a + n d, b, d) = gcd(a, b, d) = 1
+            return _raw(self._a + other * d, self._b, d)
+        if isinstance(other, Fraction):
+            q = other.denominator
+            return _gr(self._a * q + other.numerator * d, self._b * q, d * q)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _gr(self.re - o.re, self.im - o.im)
+        if isinstance(other, (GaussianRational, int, Fraction)):
+            return self + -other
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _gr(o.re - self.re, o.im - self.im)
+        if isinstance(other, (int, Fraction)):
+            return -self + other
+        return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):  # a real factor scales both parts
-            return _gr(self.re * other, self.im * other)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o.im:
-            return _gr(self.re * o.re, self.im * o.re)
-        if not self.im:
-            return _gr(self.re * o.re, self.re * o.im)
-        return _gr(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        if isinstance(other, GaussianRational):
+            a, b, c, e = self._a, self._b, other._a, other._b
+            return _gr(a * c - b * e, a * e + b * c, self._d * other._d)
+        if isinstance(other, int):
+            return _gr(self._a * other, self._b * other, self._d)
+        if isinstance(other, Fraction):
+            p = other.numerator
+            return _gr(self._a * p, self._b * p, self._d * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, GaussianRational):
+            c, e, f = other._a, other._b, other._d
+        elif isinstance(other, (int, Fraction)):
+            c, e, f = other.numerator, 0, other.denominator
+        else:
             return NotImplemented
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return _gr((self.re * o.re + self.im * o.im) / n,
-                   (self.im * o.re - self.re * o.im) / n)
+        if not e:  # a real divisor: keep the denominator positive
+            if not c:
+                raise ZeroDivisionError("division by zero GaussianRational")
+            if c < 0:
+                c, f = -c, -f
+            return _gr(self._a * f, self._b * f, self._d * c)
+        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
+        a, b = self._a * f, self._b * f
+        return _gr(a * c + b * e, b * c - a * e, self._d * (c * c + e * e))
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        if isinstance(other, (int, Fraction)):
+            return _raw(other.numerator, 0, other.denominator) / self
+        return NotImplemented
 
     def __neg__(self):
-        return _gr(-self.re, -self.im)
+        return _raw(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
 
     @property
-    def real(self) -> Fraction:
-        return self.re
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
 
     @property
-    def imag(self) -> Fraction:
-        return self.im
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    real = re
+    imag = im
 
     def conjugate(self):
-        return _gr(self.re, -self.im)
+        return _raw(self._a, -self._b, self._d)
 
     def __eq__(self, other):
+        if isinstance(other, GaussianRational):
+            return (self._a == other._a and self._b == other._b
+                    and self._d == other._d)
         if isinstance(other, int):
-            return not self.im and self.re == other
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, complex):
-                return complex(self) == other
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+            return not self._b and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (not self._b and self._a == other.numerator
+                    and self._d == other.denominator)
+        if isinstance(other, complex):
+            return complex(self) == other
+        return NotImplemented
 
     def __ne__(self, other):
-        if isinstance(other, int):
-            return bool(self.im) or self.re != other
         eq = self.__eq__(other)
         return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if not self._b:  # a real value hashes as its Fraction
+            return hash(Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self._a or self._b)
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self):
-        if self.im == 0:
+        if not self._b:
             return f"GR({self.re})"
         return f"GR({self.re}, {self.im})"
 
 
-_ZERO = Fraction(0)
-
-
-def _gr(re: Fraction, im: Fraction) -> GaussianRational:
-    """GaussianRational from parts that are already ``Fraction``; no checks."""
+def _raw(a: int, b: int, d: int) -> GaussianRational:
+    """(a + bi) / d from fields already in lowest terms with d > 0; no checks."""
     z = object.__new__(GaussianRational)
-    z.re = re
-    z.im = im
+    z._a, z._b, z._d = a, b, d
     return z
+
+
+def _gr(a: int, b: int, d: int) -> GaussianRational:
+    """(a + bi) / d brought to lowest terms, for d > 0."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _raw(a, b, d)
 
 
 def is_exact(x) -> bool:
@@ -181,20 +200,6 @@ def make_complex(re, im, exact: bool):
     if exact:
         return GaussianRational(re, im)
     return complex(re, im)
-
-
-def exact_sqrt(f: Fraction):
-    """Square root of a nonnegative rational, or None if not a perfect square."""
-    f = Fraction(f)
-    if f < 0:
-        return None
-    if f == 0:
-        return Fraction(0)
-    ns = math.isqrt(f.numerator)
-    ds = math.isqrt(f.denominator)
-    if ns * ns == f.numerator and ds * ds == f.denominator:
-        return Fraction(ns, ds)
-    return None
 
 
 def parse_exact_scalar(text: str) -> GaussianRational:

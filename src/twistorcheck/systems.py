@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, ModelError
-from .exactla import common_denominator, exact_rank, numerical_rank
+from .exactla import _integer_rank, common_denominator, numerical_rank
 from .mpoly import MPoly
 from .models import TwistorModel, _coeff_form
 from .scalars import certifies
@@ -56,8 +56,9 @@ class RealEquationSystem:
         return _Compiled(self.equations, self.nvars)
 
     def _certifies(self, p) -> bool:
-        """Whether p takes the exact path; numeric arrays never do."""
-        if isinstance(p, np.ndarray) and p.dtype != object:
+        """Whether p takes the exact path; arrays of numbers and stacked
+        arrays of points never do."""
+        if isinstance(p, np.ndarray) and (p.dtype != object or p.ndim != 1):
             return False
         if len(p) != self.nvars:
             raise DimensionError(
@@ -73,25 +74,27 @@ class RealEquationSystem:
             table[..., k] = table[..., k - 1] * x
         return table[..., np.arange(self.nvars), exps].prod(axis=-1)
 
-    def _exact_values(self, p, jacobian: bool) -> list:
-        """Exact residuals, or Jacobian entries row major, at the exact point p."""
+    def _integer_values(self, p, jacobian: bool):
+        """Exact residuals, or Jacobian entries row major, at the exact point
+        p, as integer numerators over one positive denominator."""
         if any(v.imag for v in p):
             raise ModelError("section parameters are real")
-        num, den = common_denominator([v.real for v in p])
+        num, den = common_denominator(
+            [v if isinstance(v, (int, Fraction)) else v.real for v in p])
         comp = self._compiled
         scale, columns = comp.integer_jac if jacobian else comp.integer_res
         # every monomial is brought to the top degree, so one denominator serves all
         powers = [den ** k for k in range(comp.degree + 1)]
         mono = [math.prod([num[i] for i in f]) * powers[comp.degree - len(f)]
                 for f in comp.factors]
-        total = scale * powers[-1]
-        return [Fraction(sum([c * mono[m] for m, c in col]), total) for col in columns]
+        return [sum([c * mono[m] for m, c in col]) for col in columns], scale * powers[-1]
 
     def residuals(self, p):
         """Residuals at p: exact values when certified, else a float array
         (one row per point of a stacked input)."""
         if self._certifies(p):
-            return self._exact_values(p, False)
+            nums, den = self._integer_values(p, False)
+            return [Fraction(n, den) for n in nums]
         x = self._float_points(p)
         # einsum sums each row in a fixed order, so rows never interact
         return np.einsum("...m,me->...e", self._monomials(x), self._compiled.res)
@@ -100,11 +103,16 @@ class RealEquationSystem:
         """Jacobian at p: exact rows when certified, else a float array of
         shape (len, nvars), or (S, len, nvars) for a stacked input."""
         if self._certifies(p):
-            flat = self._exact_values(p, True)
-            return [flat[k:k + self.nvars] for k in range(0, len(flat), self.nvars)]
+            rows, den = self._integer_jacobian(p)
+            return [[Fraction(n, den) for n in row] for row in rows]
         x = self._float_points(p)
         flat = np.einsum("...m,me->...e", self._monomials(x), self._compiled.jac)
         return flat.reshape(x.shape[:-1] + (len(self), self.nvars))
+
+    def _integer_jacobian(self, p):
+        flat, den = self._integer_values(p, True)
+        n = self.nvars
+        return [flat[k:k + n] for k in range(0, len(flat), n)], den
 
     def _float_points(self, p) -> np.ndarray:
         x = np.asarray(p)
@@ -134,20 +142,27 @@ class RealEquationSystem:
         return mx <= scale
 
     def membership(self, p, tol: float = 1e-9) -> MembershipReport:
+        """Membership of one point: exact when certified, decided on the
+        integer numerators of its residuals; else within the scaled tolerance."""
         if self._certifies(p):
-            res = self.residuals(p)
-            passed = all(r == 0 for r in res)
-            mx = max((abs(float(r)) for r in res), default=0.0)
-            return MembershipReport(passed, res, mx, 0.0, list(self.labels))
-        res, mx, scale = self._float_margins(self._float_points(p), tol)
+            nums, den = self._integer_values(p, False)
+            mx = max(map(abs, nums), default=0) / den
+            return MembershipReport(not any(nums), [Fraction(n, den) for n in nums],
+                                    mx, 0.0, list(self.labels))
+        x = self._float_points(p)
+        if x.ndim != 1:
+            raise DimensionError("membership takes one point; members takes a stack")
+        res, mx, scale = self._float_margins(x, tol)
         return MembershipReport(bool(mx <= scale), res.tolist(), float(mx),
                                 float(scale), list(self.labels))
 
     def jacobian_rank(self, p, rank_rtol: float = 1e-7) -> int:
-        jac = self.jacobian_at(p)
-        if isinstance(jac, np.ndarray):
-            return numerical_rank(np.linalg.svd(jac, compute_uv=False), rank_rtol)
-        return exact_rank(jac)
+        """Rank of the Jacobian at p: exact, of its integer numerators, when
+        certified (a common scale keeps the rank); else numerical."""
+        if self._certifies(p):
+            return _integer_rank(self._integer_jacobian(p)[0])
+        svals = np.linalg.svd(self.jacobian_at(p), compute_uv=False)
+        return numerical_rank(svals, rank_rtol)
 
 
 class _Compiled:

@@ -698,6 +698,93 @@ def test_sym_matrix_model_rejects_off_variety():
             sym_matrix_model(quadric_params(1, 1, 1, 1, 1, exact=exact), 1, exact=exact)
 
 
+def _fraction_matrix_model(params, s):
+    """The exact (B, t) by the Fraction formulas: moduli by square roots of
+    reduced fractions, rank one by all 2x2 minors."""
+    x0r, x0i, x1r, x1i, x2r, x2i, z0r, z0i, _ = [Fraction(v) for v in params]
+
+    def modulus(re, im):
+        f = re * re + im * im
+        n, d = math.isqrt(f.numerator), math.isqrt(f.denominator)
+        if n * n != f.numerator or d * d != f.denominator:
+            raise ModelError("modulus is not an exact rational square")
+        return Fraction(n, d)
+
+    m0, m2 = modulus(x0r, x0i), modulus(x2r, x2i)
+    t = s * (m0 + m2)
+    a = [[None] * 4 for _ in range(4)]
+    a[0][0], a[1][1] = s * (m0 + x0r) / 2, s * (m0 - x0r) / 2
+    a[2][2], a[3][3] = s * (m2 + x2r) / 2, s * (m2 - x2r) / 2
+    a[0][1], a[2][3] = s * x0i / 2, -s * x2i / 2
+    a[0][2] = (2 * s * z0r - x1r) / 2 / 2
+    a[1][3] = (-x1r - 2 * s * z0r) / 2 / 2
+    a[1][2] = (2 * s * z0i - x1i) / 2 / 2
+    a[0][3] = (2 * s * z0i + x1i) / 2 / 2
+    for i in range(4):
+        for j in range(i + 1, 4):
+            a[j][i] = a[i][j]
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    if any(a[i][k] * a[j][m] != a[i][m] * a[j][k] for i, j in pairs for k, m in pairs):
+        raise ModelError("recovered products are inconsistent (2x2 minor != 0)")
+    return [[a[i][j] - (t / 4 if i == j else 0) for j in range(4)]
+            for i in range(4)], t
+
+
+def _matrix_model_outcome(call, params, label):
+    try:
+        return call(params, label)
+    except ModelError as exc:
+        return ModelError, str(exc)
+
+
+_gaussian_rational = st.builds(
+    GaussianRational, st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(a=_gaussian_rational, b=_gaussian_rational,
+       variant=st.sampled_from(["minus", "plus"]), label=st.sampled_from([1, -1]),
+       shift=st.integers(0, 8), by=st.fractions(min_value=-2, max_value=2,
+                                                max_denominator=5))
+def test_exact_matrix_model_equals_the_fraction_formulas(a, b, variant, label,
+                                                          shift, by):
+    # planted sections with either label (the wrong one is refused), the
+    # same with one coordinate moved, and the integer scaling of each
+    sec = squaring_section(a, b, variant, exact=True)
+    moved = list(sec)
+    moved[shift] += by
+    for params in (sec, moved, [v * 6 for v in sec], [Fraction(v) for v in moved]):
+        got = _matrix_model_outcome(
+            lambda p, s: sym_matrix_model(p, s, exact=True), params, label)
+        want = _matrix_model_outcome(_fraction_matrix_model, params, label)
+        assert got == want
+        if got[0] is not ModelError:
+            assert all(type(v) is Fraction for row in got[0] for v in row)
+            assert type(got[1]) is Fraction
+    planted = 1 if variant == "minus" else -1
+    if a or b:
+        assert _matrix_model_outcome(
+            lambda p, s: sym_matrix_model(p, s, exact=True), sec, planted)[0] \
+            is not ModelError
+
+
+def test_exact_matrix_model_refusals():
+    # |x0|^2 = 2 is not a rational square; off-variety points give A of
+    # rank 2 (A = diag(1, 0, 1, 0) up to sign) and of rank 3 or more
+    cases = [(quadric_params(1 + 1j, 0, 0, 0, 0), "modulus is not an exact"),
+             (quadric_params(1, 0, 1 + 1j, 0, 0), "modulus is not an exact"),
+             (quadric_params(1, 0, 1, 0, 0), "inconsistent"),
+             (quadric_params(1, 1, 1, 1, 1, exact=True), "inconsistent")]
+    for params, message in cases:
+        exact = [Fraction(v).limit_denominator() for v in params]
+        for label in (1, -1):
+            with pytest.raises(ModelError, match=message):
+                sym_matrix_model(exact, label, exact=True)
+            assert _matrix_model_outcome(_fraction_matrix_model, exact, label)[0] \
+                is ModelError
+
+
 def test_matrix_oracle_examples():
     rep = rank_one_matrix_oracle([1.0, 0.0, 0.0, 0.0])
     assert rep.rank_a == 1 and abs(rep.trace_b) < 1e-15

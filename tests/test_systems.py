@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from twistorcheck import (DimensionError, ModelError, SigmaCoordRule,
                           build_deformed, build_quadric, build_smooth_o11,
-                          glue_cone_twistor, quadric_params)
+                          glue_cone_twistor, quadric_params, squaring_section)
+from twistorcheck.exactla import exact_rank
 from twistorcheck.scalars import GaussianRational as GR
 from twistorcheck.systems import real_section_system
 
@@ -148,12 +149,15 @@ def _exact_a2_cone():
                              (3, 3, 2), 1, rules, exact=True)
 
 
-@pytest.mark.parametrize("build", [
+_exact_builds = pytest.mark.parametrize("build", [
     lambda: build_quadric(exact=True),
     lambda: build_deformed([GR(0, 1), GR(0), GR(0, -1)], "antireal", exact=True),
     lambda: build_smooth_o11(exact=True),
     _exact_a2_cone,
 ], ids=["quadric", "deformed", "smooth-o11", "a2_cone"])
+
+
+@_exact_builds
 def test_exact_compiled_form_equals_mpoly(build):
     system = real_section_system(build())
     jacobian = _mpoly_jacobian(system)
@@ -164,6 +168,67 @@ def test_exact_compiled_form_equals_mpoly(build):
         assert system.residuals(p) == [eq.evaluate(p) for eq in system.equations]
         assert system.jacobian_at(p) == [[e.evaluate(p) for e in row]
                                          for row in jacobian]
+
+
+@_exact_builds
+def test_integer_certificates_equal_the_fraction_route(build):
+    # membership and rank decided on integer numerators agree with the
+    # Fraction residuals and exactla.exact_rank of the Fraction Jacobian
+    model = build()
+    system = real_section_system(model)
+    rng = random.Random(20240812)
+
+    def frac():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    points = [[Fraction(0)] * system.nvars]
+    if system.nvars == 9:  # squaring sections, and each with one coordinate moved
+        for variant in ("minus", "plus"):
+            for _ in range(6):
+                sec = squaring_section(GR(frac(), frac()), GR(frac(), frac()),
+                                       variant, exact=True)
+                moved = list(sec)
+                moved[rng.randrange(9)] += Fraction(1, rng.randint(1, 9))
+                points += [sec, moved]
+    points += [[frac() for _ in range(system.nvars)] for _ in range(10)]
+    verdicts = set()
+    for p in points:
+        res = system.residuals(p)
+        rep = system.membership(p)
+        assert rep.passed == all(r == 0 for r in res)
+        assert rep.residuals == res
+        assert rep.max_residual == max((abs(float(r)) for r in res), default=0.0)
+        assert system.jacobian_rank(p) == exact_rank(system.jacobian_at(p))
+        verdicts.add(rep.passed)
+    # the deformed model's shift keeps the zero section and the squares off it
+    assert (True in verdicts) == (model.name != "deformed")
+    assert (False in verdicts) == (len(system) > 0)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_stacked_object_arrays_take_the_float_path(exact):
+    # an (S, n) object array of Fractions is a stack of points, as a float
+    # array of the same points is, never one point of S parameters
+    system = real_section_system(build_quadric(exact=exact))
+    member = squaring_section(GR(1, 2), GR(Fraction(1, 3), -1), "minus", exact=True)
+    other = list(member)
+    other[8] += 1
+    stack = np.array([member, other], dtype=object)
+    floats = stack.astype(float)
+    assert np.array_equal(system.residuals(stack), system.residuals(floats))
+    assert np.array_equal(system.jacobian_at(stack), system.jacobian_at(floats))
+    assert system.residuals(stack).shape == (2, 7)
+    assert system.members(stack).tolist() == [True, False]
+    assert system.jacobian_rank(stack).tolist() == [
+        system.jacobian_rank(floats[0]), system.jacobian_rank(floats[1])] == [5, 7]
+    with pytest.raises(DimensionError, match="membership takes one point"):
+        system.membership(stack)
+    with pytest.raises(DimensionError, match="membership takes one point"):
+        system.membership(floats)
+    # one row of the object array is one point, exact on an exact model
+    assert system.membership(stack[0]).passed
+    assert not system.membership(stack[1]).passed
+    assert (system.membership(stack[1]).scaled_tol == 0.0) == exact
 
 
 def test_exact_parameters_must_be_real(quadric_exact):
