@@ -1032,7 +1032,7 @@ def _exact_matrix_model(p, s: int):
     """The exact (B, t) in integers.  With the section written as n / den,
     den*|x0|, den*|x2| and the entries of 4*den*A are integers; only B and
     t are made into Fractions."""
-    (x0r, x0i, x1r, x1i, x2r, x2i, z0r, z0i, _), den = common_denominator(
+    (x0r, x0i, x1r, x1i, x2r, x2i, z0r, z0i, _), _, den = common_denominator(
         [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in p])
     m0 = _integer_modulus(x0r, x0i)
     m2 = _integer_modulus(x2r, x2i)

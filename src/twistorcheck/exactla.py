@@ -12,27 +12,29 @@ import math
 
 import numpy as np
 
+from .scalars import exact_parts
+
 
 def exact_rank(mat) -> int:
     """Rank over the Gaussian rationals.
 
     A matrix A + iB with B != 0 has half the rank of the real block matrix
-    [[A, -B], [B, A]]; a rational row keeps its rank when it is scaled by
-    the lcm of its denominators, which leaves integer rows.
+    [[A, -B], [B, A]]; a row keeps its rank when it is scaled by the lcm of
+    its denominators, which leaves integer rows.
     """
-    re = [[v.real for v in row] for row in mat]
-    if not any(v.imag for row in mat for v in row):
-        return _integer_rank([common_denominator(row)[0] for row in re])
-    im = [[v.imag for v in row] for row in mat]
-    block = ([a + [-v for v in b] for a, b in zip(re, im)]
-             + [b + a for a, b in zip(re, im)])
-    return _integer_rank([common_denominator(row)[0] for row in block]) // 2
+    rows = [common_denominator(row) for row in mat]
+    if not any(any(im) for _, im, _ in rows):
+        return _integer_rank([re for re, _, _ in rows])
+    return _integer_rank([re + [-v for v in im] for re, im, _ in rows]
+                         + [im + re for re, im, _ in rows]) // 2
 
 
 def common_denominator(values):
-    """Integers n and the lcm d of the denominators, with values = n / d."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    """Integer parts re, im and the lcm d of the denominators of exact
+    values, with values = (re + i im) / d."""
+    parts = [exact_parts(v) for v in values]
+    den = math.lcm(*(d for _, _, d in parts))
+    return [a * (den // d) for a, _, d in parts], [b * (den // d) for _, b, d in parts], den
 
 
 def _integer_rank(rows) -> int:

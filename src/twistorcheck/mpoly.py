@@ -30,10 +30,6 @@ class MPoly:
             del self.terms[e]
 
     @staticmethod
-    def zero(nvars: int) -> "MPoly":
-        return MPoly(nvars)
-
-    @staticmethod
     def const(nvars: int, c) -> "MPoly":
         return MPoly(nvars, {(0,) * nvars: c})
 
@@ -107,12 +103,6 @@ class MPoly:
 
     def map_coeffs(self, fn) -> "MPoly":
         return MPoly(self.nvars, {e: fn(c) for e, c in self.terms.items()})
-
-    def split_real_imag(self):
-        """(real part, imaginary part) of a complex-coefficient polynomial."""
-        re = {e: c.real for e, c in self.terms.items()}
-        im = {e: c.imag for e, c in self.terms.items()}
-        return MPoly(self.nvars, re), MPoly(self.nvars, im)
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(negligible(c, tol) for c in self.terms.values())

@@ -181,6 +181,13 @@ def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction, GaussianRational))
 
 
+def exact_parts(x):
+    """Integers (a, b, d) with x = (a + b i) / d and d > 0, for an exact x."""
+    if isinstance(x, GaussianRational):
+        return x._a, x._b, x._d
+    return x.numerator, 0, x.denominator
+
+
 def certifies(exact: bool, values) -> bool:
     """Whether the exact branch applies: an exact model and all-exact inputs."""
     return exact and all(is_exact(v) for v in values)

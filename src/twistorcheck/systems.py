@@ -3,12 +3,13 @@
 Substituting the generic real section into a fiber equation of twist d and
 expanding over the base gives d+1 coefficient conditions; conjugate symmetry
 makes the top half redundant, so only the low coefficients (plus one real
-scalar from the middle when d is even) are emitted.
+scalar from the middle when d is even) are formed and emitted.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -18,8 +19,8 @@ import numpy as np
 from .errors import DimensionError, ModelError
 from .exactla import _integer_rank, common_denominator, numerical_rank
 from .mpoly import MPoly
-from .models import TwistorModel, _coeff_form
-from .scalars import certifies
+from .models import TwistorModel
+from .scalars import certifies, exact_parts, negligible
 
 
 @dataclass
@@ -34,26 +35,31 @@ class MembershipReport:
 class RealEquationSystem:
     """List of real polynomial equations with an analytic Jacobian.
 
-    Residuals and Jacobian entries are evaluated on one compiled form, built
-    on first use, for both scalar kinds.  Exact inputs to an exact system,
-    which certify facts, are evaluated in integers over common denominators;
-    every other input in floats, where a point or a stacked ``(S, n)`` array
-    of points goes through one power table and two matrix products.
+    Residuals and Jacobian entries, row major, are two coefficient blocks,
+    each over the monomials it uses.  Exact inputs to an exact system, which
+    certify facts, are evaluated in integers over common denominators; every
+    other input in floats, where a point or a stacked ``(S, n)`` array of
+    points goes through one power table and one matrix product.
     """
 
-    def __init__(self, nvars, equations, labels, expected_regular_rank, exact):
+    def __init__(self, nvars, residuals, labels, expected_regular_rank, exact):
         self.nvars = nvars
-        self.equations = list(equations)
         self.labels = list(labels)
         self.expected_regular_rank = expected_regular_rank
         self.exact = exact
+        self._res = residuals
+        self._jac = residuals.jacobian()
 
     def __len__(self):
-        return len(self.equations)
+        return len(self.labels)
 
     @cached_property
-    def _compiled(self) -> "_Compiled":
-        return _Compiled(self.equations, self.nvars)
+    def equations(self) -> list:
+        """The residuals as MPolys, with Fraction coefficients when exact."""
+        res, exps = self._res, [tuple(e) for e in self._res.exps.tolist()]
+        coeff = (lambda c: Fraction(c, res.den)) if self.exact else float
+        return [MPoly(self.nvars, {exps[m]: coeff(c) for m, c in col})
+                for col in res.columns]
 
     def _certifies(self, p) -> bool:
         """Whether p takes the exact path; arrays of numbers and stacked
@@ -65,39 +71,37 @@ class RealEquationSystem:
                 f"expected {self.nvars} parameters, got {len(p)}")
         return certifies(self.exact, p)
 
-    def _monomials(self, x: np.ndarray) -> np.ndarray:
-        """Values of the compiled monomials at each row of ``x``."""
-        exps = self._compiled.exps
+    def _float_values(self, x: np.ndarray, block: "_Block") -> np.ndarray:
+        """The block's columns at each row of ``x``."""
+        exps = block.exps
         table = np.empty(x.shape + (int(exps.max(initial=0)) + 1,))
         table[..., 0] = 1.0
         for k in range(1, table.shape[-1]):
             table[..., k] = table[..., k - 1] * x
-        return table[..., np.arange(self.nvars), exps].prod(axis=-1)
+        mono = table[..., np.arange(self.nvars), exps].prod(axis=-1)
+        # einsum sums each row in a fixed order, so rows never interact
+        return np.einsum("...m,me->...e", mono, block.matrix)
 
-    def _integer_values(self, p, jacobian: bool):
-        """Exact residuals, or Jacobian entries row major, at the exact point
-        p, as integer numerators over one positive denominator."""
-        if any(v.imag for v in p):
+    def _integer_values(self, p, block: "_Block"):
+        """The block's columns at the exact point p, as integer numerators
+        over one positive denominator."""
+        num, im, den = common_denominator(p)
+        if any(im):
             raise ModelError("section parameters are real")
-        num, den = common_denominator(
-            [v if isinstance(v, (int, Fraction)) else v.real for v in p])
-        comp = self._compiled
-        scale, columns = comp.integer_jac if jacobian else comp.integer_res
         # every monomial is brought to the top degree, so one denominator serves all
-        powers = [den ** k for k in range(comp.degree + 1)]
-        mono = [math.prod([num[i] for i in f]) * powers[comp.degree - len(f)]
-                for f in comp.factors]
-        return [sum([c * mono[m] for m, c in col]) for col in columns], scale * powers[-1]
+        powers = [den ** k for k in range(block.degree + 1)]
+        mono = [math.prod([num[i] for i in f]) * powers[block.degree - len(f)]
+                for f in block.factors]
+        return ([sum([c * mono[m] for m, c in col]) for col in block.columns],
+                block.den * powers[-1])
 
     def residuals(self, p):
         """Residuals at p: exact values when certified, else a float array
         (one row per point of a stacked input)."""
         if self._certifies(p):
-            nums, den = self._integer_values(p, False)
+            nums, den = self._integer_values(p, self._res)
             return [Fraction(n, den) for n in nums]
-        x = self._float_points(p)
-        # einsum sums each row in a fixed order, so rows never interact
-        return np.einsum("...m,me->...e", self._monomials(x), self._compiled.res)
+        return self._float_values(self._float_points(p), self._res)
 
     def jacobian_at(self, p):
         """Jacobian at p: exact rows when certified, else a float array of
@@ -106,13 +110,12 @@ class RealEquationSystem:
             rows, den = self._integer_jacobian(p)
             return [[Fraction(n, den) for n in row] for row in rows]
         x = self._float_points(p)
-        flat = np.einsum("...m,me->...e", self._monomials(x), self._compiled.jac)
+        flat = self._float_values(x, self._jac)
         return flat.reshape(x.shape[:-1] + (len(self), self.nvars))
 
     def _integer_jacobian(self, p):
-        flat, den = self._integer_values(p, True)
-        n = self.nvars
-        return [flat[k:k + n] for k in range(0, len(flat), n)], den
+        flat, den = self._integer_values(p, self._jac)
+        return [flat[k:k + self.nvars] for k in range(0, len(flat), self.nvars)], den
 
     def _float_points(self, p) -> np.ndarray:
         x = np.asarray(p)
@@ -145,7 +148,7 @@ class RealEquationSystem:
         """Membership of one point: exact when certified, decided on the
         integer numerators of its residuals; else within the scaled tolerance."""
         if self._certifies(p):
-            nums, den = self._integer_values(p, False)
+            nums, den = self._integer_values(p, self._res)
             mx = max(map(abs, nums), default=0) / den
             return MembershipReport(not any(nums), [Fraction(n, den) for n in nums],
                                     mx, 0.0, list(self.labels))
@@ -165,128 +168,126 @@ class RealEquationSystem:
         return numerical_rank(svals, rank_rtol)
 
 
-class _Compiled:
-    """A system over the union of its residual and Jacobian monomials.
+class _Block:
+    """Coefficient columns over the monomials they use, for both scalar kinds.
 
-    Each residual, and each Jacobian entry row major, is a column of
-    (monomial, exact coefficient) pairs; the Jacobian coefficient of a
-    monomial c*x^e along x_i is c*e_i at the exponent e - 1_i.  The float
-    matrices and the integer columns are derived from these coefficients.
+    Column j holds (monomial index, coefficient) pairs, and its value at x
+    is sum(coefficient * monomial) / den: integers over the lcm of an exact
+    model's coefficient denominators, or floats over 1.  A monomial is a
+    packed key, its exponents the digits of an integer in a base above every
+    exponent (``steps`` are the powers of that base), so a product of
+    monomials is the sum of their keys.
     """
 
-    def __init__(self, equations, nvars):
-        index = {}
-        self.res_terms = [[] for _ in equations]
-        self.jac_terms = [[] for _ in range(len(equations) * nvars)]
-        for k, eq in enumerate(equations):
-            for e, c in eq.terms.items():
-                self.res_terms[k].append((index.setdefault(e, len(index)), c))
-                for i, p in enumerate(e):
-                    if p:
-                        d = e[:i] + (p - 1,) + e[i + 1:]
-                        self.jac_terms[k * nvars + i].append(
-                            (index.setdefault(d, len(index)), c * p))
-        # (M, nvars) exponents, and per monomial its variables with repeats
-        self.exps = np.array(list(index), dtype=np.intp).reshape(len(index), nvars)
-        self.factors = [[i for i, p in enumerate(e) for _ in range(p)] for e in index]
+    def __init__(self, columns, keys, steps, den):
+        self.columns, self.keys, self.steps, self.den = columns, keys, steps, den
+        self.nvars = len(steps)
+        self.factors = []  # per monomial its variables with repeats, highest first
+        for k in keys:
+            self.factors.append([])
+            while k:
+                i = bisect_right(steps, k) - 1
+                k -= steps[i]
+                self.factors[-1].append(i)
         self.degree = max(map(len, self.factors), default=0)
 
-    @cached_property
-    def res(self) -> np.ndarray:
-        """(M, len) float coefficients: residuals = monomials @ res."""
-        return self._float_matrix(self.res_terms)
+    def jacobian(self) -> "_Block":
+        """The derivative of every column along every variable, row major:
+        c * x^e goes to c * e_i * x^(e - 1_i)."""
+        n, index = self.nvars, {}
+        columns = [[] for _ in range(len(self.columns) * n)]
+        for j, col in enumerate(self.columns):
+            for m, c in col:
+                f = self.factors[m]
+                for i in set(f):
+                    k = index.setdefault(self.keys[m] - self.steps[i], len(index))
+                    columns[j * n + i].append((k, c * f.count(i)))
+        return _Block(columns, list(index), self.steps, self.den)
 
     @cached_property
-    def jac(self) -> np.ndarray:
-        """(M, len * nvars) float coefficients of the Jacobian, row major."""
-        return self._float_matrix(self.jac_terms)
+    def exps(self) -> np.ndarray:
+        """(M, nvars) exponents of the monomials."""
+        return np.array([[f.count(i) for i in range(self.nvars)] for f in self.factors],
+                        dtype=np.intp).reshape(len(self.factors), self.nvars)
 
     @cached_property
-    def integer_res(self):
-        """The residual coefficients as integers over one common denominator."""
-        return _integer_columns(self.res_terms)
-
-    @cached_property
-    def integer_jac(self):
-        """The Jacobian coefficients as integers over one common denominator."""
-        return _integer_columns(self.jac_terms)
-
-    def _float_matrix(self, columns) -> np.ndarray:
-        mat = np.zeros((len(self.exps), len(columns)))
-        for col, terms in enumerate(columns):
-            for m, c in terms:
-                mat[m, col] = float(c)
+    def matrix(self) -> np.ndarray:
+        """(M, columns) float coefficients: values = monomials @ matrix."""
+        mat = np.zeros((len(self.keys), len(self.columns)))
+        for j, col in enumerate(self.columns):
+            for m, c in col:
+                mat[m, j] = c / self.den
         return mat
 
 
-def _integer_columns(columns):
-    """(d, columns of (monomial, integer)) with coefficient = integer / d."""
-    flat, den = common_denominator([c for col in columns for _, c in col])
-    it = iter(flat)
-    return den, [[(m, next(it)) for m, _ in col] for col in columns]
-
-
-def _zp_mul(a, b, nvars):
-    out = [MPoly.zero(nvars) for _ in range(len(a) + len(b) - 1)]
-    for i, pa in enumerate(a):
-        if not pa.terms:
-            continue
-        for j, pb in enumerate(b):
-            if pb.terms:
-                out[i + j] = out[i + j] + pa * pb
+def _times(a, b, out):
+    """Add to ``out`` the product of two polynomials in z, whose coefficients
+    map monomial keys to (re, im) pairs, truncated to the length of ``out``."""
+    for i, pa in enumerate(a[:len(out)]):
+        for j, pb in enumerate(b[:len(out) - i]):
+            acc = out[i + j]
+            for ka, (ar, ai) in pa.items():
+                for kb, (br, bi) in pb.items():
+                    r, s = acc.get(ka + kb, (0, 0))
+                    acc[ka + kb] = (r + ar * br - ai * bi, s + ar * bi + ai * br)
     return out
 
 
 def real_section_system(model: TwistorModel) -> RealEquationSystem:
-    """Induced real polynomial system on the section parameters, built once per model."""
+    """Induced real polynomial system on the section parameters, built once per model.
+
+    Every fiber equation is expanded over the section basis as (re, im)
+    pairs: integers over the lcm of an exact model's coefficient
+    denominators, since the basis units are Gaussian units, or floats over
+    1 on a float model.
+    """
     if model._system is not None:
         return model._system
     basis = model.section_basis
     n = basis.nparams
-    zero = MPoly.zero(n)
-    coord_polys = []
-    for i, k in enumerate(model.degrees):
-        coord_polys.append([_coeff_form(basis, i, m)
-                            for m in range(k + 1)])
-    equations = []
-    labels = []
+    parts = exact_parts if model.exact else (lambda c: (c.real, c.imag, 1))
+    coeffs = [c for eq in model.equations for _, g in eq.monomials for c in g.coeffs]
+    coeffs += [c for comp in model.component_equations for c in comp.terms.values()]
+    den = math.lcm(*(parts(c)[2] for c in coeffs))
+
+    def scaled(c):
+        a, b, d = parts(c)
+        return a * (den // d), b * (den // d)
+
+    base = 1 + max([sum(e) for eq in model.equations for e, _ in eq.monomials]
+                   + [sum(e) for comp in model.component_equations for e in comp.terms],
+                   default=0)
+    steps = [base ** p for p in range(n)]
+    forms = [[{steps[p]: parts(u)[:2] for p, u in slot} for slot in coord] for coord in basis.slots]
+    index, columns, labels = {}, [], []
+
+    def emit(poly, label, middle=False):
+        """The real and imaginary parts of a polynomial over (re, im) pairs;
+        the middle coefficient gives its nonzero parts only."""
+        for part, tag in enumerate(("re", "im")):
+            terms = [(k, v[part]) for k, v in poly.items() if v[part]]
+            if not middle or not all(negligible(c, 1e-12) for _, c in terms):
+                columns.append([(index.setdefault(k, len(index)), c) for k, c in terms])
+                labels.append(f"{model.name}.{label}.{tag}")
+
     for idx, eq in enumerate(model.equations):
-        d = eq.twist
-        coeffs = [zero for _ in range(d + 1)]
+        low = [{} for _ in range(eq.twist // 2 + 1)]
         for exps, gpoly in eq.monomials:
-            term = [MPoly.const(n, c) for c in gpoly.coeffs]
-            for i, e in enumerate(exps):
-                for _ in range(e):
-                    term = _zp_mul(term, coord_polys[i], n)
-            if len(term) > d + 1:
-                for extra in term[d + 1:]:
-                    if not extra.is_zero(1e-12):
-                        raise ModelError("fiber equation overflows its twist")
-                term = term[:d + 1]
-            for m, poly in enumerate(term):
-                coeffs[m] = coeffs[m] + poly
-        half = (d + 1) // 2  # number of complex low coefficients
-        for m in range(half):
-            re, im = coeffs[m].split_real_imag()
-            equations.append(re)
-            labels.append(f"{model.name}.eq{idx}[z^{m}].re")
-            equations.append(im)
-            labels.append(f"{model.name}.eq{idx}[z^{m}].im")
-        if d % 2 == 0:
-            re, im = coeffs[d // 2].split_real_imag()
-            mid = []
-            if not re.is_zero(1e-12):
-                mid.append((re, "re"))
-            if not im.is_zero(1e-12):
-                mid.append((im, "im"))
-            for poly, tag in mid:
-                equations.append(poly)
-                labels.append(f"{model.name}.eq{idx}[z^{d // 2}].{tag}")
+            pairs = [scaled(c) for c in gpoly.coeffs]
+            weight = sum(e * k for e, k in zip(exps, model.degrees))
+            if not all(negligible(v, 1e-12)
+                       for pair in pairs[max(eq.twist - weight + 1, 0):] for v in pair):
+                raise ModelError("fiber equation overflows its twist")
+            term = [{0: pair} if any(pair) else {} for pair in pairs]
+            for i in [i for i, e in enumerate(exps) for _ in range(e)]:
+                term = _times(term, forms[i], [{} for _ in low])
+            _times(term, [{0: (1, 0)}], low)  # add the term to the equation
+        for m, poly in enumerate(low):
+            emit(poly, f"eq{idx}[z^{m}]", middle=2 * m == eq.twist)
     for cdx, comp in enumerate(model.component_equations):
-        re, im = comp.split_real_imag()
-        for poly, tag in ((re, "re"), (im, "im")):
-            equations.append(poly)
-            labels.append(f"{model.name}.component{cdx}.{tag}")
-    model._system = RealEquationSystem(n, equations, labels,
-                                       model.expected_regular_rank, model.exact)
+        emit({sum(p * s for p, s in zip(e, steps)): scaled(c)
+              for e, c in comp.terms.items()}, f"component{cdx}")
+    block = _Block(columns, list(index), steps, den)
+    model._system = RealEquationSystem(n, block, labels, model.expected_regular_rank,
+                                       model.exact)
     return model._system

@@ -37,6 +37,11 @@ def test_fixture_scenarios_pass(name, tmp_path, capsys):
     assert out.read_bytes() == (REPORTS / name).read_bytes()
 
 
+def test_every_golden_report_has_its_fixture():
+    # the gate above covers each fixture; a report without one would go stale
+    assert sorted(p.name for p in REPORTS.glob("*.json")) == ALL_FIXTURES != []
+
+
 def test_reports_are_byte_identical(tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

@@ -5,13 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twistorcheck import (DimensionError, ModelError, SigmaCoordRule,
                           build_deformed, build_quadric, build_smooth_o11,
                           glue_cone_twistor, quadric_params, squaring_section)
 from twistorcheck.exactla import exact_rank
+from twistorcheck.models import FiberEquation, TwistorModel, _coeff_form
+from twistorcheck.mpoly import MPoly
+from twistorcheck.projline import CoeffPoly
 from twistorcheck.scalars import GaussianRational as GR
 from twistorcheck.systems import real_section_system
 
@@ -289,3 +292,163 @@ def test_float_residuals_agree_with_exact_at_rational_points(quadric_exact, p):
     assert np.abs(system.residuals(x) - np.array(exact_res, dtype=float)).max() <= tol
     assert np.abs(system.jacobian_at(x) - np.array(exact_jac, dtype=float)).max() \
         <= 1e-14 * (1.0 + np.abs(x).max())
+
+
+def _reference_system(model):
+    """(equations, labels) of the induced system by MPoly substitution: each
+    section coefficient is a complex-linear MPoly, every fiber monomial is
+    multiplied out as a polynomial in z, and the low coefficients are split
+    into real and imaginary parts."""
+    basis = model.section_basis
+    n = basis.nparams
+    coord_polys = [[_coeff_form(basis, i, m) for m in range(k + 1)]
+                   for i, k in enumerate(model.degrees)]
+
+    def times(a, b):
+        out = [MPoly(n) for _ in range(len(a) + len(b) - 1)]
+        for i, pa in enumerate(a):
+            for j, pb in enumerate(b):
+                out[i + j] = out[i + j] + pa * pb
+        return out
+
+    def split(poly):
+        return (MPoly(n, {e: c.real for e, c in poly.terms.items()}),
+                MPoly(n, {e: c.imag for e, c in poly.terms.items()}))
+
+    equations, labels = [], []
+    for idx, eq in enumerate(model.equations):
+        d = eq.twist
+        coeffs = [MPoly(n) for _ in range(d + 1)]
+        for exps, gpoly in eq.monomials:
+            term = [MPoly.const(n, c) for c in gpoly.coeffs]
+            for i, e in enumerate(exps):
+                for _ in range(e):
+                    term = times(term, coord_polys[i])
+            assert all(extra.is_zero() for extra in term[d + 1:])
+            for m, poly in enumerate(term[:d + 1]):
+                coeffs[m] = coeffs[m] + poly
+        for m in range(d // 2 + 1):
+            for poly, tag in zip(split(coeffs[m]), ("re", "im")):
+                if 2 * m < d or not poly.is_zero(1e-12):
+                    equations.append(poly)
+                    labels.append(f"{model.name}.eq{idx}[z^{m}].{tag}")
+    for cdx, comp in enumerate(model.component_equations):
+        for poly, tag in zip(split(comp), ("re", "im")):
+            equations.append(poly)
+            labels.append(f"{model.name}.component{cdx}.{tag}")
+    return equations, labels
+
+
+def _doubled(exact):
+    quadric = build_quadric(exact=exact)
+    eq = quadric.equations[0]
+    doubled = FiberEquation(eq.twist, tuple((e, c.scale(2)) for e, c in eq.monomials))
+    return TwistorModel("doubled", quadric.degrees, quadric.coordinates, quadric.rules,
+                        (doubled,), quadric.component_equations, exact=exact)
+
+
+_A2_RULES = (SigmaCoordRule(1, -1, 3), SigmaCoordRule(0, 1, 3), SigmaCoordRule(2, -1, 2))
+_A3_RULES = (SigmaCoordRule(1, 1, 4), SigmaCoordRule(0, 1, 4), SigmaCoordRule(2, -1, 2))
+
+
+def _cone(k, exact):
+    """The A_{k-1} cone uv = w^k with weights (k, k, 2) and l = 1."""
+    one = 1 if exact else 1.0
+    return glue_cone_twistor([[((1, 1, 0), one), ((0, 0, k), -one)]], (k, k, 2), 1,
+                             _A3_RULES if k == 4 else _A2_RULES, exact=exact,
+                             name=f"a{k - 1}_cone")
+
+
+_NAMED = {
+    "quadric": lambda exact: build_quadric(exact=exact),
+    "deformed": lambda exact: build_deformed(
+        [GR(0, 1), GR(0), GR(0, -1)] if exact else [1j, 0, -1j], "antireal", exact=exact),
+    "smooth-o11": lambda exact: build_smooth_o11(exact=exact),
+    "doubled": _doubled,
+    "a2_cone": lambda exact: _cone(3, exact),
+    "a3_cone": lambda exact: _cone(4, exact),
+}
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("name", list(_NAMED))
+def test_assembled_system_equals_the_mpoly_substitution(name, exact):
+    model = _NAMED[name](exact)
+    system = real_section_system(model)
+    equations, labels = _reference_system(model)
+    assert system.labels == labels
+    assert system.equations == equations
+    assert len(system) == len(labels)
+
+
+@pytest.mark.parametrize("name", list(_NAMED))
+def test_float_view_matrices_are_the_integer_columns_over_the_denominator(name):
+    model = _NAMED[name](True)
+    exact, floats = real_section_system(model), real_section_system(model.float_view())
+    for ints, flts in ((exact._res, floats._res), (exact._jac, floats._jac)):
+        assert np.array_equal(flts.exps, ints.exps) and flts.den == 1
+        want = np.zeros((len(ints.exps), len(ints.columns)))
+        for j, col in enumerate(ints.columns):
+            assert all(type(c) is int for _, c in col)
+            for m, c in col:
+                want[m, j] = Fraction(c, ints.den)
+        assert np.array_equal(flts.matrix, want)
+        assert np.array_equal(ints.matrix, want)
+
+
+_ratio = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+_gaussian = st.builds(GR, _ratio, _ratio)
+
+
+@st.composite
+def _exact_models(draw):
+    """An exact deformed model (lambda tau-real or tau-antireal) or a glued
+    cone, with Gaussian-rational coefficients of denominators 1 to 12."""
+    kind = draw(st.sampled_from(["deformed", "quadric-cone", "a2", "a3"]))
+    if kind == "deformed":
+        reality = draw(st.sampled_from(["real", "antireal"]))
+        c0, c1 = draw(_gaussian), draw(_ratio)
+        # the z-type pullback sends (c0, c1, c2) to (-conj c2, conj c1, -conj c0)
+        if reality == "real":
+            lam = [c0, GR(c1), -c0.conjugate()]
+        else:
+            lam = [c0, GR(0, c1), c0.conjugate()]
+        assume(any(lam))
+        return build_deformed(lam, reality, exact=True)
+    if kind == "quadric-cone":
+        weights, l, rules = (1, 1, 1), 2, build_quadric().rules
+        monomials = [(1, 1, 0), (0, 0, 2), (2, 0, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1)]
+    elif kind == "a2":
+        weights, l, rules = (3, 3, 2), 1, _A2_RULES
+        monomials = [(1, 1, 0), (0, 0, 3)]
+    else:
+        weights, l, rules = (4, 4, 2), 1, _A3_RULES
+        monomials = [(1, 1, 0), (0, 0, 4), (2, 0, 0), (1, 0, 2), (0, 1, 2)]
+    equation = [(e, draw(_gaussian)) for e in monomials]
+    return glue_cone_twistor([equation], weights, l, rules, exact=True)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(model=_exact_models())
+def test_assembled_system_equals_the_mpoly_substitution_on_random_models(model):
+    system = real_section_system(model)
+    equations, labels = _reference_system(model)
+    assert system.labels == labels
+    assert system.equations == equations
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_a_monomial_above_its_twist_is_refused(exact):
+    # x*y has weight 4 in twist 4, so its coefficient must be a constant
+    quadric = build_quadric(exact=exact)
+    one = GR(1) if exact else 1.0
+
+    def model(top):
+        eq = FiberEquation(4, (((1, 1, 0), CoeffPoly(1, [one, top])),))
+        return TwistorModel("bad", quadric.degrees, quadric.coordinates,
+                            quadric.rules, (eq,), exact=exact)
+
+    with pytest.raises(ModelError, match="overflows its twist"):
+        real_section_system(model(one))
+    system = real_section_system(model(0))
+    assert system.equations == _reference_system(model(0))[0]
