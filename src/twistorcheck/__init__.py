@@ -24,8 +24,8 @@ from .models import (FiberEquation, TwistorModel, ValidationReport,
                      models_structurally_equal, quadric_params, quadric_tuple,
                      squaring_section, validate_model)
 from .projline import (CoeffPoly, P1Point, SectionBasis, SigmaCoordRule,
-                       SplittingType, antipodal, h0_from_splitting,
-                       kernel_splitting, reality_fixed_space, tau_pullback)
+                       SplittingType, kernel_splitting, reality_fixed_space,
+                       tau_pullback)
 from .quotients import (FiniteQuaternionGroup, InvolutionCensus,
                         binary_dihedral, builtin_group,
                         closure_equals_quotient, component_count, cyclic_group,

@@ -96,8 +96,6 @@ def _point_on_fiber(model: TwistorModel, pt: P1Point, values, cfg: SolveConfig):
 
 def _num_nullspace(mat: np.ndarray, rtol: float) -> np.ndarray:
     """Orthonormal kernel basis as rows."""
-    if mat.size == 0:
-        return np.eye(mat.shape[1] if mat.ndim == 2 else 0)
     u, svals, vh = np.linalg.svd(mat)
     return vh[numerical_rank(svals, rtol):]
 
@@ -382,6 +380,7 @@ def _sorted_solutions(points):
 
 
 def _newton_multistart(model, pt, values, cfg: SolveConfig):
+    """Converged rows of multistart Gauss-Newton; solve_fiber deduplicates them."""
     sys = real_section_system(model)
     base, kernel = _incidence_slice(incidence_rows(model, pt)[None],
                                     _incidence_rhs(values)[None], cfg.rank_rtol)
@@ -390,11 +389,7 @@ def _newton_multistart(model, pt, values, cfg: SolveConfig):
     x, ok = _gauss_newton(sys, base, kernel,
                           rng.standard_normal((cfg.multistart, sys.nvars)) * scale,
                           cfg)
-    return _dedup(list(x[ok]), cfg.dedup_radius)
-
-
-def _newton_reduce(model, pt, values, cfg: SolveConfig):
-    return _newton_multistart(model, pt, values, cfg), None
+    return list(x[ok]), None
 
 
 def solve_fiber(model: TwistorModel, zeta, target,
@@ -506,8 +501,8 @@ def normal_splitting(model: TwistorModel, params,
         raise ModelError("normal splitting requires a point of the section space")
     polys = model.section_basis.embed(params)
     regular = True
-    if sys.expected_regular_rank is not None and len(sys):
-        regular = sys.jacobian_rank(params, cfg.rank_rtol) == sys.expected_regular_rank
+    if model.expected_regular_rank is not None and len(sys):
+        regular = sys.jacobian_rank(params, cfg.rank_rtol) == model.expected_regular_rank
     rows = []
     degenerate = []
     for jdx, eq in enumerate(model.equations):
@@ -577,7 +572,7 @@ def singular_scan(model: TwistorModel, points,
     """Classify candidate sections by Jacobian rank and cluster the deficient ones."""
     cfg = cfg or DEFAULT_CONFIG
     sys = real_section_system(model.float_view())
-    expected = sys.expected_regular_rank
+    expected = model.expected_regular_rank
     pts = np.asarray(points, dtype=float)[sys.members(points, cfg.member_tol)]
     skipped = len(points) - len(pts)
     svals = np.linalg.svd(sys.jacobian_at(pts), compute_uv=False)
@@ -743,17 +738,9 @@ def _quadric_singular_pairs(model: TwistorModel):
         points = _collapse_double_zeros(
             _section_zero_points(mu, 4), mu)
     reps = []
-    used = [False] * len(points)
-    for i, p in enumerate(points):
-        if used[i]:
-            continue
-        used[i] = True
-        anti = p.antipodal()
-        for j in range(i + 1, len(points)):
-            if not used[j] and points[j].same_point(anti, tol=1e-5):
-                used[j] = True
-                break
-        if not any(p.same_point(q, tol=1e-5) for q, _ in reps):
+    for p in points:  # one zero of each antipodal pair
+        if not any(p.same_point(q, tol=1e-5) or p.same_point(q.antipodal(), tol=1e-5)
+                   for q, _ in reps):
             reps.append((p, vertex))
     notes.append(f"total-space singular points over {len(reps)} "
                  "antipodal zero pair(s) of the deformation term")
@@ -789,7 +776,7 @@ _FAMILIES = {
                        _quadric_singular_pairs),
     "linear": _Family(_linear_reduce, "linear", True, _linear_sample,
                       lambda model: ([], [])),
-    None: _Family(_newton_reduce, "newton-multistart", False,
+    None: _Family(_newton_multistart, "newton-multistart", False,
                   lambda model, n, rng, cfg: [], _cone_singular_pairs),
 }
 
@@ -808,7 +795,6 @@ def classify_hypercomplex(model: TwistorModel,
     cfg = cfg or DEFAULT_CONFIG
     model = model.float_view()
     rng = np.random.default_rng(cfg.seed)
-    sys = real_section_system(model)
     evidence = {"model": model.name, "seed": cfg.seed}
     pairs, notes = _FAMILIES[model.family].singular_pairs(model)
     evidence["notes"] = notes
@@ -834,10 +820,8 @@ def classify_hypercomplex(model: TwistorModel,
     if not samples and model.equations:
         evidence["scan"] = "no sampler available"
         return HCClassification("Undetermined", evidence)
-    zero = np.zeros(model.nparams)
-    if sys.membership(zero, tol=cfg.member_tol).passed:
-        samples = list(samples) + [zero]
-    scan = singular_scan(model, samples, cfg)
+    # the zero section, kept by the scan's member filter when it is a member
+    scan = singular_scan(model, list(samples) + [np.zeros(model.nparams)], cfg)
     evidence["scan"] = {
         "samples": len(scan.entries),
         "singular_clusters": scan.clusters,
@@ -863,23 +847,17 @@ def _examine_pairs(model, fibers, cfg: SolveConfig):
     singular pair, one entry (or None) per (point, values, fiber) item.
 
     Round j examines the j-th candidate of every pair without a certified
-    entry: one stacked SVD of the full Jacobians (system plus the incidence
-    rows at the point and its antipodal image) gives each corank and kernel,
-    and one Gauss-Newton call on the incidence slices of those rows corrects
-    a step along up to two kernel directions of every candidate of corank
-    >= 1.  A pair keeps its first confirmed candidate, else its first one of
-    corank >= 1.
+    entry: one stacked SVD of [J(p); A(zeta)], the system plus the incidence
+    rows at the point, gives each corank and kernel, and one Gauss-Newton
+    call on the incidence slices of those rows corrects a step along up to
+    two kernel directions of every candidate of corank >= 1.  (A real
+    section through the point also meets its antipodal image, so the rows
+    there add nothing.)  A pair keeps its first confirmed candidate, else
+    its first one of corank >= 1.
     """
     sys = real_section_system(model)
-    amats, rhs = [], []
-    for pt, values, _ in fibers:
-        anti = pt.antipodal()
-        amats.append(np.vstack([incidence_rows(model, pt),
-                                incidence_rows(model, anti)]))
-        rhs.append(np.concatenate([
-            _incidence_rhs(values),
-            _incidence_rhs(_sigma_image_values(model, values, pt.chart))]))
-    amats, rhs = np.array(amats), np.array(rhs)
+    amats = np.array([incidence_rows(model, pt) for pt, _, _ in fibers])
+    rhs = np.array([_incidence_rhs(values) for _, values, _ in fibers])
     candidates = []
     for _, _, res in fibers:
         cands = list(res.solutions)
@@ -939,21 +917,6 @@ def _family_entry(fiber, corank, confirmed, sol, cfg: SolveConfig):
                             for s in res.family.sample(
                                 4, np.random.default_rng(cfg.seed + 11))]
     return entry
-
-
-def _sigma_image_values(model: TwistorModel, values, from_chart: str):
-    """Fiber values of the antipodal image point, in the image point's chart.
-
-    Starting from the standard chart the image lands in the other chart with
-    values sign * conj(v_partner); starting from the other chart an extra
-    (-1)^degree appears from the transition.
-    """
-    out = [None] * len(values)
-    for i, rule in enumerate(model.rules):
-        src = values[rule.partner].conjugate()
-        factor = rule.sign if from_chart == "std" else rule.sign * ((-1) ** model.degrees[i])
-        out[i] = factor * src
-    return tuple(out)
 
 
 def component_label(params):

@@ -249,11 +249,12 @@ def build_deformed(lam, reality: str, exact: bool = False) -> TwistorModel:
                                  reality=reality)
 
 
+_SMOOTH_RULES = (SigmaCoordRule(1, -1, 1), SigmaCoordRule(0, 1, 1))
+
+
 def build_smooth_o11(exact: bool = False) -> TwistorModel:
     """Total space of O(1)+O(1) with the quaternionic pair rule; no equations."""
-    degrees = (1, 1)
-    rules = (SigmaCoordRule(1, -1, 1), SigmaCoordRule(0, 1, 1))
-    return TwistorModel("smooth-o11", degrees, ("a", "b"), rules, (), exact=exact)
+    return TwistorModel("smooth-o11", (1, 1), ("a", "b"), _SMOOTH_RULES, (), exact=exact)
 
 
 def glue_cone_twistor(equations, weights, l: int, rules,
@@ -404,11 +405,11 @@ def _equations_match(e1: FiberEquation, e2: FiberEquation, tol: float):
 _BUILTIN_RULES = {
     "quadric": _QUADRIC_RULES,
     "deformed": _QUADRIC_RULES,
-    "smooth-o11": (SigmaCoordRule(1, -1, 1), SigmaCoordRule(0, 1, 1)),
+    "smooth-o11": _SMOOTH_RULES,
 }
 
 
-def validate_model(model: TwistorModel, rng=None) -> ValidationReport:
+def validate_model(model: TwistorModel) -> ValidationReport:
     """Check involutivity, sigma-compatibility, twists and generic fiber rank."""
     report = ValidationReport()
     tol = 1e-12
@@ -442,21 +443,20 @@ def validate_model(model: TwistorModel, rng=None) -> ValidationReport:
                 {"equation": idx, "maps_to": matched[0], "kappa": matched[1]})
     # generic fiber rank: the equations stay independent over generic base points
     if model.equations:
-        rng = rng or np.random.default_rng(20240901)
         ncoord = len(model.degrees)
         expected = min(len(model.equations), ncoord)
         partials = [[eq.partial(c, model.degrees) for c in range(ncoord)]
                     for eq in model.float_view().equations]
-        ranks = []
-        for chart_point in [P1Point.std(0.37 - 0.21j), P1Point.std(0.61 + 0.4j),
-                            P1Point.inf(0.152 + 0.73j), P1Point.inf(-0.5 + 0.12j)]:
-            jacs = []  # the best rank of four random points of the fiber
-            for _ in range(4):
-                u = rng.standard_normal(ncoord) + 1j * rng.standard_normal(ncoord)
-                jacs.append([[part.eval_at(chart_point, u) for part in row]
-                             for row in partials])
-            svals = np.linalg.svd(np.array(jacs, dtype=complex), compute_uv=False)
-            ranks.append(int(numerical_rank(svals, 1e-7).max()))
+        base_points = [P1Point.std(0.37 - 0.21j), P1Point.std(0.61 + 0.4j),
+                       P1Point.inf(0.152 + 0.73j), P1Point.inf(-0.5 + 0.12j)]
+        # u[b, k]: the k-th of four random fiber points over base point b
+        z = np.random.default_rng(20240901).standard_normal((4, 4, 2, ncoord))
+        u = z[:, :, 0] + 1j * z[:, :, 1]
+        jacs = np.array([[[np.broadcast_to(part.eval_at(pt, u[b].T), 4) for part in row]
+                          for row in partials] for b, pt in enumerate(base_points)])
+        # one SVD per fiber point; a base point's rank is the best of its four
+        svals = np.linalg.svd(jacs.transpose(0, 3, 1, 2), compute_uv=False)
+        ranks = numerical_rank(svals, 1e-7).max(axis=1).tolist()
         if len(set(ranks)) != 1:
             report.fail("generic_fiber_rank",
                         f"generic equation rank varies over the base: {ranks}")

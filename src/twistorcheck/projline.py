@@ -63,10 +63,6 @@ class P1Point:
         return abs(av - 1 / bv) <= tol
 
 
-def antipodal(p: P1Point) -> P1Point:
-    return p.antipodal()
-
-
 def as_p1(zeta) -> P1Point:
     """Coerce a complex number or P1Point to a canonical P1Point."""
     if isinstance(zeta, P1Point):
@@ -389,10 +385,6 @@ class SplittingType:
 
     def __str__(self):
         return "{" + ", ".join(str(c) for c in self.degrees) + "}"
-
-
-def h0_from_splitting(t: SplittingType, m: int) -> int:
-    return t.h0(m)
 
 
 _GENERIC_EVAL_POINTS = [0.7 + 0.31j, -0.43 + 0.85j, 1.9 - 0.3j]

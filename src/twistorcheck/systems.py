@@ -42,10 +42,9 @@ class RealEquationSystem:
     points goes through one power table and one matrix product.
     """
 
-    def __init__(self, nvars, residuals, labels, expected_regular_rank, exact):
+    def __init__(self, nvars, residuals, labels, exact):
         self.nvars = nvars
         self.labels = list(labels)
-        self.expected_regular_rank = expected_regular_rank
         self.exact = exact
         self._res = residuals
         self._jac = residuals.jacobian()
@@ -288,6 +287,5 @@ def real_section_system(model: TwistorModel) -> RealEquationSystem:
         emit({sum(p * s for p, s in zip(e, steps)): scaled(c)
               for e, c in comp.terms.items()}, f"component{cdx}")
     block = _Block(columns, list(index), steps, den)
-    model._system = RealEquationSystem(n, block, labels, model.expected_regular_rank,
-                                       model.exact)
+    model._system = RealEquationSystem(n, block, labels, model.exact)
     return model._system

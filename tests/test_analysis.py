@@ -16,6 +16,7 @@ from twistorcheck import (FiberError, GaussianRational, ModelError, OriginError,
                           quadric_params, quadric_tuple, rank_one_matrix_oracle,
                           singular_scan, solve_fiber, squaring_section,
                           sym_matrix_model)
+from twistorcheck.exactla import numerical_rank
 from twistorcheck.analysis import (_FAMILIES, FiberSolveResult, _examine_pairs,
                                   _gauss_newton, _incidence_rhs,
                                   _incidence_slice, _newton_multistart,
@@ -38,9 +39,23 @@ def test_evaluate_section_examples(quadric):
     assert np.allclose(fp.values, (0, 0, 0))
 
 
+def _sigma_image_values(model, values, from_chart: str):
+    """Fiber values of the antipodal image point, in the image point's chart.
+
+    Starting from the standard chart the image lands in the other chart with
+    values sign * conj(v_partner); starting from the other chart an extra
+    (-1)^degree appears from the transition.
+    """
+    out = [None] * len(values)
+    for i, rule in enumerate(model.rules):
+        src = values[rule.partner].conjugate()
+        factor = rule.sign if from_chart == "std" else rule.sign * ((-1) ** model.degrees[i])
+        out[i] = factor * src
+    return tuple(out)
+
+
 def test_evaluate_section_matches_sigma_symmetry(quadric, rng):
     # value at the antipodal point is the rule image of the value at the point
-    from twistorcheck.analysis import _sigma_image_values
     for _ in range(10):
         p = rng.standard_normal(9)
         z = P1Point("std" if rng.random() < 0.5 else "inf",
@@ -114,7 +129,8 @@ def test_solve_fiber_matches_newton_multistart(quadric, rng):
         sec = squaring_section(a, b, "minus")
         target = evaluate_section(quadric, sec, 0j)
         closed = solve_fiber(quadric, None, target, cfg)
-        newton = _newton_multistart(quadric, target.zeta, target.values, cfg)
+        newton, family = _newton_multistart(quadric, target.zeta, target.values, cfg)
+        assert family is None and newton
         for sol in newton:
             assert min(np.linalg.norm(sol - np.asarray(c))
                        for c in closed.solutions) < 1e-6
@@ -390,7 +406,6 @@ def _same_solutions(res, other, planted):
        exponent=st.floats(-6.0, 6.0), turn=st.floats(0.0, 1.0))
 def test_fiber_is_chart_and_antipodal_covariant(quadric, deformed, name, seed,
                                                  exponent, turn):
-    from twistorcheck.analysis import _sigma_image_values
     model = {"quadric": quadric, "deformed": deformed}[name]
     planted = sample_sections(model, 1, np.random.default_rng(seed), CFG)[0]
     zeta = 10.0 ** exponent * np.exp(2j * np.pi * turn)
@@ -400,8 +415,9 @@ def test_fiber_is_chart_and_antipodal_covariant(quadric, deformed, name, seed,
     chart_image = tuple(v / zeta ** k for v, k in zip(values, model.degrees))
     std = solve_fiber(model, P1Point.std(zeta), values, CFG)
     inf = solve_fiber(model, P1Point.inf(1 / zeta), chart_image, CFG)
-    sigma = solve_fiber(model, P1Point.std(zeta).antipodal(),
-                        _sigma_image_values(model, values, "std"), CFG)
+    sigma = solve_fiber(model, None,
+                        evaluate_section(model, planted, P1Point.std(zeta).antipodal()),
+                        CFG)
     assert min(np.linalg.norm(s - planted) for s in std.solutions) \
         <= 1e-9 * np.linalg.norm(planted)
     assert _same_solutions(std, inf, planted) and _same_solutions(inf, std, planted)
@@ -549,6 +565,66 @@ def test_batched_examination_equals_each_pair_alone(name, verdict, request):
     cls = classify_hypercomplex(model, CFG)
     assert cls.verdict == verdict
     assert cls.evidence["families"] == [e for e in entries if e]
+
+
+def _antipodal_rows_add_no_rank(model, p, pt):
+    """Numerical rank of [J(p); A(zeta)] against [J(p); A(zeta); A(sigma zeta)]."""
+    jac = real_section_system(model).jacobian_at(np.asarray(p, dtype=float))
+    single = np.vstack([jac, incidence_rows(model, pt)])
+    both = np.vstack([single, incidence_rows(model, pt.antipodal())])
+    ranks = [numerical_rank(np.linalg.svd(m, compute_uv=False), CFG.rank_rtol)
+             for m in (single, both)]
+    return ranks[0] == ranks[1]
+
+
+@pytest.mark.parametrize("name", ["quadric", "deformed", "doubled", "a2_cone"])
+def test_antipodal_rows_add_no_rank_at_examined_candidates(name, request):
+    # every candidate _examine_pairs sees: the fiber solutions at each
+    # singular pair, then two samples of the fiber family
+    model = request.getfixturevalue(name).float_view()
+    pairs, _ = _FAMILIES[model.family].singular_pairs(model)
+    seen = 0
+    for pt, values in pairs:
+        res = solve_fiber(model, pt, values, CFG)
+        cands = list(res.solutions)
+        if res.family is not None:
+            cands.extend(res.family.sample(2, np.random.default_rng(CFG.seed + 7)))
+        for cand in cands:
+            assert _antipodal_rows_add_no_rank(model, cand, pt)
+            seen += 1
+    assert seen >= len(pairs) > 0
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(["quadric", "deformed"]), seed=st.integers(0, 2 ** 32),
+       chart=st.sampled_from(["std", "inf"]), exponent=st.floats(-3.0, 3.0),
+       turn=st.floats(0.0, 1.0))
+def test_antipodal_rows_add_no_rank_at_sampled_sections(quadric, deformed, name, seed,
+                                                        chart, exponent, turn):
+    model = {"quadric": quadric, "deformed": deformed}[name]
+    planted = sample_sections(model, 1, np.random.default_rng(seed), CFG)[0]
+    pt = P1Point(chart, 10.0 ** exponent * np.exp(2j * np.pi * turn))
+    assert _antipodal_rows_add_no_rank(model, planted, pt)
+
+
+@pytest.mark.parametrize("lam,reality,verdict", [
+    ([1j, 0j, -1j], "antireal", "WeaklyHypercomplex"),
+    ([1.0, 0.0, -1.0], "real", "Hypercomplex")])
+def test_quadric_family_without_lambda(lam, reality, verdict):
+    # saved without lambda, the singular points come from the double zeros
+    # of mu = lambda^2 instead of the zeros of lambda
+    builtin = build_deformed(lam, reality)
+    doc = serialize.model_to_dict(builtin)
+    del doc["lambda"], doc["reality"]
+    model = serialize.model_from_dict(doc)
+    assert model.lam is None and model.family == "quadric"
+    cls = classify_hypercomplex(model, CFG)
+    assert cls.verdict == verdict
+    if verdict == "WeaklyHypercomplex":
+        assert cls.evidence["family_dimension"] == 2
+    (got,) = cls.evidence["singular_fiber_points"]
+    (want, _), = _FAMILIES["quadric"].singular_pairs(builtin)[0]
+    assert P1Point(got["chart"], complex(*got["value"])).same_point(want, tol=1e-8)
 
 
 @pytest.fixture()

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from twistorcheck import cli
-from twistorcheck.cli import OPS, main, run_scenario
+from twistorcheck import cli, serialize
+from twistorcheck.cli import OPS, main, run_scenario, run_scenario_doc
 from twistorcheck.scalars import GaussianRational
 from twistorcheck.serialize import dump_report, jsonable, load_scenario
 
@@ -34,6 +34,14 @@ def test_fixture_scenarios_pass(name, tmp_path, capsys):
     assert report["summary"]["fail"] == 0
     assert report["toolkit"]["name"] == "twistorcheck"
     # golden gate: refactors must reproduce the committed report byte for byte
+    assert out.read_bytes() == (REPORTS / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_run_subcommand_writes_the_golden_report(name, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["run", str(FIXTURES / name), "--out", str(out)]) == 0
+    capsys.readouterr()
     assert out.read_bytes() == (REPORTS / name).read_bytes()
 
 
@@ -196,6 +204,46 @@ def test_standalone_solve_fiber(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "[PASS] solve-fiber" in out
+
+
+def _standalone_task(argv, tmp_path):
+    """Exit code and task record of a standalone subcommand run with --out."""
+    out = tmp_path / "report.json"
+    code = main(argv + ["--out", str(out)])
+    return code, json.loads(out.read_text())["tasks"][0]
+
+
+def test_standalone_matrix_oracle(tmp_path, capsys):
+    code, task = _standalone_task(["matrix-model", "--oracle-q", "1,2,3,4"], tmp_path)
+    capsys.readouterr()
+    assert code == 0
+    assert task["numbers"]["t"] == 30 and task["numbers"]["rank_a"] == 1
+
+
+def test_standalone_solve_fiber_in_the_inf_chart(tmp_path, capsys):
+    # w = 0.5 is z = 2, where the values (1, 1, 1) read 2^2 * (1, 1, 1)
+    code, inf = _standalone_task(["solve-fiber", "--zeta", "inf:0.5",
+                                  "--point", "1,1,1"], tmp_path)
+    assert code == 0
+    code, std = _standalone_task(["solve-fiber", "--zeta", "2",
+                                  "--point", "4,4,4"], tmp_path)
+    capsys.readouterr()
+    assert code == 0
+    assert inf["numbers"] == std["numbers"] and inf["numbers"]["count"] == 2
+    assert np.allclose(inf["evidence"]["solutions"], std["evidence"]["solutions"],
+                       rtol=0, atol=1e-12)
+
+
+def test_inline_model_classifies_as_its_builtin(deformed, capsys):
+    builtin = {"builtin": "deformed", "lambda": [[0, 1], [0, 0], [0, -1]],
+               "reality": "antireal"}
+    inline = {"inline": serialize.model_to_dict(deformed)}
+    numbers = [run_scenario_doc({"model": model, "seed": 1,
+                                 "tasks": [{"op": "classify"}]})["tasks"][0]["numbers"]
+               for model in (builtin, inline)]
+    capsys.readouterr()
+    assert numbers[0] == numbers[1]
+    assert numbers[0] == {"verdict": "WeaklyHypercomplex", "family_dimension": 2}
 
 
 def test_standalone_quotient_census(capsys):

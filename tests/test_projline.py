@@ -4,27 +4,26 @@ import numpy as np
 import pytest
 
 from twistorcheck import (CoeffPoly, DegreeError, NonInvolutiveError, P1Point,
-                          SigmaCoordRule, SplittingType, antipodal,
-                          h0_from_splitting, kernel_splitting,
+                          SigmaCoordRule, SplittingType, kernel_splitting,
                           reality_fixed_space, tau_pullback)
 
 Z_RULE = SigmaCoordRule(0, -1, 2)
 
 
 def test_antipodal_examples():
-    img = antipodal(P1Point.std(0j))
+    img = P1Point.std(0j).antipodal()
     assert img.chart == "inf" and img.value == 0
-    assert antipodal(P1Point.std(1 + 0j)).same_point(P1Point.std(-1 + 0j))
-    assert antipodal(P1Point.std(1j)).same_point(P1Point.std(-1j))
+    assert P1Point.std(1 + 0j).antipodal().same_point(P1Point.std(-1 + 0j))
+    assert P1Point.std(1j).antipodal().same_point(P1Point.std(-1j))
 
 
 def test_antipodal_involution_no_fixed_points(rng):
     for _ in range(10_000):
         chart = "std" if rng.random() < 0.5 else "inf"
         p = P1Point(chart, complex(rng.standard_normal(), rng.standard_normal()))
-        q = antipodal(p)
+        q = p.antipodal()
         assert not p.same_point(q, tol=1e-9)
-        back = antipodal(q)
+        back = q.antipodal()
         assert back.chart == p.chart and abs(back.value - p.value) < 1e-14
 
 
@@ -132,9 +131,9 @@ def test_kernel_splitting_zero_matrix_full_source():
 
 
 def test_h0_examples():
-    assert h0_from_splitting(SplittingType((1, 1)), 0) == 4
-    assert h0_from_splitting(SplittingType((1, 1)), -2) == 0
-    assert h0_from_splitting(SplittingType((0,)), -1) == 0
+    assert SplittingType((1, 1)).h0(0) == 4
+    assert SplittingType((1, 1)).h0(-2) == 0
+    assert SplittingType((0,)).h0(-1) == 0
 
 
 def _brute_twist_nullity(entries, src, tgt, m):

@@ -100,8 +100,8 @@ def test_jacobian_matches_finite_differences(quadric_system, rng):
         assert np.abs(jac - ref).max() / denom < 1e-6
 
 
-def test_expected_rank_metadata(quadric_system):
-    assert quadric_system.expected_regular_rank == 5
+def test_expected_rank_metadata(quadric):
+    assert quadric.expected_regular_rank == 5
 
 
 def test_exact_jacobian_rank(quadric_exact):
