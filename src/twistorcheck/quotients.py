@@ -51,7 +51,7 @@ class FiniteQuaternionGroup:
                          tol: float = MATCH_TOL) -> "FiniteQuaternionGroup":
         elements = [tuple(float(x) for x in e) for e in elements]
         for e in elements:
-            if abs(quat_norm_sq(e) - 1.0) > 1e-9:
+            if len(e) != 4 or abs(quat_norm_sq(e) - 1.0) > 1e-9:
                 raise GroupAxiomError(f"element {e} is not a unit quaternion")
         tol_sq = tol * tol
         identity = None

@@ -54,6 +54,9 @@ def decode_scalar(v, exact: bool):
 
 def jsonable(x):
     """Recursive conversion to JSON-serializable structures."""
+    t = type(x)
+    if t is float or t is int or t is str or t is bool or x is None:
+        return x
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -178,25 +181,75 @@ def load_scenario(path: str):
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
 
 
-def _str_keys(x) -> bool:
-    """Whether every dict inside x has string keys only."""
-    if isinstance(x, dict):
-        return all(type(k) is str for k in x) and all(map(_str_keys, x.values()))
-    return not isinstance(x, (list, tuple)) or all(map(_str_keys, x))
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _emit(x, out, nl):
+    """Append the pieces of x as json.dumps(jsonable(x), sort_keys=True,
+    indent=2) spells them; nl is the newline and indent x starts at."""
+    t = type(x)
+    if t is str:
+        out.append(_encode_str(x))
+    elif t is float:
+        out.append(float.__repr__(x) if x - x == 0.0  # finite
+                   else "NaN" if x != x else "Infinity" if x > 0 else "-Infinity")
+    elif t is int:
+        out.append(int.__repr__(x))
+    elif x is None or t is bool:
+        out.append("null" if x is None else "true" if x else "false")
+    elif t is dict:
+        if not x:
+            out.append("{}")
+            return
+        if not all(type(k) is str for k in x):
+            x = {k if type(k) is str else str(k): v for k, v in x.items()}
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(x):
+            out.append(sep)
+            out.append(_encode_str(k))
+            out.append(": ")
+            _emit(x[k], out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif t is list or t is tuple:
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            _emit(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        # jsonable returns plain containers and scalars, or a subclass of
+        # int, float or str, which json spells as its base type
+        x = jsonable(x)
+        if isinstance(x, str):
+            out.append(_encode_str(x))
+        elif isinstance(x, int):
+            out.append(int.__repr__(x))
+        elif isinstance(x, float):
+            _emit(float.__float__(x), out, nl)
+        else:
+            _emit(x, out, nl)
 
 
 def dump_report(report: dict) -> str:
-    """Sorted, indented JSON in one pass: the encoder hands jsonable each value
-    it cannot encode; a report with a non-string key goes through jsonable
-    first, so the key is spelled and sorted by its str() as there."""
-    if not _str_keys(report):
-        report = jsonable(report)
-    return json.dumps(report, sort_keys=True, indent=2, default=jsonable) + "\n"
+    """Sorted, indented JSON, byte for byte json.dumps(jsonable(report),
+    sort_keys=True, indent=2) plus a newline, written in one walk."""
+    out = []
+    _emit(report, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def write_report(report: dict, path: str):
+    text = dump_report(report)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_report(report))
+        fh.write(text)

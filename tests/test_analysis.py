@@ -121,6 +121,62 @@ def test_solve_fiber_rotation_covariance(quadric, rng):
         assert len(res.solutions) == 1
 
 
+def _su2_pullback(model, params, alpha, beta):
+    """Parameters of the section g*s, (g*s)_i(z) = f(z)^k_i s_i(m(z)) with
+    m(z) = (alpha z - conj(beta)) / f(z) and f(z) = beta z + conj(alpha):
+    an SU(2) rotation of the base, lifted to O(k), which commutes with the
+    antipodal map, so g*s is again a real section."""
+    P = np.polynomial.polynomial
+    num, den = [-np.conj(beta), alpha], [np.conj(alpha), beta]
+    coeffs = []
+    for poly in model.section_basis.embed(list(params)):
+        k = poly.degree_bound
+        acc = np.zeros(k + 1, dtype=complex)
+        for j, c in enumerate(poly.coeffs):
+            term = P.polymul(P.polypow(num, j), P.polypow(den, k - j))
+            acc[:len(term)] += complex(c) * term
+        coeffs.extend(acc)
+    # embed is real linear: invert it by least squares on its matrix
+    n = model.section_basis.nparams
+    cols = [np.concatenate([np.asarray(q.coeffs, dtype=complex)
+                            for q in model.section_basis.embed(list(e))])
+            for e in np.eye(n)]
+    mat = np.vstack([np.real(cols).T, np.imag(cols).T])
+    rhs = np.concatenate([np.real(coeffs), np.imag(coeffs)])
+    out, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+    assert np.linalg.norm(mat @ out - rhs) <= 1e-10 * (1.0 + np.linalg.norm(rhs))
+    return out
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(["quadric", "smooth"]),
+       q=st.tuples(*[st.floats(-2.0, 2.0)] * 4),
+       g=st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+       zeta=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       variant=st.sampled_from(["minus", "plus"]))
+def test_solve_fiber_is_su2_covariant(quadric, smooth, name, q, g, zeta, variant):
+    # rotating the base by g in SU(2) carries the fiber over m(zeta) to the
+    # fiber over zeta: the same count, the solutions moved by g*
+    assume(math.hypot(*q) >= 0.1 and math.hypot(*g) >= 0.1)
+    model = {"quadric": quadric, "smooth": smooth}[name]
+    norm = math.hypot(*g)
+    alpha, beta = complex(g[0], g[1]) / norm, complex(g[2], g[3]) / norm
+    z = complex(*zeta)
+    assume(abs(beta * z + alpha.conjugate()) >= 0.2)
+    planted = (squaring_section(complex(q[0], q[1]), complex(q[2], q[3]), variant)
+               if name == "quadric" else np.array(q))
+    image = (alpha * z - beta.conjugate()) / (beta * z + alpha.conjugate())
+    there = solve_fiber(model, None, evaluate_section(model, planted, image), CFG)
+    moved = _su2_pullback(model, planted, alpha, beta)
+    here = solve_fiber(model, None, evaluate_section(model, moved, z), CFG)
+    assert len(here.solutions) == len(there.solutions) >= 1
+    tol = 1e-8 * (1.0 + np.linalg.norm(planted)) * (1.0 + abs(z)) ** 2
+    for sol in there.solutions:
+        rotated = _su2_pullback(model, sol, alpha, beta)
+        assert min(np.linalg.norm(rotated - other)
+                   for other in here.solutions) <= tol
+
+
 def test_solve_fiber_matches_newton_multistart(quadric, rng):
     cfg = SolveConfig(seed=3, multistart=60)
     for _ in range(3):

@@ -360,6 +360,85 @@ def test_report_dump_spells_values_and_keys_as_jsonable():
                                               indent=2) + "\n"
 
 
+_SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 1e-5, 1e300,
+                   5e-324, 2.5e-310, 1e16, 0.1]
+# keys whose str() collide: the last one written wins, as in jsonable
+_KEYS = st.one_of(st.text(max_size=4), st.sampled_from(
+    [1, "1", True, "True", None, "None", 1.5, "1.5", float("nan"), "nan",
+     (1, 2), "(1, 2)", 10, 9, "10", np.int64(9), np.float64(2.5), "2.5"]))
+_FLOATS = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
+_REPORT_LEAVES = st.one_of(
+    _FLOATS, st.integers(), st.integers(min_value=10 ** 30, max_value=10 ** 60),
+    st.booleans(), st.none(),
+    st.text(), st.sampled_from(["", "\x00\x1f\x7f\"\\/", "é\u2028ж", "\U0001d11e😀"]),
+    _FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    st.complex_numbers(), st.fractions(),
+    st.builds(GaussianRational, st.fractions(), st.fractions()),
+    st.lists(_FLOATS, max_size=4).map(np.array),
+    st.lists(st.complex_numbers(), max_size=3).map(np.array),
+    st.lists(st.integers(-9, 9), min_size=4, max_size=4).map(
+        lambda v: np.array(v).reshape(2, 2)))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.recursive(_REPORT_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_KEYS, inner, max_size=4)), max_leaves=25))
+def test_report_dump_equals_json_dumps_of_jsonable(tree):
+    assert dump_report(tree) == json.dumps(jsonable(tree), sort_keys=True,
+                                           indent=2) + "\n"
+
+
+def test_report_rewrite_leaves_exactly_the_new_bytes(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("x" * 5000 + "\n")
+    serialize.write_report({"short": [1, 2.5]}, str(path))
+    assert path.read_bytes() == dump_report({"short": [1, 2.5]}).encode()
+
+
+def test_report_parent_directories_are_created(tmp_path):
+    path = tmp_path / "a" / "b" / "report.json"
+    serialize.write_report({"x": 1}, str(path))
+    assert path.read_text() == dump_report({"x": 1})
+
+
+def test_report_target_that_is_a_directory_exits_2(tmp_path, capsys):
+    scen = tmp_path / "s.json"
+    scen.write_text(json.dumps({"model": "quadric",
+                                "tasks": [{"op": "validate"}]}))
+    target = tmp_path / "reports"
+    target.mkdir()
+    assert run_scenario(str(scen), str(target)) == 2
+    assert "scenario error:" in capsys.readouterr().err
+    assert list(target.iterdir()) == []
+
+
+def test_report_to_devnull_exits_0(tmp_path, capsys):
+    scen = tmp_path / "s.json"
+    scen.write_text(json.dumps({"model": "quadric",
+                                "tasks": [{"op": "validate"}]}))
+    assert run_scenario(str(scen), os.devnull) == 0
+    assert "scenario error:" not in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_report_streams_through_a_pipe(tmp_path):
+    # --out /dev/stdout is the way to stream a report: the pipe cannot seek
+    scen = tmp_path / "s.json"
+    scen.write_text(json.dumps({"model": "quadric",
+                                "tasks": [{"op": "validate"}]}))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "twistorcheck.cli", "run",
+                           str(scen), "--out", "/dev/stdout"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    start, end = proc.stdout.index("{\n"), proc.stdout.index("\n}\n") + 3
+    assert json.loads(proc.stdout[start:end])["summary"]["pass"] == 1
+
+
 def test_group_file_without_elements_exits_2(tmp_path, capsys):
     gpath = tmp_path / "group.json"
     gpath.write_text(json.dumps({"name": "nothing"}))

@@ -94,6 +94,58 @@ def test_group_axiom_error_witness():
     assert err.value.witness is not None
 
 
+def test_elements_that_are_not_quaternions_are_refused():
+    # four unit 3-vectors hold twelve numbers, which must not be read as
+    # three quaternions
+    with pytest.raises(GroupAxiomError, match="not a unit quaternion"):
+        FiniteQuaternionGroup.from_quaternions([(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                                (-1, 0, 0)])
+
+
+def _loop_closure(elements, tol):
+    """Reference: the first element within tol of each product, in row order,
+    or the (a, b, a*b) witness of the first product that has none."""
+    table = []
+    for a in elements:
+        row = []
+        for b in elements:
+            prod = quat_mul(a, b)
+            match = [k for k, e in enumerate(elements)
+                     if sum((x - y) ** 2 for x, y in zip(prod, e)) <= tol * tol]
+            if not match:
+                return None, (a, b, prod)
+            row.append(match[0])
+        table.append(row)
+    return table, None
+
+
+def _loop_associativity_witness(table):
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return (a, b, c)
+    return None
+
+
+def test_closure_and_associativity_witnesses_match_the_loop_reference():
+    els = [(1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0),
+           (0.0, 0.0, 1.0, 0.0)]    # i*j = k and j*i = -k are missing
+    with pytest.raises(GroupAxiomError, match="closure fails") as err:
+        FiniteQuaternionGroup.from_quaternions(els)
+    assert err.value.witness == _loop_closure(
+        [tuple(map(float, e)) for e in els], 1e-12)[1]
+    # a Latin square with a two-sided identity that is not associative
+    table = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+             [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    witness = _loop_associativity_witness(table)
+    assert witness is not None
+    with pytest.raises(GroupAxiomError, match="associativity fails") as err:
+        FiniteQuaternionGroup.from_table(table)
+    assert err.value.witness == witness
+
+
 def test_table_group_associativity_guard():
     table = [[0, 1], [1, 1]]   # 1*1 = 1 breaks inverses/associativity
     with pytest.raises(GroupAxiomError):
