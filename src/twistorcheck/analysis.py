@@ -94,12 +94,6 @@ def _point_on_fiber(model: TwistorModel, pt: P1Point, values, cfg: SolveConfig):
     return True
 
 
-def _num_nullspace(mat: np.ndarray, rtol: float) -> np.ndarray:
-    """Orthonormal kernel basis as rows."""
-    u, svals, vh = np.linalg.svd(mat)
-    return vh[numerical_rank(svals, rtol):]
-
-
 def incidence_rows(model: TwistorModel, pt: P1Point):
     """Real-linear map params -> stacked (re, im) coordinate values at pt."""
     basis = model.section_basis
@@ -225,11 +219,10 @@ def _quadric_reduce(model: TwistorModel, pt: P1Point, values, cfg: SolveConfig):
     col_rho = -_ztype_coords(nu)
     tmat = np.column_stack([col_rew, col_imw, col_t, col_rho])
     rhs = -_ztype_coords(h_p)
-    base, *_ = np.linalg.lstsq(tmat, rhs, rcond=None)
+    (base,), (kernel,) = _incidence_slice(tmat[None], rhs[None], cfg.rank_rtol)
     resid_scale = 1.0 + np.linalg.norm(rhs) + np.linalg.norm(tmat)
     if np.linalg.norm(tmat @ base - rhs) > 1e-8 * resid_scale:
         return [], None  # linear stage inconsistent: no real section hits the target
-    kernel = _num_nullspace(tmat, cfg.rank_rtol)
     kdim = kernel.shape[0]
     dmask = np.array([1.0, 1.0, 1.0, 0.0])
     pmat = kernel @ np.diag(dmask) @ kernel.T
@@ -261,28 +254,23 @@ def _quadric_reduce(model: TwistorModel, pt: P1Point, values, cfg: SolveConfig):
     center_params = wt_to_params(base + center @ kernel)
     basis_params = np.array([wt_to_params(base + kernel[i]) - wt_to_params(base)
                              for i in range(kdim)])
-    fam = FamilyDescriptor(dim=kdim - 1, center_params=center_params,
-                           basis_params=basis_params, shape=pmat,
-                           radius_sq=float(-val))
-    rng = np.random.default_rng(cfg.seed)
-    return fam.sample(_FAMILY_SAMPLES, rng), fam
+    return [], FamilyDescriptor(dim=kdim - 1, center_params=center_params,
+                                basis_params=basis_params, shape=pmat,
+                                radius_sq=float(-val))
 
 
 def _linear_reduce(model: TwistorModel, pt: P1Point, values, cfg: SolveConfig):
     """Fiber solver for equation-free bundles: one real-linear solve."""
     amat = incidence_rows(model, pt)
     b = _incidence_rhs(values)
-    sol, *_ = np.linalg.lstsq(amat, b, rcond=None)
+    (sol,), (kernel,) = _incidence_slice(amat[None], b[None], cfg.rank_rtol)
     if np.linalg.norm(amat @ sol - b) > 1e-8 * (1.0 + np.linalg.norm(b)):
         return [], None
-    kernel = _num_nullspace(amat, cfg.rank_rtol)
     if kernel.shape[0] == 0:
-        return [np.asarray(sol, dtype=float)], None
-    fam = FamilyDescriptor(dim=kernel.shape[0], center_params=np.asarray(sol),
-                           basis_params=kernel,
-                           shape=np.eye(kernel.shape[0]), radius_sq=1.0)
-    rng = np.random.default_rng(cfg.seed)
-    return fam.sample(_FAMILY_SAMPLES, rng), fam
+        return [sol], None
+    return [], FamilyDescriptor(dim=kernel.shape[0], center_params=sol,
+                                basis_params=kernel,
+                                shape=np.eye(kernel.shape[0]), radius_sq=1.0)
 
 
 def _lstsq_steps(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -302,7 +290,8 @@ def _converged(r: np.ndarray, x: np.ndarray, cfg: SolveConfig) -> np.ndarray:
 
 def _incidence_slice(amats, rhs, rtol: float):
     """The solutions of each incidence block amats[k] @ x = rhs[k], (k, r, n)
-    and (k, r), as a slice base[k] + kernel[k]·y, for _gauss_newton.
+    and (k, r), as a slice base[k] + kernel[k]·y, for _gauss_newton and the
+    linear stages of the closed-form reducers.
 
     One stacked SVD with the numerical_rank cutoff gives the minimum-norm
     solutions base (k, n) and orthonormal kernel bases (k, d, n); a basis of
@@ -425,6 +414,8 @@ def solve_fiber(model: TwistorModel, zeta, target,
     family = _FAMILIES[model.family]
     sys = real_section_system(model)
     sols, fam = family.reduce(model, pt, values, cfg)
+    if fam is not None:
+        sols = fam.sample(_FAMILY_SAMPLES, np.random.default_rng(cfg.seed))
     kept = [np.asarray(s, dtype=float) for s in sols]
     kept = [s for s, ok in zip(kept, sys.members(kept, cfg.member_tol)) if ok]
     sols = [s * scale for s in _dedup(kept, cfg.dedup_radius)]
@@ -764,7 +755,7 @@ def _cone_singular_pairs(model: TwistorModel):
 class _Family(NamedTuple):
     """Per-family fiber reducer, section sampler and singular-pair locator."""
 
-    reduce: Callable      # (model, pt, values, cfg) -> (solutions, family)
+    reduce: Callable      # (model, pt, values, cfg) -> (sols, None) or ([], family)
     method: str
     complete: bool
     sample: Callable      # (model, n, rng, cfg) -> list of parameter vectors
@@ -953,52 +944,17 @@ def sym_matrix_model(params, label: int, exact: bool = False):
     if len(p) != 9:
         raise DimensionError("matrix model requires the 9-parameter model")
     if exact:
-        return _exact_matrix_model(p, label)
-    x0r, x0i, x1r, x1i, x2r, x2i, z0r, z0i, _ = [float(v) for v in p]
+        (x0r, x0i, x1r, x1i, x2r, x2i, z0r, z0i, _), _, den = common_denominator(
+            [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in p])
+        modulus = _integer_modulus
+    else:
+        x0r, x0i, x1r, x1i, x2r, x2i, z0r, z0i, _ = [float(v) for v in p]
+        den, modulus = 1, math.hypot
+    # a is 4*den*A; with the section written as n / den, den*|x0|, den*|x2|
+    # and the entries of a are integers on the exact backend (den = 1 on floats)
     s = label
-    m0 = math.hypot(x0r, x0i)
-    m2 = math.hypot(x2r, x2i)
-    t = s * (m0 + m2)
-    a = [[None] * 4 for _ in range(4)]
-    a[0][0] = s * (m0 + x0r) / 2
-    a[1][1] = s * (m0 - x0r) / 2
-    a[2][2] = s * (m2 + x2r) / 2
-    a[3][3] = s * (m2 - x2r) / 2
-    a[0][1] = s * x0i / 2
-    a[2][3] = -s * x2i / 2
-    a[0][2] = (2 * s * z0r - x1r) / 2 / 2
-    a[1][3] = (-x1r - 2 * s * z0r) / 2 / 2
-    a[1][2] = (2 * s * z0i - x1i) / 2 / 2
-    a[0][3] = (2 * s * z0i + x1i) / 2 / 2
-    for i in range(4):
-        for j in range(i + 1, 4):
-            a[j][i] = a[i][j]
-    _check_rank_one(a)
-    b = [[a[i][j] - (t / 4 if i == j else 0) for j in range(4)]
-         for i in range(4)]
-    return np.array(b, dtype=float), float(t)
-
-
-def _check_rank_one(a):
-    scale = max(abs(a[i][j]) for i in range(4) for j in range(4))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for k in range(4):
-                for m in range(k + 1, 4):
-                    minor = a[i][k] * a[j][m] - a[i][m] * a[j][k]
-                    if abs(minor) > _MATRIX_TOL * (1.0 + scale) ** 2:
-                        raise ModelError(
-                            "recovered products are inconsistent beyond tolerance")
-
-
-def _exact_matrix_model(p, s: int):
-    """The exact (B, t) in integers.  With the section written as n / den,
-    den*|x0|, den*|x2| and the entries of 4*den*A are integers; only B and
-    t are made into Fractions."""
-    (x0r, x0i, x1r, x1i, x2r, x2i, z0r, z0i, _), _, den = common_denominator(
-        [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in p])
-    m0 = _integer_modulus(x0r, x0i)
-    m2 = _integer_modulus(x2r, x2i)
+    m0 = modulus(x0r, x0i)
+    m2 = modulus(x2r, x2i)
     a = [[None] * 4 for _ in range(4)]
     a[0][0] = 2 * s * (m0 + x0r)
     a[1][1] = 2 * s * (m0 - x0r)
@@ -1013,12 +969,27 @@ def _exact_matrix_model(p, s: int):
     for i in range(4):
         for j in range(i + 1, 4):
             a[j][i] = a[i][j]
-    if _integer_rank([row[:] for row in a]) > 1:
-        raise ModelError("recovered products are inconsistent (2x2 minor != 0)")
     trace = s * (m0 + m2)  # den*t, which is 4*den times t/4
-    b = [[Fraction(a[i][j] - trace if i == j else a[i][j], 4 * den) for j in range(4)]
+    b = [[a[i][j] - trace if i == j else a[i][j] for j in range(4)]
          for i in range(4)]
-    return b, Fraction(trace, den)
+    if exact:
+        if _integer_rank([row[:] for row in a]) > 1:
+            raise ModelError("recovered products are inconsistent (2x2 minor != 0)")
+        return [[Fraction(v, 4 * den) for v in row] for row in b], Fraction(trace, den)
+    _check_rank_one([[v / 4 for v in row] for row in a])
+    return np.array(b, dtype=float) / 4, float(trace)
+
+
+def _check_rank_one(a):
+    scale = max(abs(a[i][j]) for i in range(4) for j in range(4))
+    for i in range(4):
+        for j in range(i + 1, 4):
+            for k in range(4):
+                for m in range(k + 1, 4):
+                    minor = a[i][k] * a[j][m] - a[i][m] * a[j][k]
+                    if abs(minor) > _MATRIX_TOL * (1.0 + scale) ** 2:
+                        raise ModelError(
+                            "recovered products are inconsistent beyond tolerance")
 
 
 def _integer_modulus(re: int, im: int) -> int:

@@ -488,8 +488,6 @@ def kernel_splitting(entries, source_degrees, target_degrees,
     kernel_rank = nsrc - grank
     if kernel_rank == 0:
         return SplittingType(())
-    if not source_degrees:
-        return SplittingType(())
     m = -max(source_degrees) - 1
     d_prev = 0
     delta_prev = 0

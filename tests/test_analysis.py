@@ -1,5 +1,6 @@
 """Fiber solving, loci detection, classification and the matrix model."""
 
+import inspect
 import json
 import math
 from fractions import Fraction
@@ -268,15 +269,19 @@ def test_incidence_slice_pads_smaller_kernels_with_zero_rows(doubled):
     assert np.allclose(x[0], alone[0], atol=1e-9)
 
 
-def test_newton_rows_stay_on_their_incidence_blocks(doubled, deformed, monkeypatch):
-    # both callers: multistart (one shared block) at a target and at the
-    # vertex, and the continuation rows of classify (a block per row)
+def test_newton_rows_stay_on_their_incidence_blocks(doubled, deformed, smooth,
+                                                    monkeypatch):
+    # Gauss-Newton's callers: multistart (one shared block) at a target and
+    # at the vertex, and the continuation rows of classify (a block per row);
+    # the closed forms take the linear stage of their reducers from the slice
     calls = []
     slice_, newton = analysis._incidence_slice, analysis._gauss_newton
 
     def slicing(amats, rhs, rtol):
-        calls.append([amats, rhs])
-        return slice_(amats, rhs, rtol)
+        base, kernel = slice_(amats, rhs, rtol)
+        caller = inspect.currentframe().f_back.f_code.co_name
+        calls.append([caller, amats, rhs, base, kernel])
+        return base, kernel
 
     def stepping(*args):
         x, ok = newton(*args)
@@ -289,11 +294,24 @@ def test_newton_rows_stay_on_their_incidence_blocks(doubled, deformed, monkeypat
     target = evaluate_section(doubled, planted, 0.4 - 0.3j)
     solve_fiber(doubled, target.zeta, target.values, CFG)
     solve_fiber(doubled, target.zeta, (0j, 0j, 0j), CFG)
+    solve_fiber(build_quadric(), target.zeta, target.values, CFG)
+    solve_fiber(smooth, None, evaluate_section(smooth, [0.2, -1.0, 0.5, 0.9], 2j), CFG)
     classify_hypercomplex(build_quadric(), CFG)
     classify_hypercomplex(deformed, CFG)
-    assert len(calls) == 4
-    for amats, rhs, x in calls:
+    stepped = ("_newton_multistart", "_examine_pairs")
+    newton_calls = [c for c in calls if c[0] in stepped]
+    assert len(newton_calls) == 4
+    for _, amats, rhs, _, _, x in newton_calls:
         assert _on_incidence(x, amats, rhs)
+    closed = [c for c in calls if c[0] not in stepped]
+    assert {c[0] for c in closed} == {"_quadric_reduce", "_linear_reduce"}
+    for _, amats, rhs, base, kernel in closed:
+        # every block here comes from a target on a real section: consistent
+        assert _on_incidence(base, amats, rhs)
+        (amat,), (rows,) = amats, kernel
+        assert np.allclose(rows @ rows.T, np.eye(len(rows)), rtol=0, atol=1e-12)
+        assert np.abs(amat @ rows.T).max(initial=0.0) <= 1e-12 * (
+            1.0 + np.abs(amat).max())
 
 
 def _finds_planted(res, planted):
@@ -899,6 +917,30 @@ def test_exact_matrix_model_equals_the_fraction_formulas(a, b, variant, label,
         assert _matrix_model_outcome(
             lambda p, s: sym_matrix_model(p, s, exact=True), sec, planted)[0] \
             is not ModelError
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(a=_gaussian_rational, b=_gaussian_rational,
+       variant=st.sampled_from(["minus", "plus"]))
+def test_matrix_model_backends_agree(a, b, variant):
+    # one rational squaring section through both backends, under both labels:
+    # the float (B, t) is the exact one to 1e-12 relative, and both refuse
+    # the wrong label unless a = 0 or b = 0 (x0 = 0 or x2 = 0: A has rank
+    # one under either label)
+    sec = squaring_section(a, b, variant, exact=True)
+    planted = 1 if variant == "minus" else -1
+    for label in (planted, -planted):
+        exact = _matrix_model_outcome(
+            lambda p, s: sym_matrix_model(p, s, exact=True), sec, label)
+        got = _matrix_model_outcome(sym_matrix_model, [float(v) for v in sec], label)
+        if label != planted and a and b:
+            assert exact[0] is ModelError and got[0] is ModelError
+        assert (exact[0] is ModelError) == (got[0] is ModelError)
+        if got[0] is not ModelError:
+            want = np.array(exact[0], dtype=float)
+            scale = 1.0 + np.abs(want).max()
+            assert np.abs(got[0] - want).max() <= 1e-12 * scale
+            assert abs(got[1] - float(exact[1])) <= 1e-12 * scale
 
 
 def test_exact_matrix_model_refusals():

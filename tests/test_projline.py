@@ -116,6 +116,10 @@ def test_kernel_splitting_linearized_cone_row():
 def test_kernel_splitting_trivial():
     t = kernel_splitting([[CoeffPoly(0, [1])]], [3], [3])
     assert t.degrees == ()
+    # no sources: the generic rank is 0, so the kernel rank is 0 too
+    for exact in (False, True):
+        assert kernel_splitting([[], []], [], [1, 2], exact=exact).degrees == ()
+        assert kernel_splitting([], [], [], exact=exact).degrees == ()
 
 
 def test_kernel_splitting_rank_one():
