@@ -4,7 +4,10 @@ Membership, fiber incidence, fiber solving, Jacobian rank scans, branch
 tests, normal-sheaf splitting and the hypercomplex/weakly-hypercomplex
 classification pipeline.  The family table ``_FAMILIES`` holds closed-form
 fiber solvers for the quadric family (x*y = z^2 + mu) and for equation-free
-bundles; everything else falls back to seeded multistart Newton.
+bundles; everything else falls back to seeded multistart Newton.  Every
+fiber solver starts from the incidence slice x0 + y·N of the target
+(``_incidence_slice``): Newton steps inside it, an equation-free bundle's
+fiber is the slice, and the quadric reducer solves its fiber rows there.
 
 Numeric ops (``solve_fiber``, ``branch_test``, ``singular_scan``,
 ``sample_sections``, ``classify_hypercomplex`` and the float branch of
@@ -149,113 +152,63 @@ class FiberSolveResult:
     method: str
 
 
-def _pair_partner(cp: CoeffPoly) -> CoeffPoly:
-    """Swap-rule partner of a degree-2 coefficient triple (sign +1)."""
-    c0, c1, c2 = cp.coeffs
-    return CoeffPoly(2, [c2.conjugate(), -c1.conjugate(), c0.conjugate()])
-
-
-def _ztype_coords(cp: CoeffPoly, tol: float = 1e-8):
-    """(Re c0, Im c0, c1) for a z-type triple; checks the type identity."""
-    c0, c1, c2 = cp.coeffs
-    scale = 1.0 + abs(c0) + abs(c1) + abs(c2)
-    if abs(c2 + c0.conjugate()) > tol * scale or abs(c1.imag) > tol * scale:
-        raise ModelError("polynomial is not of z-type")
-    return np.array([c0.real, c0.imag, c1.real], dtype=float)
-
-
-def _quadric_incidence(pt: P1Point, values):
-    """Incidence rows, particular solutions and the pinned-pair factor."""
-    z = pt.value
-    x_val, y_val, z_val = values
-    if pt.chart == "std":
-        e1 = np.array([1.0, z, z * z])
-        e2 = np.array([np.conj(z) ** 2, -np.conj(z), 1.0])
-        nu = CoeffPoly(2, [-z, 1.0 - abs(z) ** 2, np.conj(z)])
-        col_a, col_b, col_r = 1.0 - z * z, 1j * (1.0 + z * z), z
-    else:
-        e1 = np.array([z * z, z, 1.0])
-        e2 = np.array([1.0, -np.conj(z), np.conj(z) ** 2])
-        nu = CoeffPoly(2, [np.conj(z), 1.0 - abs(z) ** 2, -z])
-        col_a, col_b, col_r = z * z - 1.0, 1j * (z * z + 1.0), z
-    x_part, *_ = np.linalg.lstsq(np.vstack([e1, e2]),
-                                 np.array([x_val, np.conj(y_val)]), rcond=None)
-    zmat = np.array([[col_a.real, col_b.real, col_r.real],
-                     [col_a.imag, col_b.imag, col_r.imag]])
-    zpart, *_ = np.linalg.lstsq(zmat, np.array([z_val.real, z_val.imag]),
-                                rcond=None)
-    z0_p = complex(zpart[0], zpart[1])
-    r_p = float(zpart[2])
-    return x_part, z0_p, r_p, nu
-
-
 def _quadric_reduce(model: TwistorModel, pt: P1Point, values, cfg: SolveConfig):
     """Closed-form fiber solver for x*y = z^2 + mu.
 
-    Incidence at the point and its antipodal image restricts the parameters
-    to (w, t) in C x R; the remaining conditions collapse to one quadric on
-    the kernel of a small linear system, so the fiber is two points, one
-    point, empty, or an ellipsoid family.
+    The incidence rows at the point cut the parameters to the slice x0 + y·N.
+    On it the fiber equation is nu·h, where nu vanishes at the point and at
+    its antipodal image, and its quadratic part is -q(y)·nu^2 for a positive
+    definite q; so every fiber-row Hessian is a multiple c_r of one form Q,
+    and the fiber rows read F0 + L·y + c·rho with rho = y^T Q y / 2.  They
+    are linear in (y, rho), and on their solutions rho = y^T Q y / 2 is one
+    quadric, so the fiber is two points, one point, empty, or an ellipsoid
+    family.  The component rows are left to solve_fiber's membership filter.
     """
-    x_part, z0_p, r_p, nu = _quadric_incidence(pt, values)
-    x_p = CoeffPoly(2, list(x_part))
-    y_p = _pair_partner(x_p)
-    z_p = CoeffPoly(2, [z0_p, r_p, -np.conj(z0_p)])
-    g_p = x_p * y_p - z_p * z_p - model.mu
-    # g_p = nu * h_p with deg h_p <= 2: one least-squares solve against the
-    # Toeplitz matrix of nu, which stays well conditioned over the whole base
-    toeplitz = np.zeros((5, 3), dtype=complex)
-    for j in range(3):
-        toeplitz[j:j + 3, j] = nu.coeffs
-    g = np.array(g_p.coeffs, dtype=complex)
-    h, *_ = np.linalg.lstsq(toeplitz, g, rcond=None)
-    if np.linalg.norm(toeplitz @ h - g) > 1e-7 * (1.0 + np.abs(g).max()):
-        raise FiberError("incidence data is inconsistent with the fiber equation")
-    h_p = CoeffPoly(2, list(h))
-    i_unit = 1j
-    col_rew = _ztype_coords(y_p - x_p)
-    col_imw = _ztype_coords((y_p + x_p).scale(i_unit))
-    col_t = _ztype_coords(z_p.scale(-2.0))
-    col_rho = -_ztype_coords(nu)
-    tmat = np.column_stack([col_rew, col_imw, col_t, col_rho])
-    rhs = -_ztype_coords(h_p)
+    amat, b = incidence_rows(model, pt), _incidence_rhs(values)
+    (x0,), (nmat,) = _incidence_slice(amat[None], b[None], cfg.rank_rtol)
+    if np.linalg.norm(amat @ x0 - b) > 1e-8 * (1.0 + np.linalg.norm(b)):
+        return [], None
+    sys = real_section_system(model)
+    rows, d = sys.fiber_rows, len(nmat)
+    # J is affine in x, so (J(N_i) - J(0))·N^T is exact; differencing at the
+    # origin avoids cancelling entries of size |x0|
+    jacs = sys.jacobian_at(np.vstack([x0, nmat, np.zeros_like(x0)]))[:, rows] @ nmat.T
+    hess = (jacs[1:-1] - jacs[-1]).transpose(1, 0, 2)  # hess[r] = N·H_r·N^T
+    form = hess[np.argmax((hess * hess).sum(axis=(1, 2)))]
+    form = form * np.sign(np.trace(form))  # Q, positive definite
+    tmat = np.column_stack([jacs[0], np.einsum("rij,ij->r", hess, form)
+                            / (form * form).sum()])
+    rhs = -sys.residuals(x0)[rows]
     (base,), (kernel,) = _incidence_slice(tmat[None], rhs[None], cfg.rank_rtol)
     resid_scale = 1.0 + np.linalg.norm(rhs) + np.linalg.norm(tmat)
     if np.linalg.norm(tmat @ base - rhs) > 1e-8 * resid_scale:
         return [], None  # linear stage inconsistent: no real section hits the target
     kdim = kernel.shape[0]
-    dmask = np.array([1.0, 1.0, 1.0, 0.0])
-    pmat = kernel @ np.diag(dmask) @ kernel.T
-    qvec = 2.0 * kernel @ (dmask * base) - kernel[:, 3]
-    cval = float(base[:3] @ base[:3] - base[3])
+    dmat = np.zeros((d + 1, d + 1))
+    dmat[:d, :d] = form / 2.0
+    pmat = kernel @ dmat @ kernel.T
+    qvec = 2.0 * kernel @ dmat @ base - kernel[:, d]
+    cval = float(base @ dmat @ base - base[d])
     center, *_ = np.linalg.lstsq(pmat, -qvec / 2.0, rcond=None)
     val = cval + qvec @ center + center @ pmat @ center
     vtol = cfg.tol * (1.0 + abs(cval) + np.linalg.norm(base) ** 2)
 
-    def wt_to_params(full):
-        w = complex(full[0], full[1])
-        t = float(full[2])
-        x = [x_part[m] + w * nu.coeffs[m] for m in range(3)]
-        z0 = z0_p + t * nu.coeffs[0]
-        r = r_p + t * nu.coeffs[1].real
-        lead = {0: x, 2: [z0, r]}
-        return np.array(model.section_basis.params_from_lead(lead), dtype=float)
+    def to_params(u):
+        return x0 + u[:d] @ nmat
 
     if val > vtol:
         return [], None
     if abs(val) <= vtol:
-        return [wt_to_params(base + center @ kernel)], None
+        return [to_params(base + center @ kernel)], None
     if kdim == 1:
         root = math.sqrt(-val / pmat[0, 0])
-        sols = [wt_to_params(base + (center[0] + s * root) * kernel[0])
+        sols = [to_params(base + (center[0] + s * root) * kernel[0])
                 for s in (1.0, -1.0)]
         return sols, None
     # positive-dimensional family: an ellipsoid of dimension kdim-1
-    center_params = wt_to_params(base + center @ kernel)
-    basis_params = np.array([wt_to_params(base + kernel[i]) - wt_to_params(base)
-                             for i in range(kdim)])
-    return [], FamilyDescriptor(dim=kdim - 1, center_params=center_params,
-                                basis_params=basis_params, shape=pmat,
+    return [], FamilyDescriptor(dim=kdim - 1,
+                                center_params=to_params(base + center @ kernel),
+                                basis_params=kernel[:, :d] @ nmat, shape=pmat,
                                 radius_sq=float(-val))
 
 

@@ -234,7 +234,6 @@ class SectionBasis:
         self.slots = [[None] * (k + 1) for k in degrees]
         self.param_names = []
         seen = set()
-        self.orbits = []
         unit = lambda re, im: make_complex(re, im, exact)
         for i, k in enumerate(degrees):
             if i in seen:
@@ -242,7 +241,6 @@ class SectionBasis:
             j = rules[i].partner
             seen.update({i, j})
             if i == j:
-                self.orbits.append(("self", i, i))
                 half = k // 2
                 for m in range(half):
                     self._add_complex_param(i, m, unit)
@@ -255,7 +253,6 @@ class SectionBasis:
                     self._mirror(i, i, m, rules[i].sign, k)
             else:
                 lead, dep = (i, j) if i < j else (j, i)
-                self.orbits.append(("pair", lead, dep))
                 for m in range(k + 1):
                     self._add_complex_param(lead, m, unit)
                 for m in range(k + 1):
@@ -292,32 +289,6 @@ class SectionBasis:
                 coeffs.append(acc)
             polys.append(CoeffPoly(k, coeffs))
         return tuple(polys)
-
-    def params_from_lead(self, lead_coeffs):
-        """Inverse of embed restricted to lead-orbit coefficients.
-
-        ``lead_coeffs`` maps coordinate index -> coefficient list for the lead
-        coordinate of each orbit (low coefficients + middle for self orbits).
-        """
-        params = [0] * self.nparams
-        for kind, lead, _ in self.orbits:
-            k = self.degrees[lead]
-            coeffs = lead_coeffs[lead]
-            if kind == "pair":
-                for m in range(k + 1):
-                    (p_re, _), (p_im, _) = self.slots[lead][m]
-                    params[p_re] = coeffs[m].real
-                    params[p_im] = coeffs[m].imag
-            else:
-                half = k // 2
-                for m in range(half):
-                    (p_re, _), (p_im, _) = self.slots[lead][m]
-                    params[p_re] = coeffs[m].real
-                    params[p_im] = coeffs[m].imag
-                (p_mid, factor), = self.slots[lead][half]
-                val = coeffs[half]
-                params[p_mid] = val.real if factor.imag == 0 else val.imag
-        return params
 
     def complex_matrices(self):
         """Per-coordinate complex embedding matrices (numpy, float mode)."""

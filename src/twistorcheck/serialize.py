@@ -29,7 +29,11 @@ def encode_scalar(x):
         return str(x)
     if isinstance(x, complex):
         return [x.real, x.imag]
-    if isinstance(x, (np.floating, np.integer)):
+    if isinstance(x, np.bool_):
+        return bool(x)
+    if isinstance(x, np.integer):
+        return int(x)
+    if isinstance(x, np.floating):
         return float(x)
     return x
 
@@ -63,10 +67,9 @@ def jsonable(x):
         return [jsonable(v) for v in x]
     if isinstance(x, np.ndarray):
         return [jsonable(v) for v in x.tolist()]
-    if isinstance(x, (GaussianRational, Fraction, complex)):
+    if isinstance(x, (GaussianRational, Fraction, complex, np.bool_, np.integer,
+                      np.floating)):
         return encode_scalar(x)
-    if isinstance(x, (np.floating, np.integer)):
-        return float(x)
     if isinstance(x, (bool, int, float, str)) or x is None:
         return x
     return str(x)
@@ -225,10 +228,13 @@ def _emit(x, out, nl):
         out.append(nl + "]")
     else:
         # jsonable returns plain containers and scalars, or a subclass of
-        # int, float or str, which json spells as its base type
+        # int, float or str, which json spells as its base type; bool
+        # subclasses int, so it is tested first
         x = jsonable(x)
         if isinstance(x, str):
             out.append(_encode_str(x))
+        elif isinstance(x, bool):
+            out.append("true" if x else "false")
         elif isinstance(x, int):
             out.append(int.__repr__(x))
         elif isinstance(x, float):

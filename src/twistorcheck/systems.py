@@ -52,6 +52,14 @@ class RealEquationSystem:
     def __len__(self):
         return len(self.labels)
 
+    @property
+    def fiber_rows(self) -> list:
+        """Indices of the rows of the fiber equations; the others come from
+        component equations (labels ``<model>.eq<i>[z^<m>].<part>`` and
+        ``<model>.component<i>.<part>``, written by real_section_system)."""
+        return [i for i, label in enumerate(self.labels)
+                if label.rsplit(".", 2)[1].startswith("eq")]
+
     @cached_property
     def equations(self) -> list:
         """The residuals as MPolys, with Fraction coefficients when exact."""

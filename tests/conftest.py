@@ -33,14 +33,20 @@ def smooth():
     return build_smooth_o11()
 
 
+def double_coefficients(model):
+    """The model with doubled fiber coefficients: the same fibers, but no
+    closed-form family, so it is solved by Newton."""
+    doc = serialize.model_to_dict(model)
+    for eq in doc["equations"]:
+        for mono in eq["monomials"]:
+            mono["coeffs"] = [np.multiply(2, c).tolist() for c in mono["coeffs"]]
+    return serialize.model_from_dict(doc)
+
+
 @pytest.fixture(scope="session")
 def doubled(quadric):
     """The quadric cone with doubled fiber coefficients: solved by Newton."""
-    doc = serialize.model_to_dict(quadric)
-    for eq in doc["equations"]:
-        for mono in eq["monomials"]:
-            mono["coeffs"] = [[2 * re, 2 * im] for re, im in mono["coeffs"]]
-    return serialize.model_from_dict(doc)
+    return double_coefficients(quadric)
 
 
 @pytest.fixture(scope="session")

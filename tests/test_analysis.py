@@ -26,7 +26,7 @@ from twistorcheck.projline import SplittingType
 from twistorcheck import analysis, serialize, systems
 from twistorcheck.serialize import jsonable
 from twistorcheck.systems import real_section_system
-from conftest import ANTIREAL_LAMBDA
+from conftest import ANTIREAL_LAMBDA, double_coefficients
 
 CFG = SolveConfig(seed=7)
 
@@ -193,6 +193,33 @@ def test_solve_fiber_matches_newton_multistart(quadric, rng):
                        for c in closed.solutions) < 1e-6
 
 
+@pytest.mark.parametrize("lam,reality", [(ANTIREAL_LAMBDA, "antireal"),
+                                         ([0, 1, 0], "real")])
+def test_closed_form_matches_newton_far_from_unit_size(lam, reality):
+    # seeded fiber points with |values| log-uniform over 1e-3..1e3 and |zeta|
+    # over 1e-4..1 in both charts; the deformed model is not a cone, so its
+    # targets are solved at their own scale, and the coefficient-doubled copy
+    # has the same fibers but is solved by multistart Newton
+    model = build_deformed(lam, reality)
+    doubled = double_coefficients(model)
+    rng = np.random.default_rng(18)
+    roots = 0
+    for k in range(40):
+        pt = P1Point("std" if k % 2 else "inf",
+                     10.0 ** rng.uniform(-4, 0) * np.exp(2j * np.pi * rng.random()))
+        x, z = 10.0 ** rng.uniform(-3, 3) * np.exp(2j * np.pi * rng.random(2))
+        values = (x, (z * z + model.mu.eval_point(pt)) / x, z)
+        closed = solve_fiber(model, pt, values, CFG)
+        newton = solve_fiber(doubled, pt, values, CFG)
+        assert (closed.method, newton.method) == ("closed-form", "newton-multistart")
+        assert len(newton.solutions) == len(closed.solutions), k
+        for sol in newton.solutions:
+            assert min(np.linalg.norm(sol - c) for c in closed.solutions) \
+                <= 1e-8 * np.linalg.norm(sol), k
+        roots += len(newton.solutions)
+    assert roots >= 40
+
+
 def _on_incidence(x, amats, rhs):
     """Every row of x satisfies its block amats[k] @ x[k] = rhs[k] (one block
     of shape (1, r, n) is shared) to 1e-12 relative."""
@@ -273,7 +300,7 @@ def test_newton_rows_stay_on_their_incidence_blocks(doubled, deformed, smooth,
                                                     monkeypatch):
     # Gauss-Newton's callers: multistart (one shared block) at a target and
     # at the vertex, and the continuation rows of classify (a block per row);
-    # the closed forms take the linear stage of their reducers from the slice
+    # the closed forms take their incidence rows and linear stages from the slice
     calls = []
     slice_, newton = analysis._incidence_slice, analysis._gauss_newton
 
@@ -305,6 +332,11 @@ def test_newton_rows_stay_on_their_incidence_blocks(doubled, deformed, smooth,
         assert _on_incidence(x, amats, rhs)
     closed = [c for c in calls if c[0] not in stepped]
     assert {c[0] for c in closed} == {"_quadric_reduce", "_linear_reduce"}
+    # each quadric solve slices twice: its incidence rows in the 9 parameters,
+    # then its linear stage in (y, rho) on that slice; the solves are the
+    # target, the quadric classify's three vertex pairs and the deformed one
+    quadric = [c[1].shape[-1] for c in closed if c[0] == "_quadric_reduce"]
+    assert quadric == [9, 4] * 5
     for _, amats, rhs, base, kernel in closed:
         # every block here comes from a target on a real section: consistent
         assert _on_incidence(base, amats, rhs)
@@ -356,11 +388,7 @@ def test_closed_form_fiber_at_every_scale(quadric, rng, chart):
 
 
 def test_newton_fiber_on_the_doubled_cone_at_every_scale(quadric):
-    doc = serialize.model_to_dict(quadric)
-    for eq in doc["equations"]:
-        for mono in eq["monomials"]:
-            mono["coeffs"] = [[2 * re, 2 * im] for re, im in mono["coeffs"]]
-    doubled = serialize.model_from_dict(doc)
+    doubled = double_coefficients(quadric)
     unit = squaring_section(0.3 + 0.7j, -1.1 + 0.2j, "minus")
     for exponent in range(-8, 9, 2):
         planted = unit * 10.0 ** exponent

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from twistorcheck import cli, serialize
 from twistorcheck.cli import OPS, main, run_scenario, run_scenario_doc
 from twistorcheck.scalars import GaussianRational
-from twistorcheck.serialize import dump_report, jsonable, load_scenario
+from twistorcheck.serialize import dump_report, encode_scalar, jsonable, load_scenario
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -358,6 +358,14 @@ def test_report_dump_spells_values_and_keys_as_jsonable():
     for rep in cases:
         assert dump_report(rep) == json.dumps(jsonable(rep), sort_keys=True,
                                               indent=2) + "\n"
+
+
+def test_numpy_integers_and_bools_keep_their_json_type():
+    assert encode_scalar(np.int64(3)) == 3 and type(encode_scalar(np.int64(3))) is int
+    assert encode_scalar(np.bool_(True)) is True
+    assert jsonable([np.int64(3), np.bool_(True)]) == [3, True]
+    assert dump_report({"n": np.int64(3), "b": np.bool_(True)}) == (
+        '{\n  "b": true,\n  "n": 3\n}\n')
 
 
 _SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 1e-5, 1e300,
