@@ -226,14 +226,28 @@ def _linear_reduce(model: TwistorModel, pt: P1Point, values, cfg: SolveConfig):
                                 shape=np.eye(kernel.shape[0]), radius_sq=1.0)
 
 
-def _lstsq_steps(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Minimum-norm solutions of jac[k] @ step[k] = -r[k], by one stacked SVD
-    with the cutoff of np.linalg.lstsq(rcond=None)."""
-    u, svals, vh = np.linalg.svd(jac, full_matrices=False)
-    keep = svals > np.finfo(float).eps * max(jac.shape[1:]) * svals[:, :1]
-    inv = np.divide(1.0, svals, out=np.zeros_like(svals), where=keep)
-    coef = np.einsum("kmj,km->kj", u, -r) * inv
-    return np.einsum("kji,kj->ki", vh, coef)
+def _lstsq_steps(jac: np.ndarray, r: np.ndarray, rtol: float) -> np.ndarray:
+    """Minimum-norm least-squares solutions of jac[k] @ step[k] = -r[k],
+    (k, m, d) and (k, m).
+
+    Each system is first divided by its largest |jac[k]| entry (1 if
+    jac[k] is zero), which keeps its solution and its Gram matrix finite.
+    One stacked eigh of the d x d Gram matrices J^T J gives σ = √λ; a
+    direction is kept when σ passes numerical_rank at rtol, floored at the
+    Gram's own resolution √(eps·max(m, d)), since the Gram squares the
+    condition number.
+    """
+    peak = np.abs(jac).max(axis=(1, 2), initial=0.0)
+    peak[peak == 0.0] = 1.0
+    jac, r = jac / peak[:, None, None], r / peak[:, None]
+    lam, vec = np.linalg.eigh(np.einsum("kmi,kmj->kij", jac, jac))
+    lam, vec = lam[:, ::-1], vec[:, :, ::-1]  # descending, as numerical_rank reads
+    floor = math.sqrt(np.finfo(float).eps * max(jac.shape[1:]))
+    rank = numerical_rank(np.sqrt(np.maximum(lam, 0.0)), max(rtol, floor))
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam),
+                    where=np.arange(lam.shape[1]) < rank[:, None])
+    coef = np.einsum("kij,ki->kj", vec, np.einsum("kmi,km->ki", jac, -r)) * inv
+    return np.einsum("kij,kj->ki", vec, coef)
 
 
 def _converged(r: np.ndarray, x: np.ndarray, cfg: SolveConfig) -> np.ndarray:
@@ -294,7 +308,7 @@ def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig):
         last, halved = last[moving], halved[moving]
         basis = kernel[active]
         jac = np.einsum("kmn,kdn->kmd", sys.jacobian_at(xa), basis)
-        step = np.einsum("kd,kdn->kn", _lstsq_steps(jac, r), basis)
+        step = np.einsum("kd,kdn->kn", _lstsq_steps(jac, r, cfg.rank_rtol), basis)
         norm = np.sqrt((step * step).sum(axis=1))  # np.linalg.norm, less overhead
         halving = (lo * last < norm) & (norm < hi * last)
         step[halving & halved] *= 2.0
@@ -306,10 +320,13 @@ def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig):
 
 
 def _dedup(points, radius):
-    out = []
-    for p in points:
-        if all(np.linalg.norm(p - q) > radius for q in out):
-            out.append(p)
+    """The points farther than radius from every earlier kept one, in input
+    order: each kept point drops the remaining points within radius of it."""
+    stack, rest, out = np.asarray(points, dtype=float), np.arange(len(points)), []
+    while len(rest):
+        first, rest = rest[0], rest[1:]
+        out.append(points[first])
+        rest = rest[np.linalg.norm(stack[rest] - stack[first], axis=1) > radius]
     return out
 
 

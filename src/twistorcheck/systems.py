@@ -39,7 +39,8 @@ class RealEquationSystem:
     each over the monomials it uses.  Exact inputs to an exact system, which
     certify facts, are evaluated in integers over common denominators; every
     other input in floats, where a point or a stacked ``(S, n)`` array of
-    points goes through one power table and one matrix product.
+    points goes through one gather of monomial factors and one matrix
+    product.
     """
 
     def __init__(self, nvars, residuals, labels, exact):
@@ -79,13 +80,11 @@ class RealEquationSystem:
         return certifies(self.exact, p)
 
     def _float_values(self, x: np.ndarray, block: "_Block") -> np.ndarray:
-        """The block's columns at each row of ``x``."""
-        exps = block.exps
-        table = np.empty(x.shape + (int(exps.max(initial=0)) + 1,))
-        table[..., 0] = 1.0
-        for k in range(1, table.shape[-1]):
-            table[..., k] = table[..., k - 1] * x
-        mono = table[..., np.arange(self.nvars), exps].prod(axis=-1)
+        """The block's columns at each row of ``x``: each monomial is the
+        product of its factors, gathered from x with a column of ones
+        appended (see _Block.gather)."""
+        ones = np.ones(x.shape[:-1] + (1,))
+        mono = np.concatenate([x, ones], axis=-1)[..., block.gather].prod(axis=-1)
         # einsum sums each row in a fixed order, so rows never interact
         return np.einsum("...m,me->...e", mono, block.matrix)
 
@@ -216,6 +215,16 @@ class _Block:
         """(M, nvars) exponents of the monomials."""
         return np.array([[f.count(i) for i in range(self.nvars)] for f in self.factors],
                         dtype=np.intp).reshape(len(self.factors), self.nvars)
+
+    @cached_property
+    def gather(self) -> np.ndarray:
+        """(M, degree) variable indices of each monomial's factors, lowest
+        first, padded with nvars (a column of ones).  On degree <= 2 the
+        products round exactly as products of powers x_i^e_i would."""
+        out = np.full((len(self.factors), self.degree), self.nvars, dtype=np.intp)
+        for m, f in enumerate(self.factors):
+            out[m, :len(f)] = f[::-1]
+        return out
 
     @cached_property
     def matrix(self) -> np.ndarray:

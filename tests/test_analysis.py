@@ -296,6 +296,79 @@ def test_incidence_slice_pads_smaller_kernels_with_zero_rows(doubled):
     assert np.allclose(x[0], alone[0], atol=1e-9)
 
 
+def _pinv_steps(jac, r):
+    """Reference steps: the SVD pseudo-inverse of each system."""
+    return np.array([-np.linalg.pinv(j) @ v for j, v in zip(jac, r)])
+
+
+def _relative_gap(got, want):
+    return (np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)).max()
+
+
+@pytest.mark.parametrize("m,d", [(7, 3), (9, 4), (6, 2)])
+def test_gram_steps_equal_the_pseudo_inverse(m, d):
+    # random full-rank stacks of the tall shapes Gauss-Newton steps on, at
+    # scales 1e-3..1e3, with inconsistent right-hand sides
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        jac = rng.standard_normal((20, m, d)) * 10.0 ** rng.uniform(-3, 3, (20, 1, 1))
+        r = rng.standard_normal((20, m)) * 10.0 ** rng.uniform(-3, 3, (20, 1))
+        got = analysis._lstsq_steps(jac, r, CFG.rank_rtol)
+        assert _relative_gap(got, _pinv_steps(jac, r)) <= 1e-12
+
+
+def test_gram_steps_on_zero_columns_and_zero_jacobians():
+    # a zero-padded kernel row of _incidence_slice is a zero column of the
+    # reduced Jacobian: the step has no component along it
+    rng = np.random.default_rng(19)
+    jac, r = rng.standard_normal((20, 7, 4)), rng.standard_normal((20, 7))
+    jac[:, :, 3] = 0.0
+    got = analysis._lstsq_steps(jac, r, CFG.rank_rtol)
+    assert not got[:, 3].any()
+    assert _relative_gap(got[:, :3], _pinv_steps(jac[:, :, :3], r)) <= 1e-12
+    zero = analysis._lstsq_steps(np.zeros((3, 7, 3)), r[:3], CFG.rank_rtol)
+    assert zero.shape == (3, 3) and not zero.any()
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150, 1e300, 1e-300])
+def test_gram_steps_are_scale_invariant(scale):
+    # J and r scaled together keep the step; unscaled, the Gram of a
+    # Jacobian with entries near 1e300 would overflow
+    rng = np.random.default_rng(19)
+    jac, r = rng.standard_normal((20, 7, 3)), rng.standard_normal((20, 7))
+    got = analysis._lstsq_steps(jac * scale, r * scale, CFG.rank_rtol)
+    assert _relative_gap(got, analysis._lstsq_steps(jac, r, CFG.rank_rtol)) <= 1e-12
+
+
+def _dedup_loop(points, radius):
+    """Reference: each point kept when it is farther than radius from every
+    point kept before it."""
+    out = []
+    for p in points:
+        if all(np.linalg.norm(p - q) > radius for q in out):
+            out.append(p)
+    return out
+
+
+def test_dedup_keeps_the_points_of_the_loop_in_order():
+    # clouds around a few centres, each point 0.5 to 1.5 radii from its
+    # centre, so pairwise distances fall on both sides of the radius; some
+    # points repeat exactly
+    rng = np.random.default_rng(19)
+    radius = CFG.dedup_radius
+    assert analysis._dedup([], radius) == []
+    for _ in range(200):
+        centres = rng.standard_normal((rng.integers(1, 6), 9))
+        n = int(rng.integers(1, 40))
+        dirs = rng.standard_normal((n, 9))
+        dirs *= radius * rng.uniform(0.5, 1.5, (n, 1)) / np.linalg.norm(dirs, axis=1,
+                                                                          keepdims=True)
+        cloud = list(centres[rng.integers(len(centres), size=n)] + dirs)
+        cloud += [cloud[i] for i in rng.integers(n, size=n // 4)]
+        got, want = analysis._dedup(cloud, radius), _dedup_loop(cloud, radius)
+        assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+
+
 def test_newton_rows_stay_on_their_incidence_blocks(doubled, deformed, smooth,
                                                     monkeypatch):
     # Gauss-Newton's callers: multistart (one shared block) at a target and
@@ -494,6 +567,28 @@ def test_newton_fiber_of_the_doubled_cone_at_the_vertex(doubled, log_zeta, turn,
     res = solve_fiber(doubled, pt, (0j, 0j, 0j), SolveConfig(seed=seed))
     assert res.method == "newton-multistart" and len(res.solutions) == 1
     assert np.abs(res.solutions[0]).max() <= SolveConfig().dedup_radius
+
+
+def test_newton_fiber_of_the_a2_cone_finds_planted_regular_sections(a2_cone):
+    # ROADMAP item 1's targets: regular points (Jacobian rank 7 of 11) of the
+    # A2 section system, reached by Gauss-Newton on the whole system from
+    # seeded starts, evaluated at random base points.  The fiber is not
+    # certified (item 1), so only the planted section is checked, not the
+    # count; every one of these eight was found by the stacked-SVD steps too
+    cfg = SolveConfig()
+    sys = real_section_system(a2_cone)
+    n = sys.nvars
+    rng = np.random.default_rng(0)
+    x, ok = _gauss_newton(sys, np.zeros((1, n)), np.eye(n)[None],
+                          rng.standard_normal((200, n)), cfg)
+    planted = [p for p in x[ok] if sys.jacobian_rank(p, cfg.rank_rtol) == 7][:8]
+    assert len(planted) == 8
+    for p in planted:
+        target = evaluate_section(a2_cone, p, complex(*rng.standard_normal(2)))
+        res = solve_fiber(a2_cone, target.zeta, target.values, cfg)
+        assert res.method == "newton-multistart"
+        assert min(np.linalg.norm(s - p) for s in res.solutions) \
+            <= 1e-8 * np.linalg.norm(p)
 
 
 def _same_solutions(res, other, planted):
@@ -768,9 +863,9 @@ def corrector_steps(monkeypatch):
     rows = []
     original = analysis._lstsq_steps
 
-    def counting(jac, r):
+    def counting(jac, r, rtol):
         rows.append(len(jac))
-        return original(jac, r)
+        return original(jac, r, rtol)
 
     monkeypatch.setattr(analysis, "_lstsq_steps", counting)
     return rows

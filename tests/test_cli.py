@@ -206,6 +206,17 @@ def test_standalone_solve_fiber(capsys):
     assert "[PASS] solve-fiber" in out
 
 
+def test_standalone_newton_fiber_of_the_doubled_quadric_file(doubled, capsys):
+    # the model file CI runs through the console script: the doubled quadric
+    # as model_to_dict writes it, solved by multistart Newton
+    path = REPO / "tests" / "data" / "doubled-quadric.json"
+    assert json.loads(path.read_text()) == serialize.model_to_dict(doubled)
+    code = main(["solve-fiber", "--model", str(path), "--zeta", "0.4-0.3j",
+                 "--point", "4,1,2", "--expect-count", "2"])
+    out = capsys.readouterr().out
+    assert code == 0 and "newton-multistart" in out
+
+
 def _standalone_task(argv, tmp_path):
     """Exit code and task record of a standalone subcommand run with --out."""
     out = tmp_path / "report.json"

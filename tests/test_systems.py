@@ -452,3 +452,36 @@ def test_a_monomial_above_its_twist_is_refused(exact):
         real_section_system(model(one))
     system = real_section_system(model(0))
     assert system.equations == _reference_system(model(0))[0]
+
+
+def _power_table_values(system, x, block):
+    """Reference: each monomial as a product of powers x_i^e_i, read from a
+    table of the powers of every variable."""
+    exps = block.exps
+    table = np.empty(x.shape + (int(exps.max(initial=0)) + 1,))
+    table[..., 0] = 1.0
+    for k in range(1, table.shape[-1]):
+        table[..., k] = table[..., k - 1] * x
+    mono = table[..., np.arange(system.nvars), exps].prod(axis=-1)
+    return np.einsum("...m,me->...e", mono, block.matrix)
+
+
+@pytest.mark.parametrize("name", ["quadric", "deformed", "smooth", "doubled",
+                                  "a2_cone"])
+def test_factor_gather_equals_the_power_table(name, request):
+    # up to degree 2 the factors multiply in the power table's order, bit for
+    # bit; the A2 cone's cubic monomials keep the MPoly tolerance
+    system = real_section_system(request.getfixturevalue(name).float_view())
+    rng = np.random.default_rng(19)
+    points = rng.standard_normal((50, system.nvars)) * 10.0 ** rng.uniform(-3, 3, (50, 1))
+    res, jac = system.residuals(points), system.jacobian_at(points)
+    ref_res = _power_table_values(system, points, system._res)
+    ref_jac = _power_table_values(system, points, system._jac).reshape(jac.shape)
+    if name != "a2_cone":
+        assert system._res.degree <= 2
+        assert np.array_equal(res, ref_res) and np.array_equal(jac, ref_jac)
+        return
+    assert system._res.degree == 3
+    for got, want, rtol in ((res, ref_res, 1e-13), (jac, ref_jac, 1e-14)):
+        gap = np.abs(got - want).reshape(50, -1).max(axis=1)
+        assert (gap <= rtol * np.maximum(1.0, np.abs(want).reshape(50, -1).max(axis=1))).all()
