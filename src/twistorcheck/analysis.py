@@ -64,6 +64,7 @@ _LABEL_TOL = 1e-9   # relative zero test of component_label
 _MATRIX_TOL = 1e-9  # relative 2x2-minor test of the float sym_matrix_model
 # Gauss-Newton step norm ratios read as a halving (linear convergence)
 _HALVING_BAND = (0.45, 0.55)
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -235,19 +236,21 @@ def _lstsq_steps(jac: np.ndarray, r: np.ndarray, rtol: float) -> np.ndarray:
     One stacked eigh of the d x d Gram matrices J^T J gives σ = √λ; a
     direction is kept when σ passes numerical_rank at rtol, floored at the
     Gram's own resolution √(eps·max(m, d)), since the Gram squares the
-    condition number.
+    condition number.  Every product is a stacked matmul, one per system,
+    so systems never interact.
     """
     peak = np.abs(jac).max(axis=(1, 2), initial=0.0)
     peak[peak == 0.0] = 1.0
     jac, r = jac / peak[:, None, None], r / peak[:, None]
-    lam, vec = np.linalg.eigh(np.einsum("kmi,kmj->kij", jac, jac))
-    lam, vec = lam[:, ::-1], vec[:, :, ::-1]  # descending, as numerical_rank reads
-    floor = math.sqrt(np.finfo(float).eps * max(jac.shape[1:]))
-    rank = numerical_rank(np.sqrt(np.maximum(lam, 0.0)), max(rtol, floor))
-    inv = np.divide(1.0, lam, out=np.zeros_like(lam),
-                    where=np.arange(lam.shape[1]) < rank[:, None])
-    coef = np.einsum("kij,ki->kj", vec, np.einsum("kmi,km->ki", jac, -r)) * inv
-    return np.einsum("kij,kj->ki", vec, coef)
+    jact = jac.transpose(0, 2, 1)
+    lam, vec = np.linalg.eigh(jact @ jac)  # ascending; numerical_rank reads descending
+    d = lam.shape[1]
+    floor = math.sqrt(_EPS * max(jac.shape[1:]))
+    rank = numerical_rank(np.sqrt(np.maximum(lam[:, ::-1], 0.0)), max(rtol, floor))
+    inv = np.divide(-1.0, lam, out=np.zeros_like(lam),
+                    where=np.arange(d) >= d - rank[:, None])
+    coef = inv[:, :, None] * (vec.transpose(0, 2, 1) @ (jact @ r[:, :, None]))
+    return (vec @ coef)[:, :, 0]
 
 
 def _converged(r: np.ndarray, x: np.ndarray, cfg: SolveConfig) -> np.ndarray:
@@ -280,40 +283,43 @@ def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig):
     """Gauss-Newton for the system on incidence slices, on every row of
     ``x0`` at once; rows never interact.
 
-    Each start row is projected onto its slice base + kernel·y (see
+    Each start row is projected onto its slice base + y·kernel (see
     _incidence_slice; one slice of shape (1, n), (1, d, n) is shared by every
-    row) and stepped inside it: the residual is the system's, the Jacobian
-    the reduced J(x)·kernelᵀ, and each minimum-norm step is lifted back by
-    the kernel.  Only unconverged rows are stepped; a row stops when its
-    residual is within newton_tol*(1+|x|^2) or its step stalls.  A row whose
-    step norm halved on two consecutive iterations, as at a singular root
-    where Newton only halves the error, takes a double step (Griewank 1985).
-    Returns the final rows and a mask of the converged ones.
+    row) and iterates in the slice coordinates y: the system restricted to
+    the slices once (RealEquationSystem.on_slice) gives the residuals and
+    the Jacobian in y, and the minimum-norm step is taken in y.  The points
+    x are formed only for the convergence and stall tests; the final test
+    evaluates the system at them.  Only unconverged rows are stepped; a row
+    stops when its residual is within newton_tol*(1+|x|^2) or its step
+    stalls.  A row whose step norm halved on two consecutive iterations, as
+    at a singular root where Newton only halves the error, takes a double
+    step (Griewank 1985).  Returns the final rows and a mask of the
+    converged ones.
     """
     x = np.array(x0, dtype=float)
-    kernel = np.broadcast_to(kernel, (len(x),) + kernel.shape[1:])
-    x = base + np.einsum("kd,kdn->kn", np.einsum("kn,kdn->kd", x - base, kernel),
-                         kernel)
+    restricted = sys.on_slice(base, kernel)
+    y = np.ones((len(x), kernel.shape[1] + 1))  # (y, 1) per row
+    y[:, :-1] = np.einsum("kn,kdn->kd", x - base, kernel)
     active = np.arange(len(x))
+    x = restricted.points(y, active)
     last = np.full(len(x), np.inf)       # per active row: its last step norm,
     halved = np.zeros(len(x), dtype=bool)  # and whether that step halved
     lo, hi = _HALVING_BAND
     for _ in range(cfg.max_iter):
-        xa = x[active]
-        r = sys.residuals(xa)
-        moving = ~_converged(r, xa, cfg)
+        ya = y[active]
+        r, jac = restricted.values(ya, active)
+        moving = ~_converged(r, x[active], cfg)
         if not moving.any():
             break
-        active, xa, r = active[moving], xa[moving], r[moving]
+        active, ya, r, jac = active[moving], ya[moving], r[moving], jac[moving]
         last, halved = last[moving], halved[moving]
-        basis = kernel[active]
-        jac = np.einsum("kmn,kdn->kmd", sys.jacobian_at(xa), basis)
-        step = np.einsum("kd,kdn->kn", _lstsq_steps(jac, r, cfg.rank_rtol), basis)
+        step = _lstsq_steps(jac, r, cfg.rank_rtol)
         norm = np.sqrt((step * step).sum(axis=1))  # np.linalg.norm, less overhead
         halving = (lo * last < norm) & (norm < hi * last)
         step[halving & halved] *= 2.0
-        xa += step
-        x[active] = xa
+        ya[:, :-1] += step
+        y[active] = ya
+        xa = x[active] = restricted.points(ya, active)
         moved = norm > 1e-15 * (1.0 + np.sqrt((xa * xa).sum(axis=1)))
         active, last, halved = active[moved], norm[moved], halving[moved]
     return x, _converged(sys.residuals(x), x, cfg)

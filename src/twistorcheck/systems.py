@@ -12,7 +12,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -172,6 +173,97 @@ class RealEquationSystem:
             return _integer_rank(self._integer_jacobian(p)[0])
         svals = np.linalg.svd(self.jacobian_at(p), compute_uv=False)
         return numerical_rank(svals, rank_rtol)
+
+    def on_slice(self, base, kernel) -> "SliceSystem":
+        """The float residuals restricted to the stacked slices
+        x = base[s] + y·kernel[s], (S, n) and (S, d, n), composed once."""
+        return SliceSystem(self._res, np.asarray(base, dtype=float),
+                           np.asarray(kernel, dtype=float))
+
+
+@cache
+def _symmetrised_slots(width: int, order: int):
+    """For a tensor of ``order`` slots of ``width`` values: the sorted
+    multi-indices p of its last order - 1 slots, (P, order - 1); the flat
+    positions of each index (a, p) under every permutation of the slots,
+    (order!, P, width); and for each p its number of orderings over order!."""
+    lows = np.array(list(combinations_with_replacement(range(width), order - 1)),
+                    dtype=np.intp).reshape(-1, order - 1)
+    index = np.empty((len(lows), width, order), dtype=np.intp)  # (a, p)
+    index[:, :, 0] = np.arange(width)
+    index[:, :, 1:] = lows[:, None]
+    perms = list(permutations(range(order)))
+    strides = width ** np.arange(order - 1, -1, -1)
+    positions = np.stack([index[:, :, list(perm)] @ strides for perm in perms])
+    orderings = [math.factorial(order - 1)
+                 / math.prod(math.factorial(low.count(i)) for i in set(low))
+                 for low in lows.tolist()]
+    return lows, positions, np.array(orderings) / len(perms)
+
+
+class SliceSystem:
+    """A residual block restricted to stacked affine slices
+    x = base[s] + y·kernel[s], in the slice coordinates y.
+
+    With ỹ = (y, 1), the point with its ones column is maps[s] @ ỹ, so a
+    monomial, the product of its D gathered factors (see _Block.gather;
+    blocks of degree below 2 are padded to 2 with the ones column), is a
+    product of D linear forms in ỹ.  Summed against the block's matrix and
+    symmetrised over its D slots, each residual is a symmetric tensor
+    C[s, e] of order D over ỹ: r = C·ỹ^D and, by the symmetry,
+    ∂r/∂y = D·C·ỹ^(D-1) without its ones slot.  The contraction with
+    ỹ^(D-1) reads each distinct entry of the last D - 1 slots once, a
+    sorted multi-index weighted by its number of orderings, against the
+    monomials of degree D - 1 in ỹ; one more contraction with ỹ gives the
+    residuals.  A zero kernel row (the padding of a smaller kernel) gives
+    a zero Jacobian column.
+    """
+
+    def __init__(self, block: "_Block", base: np.ndarray, kernel: np.ndarray):
+        nslices, self.dim, n = kernel.shape
+        maps = np.zeros((nslices, n + 1, self.dim + 1))
+        maps[:, :n, :self.dim] = kernel.transpose(0, 2, 1)
+        maps[:, :n, self.dim] = base
+        maps[:, n, self.dim] = 1.0
+        self.maps = maps[:, :n]
+        self.degree = max(block.degree, 2)
+        self.nres = block.matrix.shape[1]
+        gather = np.full((len(block.keys), self.degree), n, dtype=np.intp)
+        gather[:, :block.degree] = block.gather
+        forms = maps[:, gather]  # (S, M, D, d + 1): the factors as forms in ỹ
+        slots = (self.dim + 1,) * self.degree
+        prod = forms[:, :, 0]
+        for k in range(1, self.degree):  # outer products: (S, M) + slots[:k + 1]
+            prod = prod[..., None] * forms[:, :, k].reshape(
+                prod.shape[:2] + (1,) * k + slots[:1])
+        flat = prod.reshape(nslices, len(gather), math.prod(slots))
+        tensor = block.matrix.T @ flat  # (S, E, (d + 1)^D), not yet symmetric
+        self.lows, positions, weights = _symmetrised_slots(self.dim + 1, self.degree)
+        # C[e, a, p] for each sorted multi-index p of the last D - 1 slots: the
+        # mean of the tensor over the D! orderings of (a, p), times the number
+        # of orderings of p, as the contraction with ỹ^(D-1) reads it
+        distinct = tensor[:, :, positions].sum(axis=2) * weights[:, None]
+        # (S, P, E·(d + 1)): the coefficients of the monomials of degree D - 1
+        self.coeffs = distinct.transpose(0, 2, 1, 3).reshape(
+            nslices, len(self.lows), self.nres * slots[0])
+
+    def _rows(self, stack: np.ndarray, rows) -> np.ndarray:
+        """The slices of the given rows; one slice is shared by every row."""
+        return stack if len(stack) == 1 else stack[rows]
+
+    def values(self, y1: np.ndarray, rows):
+        """Residuals (k, E) and Jacobians in y (k, E, d) at the points
+        y1 = (y, 1), (k, d + 1), row k on slice rows[k]."""
+        mono = y1[:, self.lows].prod(axis=-1)  # (k, P), degree D - 1 in ỹ
+        # stacked matmuls, one product per row, so rows never interact
+        half = mono[:, None, :] @ self._rows(self.coeffs, rows)  # C·ỹ^(D-1)
+        half = half.reshape(len(y1), self.nres, self.dim + 1)
+        return ((half @ y1[:, :, None])[:, :, 0],
+                self.degree * half[:, :, :self.dim])
+
+    def points(self, y1: np.ndarray, rows) -> np.ndarray:
+        """The points x = base + y·kernel (k, n) at y1 = (y, 1), (k, d + 1)."""
+        return (self._rows(self.maps, rows) @ y1[:, :, None])[:, :, 0]
 
 
 class _Block:

@@ -156,16 +156,20 @@ def _su2_pullback(model, params, alpha, beta):
        zeta=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
        variant=st.sampled_from(["minus", "plus"]))
 def test_solve_fiber_is_su2_covariant(quadric, smooth, name, q, g, zeta, variant):
-    # rotating the base by g in SU(2) carries the fiber over m(zeta) to the
-    # fiber over zeta: the same count, the solutions moved by g*
     assume(math.hypot(*q) >= 0.1 and math.hypot(*g) >= 0.1)
     model = {"quadric": quadric, "smooth": smooth}[name]
-    norm = math.hypot(*g)
-    alpha, beta = complex(g[0], g[1]) / norm, complex(g[2], g[3]) / norm
-    z = complex(*zeta)
-    assume(abs(beta * z + alpha.conjugate()) >= 0.2)
     planted = (squaring_section(complex(q[0], q[1]), complex(q[2], q[3]), variant)
                if name == "quadric" else np.array(q))
+    _check_su2_covariance(model, planted, g, complex(*zeta))
+
+
+def _check_su2_covariance(model, planted, g, z):
+    """Rotating the base by g in SU(2) carries the fiber over m(z) to the
+    fiber over z: the same count, the solutions moved by g*.  Returns the
+    two fiber solves."""
+    norm = math.hypot(*g)
+    alpha, beta = complex(g[0], g[1]) / norm, complex(g[2], g[3]) / norm
+    assume(abs(beta * z + alpha.conjugate()) >= 0.2)
     image = (alpha * z - beta.conjugate()) / (beta * z + alpha.conjugate())
     there = solve_fiber(model, None, evaluate_section(model, planted, image), CFG)
     moved = _su2_pullback(model, planted, alpha, beta)
@@ -176,6 +180,21 @@ def test_solve_fiber_is_su2_covariant(quadric, smooth, name, q, g, zeta, variant
         rotated = _su2_pullback(model, sol, alpha, beta)
         assert min(np.linalg.norm(rotated - other)
                    for other in here.solutions) <= tol
+    return there, here
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(q=st.tuples(*[st.floats(-2.0, 2.0)] * 4),
+       g=st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+       zeta=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       variant=st.sampled_from(["minus", "plus"]))
+def test_newton_solve_fiber_is_su2_covariant(doubled, q, g, zeta, variant):
+    # the doubled cone, solved by multistart Newton: two sections through
+    # every fiber point off the vertex, before and after the rotation
+    assume(math.hypot(*q) >= 0.1 and math.hypot(*g) >= 0.1)
+    planted = squaring_section(complex(q[0], q[1]), complex(q[2], q[3]), variant)
+    for res in _check_su2_covariance(doubled, planted, g, complex(*zeta)):
+        assert res.method == "newton-multistart" and len(res.solutions) == 2
 
 
 def test_solve_fiber_matches_newton_multistart(quadric, rng):

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from twistorcheck import cli, serialize
+from twistorcheck import (cli, evaluate_section, models_structurally_equal,
+                          serialize)
 from twistorcheck.cli import OPS, main, run_scenario, run_scenario_doc
 from twistorcheck.scalars import GaussianRational
 from twistorcheck.serialize import dump_report, encode_scalar, jsonable, load_scenario
+from twistorcheck.systems import real_section_system
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -222,6 +224,26 @@ def _standalone_task(argv, tmp_path):
     out = tmp_path / "report.json"
     code = main(argv + ["--out", str(out)])
     return code, json.loads(out.read_text())["tasks"][0]
+
+
+def test_standalone_newton_fiber_of_the_a2_cone_file(a2_cone, tmp_path, capsys):
+    # the first cubic model through the console script, as CI runs it: the
+    # A2 cone as model_to_dict writes it, at the target (2, 4, 2) on
+    # u v = w^3, where multistart Newton returns one section, a regular point
+    # (Jacobian rank 7) that reproduces the target
+    path = REPO / "tests" / "data" / "a2-cone.json"
+    doc = json.loads(path.read_text())
+    assert doc == serialize.model_to_dict(a2_cone)
+    assert models_structurally_equal(serialize.model_from_dict(doc), a2_cone)
+    code, task = _standalone_task(["solve-fiber", "--model", str(path), "--zeta",
+                                   "0.4-0.3j", "--point", "2,4,2",
+                                   "--expect-count", "1"], tmp_path)
+    capsys.readouterr()
+    assert code == 0 and task["evidence"]["method"] == "newton-multistart"
+    (sol,) = task["evidence"]["solutions"]
+    assert real_section_system(a2_cone).jacobian_rank(np.array(sol)) == 7
+    values = evaluate_section(a2_cone, sol, 0.4 - 0.3j).values
+    assert np.allclose(values, (2, 4, 2), rtol=0, atol=1e-9)
 
 
 def test_standalone_matrix_oracle(tmp_path, capsys):

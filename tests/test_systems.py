@@ -1,5 +1,6 @@
 """Induced real systems: equation counts, membership, Jacobians."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -10,11 +11,13 @@ from hypothesis import strategies as st
 
 from twistorcheck import (DimensionError, ModelError, SigmaCoordRule,
                           build_deformed, build_quadric, build_smooth_o11,
-                          glue_cone_twistor, quadric_params, squaring_section)
+                          glue_cone_twistor, quadric_params, serialize,
+                          squaring_section)
+from twistorcheck.analysis import _incidence_slice, incidence_rows
 from twistorcheck.exactla import exact_rank
 from twistorcheck.models import FiberEquation, TwistorModel, _coeff_form
 from twistorcheck.mpoly import MPoly
-from twistorcheck.projline import CoeffPoly
+from twistorcheck.projline import CoeffPoly, P1Point
 from twistorcheck.scalars import GaussianRational as GR
 from twistorcheck.systems import real_section_system
 
@@ -485,3 +488,73 @@ def test_factor_gather_equals_the_power_table(name, request):
     for got, want, rtol in ((res, ref_res, 1e-13), (jac, ref_jac, 1e-14)):
         gap = np.abs(got - want).reshape(50, -1).max(axis=1)
         assert (gap <= rtol * np.maximum(1.0, np.abs(want).reshape(50, -1).max(axis=1))).all()
+
+
+def _component_only(*equations):
+    """The quadric's section space cut by component equations alone, given as
+    lists of (exponents, coefficient): blocks of degree 1 or 0."""
+    doc = serialize.model_to_dict(build_quadric())
+    doc["equations"] = []
+    doc["componentEquations"] = [[{"exponents": list(e), "coeff": [c.real, c.imag]}
+                                  for e, c in eq] for eq in equations]
+    return serialize.model_from_dict(doc)
+
+
+_SLICED = {**{name: _NAMED[name] for name in ("quadric", "deformed", "doubled",
+                                              "a2_cone", "a3_cone")},
+           "linear": lambda _: _component_only(
+               [((1,) + (0,) * 8, 1.0), ((0,) * 8 + (1,), 2j), ((0,) * 9, 0.5 - 1j)]),
+           "constant": lambda _: _component_only([((0,) * 9, 2.0 + 1j)])}
+
+
+@functools.cache
+def _sliced_system(name):
+    model = _SLICED[name](False)
+    return model, real_section_system(model)
+
+
+def _incidence_slices(model, layout, rng):
+    """Incidence slices of the model at random base points and right-hand
+    sides: one shared, one per row, or the two blocks of
+    test_incidence_slice_pads_smaller_kernels_with_zero_rows, where the
+    second repeats an incidence row, so the first kernel gets a zero row."""
+    count = {"shared": 1, "per-row": 4, "padded": 1}[layout]
+    amats = [incidence_rows(model, P1Point.std(complex(*rng.standard_normal(2))))
+             for _ in range(count)]
+    rhs = [rng.standard_normal(len(a)) for a in amats]
+    if layout == "padded":
+        low, low_b = amats[0].copy(), rhs[0].copy()
+        low[5], low_b[5] = low[4], low_b[4]
+        amats.append(low)
+        rhs.append(low_b)
+    base, kernel = _incidence_slice(np.array(amats), np.array(rhs), 1e-7)
+    if layout == "padded":
+        assert np.count_nonzero(np.abs(kernel[0]).max(axis=1)) == len(kernel[0]) - 1
+    return base, kernel
+
+
+def _within(got, want, rtol):
+    scale = max(1.0, np.abs(want).max(initial=0.0))
+    return np.abs(got - want).max(initial=0.0) <= rtol * scale
+
+
+@pytest.mark.parametrize("layout", ["shared", "per-row", "padded"])
+@pytest.mark.parametrize("name", list(_SLICED))
+@settings(max_examples=6, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), log_scale=st.floats(-1.0, 1.0))
+def test_on_slice_equals_the_system_on_the_slice(name, layout, seed, log_scale):
+    # degrees 0 to 4, mixed degrees and component rows; the rows of y are
+    # spread over the slices at random (all on the one slice when shared)
+    model, system = _sliced_system(name)
+    rng = np.random.default_rng(seed)
+    base, kernel = _incidence_slices(model, layout, rng)
+    rows = rng.integers(len(base), size=6)
+    y = rng.standard_normal((6, kernel.shape[1])) * 10.0 ** log_scale
+    y1 = np.column_stack([y, np.ones(6)])
+    x = base[rows] + np.einsum("kd,kdn->kn", y, kernel[rows])
+    restricted = system.on_slice(base, kernel)
+    res, jac = restricted.values(y1, rows)
+    assert _within(restricted.points(y1, rows), x, 1e-12)
+    assert _within(res, system.residuals(x), 1e-12)
+    assert _within(jac, np.einsum("ken,kdn->ked", system.jacobian_at(x), kernel[rows]),
+                   1e-12)
