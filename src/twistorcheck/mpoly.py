@@ -84,11 +84,6 @@ class MPoly:
     def __rmul__(self, other):
         return self * other
 
-    def diff(self, i: int) -> "MPoly":
-        # distinct exponents stay distinct and c * e[i] != 0: nothing to add or drop
-        return _mpoly(self.nvars, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
-                                   for e, c in self.terms.items() if e[i]})
-
     def evaluate(self, vals):
         acc = 0
         for e, c in self.terms.items():

@@ -75,26 +75,30 @@ def jsonable(x):
     return str(x)
 
 
-def _coeffpoly_to_list(cp: CoeffPoly):
-    return [encode_scalar(c) for c in cp.coeffs]
-
-
 def _coeffpoly_from_list(vals, bound: int, exact: bool) -> CoeffPoly:
     return CoeffPoly(bound, [decode_scalar(v, exact) for v in vals])
 
 
 def model_to_dict(model: TwistorModel) -> dict:
+    """The model's document, every coefficient in the model's one scalar
+    kind: ``["p/q", "p/q"]`` when exact, ``[re, im]`` floats otherwise.  So
+    one spelling serves every coefficient, and model_to_dict of
+    model_from_dict is the identity on the documents it writes."""
+    kind = GaussianRational if model.exact else complex
+
+    def coeffs(values):
+        return [encode_scalar(kind(c)) for c in values]
+
     eqs = []
     for eq in model.equations:
         eqs.append({
             "twist": eq.twist,
-            "monomials": [{"exponents": list(exps),
-                           "coeffs": _coeffpoly_to_list(coeff)}
+            "monomials": [{"exponents": list(exps), "coeffs": coeffs(coeff.coeffs)}
                           for exps, coeff in eq.monomials],
         })
     comps = []
     for comp in model.component_equations:
-        comps.append([{"exponents": list(e), "coeff": encode_scalar(c)}
+        comps.append([{"exponents": list(e), "coeff": encode_scalar(kind(c))}
                       for e, c in sorted(comp.terms.items())])
     out = {
         "name": model.name,
@@ -107,7 +111,7 @@ def model_to_dict(model: TwistorModel) -> dict:
         "componentEquations": comps,
     }
     if model.lam is not None:
-        out["lambda"] = _coeffpoly_to_list(model.lam)
+        out["lambda"] = coeffs(model.lam.coeffs)
         out["reality"] = model.reality
     return out
 

@@ -13,13 +13,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
 from .errors import DimensionError, ModelError
 from .exactla import _integer_rank, common_denominator, numerical_rank
-from .mpoly import MPoly
 from .models import TwistorModel
 from .scalars import certifies, exact_parts, negligible
 
@@ -36,12 +35,12 @@ class MembershipReport:
 class RealEquationSystem:
     """List of real polynomial equations with an analytic Jacobian.
 
-    Residuals and Jacobian entries, row major, are two coefficient blocks,
-    each over the monomials it uses.  Exact inputs to an exact system, which
+    One block holds the residuals and one their derivatives over (x, 1),
+    n + 1 per row (see _Block.jacobian): jacobian_at reads the first n, the
+    slice restriction all of them.  Exact inputs to an exact system, which
     certify facts, are evaluated in integers over common denominators; every
     other input in floats, where a point or a stacked ``(S, n)`` array of
-    points goes through one gather of monomial factors and one matrix
-    product.
+    points goes through one gather of monomial factors and one matrix product.
     """
 
     def __init__(self, nvars, residuals, labels, exact):
@@ -49,7 +48,7 @@ class RealEquationSystem:
         self.labels = list(labels)
         self.exact = exact
         self._res = residuals
-        self._jac = residuals.jacobian()
+        self._jac, self._lead = residuals.jacobian()
 
     def __len__(self):
         return len(self.labels)
@@ -62,14 +61,6 @@ class RealEquationSystem:
         return [i for i, label in enumerate(self.labels)
                 if label.rsplit(".", 2)[1].startswith("eq")]
 
-    @cached_property
-    def equations(self) -> list:
-        """The residuals as MPolys, with Fraction coefficients when exact."""
-        res, exps = self._res, [tuple(e) for e in self._res.exps.tolist()]
-        coeff = (lambda c: Fraction(c, res.den)) if self.exact else float
-        return [MPoly(self.nvars, {exps[m]: coeff(c) for m, c in col})
-                for col in res.columns]
-
     def _certifies(self, p) -> bool:
         """Whether p takes the exact path; arrays of numbers and stacked
         arrays of points never do."""
@@ -80,35 +71,35 @@ class RealEquationSystem:
                 f"expected {self.nvars} parameters, got {len(p)}")
         return certifies(self.exact, p)
 
-    def _float_values(self, x: np.ndarray, block: "_Block") -> np.ndarray:
-        """The block's columns at each row of ``x``: each monomial is the
-        product of its factors, gathered from x with a column of ones
-        appended (see _Block.gather)."""
+    def _float_values(self, x: np.ndarray, block: "_Block", lead) -> np.ndarray:
+        """The block's columns at each row of ``x`` from its first ``lead``
+        monomials (all for None), each the product of its factors, gathered
+        from x with a column of ones appended (see _Block.gather)."""
         ones = np.ones(x.shape[:-1] + (1,))
-        mono = np.concatenate([x, ones], axis=-1)[..., block.gather].prod(axis=-1)
+        mono = np.concatenate([x, ones], axis=-1)[..., block.gather[:lead]].prod(axis=-1)
         # einsum sums each row in a fixed order, so rows never interact
-        return np.einsum("...m,me->...e", mono, block.matrix)
+        return np.einsum("...m,me->...e", mono, block.matrix[:lead])
 
-    def _integer_values(self, p, block: "_Block"):
-        """The block's columns at the exact point p, as integer numerators
-        over one positive denominator."""
+    def _integer_values(self, p, block: "_Block", lead, rows):
+        """Rows of the block's columns at the exact point p from its first
+        ``lead`` monomials, as integer numerators over one positive denominator."""
         num, im, den = common_denominator(p)
         if any(im):
             raise ModelError("section parameters are real")
         # every monomial is brought to the top degree, so one denominator serves all
         powers = [den ** k for k in range(block.degree + 1)]
         mono = [math.prod([num[i] for i in f]) * powers[block.degree - len(f)]
-                for f in block.factors]
-        return ([sum([c * mono[m] for m, c in col]) for col in block.columns],
+                for f in block.factors[:lead]]
+        return ([[sum([c * mono[m] for m, c in col]) for col in row] for row in rows],
                 block.den * powers[-1])
 
     def residuals(self, p):
         """Residuals at p: exact values when certified, else a float array
         (one row per point of a stacked input)."""
         if self._certifies(p):
-            nums, den = self._integer_values(p, self._res)
+            (nums,), den = self._integer_values(p, self._res, None, [self._res.columns])
             return [Fraction(n, den) for n in nums]
-        return self._float_values(self._float_points(p), self._res)
+        return self._float_values(self._float_points(p), self._res, None)
 
     def jacobian_at(self, p):
         """Jacobian at p: exact rows when certified, else a float array of
@@ -117,12 +108,14 @@ class RealEquationSystem:
             rows, den = self._integer_jacobian(p)
             return [[Fraction(n, den) for n in row] for row in rows]
         x = self._float_points(p)
-        flat = self._float_values(x, self._jac)
-        return flat.reshape(x.shape[:-1] + (len(self), self.nvars))
+        flat = self._float_values(x, self._jac, self._lead)  # t entries partial
+        return flat.reshape(x.shape[:-1] + (len(self), self.nvars + 1))[..., :-1]
 
     def _integer_jacobian(self, p):
-        flat, den = self._integer_values(p, self._jac)
-        return [flat[k:k + self.nvars] for k in range(0, len(flat), self.nvars)], den
+        """The x entries of each row; the t entries are never evaluated."""
+        n, cols = self.nvars, self._jac.columns
+        return self._integer_values(p, self._jac, self._lead,
+                                    [cols[k:k + n] for k in range(0, len(cols), n + 1)])
 
     def _float_points(self, p) -> np.ndarray:
         x = np.asarray(p)
@@ -155,7 +148,7 @@ class RealEquationSystem:
         """Membership of one point: exact when certified, decided on the
         integer numerators of its residuals; else within the scaled tolerance."""
         if self._certifies(p):
-            nums, den = self._integer_values(p, self._res)
+            (nums,), den = self._integer_values(p, self._res, None, [self._res.columns])
             mx = max(map(abs, nums), default=0) / den
             return MembershipReport(not any(nums), [Fraction(n, den) for n in nums],
                                     mx, 0.0, list(self.labels))
@@ -177,75 +170,62 @@ class RealEquationSystem:
     def on_slice(self, base, kernel) -> "SliceSystem":
         """The float residuals restricted to the stacked slices
         x = base[s] + y·kernel[s], (S, n) and (S, d, n), composed once."""
-        return SliceSystem(self._res, np.asarray(base, dtype=float),
+        return SliceSystem(self._jac, np.asarray(base, dtype=float),
                            np.asarray(kernel, dtype=float))
 
 
 @cache
-def _symmetrised_slots(width: int, order: int):
-    """For a tensor of ``order`` slots of ``width`` values: the sorted
-    multi-indices p of its last order - 1 slots, (P, order - 1); the flat
-    positions of each index (a, p) under every permutation of the slots,
-    (order!, P, width); and for each p its number of orderings over order!."""
-    lows = np.array(list(combinations_with_replacement(range(width), order - 1)),
-                    dtype=np.intp).reshape(-1, order - 1)
-    index = np.empty((len(lows), width, order), dtype=np.intp)  # (a, p)
-    index[:, :, 0] = np.arange(width)
-    index[:, :, 1:] = lows[:, None]
-    perms = list(permutations(range(order)))
-    strides = width ** np.arange(order - 1, -1, -1)
-    positions = np.stack([index[:, :, list(perm)] @ strides for perm in perms])
-    orderings = [math.factorial(order - 1)
-                 / math.prod(math.factorial(low.count(i)) for i in set(low))
-                 for low in lows.tolist()]
-    return lows, positions, np.array(orderings) / len(perms)
+def _folding(width: int, order: int):
+    """The sorted multi-indices p of ``order`` slots of ``width`` values,
+    (P, order), and the fold of a tensor over those slots, flattened row
+    major, onto them: its positions grouped by the multi-index they sort
+    to, and the start of each group, so that summing each group gives the
+    coefficient of the monomial p, every ordering of p counted."""
+    lows = list(combinations_with_replacement(range(width), order))
+    index = {low: k for k, low in enumerate(lows)}
+    group = np.array([index[tuple(sorted(pos))]
+                      for pos in product(range(width), repeat=order)])
+    positions = np.argsort(group, kind="stable")
+    starts = np.searchsorted(group[positions], np.arange(len(lows)))
+    return np.array(lows, dtype=np.intp).reshape(len(lows), order), positions, starts
 
 
 class SliceSystem:
-    """A residual block restricted to stacked affine slices
-    x = base[s] + y·kernel[s], in the slice coordinates y.
+    """The residuals on stacked affine slices x = base[s] + y·kernel[s], in
+    the slice coordinates y, built from the Jacobian block by the chain rule.
 
-    With ỹ = (y, 1), the point with its ones column is maps[s] @ ỹ, so a
-    monomial, the product of its D gathered factors (see _Block.gather;
-    blocks of degree below 2 are padded to 2 with the ones column), is a
-    product of D linear forms in ỹ.  Summed against the block's matrix and
-    symmetrised over its D slots, each residual is a symmetric tensor
-    C[s, e] of order D over ỹ: r = C·ỹ^D and, by the symmetry,
-    ∂r/∂y = D·C·ỹ^(D-1) without its ones slot.  The contraction with
-    ỹ^(D-1) reads each distinct entry of the last D - 1 slots once, a
-    sorted multi-index weighted by its number of orderings, against the
-    monomials of degree D - 1 in ỹ; one more contraction with ỹ gives the
-    residuals.  A zero kernel row (the padding of a smaller kernel) gives
-    a zero Jacobian column.
+    With ỹ = (y, 1), (x, t) = maps[s] @ ỹ, and a residual r, homogeneous of
+    degree D in (x, t) (see _Block.jacobian), has ∂r/∂ỹ = ∇r · maps[s].  Each
+    monomial of ∇r, a product of D - 1 gathered factors, is a product of
+    linear forms in ỹ, expanded onto the monomials ỹ^p of degree D - 1 (see
+    _folding).  So C = (∂r/∂ỹ) / D is read as C·ỹ^(D-1), and by Euler's
+    relation r = C·ỹ^(D-1)·ỹ and ∂r/∂y = D·C·ỹ^(D-1) without its ones slot.
+    A zero kernel row (the padding of a smaller kernel) gives a zero column.
     """
 
-    def __init__(self, block: "_Block", base: np.ndarray, kernel: np.ndarray):
+    def __init__(self, jac: "_Block", base: np.ndarray, kernel: np.ndarray):
         nslices, self.dim, n = kernel.shape
         maps = np.zeros((nslices, n + 1, self.dim + 1))
         maps[:, :n, :self.dim] = kernel.transpose(0, 2, 1)
         maps[:, :n, self.dim] = base
         maps[:, n, self.dim] = 1.0
         self.maps = maps[:, :n]
-        self.degree = max(block.degree, 2)
-        self.nres = block.matrix.shape[1]
-        gather = np.full((len(block.keys), self.degree), n, dtype=np.intp)
-        gather[:, :block.degree] = block.gather
-        forms = maps[:, gather]  # (S, M, D, d + 1): the factors as forms in ỹ
-        slots = (self.dim + 1,) * self.degree
-        prod = forms[:, :, 0]
-        for k in range(1, self.degree):  # outer products: (S, M) + slots[:k + 1]
-            prod = prod[..., None] * forms[:, :, k].reshape(
-                prod.shape[:2] + (1,) * k + slots[:1])
-        flat = prod.reshape(nslices, len(gather), math.prod(slots))
-        tensor = block.matrix.T @ flat  # (S, E, (d + 1)^D), not yet symmetric
-        self.lows, positions, weights = _symmetrised_slots(self.dim + 1, self.degree)
-        # C[e, a, p] for each sorted multi-index p of the last D - 1 slots: the
-        # mean of the tensor over the D! orderings of (a, p), times the number
-        # of orderings of p, as the contraction with ỹ^(D-1) reads it
-        distinct = tensor[:, :, positions].sum(axis=2) * weights[:, None]
+        self.degree = jac.degree + 1
+        self.nres = len(jac.columns) // (n + 1)
+        nmono, width = len(jac.keys), self.dim + 1
+        # (D - 1, d + 1, S, M): the factors as forms in ỹ, laid out so that
+        # every product and sum below runs along whole (S, M) rows
+        forms = np.ascontiguousarray(maps[:, jac.gather].transpose(2, 3, 0, 1))
+        prod = np.ones((1, nslices, nmono))
+        for form in forms:  # outer products: ((d + 1)^k, S, M)
+            prod = (form[:, None] * prod).reshape(width * len(prod), nslices, nmono)
+        self.lows, positions, starts = _folding(width, jac.degree)
+        mono = np.add.reduceat(prod[positions], starts, axis=0)  # (P, S, M)
+        # ∇r · maps[s] per monomial, (S, M, E·(d + 1))
+        grad = (jac.matrix.reshape(-1, n + 1) @ maps).reshape(
+            nslices, nmono, self.nres * width)
         # (S, P, E·(d + 1)): the coefficients of the monomials of degree D - 1
-        self.coeffs = distinct.transpose(0, 2, 1, 3).reshape(
-            nslices, len(self.lows), self.nres * slots[0])
+        self.coeffs = mono.transpose(1, 0, 2) @ grad / self.degree
 
     def _rows(self, stack: np.ndarray, rows) -> np.ndarray:
         """The slices of the given rows; one slice is shared by every row."""
@@ -289,24 +269,27 @@ class _Block:
                 self.factors[-1].append(i)
         self.degree = max(map(len, self.factors), default=0)
 
-    def jacobian(self) -> "_Block":
-        """The derivative of every column along every variable, row major:
-        c * x^e goes to c * e_i * x^(e - 1_i)."""
-        n, index = self.nvars, {}
-        columns = [[] for _ in range(len(self.columns) * n)]
+    def jacobian(self):
+        """The derivatives of every column along every variable and along t,
+        row major, t = 1 (gather's ones column) making the block homogeneous
+        of degree D = max(degree, 1): c * x^e goes to c * e_i * x^(e - 1_i)
+        along x_i and c * (D - |e|) * x^e along t.  Returns the block and how
+        many of its monomials, the leading ones, the x entries use."""
+        n, top, index = self.nvars, max(self.degree, 1), {}
+        columns = [[] for _ in range(len(self.columns) * (n + 1))]
         for j, col in enumerate(self.columns):
             for m, c in col:
                 f = self.factors[m]
                 for i in set(f):
                     k = index.setdefault(self.keys[m] - self.steps[i], len(index))
-                    columns[j * n + i].append((k, c * f.count(i)))
-        return _Block(columns, list(index), self.steps, self.den)
-
-    @cached_property
-    def exps(self) -> np.ndarray:
-        """(M, nvars) exponents of the monomials."""
-        return np.array([[f.count(i) for i in range(self.nvars)] for f in self.factors],
-                        dtype=np.intp).reshape(len(self.factors), self.nvars)
+                    columns[j * (n + 1) + i].append((k, c * f.count(i)))
+        lead = len(index)
+        for j, col in enumerate(self.columns):
+            for m, c in col:
+                if len(self.factors[m]) < top:
+                    k = index.setdefault(self.keys[m], len(index))
+                    columns[j * (n + 1) + n].append((k, c * (top - len(self.factors[m]))))
+        return _Block(columns, list(index), self.steps, self.den), lead
 
     @cached_property
     def gather(self) -> np.ndarray:

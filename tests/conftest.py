@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from twistorcheck import (SigmaCoordRule, build_deformed, build_quadric,
                           build_smooth_o11, glue_cone_twistor, serialize)
+from twistorcheck.mpoly import MPoly
 from twistorcheck.systems import real_section_system
 
 ANTIREAL_LAMBDA = [1j, 0.0, -1j]
@@ -58,6 +61,15 @@ def a2_cone():
                              (3, 3, 2), 1, rules)
 
 
+@pytest.fixture(scope="session")
+def a3_cone():
+    """H/Z4 as the glued cone uv = w^4 with weights (4, 4, 2) and l = 1."""
+    rules = (SigmaCoordRule(1, 1, 4), SigmaCoordRule(0, 1, 4),
+             SigmaCoordRule(2, -1, 2))
+    return glue_cone_twistor([[((1, 1, 0), 1.0), ((0, 0, 4), -1.0)]],
+                             (4, 4, 2), 1, rules)
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)
@@ -74,3 +86,25 @@ def fd_jacobian(system, p, h=1e-6):
         fm = np.array([float(v) for v in system.residuals(p - step)])
         out[:, i] = (fp - fm) / (2.0 * step[i])
     return out
+
+
+def block_exps(block):
+    """(M, nvars) exponents of the monomials of a compiled block."""
+    return np.array([[f.count(i) for i in range(block.nvars)] for f in block.factors],
+                    dtype=np.intp).reshape(len(block.factors), block.nvars)
+
+
+def system_equations(system):
+    """The residuals of an induced system as MPolys, with Fraction
+    coefficients when exact: the oracle view of its compiled block."""
+    res = system._res
+    exps = [tuple(e) for e in block_exps(res).tolist()]
+    coeff = (lambda c: Fraction(c, res.den)) if system.exact else float
+    return [MPoly(system.nvars, {exps[m]: coeff(c) for m, c in col})
+            for col in res.columns]
+
+
+def mpoly_diff(poly, i):
+    """The derivative of an MPoly along its variable i."""
+    return MPoly(poly.nvars, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                              for e, c in poly.terms.items() if e[i]})

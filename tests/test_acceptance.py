@@ -27,7 +27,7 @@ from twistorcheck.projline import CoeffPoly
 from twistorcheck.scalars import GaussianRational
 from twistorcheck.systems import real_section_system
 
-from conftest import fd_jacobian
+from conftest import fd_jacobian, system_equations
 from test_projline import _brute_twist_nullity
 
 SEED = 20240811
@@ -98,7 +98,7 @@ def test_criterion_01_equation_reproduction():
     with _criterion(1, "equation reproduction", 1.0):
         system = real_section_system(build_quadric(exact=True))
         assert len(system) == 7 and system.nvars == 9
-        got = {_freeze(eq.map_coeffs(Fraction)) for eq in system.equations}
+        got = {_freeze(eq.map_coeffs(Fraction)) for eq in system_equations(system)}
         want = {_freeze(eq) for eq in _expected_quadric_equations()}
         assert got == want
 

@@ -246,6 +246,18 @@ def test_standalone_newton_fiber_of_the_a2_cone_file(a2_cone, tmp_path, capsys):
     assert np.allclose(values, (2, 4, 2), rtol=0, atol=1e-9)
 
 
+def test_a3_cone_file_is_the_canonical_document(a3_cone, capsys):
+    # the first quartic model through the console script, as CI runs it: the
+    # A3 cone as model_to_dict writes it, validated and scanned (no fiber
+    # count is pinned: multistart Newton is not complete on it)
+    path = REPO / "tests" / "data" / "a3-cone.json"
+    doc = json.loads(path.read_text())
+    assert doc == serialize.model_to_dict(a3_cone)
+    for op in ("validate", "singular-scan"):
+        assert main([op, "--model", str(path)]) == 0
+    capsys.readouterr()
+
+
 def test_standalone_matrix_oracle(tmp_path, capsys):
     code, task = _standalone_task(["matrix-model", "--oracle-q", "1,2,3,4"], tmp_path)
     capsys.readouterr()

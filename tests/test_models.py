@@ -1,9 +1,12 @@
 """Model builders, validation, squaring sections and serialization."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistorcheck import (CoeffPoly, DegreeError, GaussianRational,
                           ModelError, NonInvolutiveError, RealityError, ScenarioError,
@@ -179,6 +182,66 @@ def test_exact_model_serialization_roundtrip():
     assert back.exact
     assert models_structurally_equal(back, model,
                                      ignore_component_equations=False)
+
+
+_CONES = {  # weights, gluing exponent, rules and monomials of a glued cone
+    "quadric": ((1, 1, 1), 2, QUADRIC_RULES,
+                [(1, 1, 0), (0, 0, 2), (2, 0, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1)]),
+    "a2": ((3, 3, 2), 1, (SigmaCoordRule(1, -1, 3), SigmaCoordRule(0, 1, 3),
+                          SigmaCoordRule(2, -1, 2)), [(1, 1, 0), (0, 0, 3)]),
+    "a3": ((4, 4, 2), 1, (SigmaCoordRule(1, 1, 4), SigmaCoordRule(0, 1, 4),
+                          SigmaCoordRule(2, -1, 2)),
+           [(1, 1, 0), (0, 0, 4), (2, 0, 0), (1, 0, 2), (0, 1, 2)]),
+}
+_BUILTINS = {
+    "quadric": build_quadric,
+    "deformed-antireal": lambda exact: build_deformed(
+        [GaussianRational(0, 1), 0, GaussianRational(0, -1)] if exact
+        else [1j, 0, -1j], "antireal", exact=exact),
+    "deformed-real": lambda exact: build_deformed(
+        [GaussianRational(1, 2), Fraction(1, 3), GaussianRational(-1, 2)] if exact
+        else [1 + 2j, 0.5, -1 + 2j], "real", exact=exact),
+    "smooth-o11": build_smooth_o11,
+}
+_SMALL = st.integers(-12, 12)
+_COEFFS = {"int": _SMALL,
+           "Fraction": st.builds(Fraction, _SMALL, st.integers(1, 12)),
+           "float": st.floats(-12, 12, allow_nan=False),
+           "complex": st.complex_numbers(max_magnitude=12, allow_nan=False,
+                                         allow_infinity=False)}
+
+
+@st.composite
+def _models(draw):
+    """A builtin or a glued cone with int, Fraction, float or complex
+    coefficients, in either mode (an exact model takes only exact kinds)."""
+    exact = draw(st.booleans())
+    if draw(st.booleans()):
+        return draw(st.sampled_from(sorted(_BUILTINS)).map(lambda n: _BUILTINS[n](exact)))
+    weights, l, rules, monomials = _CONES[draw(st.sampled_from(sorted(_CONES)))]
+    kinds = ["int", "Fraction"] if exact else sorted(_COEFFS)
+    equation = [(e, draw(_COEFFS[draw(st.sampled_from(kinds))])) for e in monomials]
+    return glue_cone_twistor([equation], weights, l, rules, exact=exact)
+
+
+def _coefficient_spellings(doc):
+    yield from (c for eq in doc["equations"] for mono in eq["monomials"]
+                for c in mono["coeffs"])
+    yield from (term["coeff"] for comp in doc["componentEquations"] for term in comp)
+    yield from doc.get("lambda", [])
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(model=_models())
+def test_model_documents_are_canonical(model):
+    # one spelling per mode, so saving a loaded document gives it back
+    doc = model_to_dict(model)
+    part = str if model.exact else float
+    assert all(type(c) is list and len(c) == 2 and all(type(v) is part for v in c)
+               for c in _coefficient_spellings(doc))
+    back = model_from_dict(json.loads(json.dumps(doc)))
+    assert model_to_dict(back) == doc
+    assert models_structurally_equal(back, model, ignore_component_equations=False)
 
 
 def test_exact_pairs_decode_each_part_by_the_scalar_rule():

@@ -21,7 +21,7 @@ from twistorcheck.projline import CoeffPoly, P1Point
 from twistorcheck.scalars import GaussianRational as GR
 from twistorcheck.systems import real_section_system
 
-from conftest import fd_jacobian
+from conftest import block_exps, fd_jacobian, mpoly_diff, system_equations
 
 
 def test_quadric_equation_count(quadric_system):
@@ -43,7 +43,7 @@ def test_deformed_constant_shift():
     model = build_deformed([1j, 0, -1j], "antireal")
     system = real_section_system(model)
     const = {lab: eq.terms.get((0,) * 9, 0.0)
-             for lab, eq in zip(system.labels, system.equations)}
+             for lab, eq in zip(system.labels, system_equations(system))}
     re0 = [lab for lab in system.labels if lab.endswith("[z^0].re")][0]
     assert const[re0] == pytest.approx(1.0)  # x0*conj(x2) - z0^2 + 1 = 0
 
@@ -124,7 +124,7 @@ def test_exact_jacobian_rank(quadric_exact):
 def test_compiled_form_matches_mpoly(name, request):
     # reference: the MPoly equations and their per-entry MPoly.diff Jacobian
     system = real_section_system(request.getfixturevalue(name).float_view())
-    jacobian = _mpoly_jacobian(system)
+    equations, jacobian = system_equations(system), _mpoly_jacobian(system)
     points = np.random.default_rng(20240811).standard_normal((50, system.nvars))
     res = system.residuals(points)
     jac = system.jacobian_at(points)
@@ -132,7 +132,7 @@ def test_compiled_form_matches_mpoly(name, request):
     assert jac.shape == (50, len(system), system.nvars)
     for p, r, j in zip(points, res, jac):
         vals = p.tolist()
-        ref_r = np.array([eq.evaluate(vals) for eq in system.equations], dtype=float)
+        ref_r = np.array([eq.evaluate(vals) for eq in equations], dtype=float)
         ref_j = np.array([[e.evaluate(vals) for e in row] for row in jacobian],
                          dtype=float).reshape(j.shape)
         assert np.abs(r - ref_r).max(initial=0.0) \
@@ -145,7 +145,8 @@ def test_compiled_form_matches_mpoly(name, request):
 
 
 def _mpoly_jacobian(system):
-    return [[eq.diff(i) for i in range(system.nvars)] for eq in system.equations]
+    return [[mpoly_diff(eq, i) for i in range(system.nvars)]
+            for eq in system_equations(system)]
 
 
 def _exact_a2_cone():
@@ -166,12 +167,12 @@ _exact_builds = pytest.mark.parametrize("build", [
 @_exact_builds
 def test_exact_compiled_form_equals_mpoly(build):
     system = real_section_system(build())
-    jacobian = _mpoly_jacobian(system)
+    equations, jacobian = system_equations(system), _mpoly_jacobian(system)
     rng = random.Random(20240811)
     for _ in range(20):
         p = [Fraction(rng.randint(-50, 50), rng.randint(1, 12))
              for _ in range(system.nvars)]
-        assert system.residuals(p) == [eq.evaluate(p) for eq in system.equations]
+        assert system.residuals(p) == [eq.evaluate(p) for eq in equations]
         assert system.jacobian_at(p) == [[e.evaluate(p) for e in row]
                                          for row in jacobian]
 
@@ -380,7 +381,7 @@ def test_assembled_system_equals_the_mpoly_substitution(name, exact):
     system = real_section_system(model)
     equations, labels = _reference_system(model)
     assert system.labels == labels
-    assert system.equations == equations
+    assert system_equations(system) == equations
     assert len(system) == len(labels)
 
 
@@ -389,8 +390,8 @@ def test_float_view_matrices_are_the_integer_columns_over_the_denominator(name):
     model = _NAMED[name](True)
     exact, floats = real_section_system(model), real_section_system(model.float_view())
     for ints, flts in ((exact._res, floats._res), (exact._jac, floats._jac)):
-        assert np.array_equal(flts.exps, ints.exps) and flts.den == 1
-        want = np.zeros((len(ints.exps), len(ints.columns)))
+        assert np.array_equal(block_exps(flts), block_exps(ints)) and flts.den == 1
+        want = np.zeros((len(ints.keys), len(ints.columns)))
         for j, col in enumerate(ints.columns):
             assert all(type(c) is int for _, c in col)
             for m, c in col:
@@ -437,7 +438,7 @@ def test_assembled_system_equals_the_mpoly_substitution_on_random_models(model):
     system = real_section_system(model)
     equations, labels = _reference_system(model)
     assert system.labels == labels
-    assert system.equations == equations
+    assert system_equations(system) == equations
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
@@ -454,18 +455,21 @@ def test_a_monomial_above_its_twist_is_refused(exact):
     with pytest.raises(ModelError, match="overflows its twist"):
         real_section_system(model(one))
     system = real_section_system(model(0))
-    assert system.equations == _reference_system(model(0))[0]
+    assert system_equations(system) == _reference_system(model(0))[0]
 
 
 def _power_table_values(system, x, block):
-    """Reference: each monomial as a product of powers x_i^e_i, read from a
-    table of the powers of every variable."""
-    exps = block.exps
+    """Reference: each monomial as a product of powers of (x, 1), the ones
+    column raised to the degree the monomial lacks, read from a table of
+    the powers of every variable."""
+    x = np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
+    exps = block_exps(block)
+    exps = np.column_stack([exps, block.degree - exps.sum(axis=1)])
     table = np.empty(x.shape + (int(exps.max(initial=0)) + 1,))
     table[..., 0] = 1.0
     for k in range(1, table.shape[-1]):
         table[..., k] = table[..., k - 1] * x
-    mono = table[..., np.arange(system.nvars), exps].prod(axis=-1)
+    mono = table[..., np.arange(system.nvars + 1), exps].prod(axis=-1)
     return np.einsum("...m,me->...e", mono, block.matrix)
 
 
@@ -479,7 +483,8 @@ def test_factor_gather_equals_the_power_table(name, request):
     points = rng.standard_normal((50, system.nvars)) * 10.0 ** rng.uniform(-3, 3, (50, 1))
     res, jac = system.residuals(points), system.jacobian_at(points)
     ref_res = _power_table_values(system, points, system._res)
-    ref_jac = _power_table_values(system, points, system._jac).reshape(jac.shape)
+    ref_jac = _power_table_values(system, points, system._jac).reshape(
+        jac.shape[:-1] + (system.nvars + 1,))[..., :-1]
     if name != "a2_cone":
         assert system._res.degree <= 2
         assert np.array_equal(res, ref_res) and np.array_equal(jac, ref_jac)
@@ -515,10 +520,10 @@ def _sliced_system(name):
 
 def _incidence_slices(model, layout, rng):
     """Incidence slices of the model at random base points and right-hand
-    sides: one shared, one per row, or the two blocks of
+    sides: one shared, one per row (4 or 40), or the two blocks of
     test_incidence_slice_pads_smaller_kernels_with_zero_rows, where the
     second repeats an incidence row, so the first kernel gets a zero row."""
-    count = {"shared": 1, "per-row": 4, "padded": 1}[layout]
+    count = {"shared": 1, "per-row": 4, "per-row-40": 40, "padded": 1}[layout]
     amats = [incidence_rows(model, P1Point.std(complex(*rng.standard_normal(2))))
              for _ in range(count)]
     rhs = [rng.standard_normal(len(a)) for a in amats]
@@ -538,19 +543,22 @@ def _within(got, want, rtol):
     return np.abs(got - want).max(initial=0.0) <= rtol * scale
 
 
-@pytest.mark.parametrize("layout", ["shared", "per-row", "padded"])
-@pytest.mark.parametrize("name", list(_SLICED))
+@pytest.mark.parametrize("name, layout", [
+    (name, layout) for name in _SLICED for layout in ("shared", "per-row", "padded")
+] + [("a3_cone", "per-row-40")])
 @settings(max_examples=6, deadline=None, database=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), log_scale=st.floats(-1.0, 1.0))
 def test_on_slice_equals_the_system_on_the_slice(name, layout, seed, log_scale):
-    # degrees 0 to 4, mixed degrees and component rows; the rows of y are
-    # spread over the slices at random (all on the one slice when shared)
+    # degrees 0 to 4, mixed degrees and component rows, and the A3 cone
+    # (degree 4, d = 7) on 40 slices; the rows of y are spread over the
+    # slices at random (all on the one slice when shared)
     model, system = _sliced_system(name)
     rng = np.random.default_rng(seed)
     base, kernel = _incidence_slices(model, layout, rng)
-    rows = rng.integers(len(base), size=6)
-    y = rng.standard_normal((6, kernel.shape[1])) * 10.0 ** log_scale
-    y1 = np.column_stack([y, np.ones(6)])
+    count = max(6, len(base))
+    rows = rng.integers(len(base), size=count)
+    y = rng.standard_normal((count, kernel.shape[1])) * 10.0 ** log_scale
+    y1 = np.column_stack([y, np.ones(count)])
     x = base[rows] + np.einsum("kd,kdn->kn", y, kernel[rows])
     restricted = system.on_slice(base, kernel)
     res, jac = restricted.values(y1, rows)
