@@ -4,10 +4,11 @@ Membership, fiber incidence, fiber solving, Jacobian rank scans, branch
 tests, normal-sheaf splitting and the hypercomplex/weakly-hypercomplex
 classification pipeline.  The family table ``_FAMILIES`` holds closed-form
 fiber solvers for the quadric family (x*y = z^2 + mu) and for equation-free
-bundles; everything else falls back to seeded multistart Newton.  Every
-fiber solver starts from the incidence slice x0 + y·N of the target
-(``_incidence_slice``): Newton steps inside it, an equation-free bundle's
-fiber is the slice, and the quadric reducer solves its fiber rows there.
+bundles; everything else falls back to seeded multistart Newton.
+``solve_fiber`` slices each target once, to x0 + y·N (``_incidence_slice``),
+and refuses a target off its slice for every solver; Newton steps inside
+the slice, an equation-free bundle's fiber is the slice, and the quadric
+reducer solves its fiber rows there.
 
 Numeric ops (``solve_fiber``, ``branch_test``, ``singular_scan``,
 ``sample_sections``, ``classify_hypercomplex`` and the float branch of
@@ -115,11 +116,14 @@ def incidence_rows(model: TwistorModel, pt: P1Point):
     return np.array(rows)
 
 
-def _incidence_rhs(values):
-    out = []
-    for v in values:
-        out.extend([v.real, v.imag])
-    return np.array(out)
+def _incidence(model: TwistorModel, pts, targets):
+    """Stacked incidence blocks at pts[k], (k, r, n), and the (re, im) values
+    of targets[k], (k, r): the slices of solve_fiber and _examine_pairs and
+    the pinned fiber values of _branch_reports."""
+    shape = (len(pts), 2 * len(model.degrees))
+    amats = np.array([incidence_rows(model, pt) for pt in pts]).reshape(
+        shape + (model.nparams,))
+    return amats, np.asarray(targets, dtype=complex).view(float).reshape(shape)
 
 
 @dataclass
@@ -153,22 +157,18 @@ class FiberSolveResult:
     method: str
 
 
-def _quadric_reduce(model: TwistorModel, pt: P1Point, values, cfg: SolveConfig):
+def _quadric_reduce(model: TwistorModel, x0, nmat, values, cfg: SolveConfig):
     """Closed-form fiber solver for x*y = z^2 + mu.
 
-    The incidence rows at the point cut the parameters to the slice x0 + y·N.
-    On it the fiber equation is nu·h, where nu vanishes at the point and at
-    its antipodal image, and its quadratic part is -q(y)·nu^2 for a positive
-    definite q; so every fiber-row Hessian is a multiple c_r of one form Q,
-    and the fiber rows read F0 + L·y + c·rho with rho = y^T Q y / 2.  They
-    are linear in (y, rho), and on their solutions rho = y^T Q y / 2 is one
-    quadric, so the fiber is two points, one point, empty, or an ellipsoid
-    family.  The component rows are left to solve_fiber's membership filter.
+    On the target's incidence slice x0 + y·N the fiber equation is nu·h,
+    where nu vanishes at the point and at its antipodal image, and its
+    quadratic part is -q(y)·nu^2 for a positive definite q; so every
+    fiber-row Hessian is a multiple c_r of one form Q, and the fiber rows
+    read F0 + L·y + c·rho with rho = y^T Q y / 2.  They are linear in
+    (y, rho), and on their solutions rho = y^T Q y / 2 is one quadric, so
+    the fiber is two points, one point, empty, or an ellipsoid family.  The
+    component rows are left to solve_fiber's membership filter.
     """
-    amat, b = incidence_rows(model, pt), _incidence_rhs(values)
-    (x0,), (nmat,) = _incidence_slice(amat[None], b[None], cfg.rank_rtol)
-    if np.linalg.norm(amat @ x0 - b) > 1e-8 * (1.0 + np.linalg.norm(b)):
-        return [], None
     sys = real_section_system(model)
     rows, d = sys.fiber_rows, len(nmat)
     # J is affine in x, so (J(N_i) - J(0))·N^T is exact; differencing at the
@@ -213,18 +213,12 @@ def _quadric_reduce(model: TwistorModel, pt: P1Point, values, cfg: SolveConfig):
                                 radius_sq=float(-val))
 
 
-def _linear_reduce(model: TwistorModel, pt: P1Point, values, cfg: SolveConfig):
-    """Fiber solver for equation-free bundles: one real-linear solve."""
-    amat = incidence_rows(model, pt)
-    b = _incidence_rhs(values)
-    (sol,), (kernel,) = _incidence_slice(amat[None], b[None], cfg.rank_rtol)
-    if np.linalg.norm(amat @ sol - b) > 1e-8 * (1.0 + np.linalg.norm(b)):
-        return [], None
-    if kernel.shape[0] == 0:
-        return [sol], None
-    return [], FamilyDescriptor(dim=kernel.shape[0], center_params=sol,
-                                basis_params=kernel,
-                                shape=np.eye(kernel.shape[0]), radius_sq=1.0)
+def _linear_reduce(model: TwistorModel, x0, nmat, values, cfg: SolveConfig):
+    """Fiber solver for equation-free bundles: the incidence slice itself."""
+    if len(nmat) == 0:
+        return [x0], None
+    return [], FamilyDescriptor(dim=len(nmat), center_params=x0, basis_params=nmat,
+                                shape=np.eye(len(nmat)), radius_sq=1.0)
 
 
 def _lstsq_steps(jac: np.ndarray, r: np.ndarray, rtol: float) -> np.ndarray:
@@ -260,8 +254,9 @@ def _converged(r: np.ndarray, x: np.ndarray, cfg: SolveConfig) -> np.ndarray:
 
 def _incidence_slice(amats, rhs, rtol: float):
     """The solutions of each incidence block amats[k] @ x = rhs[k], (k, r, n)
-    and (k, r), as a slice base[k] + kernel[k]·y, for _gauss_newton and the
-    linear stages of the closed-form reducers.
+    and (k, r), as a slice base[k] + kernel[k]·y: the fiber targets of
+    solve_fiber, the continuation rows of _examine_pairs and the quadric
+    reducer's linear stage.
 
     One stacked SVD with the numerical_rank cutoff gives the minimum-norm
     solutions base (k, n) and orthonormal kernel bases (k, d, n); a basis of
@@ -344,14 +339,13 @@ def _sorted_solutions(points):
     return sorted(points, key=lambda p: tuple(np.round(np.ldexp(p, shift), 9)))
 
 
-def _newton_multistart(model, pt, values, cfg: SolveConfig):
-    """Converged rows of multistart Gauss-Newton; solve_fiber deduplicates them."""
+def _newton_multistart(model, x0, nmat, values, cfg: SolveConfig):
+    """Converged rows of multistart Gauss-Newton on the slice x0 + y·N, from
+    starts of the target's scale; solve_fiber deduplicates them."""
     sys = real_section_system(model)
-    base, kernel = _incidence_slice(incidence_rows(model, pt)[None],
-                                    _incidence_rhs(values)[None], cfg.rank_rtol)
     rng = np.random.default_rng(cfg.seed)
     scale = 1.0 + math.sqrt(sum(abs2(v) for v in values))
-    x, ok = _gauss_newton(sys, base, kernel,
+    x, ok = _gauss_newton(sys, x0[None], nmat[None],
                           rng.standard_normal((cfg.multistart, sys.nvars)) * scale,
                           cfg)
     return list(x[ok]), None
@@ -361,7 +355,10 @@ def solve_fiber(model: TwistorModel, zeta, target,
                 cfg: SolveConfig | None = None) -> FiberSolveResult:
     """All real sections of the model meeting a given fiber point.
 
-    Closed-form families use their reducer (complete); other models use
+    The target is sliced once, for every family: the incidence rows at the
+    point cut the parameters to x0 + y·N, and a target off that slice (rows
+    inconsistent beyond 1e-8 relative) has no solutions.  On the slice,
+    closed-form families use their reducer (complete); other models use
     multistart Newton with heuristic completeness.  The solve runs in the
     canonical chart of the point: values given in the other chart are
     multiplied by w**k_i, w the new chart value.  On a homogeneous model the
@@ -389,7 +386,12 @@ def solve_fiber(model: TwistorModel, zeta, target,
         raise FiberError("target does not satisfy the fiber equations")
     family = _FAMILIES[model.family]
     sys = real_section_system(model)
-    sols, fam = family.reduce(model, pt, values, cfg)
+    amats, rhs = _incidence(model, [pt], [values])
+    (x0,), (nmat,) = _incidence_slice(amats, rhs, cfg.rank_rtol)
+    amat, b = amats[0], rhs[0]
+    sols, fam = [], None  # off its slice, the target meets no real section
+    if np.linalg.norm(amat @ x0 - b) <= 1e-8 * (1.0 + np.linalg.norm(b)):
+        sols, fam = family.reduce(model, x0, nmat, values, cfg)
     if fam is not None:
         sols = fam.sample(_FAMILY_SAMPLES, np.random.default_rng(cfg.seed))
     kept = [np.asarray(s, dtype=float) for s in sols]
@@ -430,8 +432,8 @@ def _branch_reports(model: TwistorModel, params, zetas, cfg: SolveConfig):
     zetas[k], from one stacked Jacobian and one stacked SVD of [J(p); A(zeta)]."""
     sys = real_section_system(model)
     params = np.reshape(params, (len(zetas), sys.nvars))
-    amats = np.reshape([incidence_rows(model, _float_point(as_p1(z))) for z in zetas],
-                       (len(zetas), 2 * len(model.degrees), sys.nvars))
+    amats, _ = _incidence(model, [_float_point(as_p1(z)) for z in zetas],
+                          np.zeros((len(zetas), len(model.degrees))))
     jacs = np.concatenate([sys.jacobian_at(params), amats], axis=1)
     ranks = numerical_rank(np.linalg.svd(jacs, compute_uv=False), cfg.rank_rtol)
     return [BranchReport("unbranched" if rank == sys.nvars else "branched",
@@ -645,25 +647,9 @@ def _chart_value(target: P1Point, p: P1Point) -> complex:
     return 1.0 / v  # only used for points near the chart overlap
 
 
-def _polish_double_zero(poly: CoeffPoly, pt: P1Point) -> P1Point:
-    """Newton-polish a double zero of the section against its derivative."""
-    coeffs = poly.coeffs
-    if pt.chart != "std":
-        coeffs = list(reversed(coeffs))
-    deriv = [m * c for m, c in enumerate(coeffs)][1:]
-    dderiv = [m * c for m, c in enumerate(deriv)][1:]
-    z = pt.value
-    for _ in range(4):
-        fp = sum(c * z ** m for m, c in enumerate(deriv))
-        fpp = sum(c * z ** m for m, c in enumerate(dderiv))
-        if abs(fpp) < 1e-12:
-            break
-        z = z - fp / fpp
-    return P1Point(pt.chart, z)
-
-
-def _collapse_double_zeros(points, poly: CoeffPoly):
-    """Average clustered root pairs and polish them as double zeros."""
+def _collapse_double_zeros(points):
+    """Average clustered root pairs: the mean of the two roots of a double
+    zero is exact to O(eps), where each root alone is off by O(sqrt(eps))."""
     groups = []
     for p in points:
         for g in groups:
@@ -676,10 +662,7 @@ def _collapse_double_zeros(points, poly: CoeffPoly):
     for g in groups:
         ref = g[0]
         mean = sum(_chart_value(ref, p) for p in g) / len(g)
-        pt = P1Point(ref.chart, mean)
-        if len(g) > 1:
-            pt = _polish_double_zero(poly, pt)
-        out.append(pt)
+        out.append(P1Point(ref.chart, mean))
     return out
 
 
@@ -702,8 +685,7 @@ def _quadric_singular_pairs(model: TwistorModel):
     if model.lam is not None:
         points = _section_zero_points(model.lam, 2)
     else:
-        points = _collapse_double_zeros(
-            _section_zero_points(mu, 4), mu)
+        points = _collapse_double_zeros(_section_zero_points(mu, 4))
     reps = []
     for p in points:  # one zero of each antipodal pair
         if not any(p.same_point(q, tol=1e-5) or p.same_point(q.antipodal(), tol=1e-5)
@@ -731,7 +713,7 @@ def _cone_singular_pairs(model: TwistorModel):
 class _Family(NamedTuple):
     """Per-family fiber reducer, section sampler and singular-pair locator."""
 
-    reduce: Callable      # (model, pt, values, cfg) -> (sols, None) or ([], family)
+    reduce: Callable      # (model, x0, N, values, cfg) -> (sols, None) or ([], family)
     method: str
     complete: bool
     sample: Callable      # (model, n, rng, cfg) -> list of parameter vectors
@@ -823,8 +805,8 @@ def _examine_pairs(model, fibers, cfg: SolveConfig):
     its first one of corank >= 1.
     """
     sys = real_section_system(model)
-    amats = np.array([incidence_rows(model, pt) for pt, _, _ in fibers])
-    rhs = np.array([_incidence_rhs(values) for _, values, _ in fibers])
+    amats, rhs = _incidence(model, [pt for pt, _, _ in fibers],
+                            [values for _, values, _ in fibers])
     candidates = []
     for _, _, res in fibers:
         cands = list(res.solutions)

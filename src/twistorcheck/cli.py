@@ -233,7 +233,7 @@ def _op_solve_fiber(args, model, cfg):
                "family_dim": res.family.dim if res.family else 0}
     evidence = {"method": res.method,
                 "solutions": [list(map(float, s)) for s in res.solutions]}
-    if len(model.degrees) == 3 and model.nparams == 9:
+    if model.quadric_layout:
         evidence["solution_tuples"] = [quadric_tuple(s) for s in res.solutions]
     return numbers, evidence
 
@@ -254,8 +254,9 @@ def _section(args, model):
     """The section's parameters, from 'params' or a quadric 'section'."""
     if "params" in args:
         return np.array(args["params"])
-    if model is not None and len(model.degrees) != 3:
-        raise ScenarioError("coefficient tuples require the 3-coordinate model; "
+    if model is not None and not model.quadric_layout:
+        raise ScenarioError("coefficient tuples require the quadric parameter "
+                            "layout (degrees 2, 2, 2 with the swap/minus rules); "
                             "use 'params' otherwise")
     return args["section"]
 

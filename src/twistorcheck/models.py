@@ -80,8 +80,10 @@ class FiberEquation:
 class TwistorModel:
     """Bundle degrees + fiber equations + real structure (+ optional extras).
 
+    ``quadric_layout`` tells whether the section parameters are laid out as
+    quadric_params writes them: degrees (2, 2, 2) with the swap/minus rules.
     The closed-form family (``family``, ``mu``, ``expected_regular_rank``) is
-    recognised here from the degrees, rules and equations, and so is
+    recognised here from that layout and the equations, and so is
     ``homogeneous``: every fiber equation is a form of degree >= 1 in the
     fiber coordinates and every component equation one in the section
     parameters (vacuously so without equations), hence fibers are cones and
@@ -102,8 +104,9 @@ class TwistorModel:
         self.exact = exact
         self.lam = lam
         self.reality = reality
+        self.quadric_layout = self.degrees == (2, 2, 2) and self.rules == _QUADRIC_RULES
         self.family, self.mu, self.expected_regular_rank = _recognise_family(
-            self.degrees, self.rules, self.equations)
+            self.quadric_layout, self.equations)
         form_degrees = [{sum(exps) for exps, _ in eq.monomials}
                         for eq in self.equations]
         form_degrees += [{sum(exps) for exps in comp.terms}
@@ -149,16 +152,16 @@ _QUADRIC_RULES = (SigmaCoordRule(1, 1, 2), SigmaCoordRule(0, 1, 2),
                   SigmaCoordRule(2, -1, 2))
 
 
-def _recognise_family(degrees, rules, equations):
+def _recognise_family(quadric_layout: bool, equations):
     """(family, mu, expected_regular_rank) of a model's closed-form family.
 
-    Equation-free bundles are "linear"; the swap/minus rank-three model with
+    Equation-free bundles are "linear"; a model in the quadric layout with
     the single equation x*y = z^2 + mu (coefficients exactly 1 and -1) is
     "quadric"; anything else is (None, None, None) and falls back to Newton.
     """
     if not equations:
         return "linear", None, 0
-    if degrees != (2, 2, 2) or len(equations) != 1 or rules != _QUADRIC_RULES:
+    if not quadric_layout or len(equations) != 1:
         return None, None, None
     eq = equations[0]
     if eq.twist != 4:

@@ -5,6 +5,7 @@ import pytest
 
 from twistorcheck import (SigmaCoordRule, build_deformed, build_quadric,
                           build_smooth_o11, glue_cone_twistor, serialize)
+from twistorcheck.models import FiberEquation, TwistorModel
 from twistorcheck.mpoly import MPoly
 from twistorcheck.systems import real_section_system
 
@@ -44,6 +45,18 @@ def double_coefficients(model):
         for mono in eq["monomials"]:
             mono["coeffs"] = [np.multiply(2, c).tolist() for c in mono["coeffs"]]
     return serialize.model_from_dict(doc)
+
+
+def with_real_constant(model):
+    """The model with one more coordinate c of degree 0, self-paired with
+    sign +1, so every real section has a real constant c, and without
+    component equations."""
+    equations = [FiberEquation(eq.twist, tuple((exps + (0,), coeff)
+                                               for exps, coeff in eq.monomials))
+                 for eq in model.equations]
+    return TwistorModel(model.name, model.degrees + (0,), model.coordinates + ("c",),
+                        model.rules + (SigmaCoordRule(len(model.degrees), 1, 0),),
+                        equations)
 
 
 @pytest.fixture(scope="session")

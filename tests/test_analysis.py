@@ -19,14 +19,14 @@ from twistorcheck import (FiberError, GaussianRational, ModelError, OriginError,
                           sym_matrix_model)
 from twistorcheck.exactla import numerical_rank
 from twistorcheck.analysis import (_FAMILIES, FiberSolveResult, _examine_pairs,
-                                  _gauss_newton, _incidence_rhs,
+                                  _gauss_newton, _incidence,
                                   _incidence_slice, _newton_multistart,
                                   incidence_rows, sample_sections)
 from twistorcheck.projline import SplittingType
 from twistorcheck import analysis, serialize, systems
 from twistorcheck.serialize import jsonable
 from twistorcheck.systems import real_section_system
-from conftest import ANTIREAL_LAMBDA, double_coefficients
+from conftest import ANTIREAL_LAMBDA, double_coefficients, with_real_constant
 
 CFG = SolveConfig(seed=7)
 
@@ -197,6 +197,21 @@ def test_newton_solve_fiber_is_su2_covariant(doubled, q, g, zeta, variant):
         assert res.method == "newton-multistart" and len(res.solutions) == 2
 
 
+def test_newton_refuses_targets_off_the_incidence_slice(doubled):
+    # c is a real constant on every real section, so no section meets
+    # c = 0.5i; Newton's least-squares slice would put c = 0 and return the
+    # two sections through (4, 1, 2, 0)
+    model = with_real_constant(doubled)
+    zeta = 0.4 - 0.3j
+    off = solve_fiber(model, zeta, (4, 1, 2, 0.5j), CFG)
+    assert off.method == "newton-multistart" and off.solutions == []
+    on = solve_fiber(model, zeta, (4, 1, 2, 0.5), CFG)
+    assert len(on.solutions) == 2
+    for sol in on.solutions:
+        values = evaluate_section(model, sol, zeta).values
+        assert np.allclose(values, (4, 1, 2, 0.5), rtol=0, atol=1e-9)
+
+
 def test_solve_fiber_matches_newton_multistart(quadric, rng):
     cfg = SolveConfig(seed=3, multistart=60)
     for _ in range(3):
@@ -205,7 +220,9 @@ def test_solve_fiber_matches_newton_multistart(quadric, rng):
         sec = squaring_section(a, b, "minus")
         target = evaluate_section(quadric, sec, 0j)
         closed = solve_fiber(quadric, None, target, cfg)
-        newton, family = _newton_multistart(quadric, target.zeta, target.values, cfg)
+        (x0,), (nmat,) = _incidence_slice(
+            *_incidence(quadric, [target.zeta], [target.values]), cfg.rank_rtol)
+        newton, family = _newton_multistart(quadric, x0, nmat, target.values, cfg)
         assert family is None and newton
         for sol in newton:
             assert min(np.linalg.norm(sol - np.asarray(c))
@@ -256,7 +273,7 @@ def test_batched_gauss_newton_rows_do_not_interact(doubled, max_iter):
     pt = P1Point.std(0.4 - 0.3j)
     converged = []
     for values in (evaluate_section(doubled, planted, pt).values, (0j, 0j, 0j)):
-        amat, b = incidence_rows(doubled, pt)[None], _incidence_rhs(values)[None]
+        amat, b = _incidence(doubled, [pt], [values])
         base, kernel = _incidence_slice(amat, b, cfg.rank_rtol)
         starts = np.random.default_rng(cfg.seed).standard_normal(
             (cfg.multistart, sys.nvars)) * 2.0
@@ -270,13 +287,12 @@ def test_batched_gauss_newton_rows_do_not_interact(doubled, max_iter):
     # rows with their own incidence blocks: a base point per row, the planted
     # target on odd rows and the vertex on even ones; each row equals its
     # start run alone against its block as a shared one
-    amats, rhs = [], []
+    pts, targets = [], []
     for i, (re, im) in enumerate(np.random.default_rng(1).standard_normal((len(starts), 2))):
-        pt_i = P1Point.std(complex(re, im))
-        values = evaluate_section(doubled, planted, pt_i).values if i % 2 else (0j,) * 3
-        amats.append(incidence_rows(doubled, pt_i))
-        rhs.append(_incidence_rhs(values))
-    amats, rhs = np.array(amats), np.array(rhs)
+        pts.append(P1Point.std(complex(re, im)))
+        targets.append(evaluate_section(doubled, planted, pts[-1]).values if i % 2
+                       else (0j,) * 3)
+    amats, rhs = _incidence(doubled, pts, targets)
     x, ok = _gauss_newton(sys, *_incidence_slice(amats, rhs, cfg.rank_rtol),
                           starts, cfg)
     assert _on_incidence(x, amats, rhs)
@@ -295,8 +311,8 @@ def test_incidence_slice_pads_smaller_kernels_with_zero_rows(doubled):
     sys = real_section_system(doubled)
     pt = P1Point.std(0.4 - 0.3j)
     planted = squaring_section(0.3 + 0.7j, -1.1 + 0.2j, "minus")
-    amat = incidence_rows(doubled, pt)
-    b = _incidence_rhs(evaluate_section(doubled, planted, pt).values)
+    target = evaluate_section(doubled, planted, pt)
+    (amat,), (b,) = _incidence(doubled, [pt], [target.values])
     low, low_b = amat.copy(), b.copy()
     low[5], low_b[5] = low[4], low_b[4]
     base, kernel = _incidence_slice(np.array([amat, low]), np.array([b, low_b]),
@@ -392,7 +408,8 @@ def test_newton_rows_stay_on_their_incidence_blocks(doubled, deformed, smooth,
                                                     monkeypatch):
     # Gauss-Newton's callers: multistart (one shared block) at a target and
     # at the vertex, and the continuation rows of classify (a block per row);
-    # the closed forms take their incidence rows and linear stages from the slice
+    # solve_fiber slices every fiber target once, and the quadric reducer
+    # slices its linear stage
     calls = []
     slice_, newton = analysis._incidence_slice, analysis._gauss_newton
 
@@ -417,18 +434,18 @@ def test_newton_rows_stay_on_their_incidence_blocks(doubled, deformed, smooth,
     solve_fiber(smooth, None, evaluate_section(smooth, [0.2, -1.0, 0.5, 0.9], 2j), CFG)
     classify_hypercomplex(build_quadric(), CFG)
     classify_hypercomplex(deformed, CFG)
-    stepped = ("_newton_multistart", "_examine_pairs")
-    newton_calls = [c for c in calls if c[0] in stepped]
-    assert len(newton_calls) == 4
+    newton_calls = [c for c in calls if len(c) == 6]  # a slice Newton stepped in
+    assert [c[0] for c in newton_calls] == ["solve_fiber"] * 2 + ["_examine_pairs"] * 2
     for _, amats, rhs, _, _, x in newton_calls:
         assert _on_incidence(x, amats, rhs)
-    closed = [c for c in calls if c[0] not in stepped]
-    assert {c[0] for c in closed} == {"_quadric_reduce", "_linear_reduce"}
-    # each quadric solve slices twice: its incidence rows in the 9 parameters,
-    # then its linear stage in (y, rho) on that slice; the solves are the
-    # target, the quadric classify's three vertex pairs and the deformed one
-    quadric = [c[1].shape[-1] for c in closed if c[0] == "_quadric_reduce"]
-    assert quadric == [9, 4] * 5
+    closed = [c for c in calls if len(c) == 5]
+    # each quadric solve slices twice: its target in the 9 parameters, then
+    # its linear stage in (y, rho) on that slice; the solves are the target,
+    # the smooth-o11 target (4 parameters, the equation-free reducer), the
+    # quadric classify's three vertex pairs and the deformed one
+    quadric = [("solve_fiber", 9), ("_quadric_reduce", 4)]
+    assert [(c[0], c[1].shape[-1]) for c in closed] == (
+        quadric + [("solve_fiber", 4)] + quadric * 4)
     for _, amats, rhs, base, kernel in closed:
         # every block here comes from a target on a real section: consistent
         assert _on_incidence(base, amats, rhs)
@@ -840,7 +857,7 @@ def test_quadric_family_without_lambda(lam, reality, verdict):
         assert cls.evidence["family_dimension"] == 2
     (got,) = cls.evidence["singular_fiber_points"]
     (want, _), = _FAMILIES["quadric"].singular_pairs(builtin)[0]
-    assert P1Point(got["chart"], complex(*got["value"])).same_point(want, tol=1e-8)
+    assert P1Point(got["chart"], complex(*got["value"])).same_point(want, tol=1e-12)
 
 
 @pytest.fixture()

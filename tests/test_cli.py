@@ -17,7 +17,10 @@ from twistorcheck import (cli, evaluate_section, models_structurally_equal,
 from twistorcheck.cli import OPS, main, run_scenario, run_scenario_doc
 from twistorcheck.scalars import GaussianRational
 from twistorcheck.serialize import dump_report, encode_scalar, jsonable, load_scenario
+from twistorcheck.models import TwistorModel
+from twistorcheck.projline import SigmaCoordRule
 from twistorcheck.systems import real_section_system
+from conftest import with_real_constant
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -217,6 +220,53 @@ def test_standalone_newton_fiber_of_the_doubled_quadric_file(doubled, capsys):
                  "--point", "4,1,2", "--expect-count", "2"])
     out = capsys.readouterr().out
     assert code == 0 and "newton-multistart" in out
+
+
+def test_standalone_newton_fiber_off_the_incidence_slice(doubled, capsys):
+    # the doubled quadric with a real constant coordinate c, as CI runs it:
+    # no real section has c = 0.5i, so that target has no solutions, while
+    # c = 0.5 keeps the two sections of the doubled quadric
+    path = REPO / "tests" / "data" / "doubled-quadric-o0.json"
+    assert json.loads(path.read_text()) == serialize.model_to_dict(
+        with_real_constant(doubled))
+    for point, count in (("4,1,2,0.5j", 0), ("4,1,2,0.5", 2)):
+        code = main(["solve-fiber", "--model", str(path), "--zeta", "0.4-0.3j",
+                     "--point", point, "--expect-count", str(count)])
+        out = capsys.readouterr().out
+        assert code == 0 and "newton-multistart" in out, point
+
+
+def test_quadric_tuples_only_in_the_quadric_layout(tmp_path, capsys):
+    # solve-fiber writes coefficient tuples, and a section may be given as
+    # one, only on a model whose parameters are quadric_params' layout; an
+    # equation-free model of degrees (2, 2, 2) with every coordinate
+    # self-paired (sign +1) also has 9 parameters, x0.re, x0.im, x1, y0.re, ...
+    rules = tuple(SigmaCoordRule(i, 1, 2) for i in range(3))
+    model = TwistorModel("self-paired", (2, 2, 2), ("x", "y", "z"), rules, ())
+    assert model.nparams == 9
+    path = tmp_path / "self-paired.json"
+    path.write_text(json.dumps(serialize.model_to_dict(model)))
+    path = str(path)
+    code, task = _standalone_task(["solve-fiber", "--model", path,
+                                   "--point", "1,2,3"], tmp_path)
+    assert code == 0 and task["numbers"]["count"] == 8
+    assert "solution_tuples" not in task["evidence"]
+    capsys.readouterr()
+    for op in ("branch", "normal-bundle", "matrix-model"):
+        assert main([op, "--model", path, "--section", "1,0,0,0,1"]) == 2, op
+        assert "quadric parameter layout" in capsys.readouterr().err
+    assert main(["branch", "--model", path, "--params", "1,0,0,0,0,0,0,0,1"]) == 0
+    doubled = str(REPO / "tests" / "data" / "doubled-quadric.json")
+    # fiber points at zeta = 0, where the antireal deformation term is -1
+    for model, point in ((["quadric"], "1,1,1"), ([doubled], "1,1,1"),
+                         (["deformed"], "1,0,1"),
+                         (["deformed", "--reality", "real", "--lam", "0,1,0"], "1,1,1")):
+        code, task = _standalone_task(["solve-fiber", "--model", *model,
+                                       "--point", point], tmp_path)
+        sols, tuples = task["evidence"]["solutions"], task["evidence"]["solution_tuples"]
+        assert code == 0 and sols and len(tuples) == len(sols), model
+        assert main(["matrix-model", "--model", *model, "--section", "1,0,0,0,1"]) == 0
+    capsys.readouterr()
 
 
 def _standalone_task(argv, tmp_path):

@@ -266,3 +266,16 @@ def test_float_view_converts_coefficients_once():
     assert all(type(c) is complex for c in coeffs)
     assert models_structurally_equal(
         view, build_deformed([1j, 0, -1j], "antireal"), tol=1e-15)
+
+
+def test_quadric_layout_is_the_parameter_layout_of_quadric_params():
+    # degrees (2, 2, 2) with the swap/minus rules, whatever the equations;
+    # nine parameters in another layout do not qualify
+    assert build_quadric().quadric_layout and build_quadric(exact=True).quadric_layout
+    assert build_deformed([0, 1, 0], "real").quadric_layout
+    assert TwistorModel("bundle", (2, 2, 2), ("x", "y", "z"), QUADRIC_RULES,
+                        ()).quadric_layout
+    self_paired = TwistorModel("self-paired", (2, 2, 2), ("x", "y", "z"),
+                               tuple(SigmaCoordRule(i, 1, 2) for i in range(3)), ())
+    assert self_paired.nparams == 9 and not self_paired.quadric_layout
+    assert not build_smooth_o11().quadric_layout
