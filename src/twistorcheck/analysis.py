@@ -51,6 +51,14 @@ class SolveConfig:
     continuation_step: float = 0.05
     cluster_radius: float = 0.35
 
+    def __post_init__(self):
+        # Newton rows stop within newton_tol and solve_fiber keeps those
+        # within member_tol, so a looser newton_tol would drop every row
+        if self.newton_tol > self.member_tol:
+            raise ValueError(f"newton_tol {self.newton_tol!r} exceeds member_tol = "
+                             f"max(tol, 1e-8) = {self.member_tol!r}: solve_fiber "
+                             "would drop every Newton section")
+
     @property
     def member_tol(self) -> float:
         """Membership tolerance of solver output; never tighter than 1e-8."""
@@ -282,47 +290,61 @@ def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig):
     _incidence_slice; one slice of shape (1, n), (1, d, n) is shared by every
     row) and iterates in the slice coordinates y: the system restricted to
     the slices once (RealEquationSystem.on_slice) gives the residuals and
-    the Jacobian in y, and the minimum-norm step is taken in y.  The points
-    x are formed only for the convergence and stall tests; the final test
-    evaluates the system at them.  Only unconverged rows are stepped; a row
-    stops when its residual is within newton_tol*(1+|x|^2) or its step
-    stalls.  A row whose step norm halved on two consecutive iterations, as
-    at a singular root where Newton only halves the error, takes a double
-    step (Griewank 1985).  Returns the final rows and a mask of the
-    converged ones.
+    the Jacobian in y, and the minimum-norm step is taken in y.  Only
+    unconverged rows are stepped; a row stops when its residual is within
+    newton_tol*(1+|x|^2), kept from the pass that formed its x, or its step
+    stalls.  The per-row state is masked only on a pass where some row
+    stops.  Each pass forms x = base + y·kernel of the rows it stepped, for
+    their thresholds and the stall test; x of every row is formed once, at
+    the end, where the final convergence test evaluates the system.  A row
+    whose step norm halved on two consecutive iterations, as at a singular
+    root where Newton only halves the error, takes a double step (Griewank
+    1985).  Returns the final rows and a mask of the converged ones.
     """
     x = np.array(x0, dtype=float)
     restricted = sys.on_slice(base, kernel)
     y = np.ones((len(x), kernel.shape[1] + 1))  # (y, 1) per row
     y[:, :-1] = np.einsum("kn,kdn->kd", x - base, kernel)
-    active = np.arange(len(x))
-    x = restricted.points(y, active)
-    last = np.full(len(x), np.inf)       # per active row: its last step norm,
-    halved = np.zeros(len(x), dtype=bool)  # and whether that step halved
+    rows = np.arange(len(x))
+    active, ya = rows, y  # ya: the active rows of y, written back when one stops
+    xa = restricted.points(y, rows)
+    # per active row: its threshold (as in _converged), its last step norm,
+    # and whether that step halved
+    tol = cfg.newton_tol * (1.0 + (xa * xa).sum(axis=1))
+    last = np.full(len(x), np.inf)
+    halved = np.zeros(len(x), dtype=bool)
     lo, hi = _HALVING_BAND
     for _ in range(cfg.max_iter):
-        ya = y[active]
         r, jac = restricted.values(ya, active)
-        moving = ~_converged(r, x[active], cfg)
+        moving = ~(np.abs(r).max(axis=1, initial=0.0) <= tol)  # NaN keeps moving
         if not moving.any():
             break
-        active, ya, r, jac = active[moving], ya[moving], r[moving], jac[moving]
-        last, halved = last[moving], halved[moving]
+        if not moving.all():
+            y[active] = ya
+            active, ya, r, jac = active[moving], ya[moving], r[moving], jac[moving]
+            last, halved = last[moving], halved[moving]
         step = _lstsq_steps(jac, r, cfg.rank_rtol)
         norm = np.sqrt((step * step).sum(axis=1))  # np.linalg.norm, less overhead
         halving = (lo * last < norm) & (norm < hi * last)
         step[halving & halved] *= 2.0
         ya[:, :-1] += step
-        y[active] = ya
-        xa = x[active] = restricted.points(ya, active)
-        moved = norm > 1e-15 * (1.0 + np.sqrt((xa * xa).sum(axis=1)))
-        active, last, halved = active[moved], norm[moved], halving[moved]
+        xa = restricted.points(ya, active)
+        sq = (xa * xa).sum(axis=1)
+        last, halved, tol = norm, halving, cfg.newton_tol * (1.0 + sq)
+        moved = norm > 1e-15 * (1.0 + np.sqrt(sq))
+        if not moved.all():
+            y[active] = ya
+            active, ya, tol = active[moved], ya[moved], tol[moved]
+            last, halved = last[moved], halved[moved]
+    y[active] = ya
+    x = restricted.points(y, rows)
     return x, _converged(sys.residuals(x), x, cfg)
 
 
 def _dedup(points, radius):
-    """The points farther than radius from every earlier kept one, in input
-    order: each kept point drops the remaining points within radius of it."""
+    """The points (a list or stacked rows) farther than radius from every
+    earlier kept one, in input order, as a list: each kept point drops the
+    remaining points within radius of it."""
     stack, rest, out = np.asarray(points, dtype=float), np.arange(len(points)), []
     while len(rest):
         first, rest = rest[0], rest[1:]
@@ -341,14 +363,14 @@ def _sorted_solutions(points):
 
 def _newton_multistart(model, x0, nmat, values, cfg: SolveConfig):
     """Converged rows of multistart Gauss-Newton on the slice x0 + y·N, from
-    starts of the target's scale; solve_fiber deduplicates them."""
+    starts of the target's scale, as one array; solve_fiber deduplicates them."""
     sys = real_section_system(model)
     rng = np.random.default_rng(cfg.seed)
     scale = 1.0 + math.sqrt(sum(abs2(v) for v in values))
     x, ok = _gauss_newton(sys, x0[None], nmat[None],
                           rng.standard_normal((cfg.multistart, sys.nvars)) * scale,
                           cfg)
-    return list(x[ok]), None
+    return x[ok], None
 
 
 def solve_fiber(model: TwistorModel, zeta, target,
@@ -365,7 +387,9 @@ def solve_fiber(model: TwistorModel, zeta, target,
     solve is scale covariant, solve_fiber(s*v) = s*solve_fiber(v) for real
     s > 0 (bit for bit when s is a power of two): the target is divided by the
     power of two nearest its largest entry, solved at unit scale, and the
-    solutions and family are multiplied back.
+    solutions and family are multiplied back.  A family's points stay one
+    stacked array through one membership test and the deduplication; only
+    the kept ones are scaled and sorted.
     """
     cfg = cfg or DEFAULT_CONFIG
     model = model.float_view()
@@ -394,9 +418,9 @@ def solve_fiber(model: TwistorModel, zeta, target,
         sols, fam = family.reduce(model, x0, nmat, values, cfg)
     if fam is not None:
         sols = fam.sample(_FAMILY_SAMPLES, np.random.default_rng(cfg.seed))
-    kept = [np.asarray(s, dtype=float) for s in sols]
-    kept = [s for s, ok in zip(kept, sys.members(kept, cfg.member_tol)) if ok]
-    sols = [s * scale for s in _dedup(kept, cfg.dedup_radius)]
+    pts = np.asarray(sols, dtype=float).reshape(len(sols), sys.nvars)
+    pts = pts[sys.members(pts, cfg.member_tol)]
+    sols = [s * scale for s in _dedup(pts, cfg.dedup_radius)]
     if fam is not None:
         fam.center_params = fam.center_params * scale
         fam.basis_params = fam.basis_params * scale
@@ -713,7 +737,7 @@ def _cone_singular_pairs(model: TwistorModel):
 class _Family(NamedTuple):
     """Per-family fiber reducer, section sampler and singular-pair locator."""
 
-    reduce: Callable      # (model, x0, N, values, cfg) -> (sols, None) or ([], family)
+    reduce: Callable      # (model, x0, N, values, cfg) -> (points, None) or ([], family)
     method: str
     complete: bool
     sample: Callable      # (model, n, rng, cfg) -> list of parameter vectors

@@ -212,6 +212,20 @@ def test_newton_refuses_targets_off_the_incidence_slice(doubled):
         assert np.allclose(values, (4, 1, 2, 0.5), rtol=0, atol=1e-9)
 
 
+def test_newton_tol_above_the_membership_tolerance_is_refused(doubled):
+    # Newton rows stop within newton_tol*(1+|x|^2) and solve_fiber keeps the
+    # rows within member_tol = max(tol, 1e-8): a looser newton_tol would
+    # drop every Newton section, so the config refuses it; equal is allowed
+    with pytest.raises(ValueError, match=r"newton_tol 0\.0001 exceeds member_tol.*1e-08"):
+        SolveConfig(newton_tol=1e-4)
+    with pytest.raises(ValueError, match="newton_tol"):
+        SolveConfig(tol=1e-7, newton_tol=2e-7)
+    for cfg in (SolveConfig(newton_tol=1e-8), SolveConfig(tol=1e-7, newton_tol=1e-7)):
+        assert cfg.newton_tol == cfg.member_tol
+        res = solve_fiber(doubled, 0.4 - 0.3j, (4, 1, 2), cfg)
+        assert res.method == "newton-multistart" and len(res.solutions) == 2
+
+
 def test_solve_fiber_matches_newton_multistart(quadric, rng):
     cfg = SolveConfig(seed=3, multistart=60)
     for _ in range(3):
@@ -223,7 +237,7 @@ def test_solve_fiber_matches_newton_multistart(quadric, rng):
         (x0,), (nmat,) = _incidence_slice(
             *_incidence(quadric, [target.zeta], [target.values]), cfg.rank_rtol)
         newton, family = _newton_multistart(quadric, x0, nmat, target.values, cfg)
-        assert family is None and newton
+        assert family is None and len(newton)
         for sol in newton:
             assert min(np.linalg.norm(sol - np.asarray(c))
                        for c in closed.solutions) < 1e-6
@@ -905,6 +919,25 @@ def corrector_steps(monkeypatch):
 
     monkeypatch.setattr(analysis, "_lstsq_steps", counting)
     return rows
+
+
+@pytest.mark.parametrize("name,values,seed", [
+    ("doubled", "planted", 7), ("doubled", (0j, 0j, 0j), 7), ("a2_cone", (2, 4, 2), 0)])
+def test_gauss_newton_steps_only_moving_rows(name, values, seed, corrector_steps,
+                                             request):
+    # multistart Newton at the doubled cone's planted target, where rows
+    # only converge, at its vertex, and at a target of the A2 cone, where
+    # rows also stall: each pass steps the rows still moving, so no step
+    # gets an empty stack and the stepped row counts never increase
+    model = request.getfixturevalue(name)
+    pt = P1Point.std(0.4 - 0.3j)
+    if values == "planted":
+        planted = squaring_section(0.3 + 0.7j, -1.1 + 0.2j, "minus")
+        values = evaluate_section(model, planted, pt).values
+    res = solve_fiber(model, pt, values, SolveConfig(seed=seed))
+    assert res.method == "newton-multistart" and res.solutions
+    assert corrector_steps and min(corrector_steps) > 0
+    assert all(a >= b for a, b in zip(corrector_steps, corrector_steps[1:]))
 
 
 def test_double_step_finishes_classify_at_the_singular_root(deformed, corrector_steps,

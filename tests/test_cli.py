@@ -192,6 +192,26 @@ def test_standalone_nan_tolerance_exits_2(capsys):
     assert code == 2 and "'tol'" in err
 
 
+def test_newton_tol_above_the_membership_tolerance_exits_2(tmp_path, capsys):
+    # at newton_tol 1e-4 the Newton rows stop short of member_tol = 1e-8
+    # and every one is dropped, so the scenario is refused; newton_tol equal
+    # to member_tol still finds both sections of the doubled quadric
+    model = {"file": str(REPO / "tests" / "data" / "doubled-quadric.json")}
+    task = {"op": "solve-fiber", "zeta": "0.4-0.3j", "point": "4,1,2",
+            "expect": {"count": 2}}
+    scen = tmp_path / "s.json"
+    for newton_tol, want in ((1e-4, 2), (1e-8, 0)):
+        scen.write_text(json.dumps({"model": model, "tasks": [task],
+                                    "tolerances": {"newton_tol": newton_tol}}))
+        assert run_scenario(str(scen)) == want
+        captured = capsys.readouterr()
+        if want == 2:
+            assert "newton_tol 0.0001 exceeds member_tol" in captured.err
+            assert "1e-08" in captured.err and "Traceback" not in captured.err
+        else:
+            assert "[PASS] solve-fiber: count=2" in captured.out
+
+
 def test_failing_expectation_exits_1(tmp_path, capsys):
     doc = {"model": {"builtin": "quadric"}, "seed": 0,
            "tasks": [{"op": "solve-fiber", "zeta": "0",
