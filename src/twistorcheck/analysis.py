@@ -74,6 +74,9 @@ _MATRIX_TOL = 1e-9  # relative 2x2-minor test of the float sym_matrix_model
 # Gauss-Newton step norm ratios read as a halving (linear convergence)
 _HALVING_BAND = (0.45, 0.55)
 _EPS = float(np.finfo(float).eps)
+# det G / (tr G)^d above _CERT_MARGIN * c^2 certifies a Gram full rank
+# (derived in _lstsq_steps)
+_CERT_MARGIN = 1e3
 
 
 @dataclass(frozen=True)
@@ -229,29 +232,76 @@ def _linear_reduce(model: TwistorModel, x0, nmat, values, cfg: SolveConfig):
                                 shape=np.eye(len(nmat)), radius_sq=1.0)
 
 
-def _lstsq_steps(jac: np.ndarray, r: np.ndarray, rtol: float) -> np.ndarray:
+def _lstsq_steps(jac: np.ndarray, r: np.ndarray, rtol: float, certify=None):
     """Minimum-norm least-squares solutions of jac[k] @ step[k] = -r[k],
-    (k, m, d) and (k, m).
+    (k, m, d) and (k, m), and the mask of the rows certified full rank.
 
     Each system is first divided by its largest |jac[k]| entry (1 if
-    jac[k] is zero), which keeps its solution and its Gram matrix finite.
-    One stacked eigh of the d x d Gram matrices J^T J gives σ = √λ; a
-    direction is kept when σ passes numerical_rank at rtol, floored at the
-    Gram's own resolution √(eps·max(m, d)), since the Gram squares the
-    condition number.  Every product is a stacked matmul, one per system,
-    so systems never interact.
+    jac[k] is zero), which keeps its solution and its Gram matrix G = J^T J
+    finite.  A direction is kept when its σ = √λ of G passes numerical_rank
+    at c = max(rtol, √(eps·max(m, d))), the floor being the Gram's own
+    resolution, since the Gram squares the condition number.
+
+    The rows in ``certify`` (every row if None) first try a certificate of
+    full rank.  For a positive semidefinite G, λ_min/λ_max ≥ det G/(tr G)^d,
+    as λ_max ≤ tr G and det G ≤ λ_min·λ_max^(d-1).  A row with
+    det G > _CERT_MARGIN·c²·(tr G)^d keeps every direction, and its step
+    -G⁻¹·J^T r comes from one stacked LU solve.  The margin covers rounding.
+    The LU determinant is the exact determinant of G + E, ‖E‖ ≤ p·eps·λ_max,
+    and eigh's eigenvalues lie within q·eps·λ_max of G's, p and q of order
+    d² for these small Grams (Björck 1996).  If eigh finds rank < d,
+    λ_min ≤ (c² + 2q·eps)·λ_max; each singular value of G + E is within
+    p·eps·λ_max of a |λ_i|, so |det(G + E)| ≤ (c² + (2q + p)·eps)·(tr G)^d
+    ≤ (1 + 2q + p)·c²·(tr G)^d, because c² ≥ eps.  _CERT_MARGIN bounds
+    1 + 2q + p with room, so a certified row is one that eigh keeps at full
+    rank.  The bound is nearly tight at d = 2: on stacks straddling the
+    cutoff, rows that eigh calls rank deficient reach det G/(c²·(tr G)^d) =
+    1.01 there, and stay below 0.15 for d ≥ 3.  Every other row (a
+    zero-padded kernel direction, a zero or non-finite J, an ill-conditioned
+    Gram) takes its step from one stacked eigh, as the rank rule reads it.
+    Each product and factorization is a stacked gufunc, one matrix at a
+    time, so systems never interact.
     """
     peak = np.abs(jac).max(axis=(1, 2), initial=0.0)
     peak[peak == 0.0] = 1.0
     jac, r = jac / peak[:, None, None], r / peak[:, None]
     jact = jac.transpose(0, 2, 1)
-    lam, vec = np.linalg.eigh(jact @ jac)  # ascending; numerical_rank reads descending
+    # matmul computes J^T J from one buffer by syrk, about twice as slow on
+    # these stacks as gemm from a copy of J^T, with the same bits
+    gram, rhs = jact.copy() @ jac, jact @ r[:, :, None]
+    k, d = gram.shape[:2]
+    cut = max(rtol, math.sqrt(_EPS * max(jac.shape[1:])))
+    bound = _CERT_MARGIN * cut ** 2
+    tried = k if certify is None else np.count_nonzero(certify)
+    if tried == k:
+        certified = np.linalg.det(gram) > bound * gram.trace(axis1=1, axis2=2) ** d
+    elif tried:
+        certified = np.zeros(k, dtype=bool)
+        g = gram[certify]
+        certified[certify] = np.linalg.det(g) > bound * g.trace(axis1=1, axis2=2) ** d
+    else:
+        certified = certify
+    passed = np.count_nonzero(certified)
+    if passed == k:
+        return -np.linalg.solve(gram, rhs)[:, :, 0], certified
+    if not passed:
+        return _eigh_steps(gram, rhs, cut), certified
+    step = np.empty((k, d))
+    step[certified] = -np.linalg.solve(gram[certified], rhs[certified])[:, :, 0]
+    rest = ~certified
+    step[rest] = _eigh_steps(gram[rest], rhs[rest], cut)
+    return step, certified
+
+
+def _eigh_steps(gram: np.ndarray, rhs: np.ndarray, cut: float) -> np.ndarray:
+    """-G⁺·rhs for a stack of Gram matrices G (k, d, d) and rhs (k, d, 1), the
+    directions of one stacked eigh cut at numerical_rank's c = ``cut``."""
+    lam, vec = np.linalg.eigh(gram)  # ascending; numerical_rank reads descending
     d = lam.shape[1]
-    floor = math.sqrt(_EPS * max(jac.shape[1:]))
-    rank = numerical_rank(np.sqrt(np.maximum(lam[:, ::-1], 0.0)), max(rtol, floor))
+    rank = numerical_rank(np.sqrt(np.maximum(lam[:, ::-1], 0.0)), cut)
     inv = np.divide(-1.0, lam, out=np.zeros_like(lam),
                     where=np.arange(d) >= d - rank[:, None])
-    coef = inv[:, :, None] * (vec.transpose(0, 2, 1) @ (jact @ r[:, :, None]))
+    coef = inv[:, :, None] * (vec.transpose(0, 2, 1) @ rhs)
     return (vec @ coef)[:, :, 0]
 
 
@@ -299,7 +349,11 @@ def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig):
     the end, where the final convergence test evaluates the system.  A row
     whose step norm halved on two consecutive iterations, as at a singular
     root where Newton only halves the error, takes a double step (Griewank
-    1985).  Returns the final rows and a mask of the converged ones.
+    1985).  Each row tries the full-rank certificate of _lstsq_steps (one LU
+    solve instead of an eigh) until its Gram fails it once, and from then on
+    steps by eigh alone: rows near a rank drop, as on the A2 and A3 cones,
+    do not pay for a determinant on every pass.  Returns the final rows and
+    a mask of the converged ones.
     """
     x = np.array(x0, dtype=float)
     restricted = sys.on_slice(base, kernel)
@@ -309,10 +363,11 @@ def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig):
     active, ya = rows, y  # ya: the active rows of y, written back when one stops
     xa = restricted.points(y, rows)
     # per active row: its threshold (as in _converged), its last step norm,
-    # and whether that step halved
+    # whether that step halved, and whether every step so far was certified
     tol = cfg.newton_tol * (1.0 + (xa * xa).sum(axis=1))
     last = np.full(len(x), np.inf)
     halved = np.zeros(len(x), dtype=bool)
+    certify = np.ones(len(x), dtype=bool)
     lo, hi = _HALVING_BAND
     for _ in range(cfg.max_iter):
         r, jac = restricted.values(ya, active)
@@ -322,8 +377,8 @@ def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig):
         if not moving.all():
             y[active] = ya
             active, ya, r, jac = active[moving], ya[moving], r[moving], jac[moving]
-            last, halved = last[moving], halved[moving]
-        step = _lstsq_steps(jac, r, cfg.rank_rtol)
+            last, halved, certify = last[moving], halved[moving], certify[moving]
+        step, certify = _lstsq_steps(jac, r, cfg.rank_rtol, certify)
         norm = np.sqrt((step * step).sum(axis=1))  # np.linalg.norm, less overhead
         halving = (lo * last < norm) & (norm < hi * last)
         step[halving & halved] *= 2.0
@@ -335,7 +390,7 @@ def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig):
         if not moved.all():
             y[active] = ya
             active, ya, tol = active[moved], ya[moved], tol[moved]
-            last, halved = last[moved], halved[moved]
+            last, halved, certify = last[moved], halved[moved], certify[moved]
     y[active] = ya
     x = restricted.points(y, rows)
     return x, _converged(sys.residuals(x), x, cfg)
@@ -389,7 +444,12 @@ def solve_fiber(model: TwistorModel, zeta, target,
     power of two nearest its largest entry, solved at unit scale, and the
     solutions and family are multiplied back.  A family's points stay one
     stacked array through one membership test and the deduplication; only
-    the kept ones are scaled and sorted.
+    the kept ones are scaled and sorted.  Newton points are deduplicated at
+    max(dedup_radius, √newton_tol): a row stops once its residual is within
+    newton_tol, which leaves it about newton_tol/σ_min(J) from its root
+    (√newton_tol at a double root), so with a loose newton_tol two rows of
+    one root can lie farther apart than dedup_radius.  √1e-12 is the
+    default dedup_radius, 1e-6.
     """
     cfg = cfg or DEFAULT_CONFIG
     model = model.float_view()
@@ -420,7 +480,10 @@ def solve_fiber(model: TwistorModel, zeta, target,
         sols = fam.sample(_FAMILY_SAMPLES, np.random.default_rng(cfg.seed))
     pts = np.asarray(sols, dtype=float).reshape(len(sols), sys.nvars)
     pts = pts[sys.members(pts, cfg.member_tol)]
-    sols = [s * scale for s in _dedup(pts, cfg.dedup_radius)]
+    radius = cfg.dedup_radius
+    if family.reduce is _newton_multistart:
+        radius = max(radius, math.sqrt(cfg.newton_tol))
+    sols = [s * scale for s in _dedup(pts, radius)]
     if fam is not None:
         fam.center_params = fam.center_params * scale
         fam.basis_params = fam.basis_params * scale

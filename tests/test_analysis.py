@@ -226,6 +226,16 @@ def test_newton_tol_above_the_membership_tolerance_is_refused(doubled):
         assert res.method == "newton-multistart" and len(res.solutions) == 2
 
 
+def test_newton_duplicates_merge_at_a_loose_newton_tol(doubled):
+    # at newton_tol 1e-6 rows of one root stop 4-6e-6 apart, beyond
+    # dedup_radius 1e-6: Newton points are deduplicated at √newton_tol, so
+    # every seed finds the two sections once each
+    for seed in range(4):
+        cfg = SolveConfig(tol=1e-6, newton_tol=1e-6, seed=seed)
+        res = solve_fiber(doubled, 0.4 - 0.3j, (4, 1, 2), cfg)
+        assert res.method == "newton-multistart" and len(res.solutions) == 2
+
+
 def test_solve_fiber_matches_newton_multistart(quadric, rng):
     cfg = SolveConfig(seed=3, multistart=60)
     for _ in range(3):
@@ -354,29 +364,102 @@ def _relative_gap(got, want):
     return (np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)).max()
 
 
+def _conditioned_stack(rng, m, d, ratios):
+    """Systems J = U·diag(σ)·V^T (len(ratios), m, d) with σ_max = 1 and
+    σ_min = ratios[k], the rest log-uniform between, at scales 1e-3..1e3."""
+    k = len(ratios)
+    u = np.linalg.qr(rng.standard_normal((k, m, d)))[0]
+    v = np.linalg.qr(rng.standard_normal((k, d, d)))[0]
+    svals = np.asarray(ratios)[:, None] ** rng.uniform(0, 1, (k, d))
+    svals[:, 0], svals[:, -1] = 1.0, ratios
+    scale = 10.0 ** rng.uniform(-3, 3, (k, 1, 1))
+    return (u * svals[:, None, :]) @ v.transpose(0, 2, 1) * scale
+
+
+def _eigh_ranks(jac, rtol):
+    """The rank the eigh rule reads off each system's Gram, scaled and cut
+    as _lstsq_steps scales and cuts it."""
+    peak = np.abs(jac).max(axis=(1, 2), initial=0.0)
+    peak[peak == 0.0] = 1.0
+    jac = jac / peak[:, None, None]
+    lam = np.linalg.eigh(jac.transpose(0, 2, 1) @ jac)[0][:, ::-1]
+    cut = max(rtol, math.sqrt(np.finfo(float).eps * max(jac.shape[1:])))
+    return numerical_rank(np.sqrt(np.maximum(lam, 0.0)), cut)
+
+
 @pytest.mark.parametrize("m,d", [(7, 3), (9, 4), (6, 2)])
 def test_gram_steps_equal_the_pseudo_inverse(m, d):
     # random full-rank stacks of the tall shapes Gauss-Newton steps on, at
-    # scales 1e-3..1e3, with inconsistent right-hand sides
+    # scales 1e-3..1e3, with inconsistent right-hand sides: every row is
+    # certified full rank
     rng = np.random.default_rng(19)
     for _ in range(20):
         jac = rng.standard_normal((20, m, d)) * 10.0 ** rng.uniform(-3, 3, (20, 1, 1))
         r = rng.standard_normal((20, m)) * 10.0 ** rng.uniform(-3, 3, (20, 1))
-        got = analysis._lstsq_steps(jac, r, CFG.rank_rtol)
+        got, certified = analysis._lstsq_steps(jac, r, CFG.rank_rtol)
+        assert certified.all()
         assert _relative_gap(got, _pinv_steps(jac, r)) <= 1e-12
+    # well-conditioned rows mixed with rows whose σ_min/σ_max straddles the
+    # cutoff rank_rtol = 1e-7 and the certificate's own edge (1e-9..1e-4):
+    # no row is certified unless eigh keeps it at full rank, and every other
+    # row takes the eigh step itself, bit for bit
+    full = certified_full = 0
+    for _ in range(20):
+        ratios = np.where(rng.random(40) < 0.5, 10.0 ** rng.uniform(-9, -4, 40),
+                          10.0 ** rng.uniform(-2, 0, 40))
+        jac = _conditioned_stack(rng, m, d, ratios)
+        r = rng.standard_normal((40, m)) * 10.0 ** rng.uniform(-3, 3, (40, 1))
+        got, certified = analysis._lstsq_steps(jac, r, CFG.rank_rtol)
+        eigh, none = analysis._lstsq_steps(jac, r, CFG.rank_rtol, np.zeros(40, dtype=bool))
+        ranks = _eigh_ranks(jac, CFG.rank_rtol)
+        assert not none.any() and not (certified & (ranks < d)).any()
+        assert np.array_equal(got[~certified], eigh[~certified])
+        assert _relative_gap(got[certified], eigh[certified]) <= 1e-3
+        full += (ranks == d).sum()
+        certified_full += certified.sum()
+    # both paths and both rank decisions are exercised
+    assert 0 < certified_full < full < 20 * 40
+
+
+def test_gram_steps_of_a_mixed_stack_equal_one_row_calls():
+    # certified and eigh rows, zero columns and a zero Jacobian in one stack,
+    # with every row tried or some: each row's step and certificate are its
+    # one-row call's, bit for bit, and only tried rows are certified
+    rng = np.random.default_rng(19)
+    jac = _conditioned_stack(rng, 7, 3, 10.0 ** rng.uniform(-9, 0, 30))
+    jac[::5, :, 2] = 0.0
+    jac[7] = 0.0
+    r = rng.standard_normal((30, 7))
+    tried = rng.random(30) < 0.7
+    for certify in (None, tried):
+        got, certified = analysis._lstsq_steps(jac, r, CFG.rank_rtol, certify)
+        assert certified.any() and not certified.all()
+        assert not certified[::5].any() and not certified[7]
+        for i in range(30):
+            one = None if certify is None else certify[i:i + 1]
+            alone, cert = analysis._lstsq_steps(jac[i:i + 1], r[i:i + 1], CFG.rank_rtol, one)
+            assert np.array_equal(alone[0], got[i]) and cert[0] == certified[i]
+    assert not (certified & ~tried).any()
 
 
 def test_gram_steps_on_zero_columns_and_zero_jacobians():
     # a zero-padded kernel row of _incidence_slice is a zero column of the
-    # reduced Jacobian: the step has no component along it
+    # reduced Jacobian: the step has no component along it, and neither it
+    # nor a zero Jacobian is certified
     rng = np.random.default_rng(19)
     jac, r = rng.standard_normal((20, 7, 4)), rng.standard_normal((20, 7))
     jac[:, :, 3] = 0.0
-    got = analysis._lstsq_steps(jac, r, CFG.rank_rtol)
-    assert not got[:, 3].any()
+    got, certified = analysis._lstsq_steps(jac, r, CFG.rank_rtol)
+    assert not got[:, 3].any() and not certified.any()
     assert _relative_gap(got[:, :3], _pinv_steps(jac[:, :, :3], r)) <= 1e-12
-    zero = analysis._lstsq_steps(np.zeros((3, 7, 3)), r[:3], CFG.rank_rtol)
-    assert zero.shape == (3, 3) and not zero.any()
+    zero, certified = analysis._lstsq_steps(np.zeros((3, 7, 3)), r[:3], CFG.rank_rtol)
+    assert zero.shape == (3, 3) and not zero.any() and not certified.any()
+    # no slice directions, and no rows
+    none, certified = analysis._lstsq_steps(np.zeros((3, 7, 0)), r[:3], CFG.rank_rtol)
+    assert none.shape == (3, 0) and certified.shape == (3,)
+    empty, certified = analysis._lstsq_steps(np.zeros((0, 7, 3)), np.zeros((0, 7)),
+                                             CFG.rank_rtol)
+    assert empty.shape == (0, 3) and certified.shape == (0,)
 
 
 @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e300, 1e-300])
@@ -385,8 +468,8 @@ def test_gram_steps_are_scale_invariant(scale):
     # Jacobian with entries near 1e300 would overflow
     rng = np.random.default_rng(19)
     jac, r = rng.standard_normal((20, 7, 3)), rng.standard_normal((20, 7))
-    got = analysis._lstsq_steps(jac * scale, r * scale, CFG.rank_rtol)
-    assert _relative_gap(got, analysis._lstsq_steps(jac, r, CFG.rank_rtol)) <= 1e-12
+    got, _ = analysis._lstsq_steps(jac * scale, r * scale, CFG.rank_rtol)
+    assert _relative_gap(got, analysis._lstsq_steps(jac, r, CFG.rank_rtol)[0]) <= 1e-12
 
 
 def _dedup_loop(points, radius):
@@ -913,12 +996,28 @@ def corrector_steps(monkeypatch):
     rows = []
     original = analysis._lstsq_steps
 
-    def counting(jac, r, rtol):
+    def counting(jac, r, rtol, certify=None):
         rows.append(len(jac))
-        return original(jac, r, rtol)
+        return original(jac, r, rtol, certify)
 
     monkeypatch.setattr(analysis, "_lstsq_steps", counting)
     return rows
+
+
+@pytest.fixture()
+def step_certificates(monkeypatch):
+    """Per Gauss-Newton step: the rows stepped, tried and certified."""
+    calls = []
+    original = analysis._lstsq_steps
+
+    def recording(jac, r, rtol, certify=None):
+        step, certified = original(jac, r, rtol, certify)
+        tried = len(jac) if certify is None else int(certify.sum())
+        calls.append((len(jac), tried, int(certified.sum())))
+        return step, certified
+
+    monkeypatch.setattr(analysis, "_lstsq_steps", recording)
+    return calls
 
 
 @pytest.mark.parametrize("name,values,seed", [
@@ -938,6 +1037,26 @@ def test_gauss_newton_steps_only_moving_rows(name, values, seed, corrector_steps
     assert res.method == "newton-multistart" and res.solutions
     assert corrector_steps and min(corrector_steps) > 0
     assert all(a >= b for a, b in zip(corrector_steps, corrector_steps[1:]))
+
+
+@pytest.mark.parametrize("name,values", [
+    ("doubled", "planted"), ("a2_cone", (2, 4, 2)), ("a3_cone", (1, 16, 2))])
+def test_gauss_newton_retries_no_row_that_failed_its_certificate(
+        name, values, step_certificates, request):
+    # every step on the doubled cone is certified; on the A2 and A3 cones
+    # rows fail the certificate and take eigh from then on, so a pass tries
+    # at most the rows certified on the pass before
+    model = request.getfixturevalue(name)
+    pt = P1Point.std(0.4 - 0.3j)
+    if values == "planted":
+        planted = squaring_section(0.3 + 0.7j, -1.1 + 0.2j, "minus")
+        values = evaluate_section(model, planted, pt).values
+    res = solve_fiber(model, pt, values, SolveConfig(seed=7))
+    assert res.method == "newton-multistart" and res.solutions
+    rows, tried, certified = zip(*step_certificates)
+    assert tried[0] == rows[0] and all(c <= t for t, c in zip(tried, certified))
+    assert all(t <= c for t, c in zip(tried[1:], certified))
+    assert (certified == rows) == (name == "doubled")
 
 
 def test_double_step_finishes_classify_at_the_singular_root(deformed, corrector_steps,
