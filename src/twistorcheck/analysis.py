@@ -18,6 +18,7 @@ entry; the helpers below them see floats only.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,7 +76,7 @@ _MATRIX_TOL = 1e-9  # relative 2x2-minor test of the float sym_matrix_model
 _HALVING_BAND = (0.45, 0.55)
 _EPS = float(np.finfo(float).eps)
 # det G / (tr G)^d above _CERT_MARGIN * c^2 certifies a Gram full rank
-# (derived in _lstsq_steps)
+# (derived in _gram_steps)
 _CERT_MARGIN = 1e3
 
 
@@ -175,22 +176,22 @@ def _quadric_reduce(model: TwistorModel, x0, nmat, values, cfg: SolveConfig):
     where nu vanishes at the point and at its antipodal image, and its
     quadratic part is -q(y)·nu^2 for a positive definite q; so every
     fiber-row Hessian is a multiple c_r of one form Q, and the fiber rows
-    read F0 + L·y + c·rho with rho = y^T Q y / 2.  They are linear in
-    (y, rho), and on their solutions rho = y^T Q y / 2 is one quadric, so
-    the fiber is two points, one point, empty, or an ellipsoid family.  The
-    component rows are left to solve_fiber's membership filter.
+    read F0 + L·y + c·rho with rho = y^T Q y / 2, all read from the slice
+    form (on_slice): the system is quadratic, so fiber row r is ỹ^T M_r ỹ,
+    ỹ = (y, 1).  The rows are linear in (y, rho), and on their solutions
+    rho = y^T Q y / 2 is one quadric, centred by _incidence_slice: two
+    points, one point, empty, or an ellipsoid family.  The component rows
+    are left to solve_fiber's membership filter.
     """
-    sys = real_section_system(model)
-    rows, d = sys.fiber_rows, len(nmat)
-    # J is affine in x, so (J(N_i) - J(0))·N^T is exact; differencing at the
-    # origin avoids cancelling entries of size |x0|
-    jacs = sys.jacobian_at(np.vstack([x0, nmat, np.zeros_like(x0)]))[:, rows] @ nmat.T
-    hess = (jacs[1:-1] - jacs[-1]).transpose(1, 0, 2)  # hess[r] = N·H_r·N^T
+    sys, d = real_section_system(model), len(nmat)
+    coeffs = sys.on_slice(x0[None], nmat[None]).coeffs[0].reshape(d + 1, len(sys), d + 1)
+    mats = coeffs[:, sys.fiber_rows].transpose(1, 0, 2)  # M_r, see SliceSystem
+    hess = 2.0 * mats[:, :d, :d]
     form = hess[np.argmax((hess * hess).sum(axis=(1, 2)))]
     form = form * np.sign(np.trace(form))  # Q, positive definite
-    tmat = np.column_stack([jacs[0], np.einsum("rij,ij->r", hess, form)
+    tmat = np.column_stack([2.0 * mats[:, :d, d], np.einsum("rij,ij->r", hess, form)
                             / (form * form).sum()])
-    rhs = -sys.residuals(x0)[rows]
+    rhs = -mats[:, d, d]
     (base,), (kernel,) = _incidence_slice(tmat[None], rhs[None], cfg.rank_rtol)
     resid_scale = 1.0 + np.linalg.norm(rhs) + np.linalg.norm(tmat)
     if np.linalg.norm(tmat @ base - rhs) > 1e-8 * resid_scale:
@@ -201,7 +202,7 @@ def _quadric_reduce(model: TwistorModel, x0, nmat, values, cfg: SolveConfig):
     pmat = kernel @ dmat @ kernel.T
     qvec = 2.0 * kernel @ dmat @ base - kernel[:, d]
     cval = float(base @ dmat @ base - base[d])
-    center, *_ = np.linalg.lstsq(pmat, -qvec / 2.0, rcond=None)
+    (center,), _ = _incidence_slice(pmat[None], -qvec[None] / 2.0, cfg.rank_rtol)
     val = cval + qvec @ center + center @ pmat @ center
     vtol = cfg.tol * (1.0 + abs(cval) + np.linalg.norm(base) ** 2)
 
@@ -232,7 +233,7 @@ def _linear_reduce(model: TwistorModel, x0, nmat, values, cfg: SolveConfig):
                                 shape=np.eye(len(nmat)), radius_sq=1.0)
 
 
-def _lstsq_steps(jac: np.ndarray, r: np.ndarray, rtol: float, certify=None):
+def _gram_steps(jac: np.ndarray, r: np.ndarray, rtol: float, certify=None):
     """Minimum-norm least-squares solutions of jac[k] @ step[k] = -r[k],
     (k, m, d) and (k, m), and the mask of the rows certified full rank.
 
@@ -305,11 +306,6 @@ def _eigh_steps(gram: np.ndarray, rhs: np.ndarray, cut: float) -> np.ndarray:
     return (vec @ coef)[:, :, 0]
 
 
-def _converged(r: np.ndarray, x: np.ndarray, cfg: SolveConfig) -> np.ndarray:
-    scale = 1.0 + (x * x).sum(axis=1)
-    return np.abs(r).max(axis=1, initial=0.0) <= cfg.newton_tol * scale
-
-
 def _incidence_slice(amats, rhs, rtol: float):
     """The solutions of each incidence block amats[k] @ x = rhs[k], (k, r, n)
     and (k, r), as a slice base[k] + kernel[k]·y: the fiber targets of
@@ -345,11 +341,11 @@ def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig):
     newton_tol*(1+|x|^2), kept from the pass that formed its x, or its step
     stalls.  The per-row state is masked only on a pass where some row
     stops.  Each pass forms x = base + y·kernel of the rows it stepped, for
-    their thresholds and the stall test; x of every row is formed once, at
-    the end, where the final convergence test evaluates the system.  A row
+    their thresholds and the stall test; at the end every row is evaluated
+    once more on its slice, for the converged mask, and its x formed.  A row
     whose step norm halved on two consecutive iterations, as at a singular
     root where Newton only halves the error, takes a double step (Griewank
-    1985).  Each row tries the full-rank certificate of _lstsq_steps (one LU
+    1985).  Each row tries the full-rank certificate of _gram_steps (one LU
     solve instead of an eigh) until its Gram fails it once, and from then on
     steps by eigh alone: rows near a rank drop, as on the A2 and A3 cones,
     do not pay for a determinant on every pass.  Returns the final rows and
@@ -362,8 +358,8 @@ def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig):
     rows = np.arange(len(x))
     active, ya = rows, y  # ya: the active rows of y, written back when one stops
     xa = restricted.points(y, rows)
-    # per active row: its threshold (as in _converged), its last step norm,
-    # whether that step halved, and whether every step so far was certified
+    # per active row: its threshold, its last step norm, whether that step
+    # halved, and whether every step so far was certified
     tol = cfg.newton_tol * (1.0 + (xa * xa).sum(axis=1))
     last = np.full(len(x), np.inf)
     halved = np.zeros(len(x), dtype=bool)
@@ -378,7 +374,7 @@ def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig):
             y[active] = ya
             active, ya, r, jac = active[moving], ya[moving], r[moving], jac[moving]
             last, halved, certify = last[moving], halved[moving], certify[moving]
-        step, certify = _lstsq_steps(jac, r, cfg.rank_rtol, certify)
+        step, certify = _gram_steps(jac, r, cfg.rank_rtol, certify)
         norm = np.sqrt((step * step).sum(axis=1))  # np.linalg.norm, less overhead
         halving = (lo * last < norm) & (norm < hi * last)
         step[halving & halved] *= 2.0
@@ -392,8 +388,10 @@ def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig):
             active, ya, tol = active[moved], ya[moved], tol[moved]
             last, halved, certify = last[moved], halved[moved], certify[moved]
     y[active] = ya
+    r, _ = restricted.values(y, rows)
     x = restricted.points(y, rows)
-    return x, _converged(sys.residuals(x), x, cfg)
+    tol = cfg.newton_tol * (1.0 + (x * x).sum(axis=1))
+    return x, np.abs(r).max(axis=1, initial=0.0) <= tol
 
 
 def _dedup(points, radius):
@@ -459,6 +457,8 @@ def solve_fiber(model: TwistorModel, zeta, target,
     values = tuple(complex(v) for v in target)
     if len(values) != len(model.degrees):
         raise DimensionError("fiber value count differs from coordinate count")
+    if not all(map(cmath.isfinite, (given.value,) + values)):
+        raise FiberError("the base point and the fiber values must be finite")
     pt = given.canonical()
     if pt is not given:
         values = tuple(v * pt.value ** k for v, k in zip(values, model.degrees))
@@ -483,7 +483,13 @@ def solve_fiber(model: TwistorModel, zeta, target,
     radius = cfg.dedup_radius
     if family.reduce is _newton_multistart:
         radius = max(radius, math.sqrt(cfg.newton_tol))
-    sols = [s * scale for s in _dedup(pts, radius)]
+    sols = _dedup(pts, radius)
+    # exact, as scale is a power of two; scaling down never overflows
+    limit = np.finfo(float).max / max(scale, 1.0)
+    scaled = sols + ([fam.center_params, fam.basis_params] if fam is not None else [])
+    if any(np.abs(a).max(initial=0.0) > limit for a in scaled):
+        raise FiberError("the solutions overflow the float range once scaled back")
+    sols = [s * scale for s in sols]
     if fam is not None:
         fam.center_params = fam.center_params * scale
         fam.basis_params = fam.basis_params * scale

@@ -250,13 +250,15 @@ def _op_singular_scan(args, model, cfg):
     return numbers, {"clusters": rep.clusters, "skipped": rep.skipped}
 
 
+_QUADRIC_LAYOUT = "the quadric parameter layout (degrees 2, 2, 2 with the swap/minus rules)"
+
+
 def _section(args, model):
     """The section's parameters, from 'params' or a quadric 'section'."""
     if "params" in args:
         return np.array(args["params"])
     if model is not None and not model.quadric_layout:
-        raise ScenarioError("coefficient tuples require the quadric parameter "
-                            "layout (degrees 2, 2, 2 with the swap/minus rules); "
+        raise ScenarioError(f"coefficient tuples require {_QUADRIC_LAYOUT}; "
                             "use 'params' otherwise")
     return args["section"]
 
@@ -292,6 +294,8 @@ def _op_matrix_model(args, model, cfg):
                    "displayed_form_residual": rep.displayed_residual_norm,
                    "product_identity_residual": rep.product_identity_norm}
         return numbers, {"b": rep.b}
+    if model is not None and not model.quadric_layout:
+        raise ScenarioError(f"matrix models require {_QUADRIC_LAYOUT}")
     section = _section(args, model)
     label = args.get("label")
     if label is None:

@@ -18,7 +18,8 @@ from .errors import (DegreeError, ModelError, NonInvolutiveError, RealityError,
 from .exactla import numerical_rank
 from .mpoly import MPoly
 from .projline import (CoeffPoly, P1Point, SectionBasis, SigmaCoordRule,
-                       check_rule_parity, reality_fixed_space, tau_pullback)
+                       check_bundle_degrees, check_rule_parity, reality_fixed_space,
+                       tau_pullback)
 from .scalars import GaussianRational, abs2, is_exact, make_complex
 
 
@@ -95,6 +96,7 @@ class TwistorModel:
 
     def __init__(self, name, degrees, coordinates, rules, equations,
                  component_equations=(), exact=False, lam=None, reality=None):
+        check_bundle_degrees(degrees)
         self.name = name
         self.degrees = tuple(degrees)
         self.coordinates = tuple(coordinates)
@@ -106,7 +108,7 @@ class TwistorModel:
         self.reality = reality
         self.quadric_layout = self.degrees == (2, 2, 2) and self.rules == _QUADRIC_RULES
         self.family, self.mu, self.expected_regular_rank = _recognise_family(
-            self.quadric_layout, self.equations)
+            self.quadric_layout, self.equations, self.component_equations)
         form_degrees = [{sum(exps) for exps, _ in eq.monomials}
                         for eq in self.equations]
         form_degrees += [{sum(exps) for exps in comp.terms}
@@ -152,16 +154,18 @@ _QUADRIC_RULES = (SigmaCoordRule(1, 1, 2), SigmaCoordRule(0, 1, 2),
                   SigmaCoordRule(2, -1, 2))
 
 
-def _recognise_family(quadric_layout: bool, equations):
+def _recognise_family(quadric_layout: bool, equations, component_equations):
     """(family, mu, expected_regular_rank) of a model's closed-form family.
 
     Equation-free bundles are "linear"; a model in the quadric layout with
-    the single equation x*y = z^2 + mu (coefficients exactly 1 and -1) is
+    the single equation x*y = z^2 + mu (coefficients exactly 1 and -1) and a
+    quadratic real system (component equations of degree <= 2) is
     "quadric"; anything else is (None, None, None) and falls back to Newton.
     """
     if not equations:
         return "linear", None, 0
-    if not quadric_layout or len(equations) != 1:
+    if not quadric_layout or len(equations) != 1 or any(
+            sum(exps) > 2 for comp in component_equations for exps in comp.terms):
         return None, None, None
     eq = equations[0]
     if eq.twist != 4:

@@ -186,6 +186,13 @@ def tau_pullback(s: CoeffPoly, rule: SigmaCoordRule) -> CoeffPoly:
     return CoeffPoly(k, out)
 
 
+def check_bundle_degrees(degrees):
+    """Refuse a negative bundle degree, which has no sections; raises DegreeError."""
+    for k in degrees:
+        if k < 0:
+            raise DegreeError(f"bundle degree {k} is negative")
+
+
 def check_rule_parity(degrees, rules):
     """Validate that the rules define an involution; raises NonInvolutiveError."""
     n = len(degrees)
@@ -224,6 +231,7 @@ class SectionBasis:
     """
 
     def __init__(self, degrees, rules, names=None, exact: bool = False):
+        check_bundle_degrees(degrees)
         check_rule_parity(degrees, rules)
         self.degrees = tuple(degrees)
         self.rules = tuple(rules)

@@ -201,6 +201,11 @@ class SliceSystem:
     _folding).  So C = (∂r/∂ỹ) / D is read as C·ỹ^(D-1), and by Euler's
     relation r = C·ỹ^(D-1)·ỹ and ∂r/∂y = D·C·ỹ^(D-1) without its ones slot.
     A zero kernel row (the padding of a smaller kernel) gives a zero column.
+    ``coeffs`` (S, P, E·(d + 1)) holds C: coeffs[s, p, e·(d + 1) + q] is the
+    coefficient of ỹ^lows[p]·ỹ_q in residual e.  For a system of degree 2
+    (D = 2) the monomials ỹ^p are the slots ỹ_p themselves, so
+    coeffs[s].reshape(d + 1, E, d + 1)[:, e] is a matrix M_e, symmetric up
+    to rounding, with residual e = ỹ^T M_e ỹ on slice s.
     """
 
     def __init__(self, jac: "_Block", base: np.ndarray, kernel: np.ndarray):

@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -87,6 +88,42 @@ def test_solve_fiber_two_to_one_examples(quadric):
 def test_solve_fiber_rejects_off_fiber(quadric):
     with pytest.raises(FiberError):
         solve_fiber(quadric, 0j, (1, 1, 0.5), CFG)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1, math.nan),
+                                 complex(0, -math.inf)])
+def test_solve_fiber_rejects_non_finite_values(quadric, deformed, doubled, bad):
+    # NaN or infinite values used to give "0 sections, complete", as if the
+    # target were off its slice
+    for model in (quadric, deformed, doubled):
+        for i in range(3):
+            values = [1, 1, 1]
+            values[i] = bad
+            with pytest.raises(FiberError, match="finite"):
+                solve_fiber(model, 0.4 - 0.3j, values, CFG)
+
+
+@pytest.mark.parametrize("zeta", [math.nan, complex(0, math.nan), math.inf,
+                                  complex(-math.inf, 1), P1Point.inf(complex(math.nan, 0)),
+                                  P1Point.std(complex(1, math.inf))])
+def test_solve_fiber_rejects_a_non_finite_zeta(quadric, doubled, zeta):
+    # a NaN base point used to end in a LinAlgError from the incidence SVD
+    for model in (quadric, doubled):
+        with pytest.raises(FiberError, match="finite"):
+            solve_fiber(model, zeta, (1, 1, 1), CFG)
+
+
+def test_solve_fiber_refuses_solutions_beyond_the_float_range(quadric, smooth):
+    # the target rescales to unit size, but its two sections have entries of
+    # about 2·1e308, which do not fit once scaled back; no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FiberError, match="overflow"):
+            solve_fiber(quadric, 0j, (1e308, 1e308, 1e308), CFG)
+        # entries up to the largest float are still returned
+        assert len(solve_fiber(quadric, 0j, (1e307, 1e307, 1e307), CFG).solutions) == 2
+        res = solve_fiber(smooth, 0j, (1e308, -1e308), CFG)
+        assert np.abs(res.solutions[0]).max() == 1e308
 
 
 def test_solve_fiber_counts_with_labels(quadric, rng):
@@ -378,7 +415,7 @@ def _conditioned_stack(rng, m, d, ratios):
 
 def _eigh_ranks(jac, rtol):
     """The rank the eigh rule reads off each system's Gram, scaled and cut
-    as _lstsq_steps scales and cuts it."""
+    as _gram_steps scales and cuts it."""
     peak = np.abs(jac).max(axis=(1, 2), initial=0.0)
     peak[peak == 0.0] = 1.0
     jac = jac / peak[:, None, None]
@@ -396,7 +433,7 @@ def test_gram_steps_equal_the_pseudo_inverse(m, d):
     for _ in range(20):
         jac = rng.standard_normal((20, m, d)) * 10.0 ** rng.uniform(-3, 3, (20, 1, 1))
         r = rng.standard_normal((20, m)) * 10.0 ** rng.uniform(-3, 3, (20, 1))
-        got, certified = analysis._lstsq_steps(jac, r, CFG.rank_rtol)
+        got, certified = analysis._gram_steps(jac, r, CFG.rank_rtol)
         assert certified.all()
         assert _relative_gap(got, _pinv_steps(jac, r)) <= 1e-12
     # well-conditioned rows mixed with rows whose σ_min/σ_max straddles the
@@ -409,8 +446,8 @@ def test_gram_steps_equal_the_pseudo_inverse(m, d):
                           10.0 ** rng.uniform(-2, 0, 40))
         jac = _conditioned_stack(rng, m, d, ratios)
         r = rng.standard_normal((40, m)) * 10.0 ** rng.uniform(-3, 3, (40, 1))
-        got, certified = analysis._lstsq_steps(jac, r, CFG.rank_rtol)
-        eigh, none = analysis._lstsq_steps(jac, r, CFG.rank_rtol, np.zeros(40, dtype=bool))
+        got, certified = analysis._gram_steps(jac, r, CFG.rank_rtol)
+        eigh, none = analysis._gram_steps(jac, r, CFG.rank_rtol, np.zeros(40, dtype=bool))
         ranks = _eigh_ranks(jac, CFG.rank_rtol)
         assert not none.any() and not (certified & (ranks < d)).any()
         assert np.array_equal(got[~certified], eigh[~certified])
@@ -432,12 +469,12 @@ def test_gram_steps_of_a_mixed_stack_equal_one_row_calls():
     r = rng.standard_normal((30, 7))
     tried = rng.random(30) < 0.7
     for certify in (None, tried):
-        got, certified = analysis._lstsq_steps(jac, r, CFG.rank_rtol, certify)
+        got, certified = analysis._gram_steps(jac, r, CFG.rank_rtol, certify)
         assert certified.any() and not certified.all()
         assert not certified[::5].any() and not certified[7]
         for i in range(30):
             one = None if certify is None else certify[i:i + 1]
-            alone, cert = analysis._lstsq_steps(jac[i:i + 1], r[i:i + 1], CFG.rank_rtol, one)
+            alone, cert = analysis._gram_steps(jac[i:i + 1], r[i:i + 1], CFG.rank_rtol, one)
             assert np.array_equal(alone[0], got[i]) and cert[0] == certified[i]
     assert not (certified & ~tried).any()
 
@@ -449,15 +486,15 @@ def test_gram_steps_on_zero_columns_and_zero_jacobians():
     rng = np.random.default_rng(19)
     jac, r = rng.standard_normal((20, 7, 4)), rng.standard_normal((20, 7))
     jac[:, :, 3] = 0.0
-    got, certified = analysis._lstsq_steps(jac, r, CFG.rank_rtol)
+    got, certified = analysis._gram_steps(jac, r, CFG.rank_rtol)
     assert not got[:, 3].any() and not certified.any()
     assert _relative_gap(got[:, :3], _pinv_steps(jac[:, :, :3], r)) <= 1e-12
-    zero, certified = analysis._lstsq_steps(np.zeros((3, 7, 3)), r[:3], CFG.rank_rtol)
+    zero, certified = analysis._gram_steps(np.zeros((3, 7, 3)), r[:3], CFG.rank_rtol)
     assert zero.shape == (3, 3) and not zero.any() and not certified.any()
     # no slice directions, and no rows
-    none, certified = analysis._lstsq_steps(np.zeros((3, 7, 0)), r[:3], CFG.rank_rtol)
+    none, certified = analysis._gram_steps(np.zeros((3, 7, 0)), r[:3], CFG.rank_rtol)
     assert none.shape == (3, 0) and certified.shape == (3,)
-    empty, certified = analysis._lstsq_steps(np.zeros((0, 7, 3)), np.zeros((0, 7)),
+    empty, certified = analysis._gram_steps(np.zeros((0, 7, 3)), np.zeros((0, 7)),
                                              CFG.rank_rtol)
     assert empty.shape == (0, 3) and certified.shape == (0,)
 
@@ -468,8 +505,8 @@ def test_gram_steps_are_scale_invariant(scale):
     # Jacobian with entries near 1e300 would overflow
     rng = np.random.default_rng(19)
     jac, r = rng.standard_normal((20, 7, 3)), rng.standard_normal((20, 7))
-    got, _ = analysis._lstsq_steps(jac * scale, r * scale, CFG.rank_rtol)
-    assert _relative_gap(got, analysis._lstsq_steps(jac, r, CFG.rank_rtol)[0]) <= 1e-12
+    got, _ = analysis._gram_steps(jac * scale, r * scale, CFG.rank_rtol)
+    assert _relative_gap(got, analysis._gram_steps(jac, r, CFG.rank_rtol)[0]) <= 1e-12
 
 
 def _dedup_loop(points, radius):
@@ -536,13 +573,16 @@ def test_newton_rows_stay_on_their_incidence_blocks(doubled, deformed, smooth,
     for _, amats, rhs, _, _, x in newton_calls:
         assert _on_incidence(x, amats, rhs)
     closed = [c for c in calls if len(c) == 5]
-    # each quadric solve slices twice: its target in the 9 parameters, then
-    # its linear stage in (y, rho) on that slice; the solves are the target,
-    # the smooth-o11 target (4 parameters, the equation-free reducer), the
-    # quadric classify's three vertex pairs and the deformed one
+    # each quadric solve slices three times: its target in the 9 parameters,
+    # its linear stage in (y, rho) on that slice, and the centre of its
+    # quadric on that stage's kernel (1 direction at the target's two points,
+    # 3 at a vertex family); the solves are the target, the smooth-o11 target
+    # (4 parameters, the equation-free reducer), the quadric classify's three
+    # vertex pairs and the deformed one
     quadric = [("solve_fiber", 9), ("_quadric_reduce", 4)]
     assert [(c[0], c[1].shape[-1]) for c in closed] == (
-        quadric + [("solve_fiber", 4)] + quadric * 4)
+        quadric + [("_quadric_reduce", 1), ("solve_fiber", 4)]
+        + (quadric + [("_quadric_reduce", 3)]) * 4)
     for _, amats, rhs, base, kernel in closed:
         # every block here comes from a target on a real section: consistent
         assert _on_incidence(base, amats, rhs)
@@ -994,13 +1034,13 @@ def test_classify_runs_one_gauss_newton_call(newton_rows):
 def corrector_steps(monkeypatch):
     """Row counts of the Gauss-Newton steps taken while the test runs."""
     rows = []
-    original = analysis._lstsq_steps
+    original = analysis._gram_steps
 
     def counting(jac, r, rtol, certify=None):
         rows.append(len(jac))
         return original(jac, r, rtol, certify)
 
-    monkeypatch.setattr(analysis, "_lstsq_steps", counting)
+    monkeypatch.setattr(analysis, "_gram_steps", counting)
     return rows
 
 
@@ -1008,7 +1048,7 @@ def corrector_steps(monkeypatch):
 def step_certificates(monkeypatch):
     """Per Gauss-Newton step: the rows stepped, tried and certified."""
     calls = []
-    original = analysis._lstsq_steps
+    original = analysis._gram_steps
 
     def recording(jac, r, rtol, certify=None):
         step, certified = original(jac, r, rtol, certify)
@@ -1016,7 +1056,7 @@ def step_certificates(monkeypatch):
         calls.append((len(jac), tried, int(certified.sum())))
         return step, certified
 
-    monkeypatch.setattr(analysis, "_lstsq_steps", recording)
+    monkeypatch.setattr(analysis, "_gram_steps", recording)
     return calls
 
 

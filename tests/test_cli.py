@@ -576,6 +576,48 @@ def test_model_file_without_rules_exits_2(tmp_path, capsys):
     assert "'rules'" in capsys.readouterr().err
 
 
+def test_negative_bundle_degree_exits_2(tmp_path, capsys):
+    # a basis of O(-2) used to fail with an IndexError, which exited 1
+    doc = {"degrees": [-2], "rules": [{"target": 0, "sign": 1}]}
+    mpath = tmp_path / "model.json"
+    mpath.write_text(json.dumps(doc))
+    assert main(["validate", "--model", str(mpath)]) == 2
+    spath = tmp_path / "scenario.json"
+    spath.write_text(json.dumps({"model": {"inline": doc}, "tasks": [{"op": "validate"}]}))
+    assert main(["run", str(spath)]) == 2
+    assert capsys.readouterr().err.count("bundle degree -2 is negative") == 2
+
+
+def test_solutions_beyond_the_float_range_exit_2(capsys):
+    # the two sections have entries of about 2·1e308; the report used to
+    # carry -Infinity, which is not JSON, and exit 0
+    assert main(["solve-fiber", "--model", "quadric", "--zeta", "0",
+                 "--point", "1e308,1e308,1e308"]) == 2
+    captured = capsys.readouterr()
+    assert "overflow the float range" in captured.err and captured.out == ""
+
+
+def test_matrix_model_needs_the_quadric_layout(tmp_path, capsys):
+    # nine parameters in another layout (the self-paired model of
+    # test_quadric_tuples_only_in_the_quadric_layout) are no quadric section:
+    # matrix-model refuses them as params, as it refuses coefficient tuples
+    path = REPO / "tests" / "data" / "self-paired.json"
+    model = serialize.load_model_file(str(path))
+    assert model.nparams == 9 and not model.quadric_layout
+    params = ["--params", "1,0,0,0,0,0,0,0,1"]
+    assert main(["matrix-model", "--model", str(path), *params]) == 2
+    assert "matrix models require the quadric parameter layout" in capsys.readouterr().err
+    assert main(["matrix-model", "--model", "quadric", *params]) == 0
+    # the oracle reads no model; without a model the params are taken as given
+    code, task = _standalone_task(["matrix-model", "--model", str(path),
+                                   "--oracle-q", "1,2,3,4"], tmp_path)
+    assert code == 0 and task["numbers"]["rank_a"] == 1
+    report = run_scenario_doc({"tasks": [{"op": "matrix-model",
+                                          "params": [1, 0, 0, 0, 0, 0, 0, 0, 1]}]})
+    assert report["tasks"][0]["numbers"]["label"] == 1
+    capsys.readouterr()
+
+
 def test_cone_glue_default_rules_need_three_weights(capsys):
     assert main(["cone-glue", "--weights", "1,1"]) == 2
     assert "three weights" in capsys.readouterr().err

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistorcheck import (CoeffPoly, DegreeError, GaussianRational,
+from twistorcheck import (CoeffPoly, DegreeError, FiberEquation, GaussianRational,
                           ModelError, NonInvolutiveError, RealityError, ScenarioError,
-                          SigmaCoordRule, TwistorModel,
+                          SectionBasis, SigmaCoordRule, TwistorModel,
                           WeightError, build_deformed, build_quadric,
                           build_smooth_o11, glue_cone_twistor,
                           lambda_reality_type, models_structurally_equal,
                           quadric_params, squaring_section, validate_model)
-from twistorcheck.models import sigma_transform
+from twistorcheck.models import _equations_match, sigma_transform
+from twistorcheck.mpoly import MPoly
 from twistorcheck.serialize import decode_scalar, model_from_dict, model_to_dict
 from twistorcheck.systems import real_section_system
 
@@ -70,6 +71,70 @@ def test_self_paired_odd_degree_rejected():
     rules = (SigmaCoordRule(0, 1, 1),)
     with pytest.raises(NonInvolutiveError):
         TwistorModel("bad", (1,), ("u",), rules, ()).section_basis
+
+
+@pytest.mark.parametrize("degrees", [(-2,), (2, -1), (-4, -4)])
+def test_negative_bundle_degrees_are_refused(degrees):
+    # O(k) with k < 0 has no sections; the basis used to fail with an
+    # IndexError, outside TwistorCheckError
+    rules = tuple(SigmaCoordRule(i, 1, k) for i, k in enumerate(degrees))
+    names = [f"u{i}" for i in range(len(degrees))]
+    with pytest.raises(DegreeError, match="negative"):
+        TwistorModel("bad", degrees, names, rules, ())
+    with pytest.raises(DegreeError, match="negative"):
+        SectionBasis(degrees, rules)
+    doc = {"degrees": list(degrees),
+           "rules": [{"target": r.partner, "sign": r.sign} for r in rules]}
+    for comps in ([], [[{"exponents": [], "coeff": 1}]]):  # the basis is built first
+        with pytest.raises(DegreeError, match="negative"):
+            model_from_dict({**doc, "componentEquations": comps})
+
+
+def test_validate_model_reports_a_parity_failure(quadric):
+    # validate_model never raises: a rule set that is no involution is a
+    # failed "parity" check, and no later check runs
+    for rules, why in (((SigmaCoordRule(1, -1, 2), SigmaCoordRule(0, 1, 2),
+                         SigmaCoordRule(2, -1, 2)), "sign parity"),
+                       ((SigmaCoordRule(1, 1, 2), SigmaCoordRule(0, 1, 2)),
+                        "one rule per coordinate")):
+        model = TwistorModel("bad", quadric.degrees, quadric.coordinates, rules,
+                             quadric.equations)
+        rep = validate_model(model)
+        assert not rep.passed and len(rep.failures) == 1
+        assert rep.failures[0]["check"] == "parity" and why in rep.failures[0]["message"]
+        assert rep.equation_signs == [] and rep.info == {}
+
+
+def test_validate_model_reports_each_twist_inconsistent_equation(quadric):
+    # z of degree 2 has weight 2, so z·1 has degree 2 + 0 in an equation of
+    # twist 4; each such equation is reported, and the sigma check is skipped
+    one = CoeffPoly.const(0, 1.0)
+    short = FiberEquation(4, (((1, 1, 0), one), ((0, 0, 1), one)))
+    wrong_length = FiberEquation(4, (((1, 1), one),))
+    model = TwistorModel("bad", quadric.degrees, quadric.coordinates, quadric.rules,
+                         (quadric.equations[0], short, wrong_length))
+    rep = validate_model(model)
+    assert not rep.passed
+    assert [f["check"] for f in rep.failures] == ["twist_consistency"] * 2
+    assert rep.failures[0]["message"].startswith("equation 1: monomial (0, 0, 1)")
+    assert rep.failures[1]["message"] == "equation 2: monomial exponent length mismatch"
+    assert rep.equation_signs == []
+
+
+def test_equations_match_a_monomial_of_one_equation_only(quadric):
+    eq = quadric.equations[0]
+    negated = FiberEquation(4, tuple((e, c.scale(-1)) for e, c in eq.monomials))
+    zero = FiberEquation(4, eq.monomials + (((0, 0, 0), CoeffPoly.zero(4)),))
+    mu = FiberEquation(4, eq.monomials + (((0, 0, 0), CoeffPoly(4, [1, 0, 0, 0, 0])),))
+    # a monomial with a zero coefficient in one equation only is absent
+    assert _equations_match(zero, eq, 1e-12) == _equations_match(eq, zero, 1e-12) == 1
+    assert _equations_match(zero, negated, 1e-12) == -1
+    # a nonzero one, on either side, matches no sign
+    assert _equations_match(mu, eq, 1e-12) is None
+    assert _equations_match(eq, mu, 1e-12) is None
+    assert _equations_match(negated, mu, 1e-12) is None
+    assert not models_structurally_equal(build_deformed([1j, 0, -1j], "antireal"),
+                                         quadric)
 
 
 def test_deformed_antireal_accepted():
@@ -279,3 +344,14 @@ def test_quadric_layout_is_the_parameter_layout_of_quadric_params():
                                tuple(SigmaCoordRule(i, 1, 2) for i in range(3)), ())
     assert self_paired.nparams == 9 and not self_paired.quadric_layout
     assert not build_smooth_o11().quadric_layout
+
+
+def test_quadric_family_needs_a_quadratic_system(quadric):
+    # the closed form reads each fiber row as a quadratic form on the slice,
+    # so a component equation of degree 3 sends the model to Newton; one of
+    # degree at most 2, like the quadric's own, keeps the family
+    x0, r = (MPoly(9, {tuple(int(i == j) for i in range(9)): 1}) for j in (0, 8))
+    for comp, family in ((x0 * r, "quadric"), (x0 * r * r, None)):
+        model = TwistorModel("q", quadric.degrees, quadric.coordinates, quadric.rules,
+                             quadric.equations, component_equations=(comp,))
+        assert model.family == family
