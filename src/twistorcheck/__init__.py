@@ -14,7 +14,7 @@ from .analysis import (BranchReport, FamilyDescriptor, FiberPoint,
                        branch_test, classify_hypercomplex, component_label,
                        evaluate_section, normal_splitting,
                        rank_one_matrix_oracle, sample_sections, singular_scan,
-                       solve_fiber, sym_matrix_model)
+                       solve_fiber, solve_fibers, sym_matrix_model)
 from .errors import (DegreeError, DimensionError, FiberError, GroupAxiomError,
                      ModelError, NonInvolutiveError, OriginError, RealityError,
                      ScenarioError, TwistorCheckError, WeightError)

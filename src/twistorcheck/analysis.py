@@ -5,12 +5,17 @@ tests, normal-sheaf splitting and the hypercomplex/weakly-hypercomplex
 classification pipeline.  The family table ``_FAMILIES`` holds closed-form
 fiber solvers for the quadric family (x*y = z^2 + mu) and for equation-free
 bundles; everything else falls back to seeded multistart Newton.
-``solve_fiber`` slices each target once, to x0 + y·N (``_incidence_slice``),
-and refuses a target off its slice for every solver; Newton steps inside
-the slice, an equation-free bundle's fiber is the slice, and the quadric
-reducer solves its fiber rows there.
+``solve_fibers`` solves a stack of targets on one model in one pass, and
+``solve_fiber`` is its one-target view.  Each target is sliced once, to
+x0 + y·N (``_incidence_slice``), and a target off its slice meets no real
+section, for every solver; Newton steps inside the slices, an
+equation-free bundle's fiber is the slice, and the quadric reducer solves
+its fiber rows there.  Every stacked product is a gufunc, one matrix or
+vector per row (``np.vecdot``, ``np.matvec`` and ``np.vecmat`` round as
+the 1-D ``@`` does), so a target's result equals its one-target solve bit
+for bit.
 
-Numeric ops (``solve_fiber``, ``branch_test``, ``singular_scan``,
+Numeric ops (``solve_fiber(s)``, ``branch_test``, ``singular_scan``,
 ``sample_sections``, ``classify_hypercomplex`` and the float branch of
 ``normal_splitting``) take the model's float view and float inputs once, at
 entry; the helpers below them see floats only.
@@ -28,7 +33,7 @@ import numpy as np
 
 from .errors import (DimensionError, FiberError, ModelError, OriginError)
 from .exactla import _integer_rank, common_denominator, numerical_rank
-from .models import TwistorModel, squaring_section
+from .models import TwistorModel, squaring_sections
 from .projline import (CoeffPoly, P1Point, SplittingType, as_p1,
                        kernel_splitting)
 from .scalars import abs2, certifies
@@ -78,6 +83,7 @@ _EPS = float(np.finfo(float).eps)
 # det G / (tr G)^d above _CERT_MARGIN * c^2 certifies a Gram full rank
 # (derived in _gram_steps)
 _CERT_MARGIN = 1e3
+_SIGNS = np.array([1.0, -1.0])  # the two points of a one-dimensional fiber quadric
 
 
 @dataclass(frozen=True)
@@ -100,11 +106,18 @@ def _float_point(pt: P1Point) -> P1Point:
     return P1Point(pt.chart, complex(pt.value))
 
 
+def _norms(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each a[k], bit for bit (the root of its dot)."""
+    flat = a.reshape(len(a), -1)
+    return np.sqrt(np.vecdot(flat, flat))
+
+
 def _point_on_fiber(model: TwistorModel, pt: P1Point, values, cfg: SolveConfig):
     scale = 1.0 + sum(abs2(v) for v in values)
-    for eq in model.equations:
-        coeff_scale = 1.0 + max((max(abs(c) for c in g.coeffs)
-                                 for _, g in eq.monomials), default=0.0)
+    if not math.isfinite(scale):
+        raise FiberError("the fiber values are too large: 1 + sum |v|^2 overflows "
+                         "the float range")
+    for eq, coeff_scale in zip(model.equations, model.equation_scales):
         val = eq.eval_at(pt, values)
         if abs(val) > cfg.fiber_tol * scale * coeff_scale:
             return False
@@ -130,7 +143,7 @@ def incidence_rows(model: TwistorModel, pt: P1Point):
 
 def _incidence(model: TwistorModel, pts, targets):
     """Stacked incidence blocks at pts[k], (k, r, n), and the (re, im) values
-    of targets[k], (k, r): the slices of solve_fiber and _examine_pairs and
+    of targets[k], (k, r): the slices of solve_fibers and _examine_pairs and
     the pinned fiber values of _branch_reports."""
     shape = (len(pts), 2 * len(model.degrees))
     amats = np.array([incidence_rows(model, pt) for pt in pts]).reshape(
@@ -148,17 +161,14 @@ class FamilyDescriptor:
     shape: np.ndarray          # (u - u*)^T shape (u - u*) = radius_sq on the family
     radius_sq: float
 
-    def sample(self, n: int, rng) -> list:
+    def sample(self, n: int, rng) -> np.ndarray:
+        """n points of the family, (n, nparams), from one draw of n unit
+        directions; row j is the point of the j-th direction."""
         evals, evecs = np.linalg.eigh(self.shape)
         half = evecs @ np.diag(1.0 / np.sqrt(evals)) * math.sqrt(self.radius_sq)
-        out = []
-        k = self.shape.shape[0]
-        for _ in range(n):
-            s = rng.standard_normal(k)
-            s /= np.linalg.norm(s)
-            u = half @ s
-            out.append(self.center_params + u @ self.basis_params)
-        return out
+        s = rng.standard_normal((n, len(evals)))
+        s /= np.sqrt(np.vecdot(s, s))[:, None]
+        return self.center_params + np.vecmat(np.matvec(half, s), self.basis_params)
 
 
 @dataclass
@@ -170,67 +180,98 @@ class FiberSolveResult:
 
 
 def _quadric_reduce(model: TwistorModel, x0, nmat, values, cfg: SolveConfig):
-    """Closed-form fiber solver for x*y = z^2 + mu.
+    """Closed-form fiber solver for x*y = z^2 + mu, on a stack of targets.
 
-    On the target's incidence slice x0 + y·N the fiber equation is nu·h,
+    On a target's incidence slice x0 + y·N the fiber equation is nu·h,
     where nu vanishes at the point and at its antipodal image, and its
     quadratic part is -q(y)·nu^2 for a positive definite q; so every
     fiber-row Hessian is a multiple c_r of one form Q, and the fiber rows
     read F0 + L·y + c·rho with rho = y^T Q y / 2, all read from the slice
-    form (on_slice): the system is quadratic, so fiber row r is ỹ^T M_r ỹ,
-    ỹ = (y, 1).  The rows are linear in (y, rho), and on their solutions
-    rho = y^T Q y / 2 is one quadric, centred by _incidence_slice: two
-    points, one point, empty, or an ellipsoid family.  The component rows
-    are left to solve_fiber's membership filter.
+    form (on_slice, one call for the stack): the system is quadratic, so
+    fiber row r is ỹ^T M_r ỹ, ỹ = (y, 1).  The rows are linear in
+    (y, rho), and on their solutions rho = y^T Q y / 2 is one quadric,
+    centred by _incidence_slice: two points, one point, empty, or an
+    ellipsoid family, the four outcomes read as masks over the stack.  The
+    centres are found per kernel dimension of the linear stage, each group
+    on its unpadded kernels.  Returns (points, family) per target; the
+    component rows are left to solve_fibers' membership filter.
     """
-    sys, d = real_section_system(model), len(nmat)
-    coeffs = sys.on_slice(x0[None], nmat[None]).coeffs[0].reshape(d + 1, len(sys), d + 1)
-    mats = coeffs[:, sys.fiber_rows].transpose(1, 0, 2)  # M_r, see SliceSystem
-    hess = 2.0 * mats[:, :d, :d]
-    form = hess[np.argmax((hess * hess).sum(axis=(1, 2)))]
-    form = form * np.sign(np.trace(form))  # Q, positive definite
-    tmat = np.column_stack([2.0 * mats[:, :d, d], np.einsum("rij,ij->r", hess, form)
-                            / (form * form).sum()])
-    rhs = -mats[:, d, d]
-    (base,), (kernel,) = _incidence_slice(tmat[None], rhs[None], cfg.rank_rtol)
-    resid_scale = 1.0 + np.linalg.norm(rhs) + np.linalg.norm(tmat)
-    if np.linalg.norm(tmat @ base - rhs) > 1e-8 * resid_scale:
-        return [], None  # linear stage inconsistent: no real section hits the target
-    kdim = kernel.shape[0]
-    dmat = np.zeros((d + 1, d + 1))
-    dmat[:d, :d] = form / 2.0
-    pmat = kernel @ dmat @ kernel.T
-    qvec = 2.0 * kernel @ dmat @ base - kernel[:, d]
-    cval = float(base @ dmat @ base - base[d])
-    (center,), _ = _incidence_slice(pmat[None], -qvec[None] / 2.0, cfg.rank_rtol)
-    val = cval + qvec @ center + center @ pmat @ center
-    vtol = cfg.tol * (1.0 + abs(cval) + np.linalg.norm(base) ** 2)
+    sys, (k, d) = real_section_system(model), nmat.shape[:2]
+    coeffs = sys.on_slice(x0, nmat).coeffs.reshape(k, d + 1, len(sys), d + 1)
+    mats = coeffs[:, :, sys.fiber_rows].transpose(0, 2, 1, 3)  # M_r, see SliceSystem
+    hess = 2.0 * mats[:, :, :d, :d]
+    form = hess[np.arange(k), np.argmax((hess * hess).sum(axis=(2, 3)), axis=1)]
+    form = form * np.sign(np.trace(form, axis1=1, axis2=2))[:, None, None]  # Q
+    rho = np.einsum("krij,kij->kr", hess, form) / (form * form).sum(axis=(1, 2))[:, None]
+    tmat = np.concatenate([2.0 * mats[:, :, :d, d], rho[:, :, None]], axis=2)
+    rhs = -mats[:, :, d, d]
+    base, kernel = _incidence_slice(tmat, rhs, cfg.rank_rtol)
+    resid_scale = 1.0 + _norms(rhs) + _norms(tmat)
+    # an inconsistent linear stage: no real section hits the target
+    live = ~(_norms(np.matvec(tmat, base) - rhs) > 1e-8 * resid_scale)
+    out = [(np.empty((0, x0.shape[1])), None)] * k
+    for group, rows, kern in _kernel_groups(kernel, live):
+        b, x0g, ng = base[group], x0[group], nmat[group]
 
-    def to_params(u):
-        return x0 + u[:d] @ nmat
+        def to_params(j, u):  # x0 + u[:d]·N on the group's rows j
+            return x0g[j] + np.vecmat(u[..., :d], ng[j])
 
-    if val > vtol:
-        return [], None
-    if abs(val) <= vtol:
-        return [to_params(base + center @ kernel)], None
-    if kdim == 1:
-        root = math.sqrt(-val / pmat[0, 0])
-        sols = [to_params(base + (center[0] + s * root) * kernel[0])
-                for s in (1.0, -1.0)]
-        return sols, None
-    # positive-dimensional family: an ellipsoid of dimension kdim-1
-    return [], FamilyDescriptor(dim=kdim - 1,
-                                center_params=to_params(base + center @ kernel),
-                                basis_params=kernel[:, :d] @ nmat, shape=pmat,
-                                radius_sq=float(-val))
+        dmat = np.zeros((len(rows), d + 1, d + 1))
+        dmat[:, :d, :d] = form[group] / 2.0
+        pmat = kern @ dmat @ kern.transpose(0, 2, 1)
+        qvec = np.matvec(2.0 * kern @ dmat, b) - kern[:, :, d]
+        cval = np.vecdot(np.vecmat(b, dmat), b) - b[:, d]
+        center, _ = _incidence_slice(pmat, -qvec / 2.0, cfg.rank_rtol)
+        val = cval + np.vecdot(qvec, center) + np.vecdot(np.vecmat(center, pmat), center)
+        vtol = cfg.tol * (1.0 + np.abs(cval) + _norms(b) ** 2)
+        empty, point = val > vtol, np.abs(val) <= vtol
+        one, rest = np.flatnonzero(point & ~empty), np.flatnonzero(~empty & ~point)
+        if len(one):
+            sols = to_params(one, b[one] + np.vecmat(center[one], kern[one]))
+            for j, sol in zip(one, sols):
+                out[rows[j]] = (sol[None], None)
+        if not len(rest):
+            continue
+        if kern.shape[1] == 1:  # two points, centre ± root along the kernel
+            root = np.sqrt(-val[rest] / pmat[rest, 0, 0])
+            u = b[rest, None] + (center[rest] + _SIGNS * root[:, None])[:, :, None] * kern[rest]
+            for j, pair in zip(rest, to_params(rest[:, None], u)):
+                out[rows[j]] = (pair, None)
+            continue
+        # positive-dimensional families: ellipsoids of dimension kdim-1
+        mids = to_params(rest, b[rest] + np.vecmat(center[rest], kern[rest]))
+        for j, mid, basis in zip(rest, mids, kern[rest][:, :, :d] @ ng[rest]):
+            out[rows[j]] = (np.empty((0, x0.shape[1])), FamilyDescriptor(
+                dim=kern.shape[1] - 1, center_params=mid, basis_params=basis,
+                shape=pmat[j], radius_sq=float(-val[j])))
+    return out
+
+
+def _kernel_groups(kernel: np.ndarray, mask: np.ndarray) -> list:
+    """The rows of ``mask`` grouped by their kernel dimension, lowest first,
+    as (index, rows, kernels): the index takes the group from a stack (a
+    slice, no copy, when the group is every row), and the kernels come
+    without the zero rows that _incidence_slice pads them with."""
+    full = kernel.shape[1]
+    if mask.all() and (full == 0 or kernel[:, 0].any(axis=1).all()):
+        return [(slice(None), np.arange(len(kernel)), kernel)]  # nothing masked or padded
+    dims = (kernel != 0).any(axis=2).sum(axis=1)
+    groups = []
+    for dim in sorted(set(dims[mask].tolist())):
+        rows = np.flatnonzero(mask & (dims == dim))
+        groups.append((rows, rows, kernel[rows, full - dim:]))
+    return groups
 
 
 def _linear_reduce(model: TwistorModel, x0, nmat, values, cfg: SolveConfig):
-    """Fiber solver for equation-free bundles: the incidence slice itself."""
-    if len(nmat) == 0:
-        return [x0], None
-    return [], FamilyDescriptor(dim=len(nmat), center_params=x0, basis_params=nmat,
-                                shape=np.eye(len(nmat)), radius_sq=1.0)
+    """Fiber solver for equation-free bundles: each incidence slice itself."""
+    if nmat.shape[1] == 0:
+        return [(x[None], None) for x in x0]
+    eye = np.eye(nmat.shape[1])
+    return [(np.empty((0, x0.shape[1])),
+             FamilyDescriptor(dim=len(n), center_params=x, basis_params=n,
+                              shape=eye, radius_sq=1.0))
+            for x, n in zip(x0, nmat)]
 
 
 def _gram_steps(jac: np.ndarray, r: np.ndarray, rtol: float, certify=None):
@@ -309,8 +350,8 @@ def _eigh_steps(gram: np.ndarray, rhs: np.ndarray, cut: float) -> np.ndarray:
 def _incidence_slice(amats, rhs, rtol: float):
     """The solutions of each incidence block amats[k] @ x = rhs[k], (k, r, n)
     and (k, r), as a slice base[k] + kernel[k]·y: the fiber targets of
-    solve_fiber, the continuation rows of _examine_pairs and the quadric
-    reducer's linear stage.
+    solve_fibers, the continuation rows of _examine_pairs and the quadric
+    reducer's linear stages and centres.
 
     One stacked SVD with the numerical_rank cutoff gives the minimum-norm
     solutions base (k, n) and orthonormal kernel bases (k, d, n); a basis of
@@ -328,15 +369,17 @@ def _incidence_slice(amats, rhs, rtol: float):
     return base, kernel
 
 
-def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig):
+def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig, slices=None):
     """Gauss-Newton for the system on incidence slices, on every row of
     ``x0`` at once; rows never interact.
 
     Each start row is projected onto its slice base + y·kernel (see
-    _incidence_slice; one slice of shape (1, n), (1, d, n) is shared by every
-    row) and iterates in the slice coordinates y: the system restricted to
-    the slices once (RealEquationSystem.on_slice) gives the residuals and
-    the Jacobian in y, and the minimum-norm step is taken in y.  Only
+    _incidence_slice): row k on slice slices[k], or on slice k when
+    ``slices`` is None; one slice of shape (1, n), (1, d, n) is shared by
+    every row.  It iterates in the slice coordinates y: the system
+    restricted to the slices once (RealEquationSystem.on_slice, one build
+    per slice, not per row) gives the residuals and the Jacobian in y, and
+    the minimum-norm step is taken in y.  Only
     unconverged rows are stepped; a row stops when its residual is within
     newton_tol*(1+|x|^2), kept from the pass that formed its x, or its step
     stalls.  The per-row state is masked only on a pass where some row
@@ -353,11 +396,14 @@ def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig):
     """
     x = np.array(x0, dtype=float)
     restricted = sys.on_slice(base, kernel)
+    rows = np.arange(len(x))
+    owner = rows if slices is None else np.asarray(slices)
+    if len(base) > 1 and slices is not None:
+        base, kernel = base[owner], kernel[owner]
     y = np.ones((len(x), kernel.shape[1] + 1))  # (y, 1) per row
     y[:, :-1] = np.einsum("kn,kdn->kd", x - base, kernel)
-    rows = np.arange(len(x))
     active, ya = rows, y  # ya: the active rows of y, written back when one stops
-    xa = restricted.points(y, rows)
+    xa = restricted.points(y, owner)
     # per active row: its threshold, its last step norm, whether that step
     # halved, and whether every step so far was certified
     tol = cfg.newton_tol * (1.0 + (xa * xa).sum(axis=1))
@@ -366,7 +412,7 @@ def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig):
     certify = np.ones(len(x), dtype=bool)
     lo, hi = _HALVING_BAND
     for _ in range(cfg.max_iter):
-        r, jac = restricted.values(ya, active)
+        r, jac = restricted.values(ya, owner[active])
         moving = ~(np.abs(r).max(axis=1, initial=0.0) <= tol)  # NaN keeps moving
         if not moving.any():
             break
@@ -379,7 +425,7 @@ def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig):
         halving = (lo * last < norm) & (norm < hi * last)
         step[halving & halved] *= 2.0
         ya[:, :-1] += step
-        xa = restricted.points(ya, active)
+        xa = restricted.points(ya, owner[active])
         sq = (xa * xa).sum(axis=1)
         last, halved, tol = norm, halving, cfg.newton_tol * (1.0 + sq)
         moved = norm > 1e-15 * (1.0 + np.sqrt(sq))
@@ -388,69 +434,62 @@ def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig):
             active, ya, tol = active[moved], ya[moved], tol[moved]
             last, halved, certify = last[moved], halved[moved], certify[moved]
     y[active] = ya
-    r, _ = restricted.values(y, rows)
-    x = restricted.points(y, rows)
+    r, _ = restricted.values(y, owner)
+    x = restricted.points(y, owner)
     tol = cfg.newton_tol * (1.0 + (x * x).sum(axis=1))
     return x, np.abs(r).max(axis=1, initial=0.0) <= tol
 
 
-def _dedup(points, radius):
-    """The points (a list or stacked rows) farther than radius from every
-    earlier kept one, in input order, as a list: each kept point drops the
-    remaining points within radius of it."""
-    stack, rest, out = np.asarray(points, dtype=float), np.arange(len(points)), []
+def _dedup(stack: np.ndarray, radius) -> list:
+    """Indices of the rows of a (k, n) stack farther than radius from every
+    earlier kept one, in input order: each kept row drops the remaining
+    rows within radius of it, so the cost is one distance pass per kept
+    row.  Up to _FAMILY_SAMPLES rows are first tested all pairwise at once
+    (a family's samples are all kept); the distances are the loop's own, so
+    both routes keep the same rows."""
+    if 1 < len(stack) <= _FAMILY_SAMPLES:
+        gaps = stack[:, None] - stack[None]
+        if np.count_nonzero(np.sqrt((gaps * gaps).sum(axis=2)) > radius) == \
+                len(stack) * (len(stack) - 1):
+            return list(range(len(stack)))
+    rest, out = np.arange(len(stack)), []
     while len(rest):
         first, rest = rest[0], rest[1:]
-        out.append(points[first])
-        rest = rest[np.linalg.norm(stack[rest] - stack[first], axis=1) > radius]
+        out.append(first)
+        gaps = stack[rest] - stack[first]
+        rest = rest[np.sqrt((gaps * gaps).sum(axis=1)) > radius]
     return out
 
 
-def _sorted_solutions(points):
-    """Sort by entries rounded to 9 decimals after dividing every point by the
-    power of two above the largest entry, so the key cannot overflow."""
-    peak = max((float(np.abs(p).max(initial=0.0)) for p in points), default=0.0)
-    shift = -math.frexp(peak)[1]
-    return sorted(points, key=lambda p: tuple(np.round(np.ldexp(p, shift), 9)))
+def _sorted_solutions(points: np.ndarray) -> list:
+    """The rows of a (k, n) stack sorted by their entries rounded to 9
+    decimals after dividing by the power of two above the largest entry, so
+    the keys cannot overflow; one lexsort of the key array, stable, as a
+    sort on the row tuples is."""
+    shift = -math.frexp(float(np.abs(points).max(initial=0.0)))[1]
+    keys = np.round(np.ldexp(points, shift), 9)
+    return list(points[np.lexsort(keys.T[::-1])])
 
 
 def _newton_multistart(model, x0, nmat, values, cfg: SolveConfig):
-    """Converged rows of multistart Gauss-Newton on the slice x0 + y·N, from
-    starts of the target's scale, as one array; solve_fiber deduplicates them."""
+    """Converged rows of multistart Gauss-Newton on each slice x0[k] + y·N[k],
+    from starts of the target's scale, one array per target; solve_fibers
+    deduplicates them.  Every target draws the same starts from the seed,
+    and every start of every target runs in one _gauss_newton call."""
     sys = real_section_system(model)
-    rng = np.random.default_rng(cfg.seed)
-    scale = 1.0 + math.sqrt(sum(abs2(v) for v in values))
-    x, ok = _gauss_newton(sys, x0[None], nmat[None],
-                          rng.standard_normal((cfg.multistart, sys.nvars)) * scale,
-                          cfg)
-    return x[ok], None
+    starts = np.random.default_rng(cfg.seed).standard_normal((cfg.multistart, sys.nvars))
+    scales = np.array([1.0 + math.sqrt(sum(abs2(v) for v in vals)) for vals in values])
+    x, ok = _gauss_newton(sys, x0, nmat,
+                          (starts * scales[:, None, None]).reshape(-1, sys.nvars), cfg,
+                          np.repeat(np.arange(len(x0)), cfg.multistart))
+    x, ok = x.reshape(len(x0), cfg.multistart, -1), ok.reshape(len(x0), -1)
+    return [(rows[mask], None) for rows, mask in zip(x, ok)]
 
 
-def solve_fiber(model: TwistorModel, zeta, target,
-                cfg: SolveConfig | None = None) -> FiberSolveResult:
-    """All real sections of the model meeting a given fiber point.
-
-    The target is sliced once, for every family: the incidence rows at the
-    point cut the parameters to x0 + y·N, and a target off that slice (rows
-    inconsistent beyond 1e-8 relative) has no solutions.  On the slice,
-    closed-form families use their reducer (complete); other models use
-    multistart Newton with heuristic completeness.  The solve runs in the
-    canonical chart of the point: values given in the other chart are
-    multiplied by w**k_i, w the new chart value.  On a homogeneous model the
-    solve is scale covariant, solve_fiber(s*v) = s*solve_fiber(v) for real
-    s > 0 (bit for bit when s is a power of two): the target is divided by the
-    power of two nearest its largest entry, solved at unit scale, and the
-    solutions and family are multiplied back.  A family's points stay one
-    stacked array through one membership test and the deduplication; only
-    the kept ones are scaled and sorted.  Newton points are deduplicated at
-    max(dedup_radius, √newton_tol): a row stops once its residual is within
-    newton_tol, which leaves it about newton_tol/σ_min(J) from its root
-    (√newton_tol at a double root), so with a loose newton_tol two rows of
-    one root can lie farther apart than dedup_radius.  √1e-12 is the
-    default dedup_radius, 1e-6.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    model = model.float_view()
+def _fiber_target(model: TwistorModel, zeta, target, cfg: SolveConfig):
+    """A target's canonical base point, its fiber values there divided by
+    the solve's scale, and that scale; FiberError refuses a target that is
+    not finite, too large for the fiber test, or off the fiber."""
     if isinstance(target, FiberPoint):
         zeta, target = target.zeta, target.values
     given = _float_point(zeta if isinstance(zeta, P1Point) else P1Point.std(zeta))
@@ -468,33 +507,105 @@ def solve_fiber(model: TwistorModel, zeta, target,
     values = tuple(v / scale for v in values)
     if not _point_on_fiber(model, pt, values, cfg):
         raise FiberError("target does not satisfy the fiber equations")
-    family = _FAMILIES[model.family]
-    sys = real_section_system(model)
-    amats, rhs = _incidence(model, [pt], [values])
-    (x0,), (nmat,) = _incidence_slice(amats, rhs, cfg.rank_rtol)
-    amat, b = amats[0], rhs[0]
-    sols, fam = [], None  # off its slice, the target meets no real section
-    if np.linalg.norm(amat @ x0 - b) <= 1e-8 * (1.0 + np.linalg.norm(b)):
-        sols, fam = family.reduce(model, x0, nmat, values, cfg)
-    if fam is not None:
-        sols = fam.sample(_FAMILY_SAMPLES, np.random.default_rng(cfg.seed))
-    pts = np.asarray(sols, dtype=float).reshape(len(sols), sys.nvars)
-    pts = pts[sys.members(pts, cfg.member_tol)]
+    return pt, values, scale
+
+
+def solve_fibers(model: TwistorModel, points, targets,
+                 cfg: SolveConfig | None = None) -> list:
+    """solve_fiber on a stack of targets on one model, in one pass.
+
+    Entry k is the FiberSolveResult of base point points[k] and fiber values
+    targets[k] (or of the FiberPoint targets[k], its point given as None),
+    or the FiberError that refuses that target; a wrong value count raises
+    DimensionError.  The targets share one incidence slice call, one
+    reducer call per kernel dimension (one in practice), one membership
+    test of every candidate section and one deduplication per target, and
+    each entry equals the one-target solve bit for bit: every stacked
+    product is a gufunc, one matrix or vector per row.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    model = model.float_view()
+    if len(points) != len(targets):
+        raise DimensionError("solve_fibers takes one base point per target")
+    family, sys = _FAMILIES[model.family], real_section_system(model)
+    results, live, pts, vals, scales = [None] * len(targets), [], [], [], []
+    for k, (zeta, target) in enumerate(zip(points, targets)):
+        try:
+            pt, values, scale = _fiber_target(model, zeta, target, cfg)
+        except FiberError as exc:
+            results[k] = exc
+            continue
+        live.append(k)
+        pts.append(pt)
+        vals.append(values)
+        scales.append(scale)
+    if not live:
+        return results
+    amats, rhs = _incidence(model, pts, vals)
+    x0, nmat = _incidence_slice(amats, rhs, cfg.rank_rtol)
+    # off its slice, a target meets no real section
+    sliced = _norms(np.matvec(amats, x0) - rhs) <= 1e-8 * (1.0 + _norms(rhs))
+    found = [(np.empty((0, sys.nvars)), None)] * len(live)
+    for group, rows, kernel in _kernel_groups(nmat, sliced):
+        solved = family.reduce(model, x0[group], kernel, [vals[i] for i in rows], cfg)
+        for i, out in zip(rows, solved):
+            found[i] = out
+    found = [(fam.sample(_FAMILY_SAMPLES, np.random.default_rng(cfg.seed))
+              if fam is not None else sols, fam) for sols, fam in found]
+    member = sys.members(np.concatenate([sols for sols, _ in found]), cfg.member_tol)
     radius = cfg.dedup_radius
     if family.reduce is _newton_multistart:
         radius = max(radius, math.sqrt(cfg.newton_tol))
-    sols = _dedup(pts, radius)
-    # exact, as scale is a power of two; scaling down never overflows
-    limit = np.finfo(float).max / max(scale, 1.0)
-    scaled = sols + ([fam.center_params, fam.basis_params] if fam is not None else [])
-    if any(np.abs(a).max(initial=0.0) > limit for a in scaled):
-        raise FiberError("the solutions overflow the float range once scaled back")
-    sols = [s * scale for s in sols]
-    if fam is not None:
-        fam.center_params = fam.center_params * scale
-        fam.basis_params = fam.basis_params * scale
-    return FiberSolveResult(_sorted_solutions(sols), family.complete, fam,
-                            family.method)
+    end = 0
+    for k, (sols, fam), scale in zip(live, found, scales):
+        start, end = end, end + len(sols)
+        sols = sols[member[start:end]]
+        sols = sols[_dedup(sols, radius)]
+        # exact, as scale is a power of two; scaling down never overflows
+        limit = np.finfo(float).max / max(scale, 1.0)
+        scaled = [sols] + ([fam.center_params, fam.basis_params] if fam is not None else [])
+        if any(np.abs(a).max(initial=0.0) > limit for a in scaled):
+            results[k] = FiberError("the solutions overflow the float range once "
+                                    "scaled back")
+            continue
+        if fam is not None:
+            fam.center_params = fam.center_params * scale
+            fam.basis_params = fam.basis_params * scale
+        results[k] = FiberSolveResult(_sorted_solutions(sols * scale), family.complete,
+                                      fam, family.method)
+    return results
+
+
+def solve_fiber(model: TwistorModel, zeta, target,
+                cfg: SolveConfig | None = None) -> FiberSolveResult:
+    """All real sections of the model meeting a given fiber point: the
+    one-target view of solve_fibers, raising the FiberError that refuses
+    the target.
+
+    The target is sliced once, for every family: the incidence rows at the
+    point cut the parameters to x0 + y·N, and a target off that slice (rows
+    inconsistent beyond 1e-8 relative) has no solutions.  On the slice,
+    closed-form families use their reducer (complete); other models use
+    multistart Newton with heuristic completeness.  The solve runs in the
+    canonical chart of the point: values given in the other chart are
+    multiplied by w**k_i, w the new chart value.  On a homogeneous model the
+    solve is scale covariant, solve_fiber(s*v) = s*solve_fiber(v) for real
+    s > 0 (bit for bit when s is a power of two): the target is divided by the
+    power of two nearest its largest entry, solved at unit scale, and the
+    solutions and family are multiplied back.  On any other model a target
+    whose 1 + Σ|v|² overflows is refused before any solver runs.  A family's
+    points stay one stacked array through one membership test and the
+    deduplication; only the kept ones are scaled and sorted.  Newton points
+    are deduplicated at max(dedup_radius, √newton_tol): a row stops once its
+    residual is within newton_tol, which leaves it about newton_tol/σ_min(J)
+    from its root (√newton_tol at a double root), so with a loose newton_tol
+    two rows of one root can lie farther apart than dedup_radius.
+    √1e-12 is the default dedup_radius, 1e-6.
+    """
+    (res,) = solve_fibers(model, [zeta], [target], cfg)
+    if isinstance(res, FiberError):
+        raise res
+    return res
 
 
 @dataclass
@@ -631,11 +742,13 @@ class SingularReport:
 
 def singular_scan(model: TwistorModel, points,
                   cfg: SolveConfig | None = None) -> SingularReport:
-    """Classify candidate sections by Jacobian rank and cluster the deficient ones."""
+    """Classify candidate sections (a list or a stacked array, taken as
+    given) by Jacobian rank and cluster the deficient ones."""
     cfg = cfg or DEFAULT_CONFIG
     sys = real_section_system(model.float_view())
     expected = model.expected_regular_rank
-    pts = np.asarray(points, dtype=float)[sys.members(points, cfg.member_tol)]
+    points = np.asarray(points, dtype=float)
+    pts = points[sys.members(points, cfg.member_tol)]
     skipped = len(points) - len(pts)
     svals = np.linalg.svd(sys.jacobian_at(pts), compute_uv=False)
     ranks = numerical_rank(svals, cfg.rank_rtol).tolist()
@@ -682,46 +795,44 @@ def _cluster(points, radius):
 
 
 def sample_sections(model: TwistorModel, n: int, rng,
-                    cfg: SolveConfig | None = None):
-    """Random points of the section space, by whatever route the model allows."""
+                    cfg: SolveConfig | None = None) -> np.ndarray:
+    """Random points of the section space, by whatever route the model
+    allows, as one (m, nparams) array, m <= n (m = 0 without a sampler)."""
     model = model.float_view()
     return _FAMILIES[model.family].sample(model, n, rng, cfg or DEFAULT_CONFIG)
 
 
 def _quadric_sample(model: TwistorModel, n: int, rng, cfg: SolveConfig):
-    """Squared rank-two sections on the cone; fiber solves through random
-    points of the fiber when mu is nonzero."""
+    """Squared rank-two sections on the cone, from one draw of (a, b) and
+    the variant; fiber solves through random points of the fiber when mu is
+    nonzero, in batches of targets, at most 6n attempts in all."""
     if model.mu.is_zero(0.0):
-        out = []
-        for _ in range(n):
-            a = complex(rng.standard_normal(), rng.standard_normal())
-            b = complex(rng.standard_normal(), rng.standard_normal())
-            variant = "minus" if rng.random() < 0.5 else "plus"
-            out.append(squaring_section(a, b, variant))
-        return out
+        draw = rng.standard_normal((n, 5))
+        return squaring_sections(draw[:, 0] + 1j * draw[:, 1],
+                                 draw[:, 2] + 1j * draw[:, 3], draw[:, 4] < 0.0)
     mu = model.mu
     out = []
     attempts = 0
     while len(out) < n and attempts < 6 * n:
-        attempts += 1
-        zeta = P1Point.std(complex(rng.standard_normal(),
-                                   rng.standard_normal()) * 0.5).canonical()
-        x = complex(rng.standard_normal(), rng.standard_normal())
-        z = complex(rng.standard_normal(), rng.standard_normal())
-        if abs(x) < 0.2:
-            continue
-        muval = mu.eval_point(zeta)
-        y = (z * z + muval) / x
-        try:
-            res = solve_fiber(model, zeta, (x, y, z), cfg)
-        except FiberError:
-            continue
-        out.extend(res.solutions)
-    return out[:n]
+        # a target meets at most two real sections and mostly two: half the
+        # missing count, and two more for the targets that meet none
+        batch = min((n - len(out) + 1) // 2 + 2, 6 * n - attempts)
+        attempts += batch
+        draw = rng.standard_normal((batch, 6))
+        x, z = draw[:, 2] + 1j * draw[:, 3], draw[:, 4] + 1j * draw[:, 5]
+        keep = np.abs(x) >= 0.2
+        pts = [P1Point.std(complex(w)).canonical()
+               for w in (draw[keep, 0] + 1j * draw[keep, 1]) * 0.5]
+        targets = [(xv, (zv * zv + mu.eval_point(pt)) / xv, zv)
+                   for pt, xv, zv in zip(pts, x[keep].tolist(), z[keep].tolist())]
+        for res in solve_fibers(model, pts, targets, cfg):
+            if not isinstance(res, FiberError):
+                out.extend(res.solutions)
+    return np.array(out[:n]).reshape(-1, model.nparams)
 
 
 def _linear_sample(model: TwistorModel, n: int, rng, cfg: SolveConfig):
-    return [rng.standard_normal(model.nparams) for _ in range(n)]
+    return rng.standard_normal((n, model.nparams))
 
 
 def _section_zero_points(poly: CoeffPoly, bound: int):
@@ -806,10 +917,11 @@ def _cone_singular_pairs(model: TwistorModel):
 class _Family(NamedTuple):
     """Per-family fiber reducer, section sampler and singular-pair locator."""
 
-    reduce: Callable      # (model, x0, N, values, cfg) -> (points, None) or ([], family)
+    # (model, x0s, Ns, values, cfg) -> per target (points, None) or (no points, family)
+    reduce: Callable
     method: str
     complete: bool
-    sample: Callable      # (model, n, rng, cfg) -> list of parameter vectors
+    sample: Callable      # (model, n, rng, cfg) -> (m, nparams) array, m <= n
     singular_pairs: Callable  # model -> (pairs or None, notes)
 
 
@@ -819,7 +931,8 @@ _FAMILIES = {
     "linear": _Family(_linear_reduce, "linear", True, _linear_sample,
                       lambda model: ([], [])),
     None: _Family(_newton_multistart, "newton-multistart", False,
-                  lambda model, n, rng, cfg: [], _cone_singular_pairs),
+                  lambda model, n, rng, cfg: np.empty((0, model.nparams)),
+                  _cone_singular_pairs),
 }
 
 
@@ -846,12 +959,10 @@ def classify_hypercomplex(model: TwistorModel,
     evidence["singular_fiber_points"] = [
         {"chart": p.chart, "value": [p.value.real, p.value.imag]}
         for p, _ in pairs]
-    fibers = []
-    for pt, values in pairs:
-        try:
-            fibers.append((pt, values, solve_fiber(model, pt, values, cfg)))
-        except FiberError:
-            continue
+    solved = solve_fibers(model, [pt for pt, _ in pairs], [values for _, values in pairs],
+                          cfg)
+    fibers = [(pt, values, res) for (pt, values), res in zip(pairs, solved)
+              if not isinstance(res, FiberError)]
     families = [e for e in _examine_pairs(model, fibers, cfg) if e]
     evidence["families"] = families
     certified = [f for f in families if f["certified"]]
@@ -859,11 +970,12 @@ def classify_hypercomplex(model: TwistorModel,
         evidence["family_dimension"] = max(f["dim"] for f in certified)
         return HCClassification("WeaklyHypercomplex", evidence)
     samples = sample_sections(model, cfg.scan_samples, rng, cfg)
-    if not samples and model.equations:
+    if not len(samples) and model.equations:
         evidence["scan"] = "no sampler available"
         return HCClassification("Undetermined", evidence)
     # the zero section, kept by the scan's member filter when it is a member
-    scan = singular_scan(model, list(samples) + [np.zeros(model.nparams)], cfg)
+    scan = singular_scan(model, np.concatenate([samples, np.zeros((1, model.nparams))]),
+                         cfg)
     evidence["scan"] = {
         "samples": len(scan.entries),
         "singular_clusters": scan.clusters,

@@ -88,10 +88,12 @@ class TwistorModel:
     ``homogeneous``: every fiber equation is a form of degree >= 1 in the
     fiber coordinates and every component equation one in the section
     parameters (vacuously so without equations), hence fibers are cones and
-    fiber(s*v) = s*fiber(v) for real s > 0.  Nothing on a model changes after
-    construction apart from the lazily built section basis and induced real
-    system.  An exact model keeps its exact coefficients;
-    numeric ops run on :meth:`float_view`.
+    fiber(s*v) = s*fiber(v) for real s > 0.  ``equation_scales`` holds, per
+    fiber equation, 1 plus its largest coefficient modulus, the scale of its
+    fiber-membership test.  Nothing on a model changes after construction
+    apart from the lazily built section basis and induced real system.  An
+    exact model keeps its exact coefficients; numeric ops run on
+    :meth:`float_view`.
     """
 
     def __init__(self, name, degrees, coordinates, rules, equations,
@@ -114,6 +116,10 @@ class TwistorModel:
         form_degrees += [{sum(exps) for exps in comp.terms}
                          for comp in self.component_equations]
         self.homogeneous = all(len(d) == 1 and 0 not in d for d in form_degrees)
+        self.equation_scales = tuple(
+            1.0 + max((max(abs(complex(c)) for c in g.coeffs) for _, g in eq.monomials),
+                      default=0.0)
+            for eq in self.equations)
         self._basis = None
         self._system = None
 
@@ -310,12 +316,13 @@ def squaring_section(a, b, variant: str = "minus", exact: bool = False):
 
     minus: squares (a - conj(b) z, b + conj(a) z); plus squares
     (a + conj(b) z, b - conj(a) z).  The result always satisfies the quadric
-    equations.
+    equations.  Floats go through squaring_sections.
     """
     if variant not in ("minus", "plus"):
         raise ModelError(f"unknown squaring variant {variant!r}")
-    convert = GaussianRational if exact else complex
-    a, b = convert(a), convert(b)
+    if not exact:
+        return squaring_sections(complex(a), complex(b), variant == "minus")
+    a, b = GaussianRational(a), GaussianRational(b)
     ab_bar = a * b.conjugate()
     x0 = a * a
     x2 = b.conjugate() * b.conjugate()
@@ -326,7 +333,27 @@ def squaring_section(a, b, variant: str = "minus", exact: bool = False):
     else:
         x1 = 2 * ab_bar
         r = abs2(b) - abs2(a)
-    return quadric_params(x0, x1, x2, z0, r, exact=exact)
+    return quadric_params(x0, x1, x2, z0, r, exact=True)
+
+
+def squaring_sections(a, b, minus) -> np.ndarray:
+    """Squared sections of complex a, b and variant flags ``minus`` (minus
+    where true, plus elsewhere): one row of parameters (9,) for scalars,
+    (k, 9) for arrays of shape (k,).
+
+    Written in real parts, as complex products round: x0 = a², x2 = conj(b)²,
+    z0 = a·b, x1 = ∓2·a·conj(b), r = ±(|a|² − |b|²); the signs are the
+    exact products 2 − 4·minus and 2·minus − 1, so scalars stay cheap.
+    """
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    sign = 2.0 - 4.0 * minus
+    gap = (ar * ar + ai * ai) - (br * br + bi * bi)
+    return np.ascontiguousarray(np.array([
+        ar * ar - ai * ai, ar * ai + ai * ar,
+        sign * (ar * br + ai * bi), sign * (ai * br - ar * bi),
+        br * br - bi * bi, -(br * bi) - bi * br,
+        ar * br - ai * bi, ar * bi + ai * br,
+        gap * (2.0 * minus - 1.0)]).T)
 
 
 def quadric_params(x0, x1, x2, z0, r, exact: bool = False):

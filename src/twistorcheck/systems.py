@@ -49,17 +49,14 @@ class RealEquationSystem:
         self.exact = exact
         self._res = residuals
         self._jac, self._lead = residuals.jacobian()
+        # the rows of the fiber equations; the others come from component
+        # equations (labels <model>.eq<i>[z^<m>].<part> and
+        # <model>.component<i>.<part>, written by real_section_system)
+        self.fiber_rows = [i for i, label in enumerate(self.labels)
+                           if label.rsplit(".", 2)[1].startswith("eq")]
 
     def __len__(self):
         return len(self.labels)
-
-    @property
-    def fiber_rows(self) -> list:
-        """Indices of the rows of the fiber equations; the others come from
-        component equations (labels ``<model>.eq<i>[z^<m>].<part>`` and
-        ``<model>.component<i>.<part>``, written by real_section_system)."""
-        return [i for i, label in enumerate(self.labels)
-                if label.rsplit(".", 2)[1].startswith("eq")]
 
     def _certifies(self, p) -> bool:
         """Whether p takes the exact path; arrays of numbers and stacked

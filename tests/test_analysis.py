@@ -11,20 +11,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twistorcheck import (FiberError, GaussianRational, ModelError, OriginError,
+from twistorcheck import (DimensionError, FiberError, GaussianRational, ModelError,
+                          OriginError,
                           P1Point, SolveConfig, branch_test,
                           build_deformed, build_quadric, classify_hypercomplex,
                           component_label, evaluate_section, normal_splitting,
                           quadric_params, quadric_tuple, rank_one_matrix_oracle,
-                          singular_scan, solve_fiber, squaring_section,
-                          sym_matrix_model)
+                          singular_scan, solve_fiber, solve_fibers,
+                          squaring_section, sym_matrix_model)
 from twistorcheck.exactla import numerical_rank
-from twistorcheck.analysis import (_FAMILIES, FiberSolveResult, _examine_pairs,
+from twistorcheck.analysis import (_FAMILIES, FamilyDescriptor, FiberSolveResult,
+                                  _examine_pairs,
                                   _gauss_newton, _incidence,
                                   _incidence_slice, _newton_multistart,
                                   incidence_rows, sample_sections)
 from twistorcheck.projline import SplittingType
-from twistorcheck import analysis, serialize, systems
+from twistorcheck import analysis, models, serialize, systems
 from twistorcheck.serialize import jsonable
 from twistorcheck.systems import real_section_system
 from conftest import ANTIREAL_LAMBDA, double_coefficients, with_real_constant
@@ -124,6 +126,179 @@ def test_solve_fiber_refuses_solutions_beyond_the_float_range(quadric, smooth):
         assert len(solve_fiber(quadric, 0j, (1e307, 1e307, 1e307), CFG).solutions) == 2
         res = solve_fiber(smooth, 0j, (1e308, -1e308), CFG)
         assert np.abs(res.solutions[0]).max() == 1e308
+
+
+@pytest.mark.parametrize("values", [(1e200, 1e200, 3e200), (1e160, 1e160, 1e160)])
+def test_solve_fiber_refuses_values_beyond_the_fiber_test(deformed, values):
+    # the deformed model is not a cone, so the target is tested at its own
+    # scale, where 1 + sum |v|^2 overflows; the suite turns numpy's overflow
+    # warnings into errors, so none is raised before the refusal
+    with pytest.raises(FiberError, match="too large"):
+        solve_fiber(deformed, 0.3, values, CFG)
+    (refused,) = solve_fibers(deformed, [0.3], [values], CFG)
+    assert isinstance(refused, FiberError)
+
+
+def _same_result(a, b):
+    """Bit-for-bit equal FiberSolveResults, family included."""
+    if (a.method, a.complete, len(a.solutions)) != (b.method, b.complete,
+                                                      len(b.solutions)):
+        return False
+    if not all(np.array_equal(x, y) for x, y in zip(a.solutions, b.solutions)):
+        return False
+    if a.family is None or b.family is None:
+        return a.family is b.family
+    fa, fb = a.family, b.family
+    return (fa.dim == fb.dim and fa.radius_sq == fb.radius_sq
+            and all(np.array_equal(getattr(fa, f), getattr(fb, f))
+                    for f in ("center_params", "basis_params", "shape")))
+
+
+def _fiber_stack(model, rng, kind):
+    """Targets of one model at seeded base points in both charts: planted
+    sections, random fiber points off the cone, or the given target on a
+    model without a sampler; the named special target is third."""
+    out = []
+    for _ in range(6):
+        zeta = P1Point("std" if rng.random() < 0.5 else "inf",
+                       complex(*rng.standard_normal(2)))
+        if model.family == "quadric" and not model.mu.is_zero(0.0):
+            x, z = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
+            pt = zeta.canonical()
+            out.append((pt, (x, (z * z + model.mu.eval_point(pt)) / x, z)))
+            continue
+        if model.nparams == 9:
+            planted = squaring_section(complex(*rng.standard_normal(2)),
+                                       complex(*rng.standard_normal(2)),
+                                       "minus" if rng.random() < 0.5 else "plus")
+        elif model.equations:
+            out.append((zeta, kind))
+            continue
+        else:
+            planted = sample_sections(model, 1, rng, CFG)[0]
+        target = evaluate_section(model, planted, zeta)
+        out.append((target.zeta, target.values))
+    special = {"vertex": (0j,) * len(model.degrees), "family": (0j, 0j, 0j)}.get(kind)
+    if special is not None:
+        out.insert(2, (P1Point.std(1 + 0j), special))
+    return out
+
+
+@pytest.mark.parametrize("name,kind", [
+    ("quadric", "vertex"), ("deformed", "family"), ("smooth", None),
+    ("doubled", "vertex"), ("a2_cone", (2, 4, 2))])
+def test_solve_fibers_rows_equal_one_target_solves(name, kind, request):
+    # every solver through one stack: the quadric at regular targets and at a
+    # vertex, the deformed antireal family over a zero of lambda, smooth-o11,
+    # multistart Newton on the doubled and the A2 cone; an off-fiber target in
+    # the middle is refused alone
+    model = request.getfixturevalue(name)
+    stack = _fiber_stack(model, np.random.default_rng(31), kind)
+    off = (P1Point.std(0.4 - 0.3j), (1, 1, 0.5) if len(model.degrees) == 3 else (1, 1))
+    if model.equations:
+        stack.insert(len(stack) // 2, off)
+    got = solve_fibers(model, [pt for pt, _ in stack], [v for _, v in stack], CFG)
+    assert len(got) == len(stack)
+    for (pt, values), res in zip(stack, got):
+        if (pt, values) == off:
+            assert isinstance(res, FiberError)
+            with pytest.raises(FiberError):
+                solve_fiber(model, pt, values, CFG)
+            continue
+        assert isinstance(res, FiberSolveResult)
+        assert _same_result(res, solve_fiber(model, pt, values, CFG))
+    if kind == "family":
+        assert any(r.family is not None for r in got if isinstance(r, FiberSolveResult))
+
+
+def test_solve_fibers_takes_one_point_per_target(quadric):
+    with pytest.raises(DimensionError):
+        solve_fibers(quadric, [0j, 1j], [(1, 1, 1)], CFG)
+    assert solve_fibers(quadric, [], [], CFG) == []
+
+
+def _family_sample_loop(family, n, rng):
+    """Reference: the per-row sampler that FamilyDescriptor.sample stacks."""
+    evals, evecs = np.linalg.eigh(family.shape)
+    half = evecs @ np.diag(1.0 / np.sqrt(evals)) * math.sqrt(family.radius_sq)
+    out = []
+    for _ in range(n):
+        s = rng.standard_normal(family.shape.shape[0])
+        s /= np.linalg.norm(s)
+        out.append(family.center_params + (half @ s) @ family.basis_params)
+    return out
+
+
+def test_stacked_family_sample_equals_the_per_row_loop(deformed, smooth):
+    families = [solve_fiber(deformed, 1 + 0j, (0, 0, 0), CFG).family,
+                solve_fiber(smooth, 0j, (0.3, 0.5j), CFG).family]
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        k = int(rng.integers(1, 5))
+        families.append(FamilyDescriptor(
+            dim=k - 1, center_params=rng.standard_normal(9),
+            basis_params=rng.standard_normal((k, 9)),
+            shape=(lambda a: a @ a.T + 0.1 * np.eye(k))(rng.standard_normal((k, k))),
+            radius_sq=float(rng.uniform(0.1, 10.0))))
+    for fam in families:
+        if fam is None:
+            continue
+        for n, seed in ((1, 0), (8, 7), (13, 11)):
+            got = fam.sample(n, np.random.default_rng(seed))
+            want = _family_sample_loop(fam, n, np.random.default_rng(seed))
+            assert got.shape == (n, len(fam.center_params))
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(parts=st.lists(st.tuples(*[st.floats(-1e3, 1e3)] * 4, st.booleans()),
+                      min_size=1, max_size=12))
+def test_stacked_squaring_sections_are_regular_members_with_their_label(quadric, parts):
+    a = np.array([complex(p[0], p[1]) for p in parts])
+    b = np.array([complex(p[2], p[3]) for p in parts])
+    assume(np.all(np.abs(a) + np.abs(b) > 1e-3))
+    minus = np.array([p[4] for p in parts])
+    secs = models.squaring_sections(a, b, minus)
+    sys = real_section_system(quadric)
+    assert secs.shape == (len(parts), 9)
+    assert sys.members(secs, CFG.member_tol).all()
+    for sec, m in zip(secs, minus):
+        assert sys.jacobian_rank(sec, CFG.rank_rtol) == 5
+        label = component_label(sec)
+        assert label == "boundary" or label == (1 if m else -1)
+
+
+def test_samplers_return_one_array(quadric, deformed, smooth, doubled):
+    for model, n in ((quadric, 12), (deformed, 12), (smooth, 5), (doubled, 0)):
+        got = sample_sections(model, max(n, 5), np.random.default_rng(3), CFG)
+        assert isinstance(got, np.ndarray) and got.shape == (n, model.nparams)
+    # the cone sampler's squaring sections: every variant, from one draw
+    got = sample_sections(quadric, 200, np.random.default_rng(4), CFG)
+    assert {component_label(p) for p in got} == {1, -1}
+
+
+def test_classify_and_samplers_make_no_one_target_solve(quadric, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-target solve_fiber call")
+
+    monkeypatch.setattr(analysis, "solve_fiber", refuse)
+    real = build_deformed([0, 1, 0], "real")
+    assert classify_hypercomplex(real, SolveConfig(seed=1)).verdict == "Hypercomplex"
+    assert classify_hypercomplex(quadric, CFG).verdict == "Hypercomplex"
+    assert len(sample_sections(real, 30, np.random.default_rng(2), CFG)) == 30
+
+
+def test_model_facts_are_computed_once_with_their_values(quadric, deformed, a2_cone):
+    for model in (quadric, deformed, a2_cone, build_quadric(exact=True)):
+        sys = real_section_system(model)
+        assert sys.fiber_rows == [i for i, label in enumerate(sys.labels)
+                                  if label.rsplit(".", 2)[1].startswith("eq")]
+        view = model.float_view()
+        assert view.equation_scales == tuple(
+            1.0 + max((max(abs(c) for c in g.coeffs) for _, g in eq.monomials),
+                      default=0.0)
+            for eq in view.equations)
+    assert real_section_system(quadric).fiber_rows == [0, 1, 2, 3, 4]
 
 
 def test_solve_fiber_counts_with_labels(quadric, rng):
@@ -281,9 +456,9 @@ def test_solve_fiber_matches_newton_multistart(quadric, rng):
         sec = squaring_section(a, b, "minus")
         target = evaluate_section(quadric, sec, 0j)
         closed = solve_fiber(quadric, None, target, cfg)
-        (x0,), (nmat,) = _incidence_slice(
+        x0s, nmats = _incidence_slice(
             *_incidence(quadric, [target.zeta], [target.values]), cfg.rank_rtol)
-        newton, family = _newton_multistart(quadric, x0, nmat, target.values, cfg)
+        ((newton, family),) = _newton_multistart(quadric, x0s, nmats, [target.values], cfg)
         assert family is None and len(newton)
         for sol in newton:
             assert min(np.linalg.norm(sol - np.asarray(c))
@@ -525,7 +700,7 @@ def test_dedup_keeps_the_points_of_the_loop_in_order():
     # points repeat exactly
     rng = np.random.default_rng(19)
     radius = CFG.dedup_radius
-    assert analysis._dedup([], radius) == []
+    assert analysis._dedup(np.empty((0, 9)), radius) == []
     for _ in range(200):
         centres = rng.standard_normal((rng.integers(1, 6), 9))
         n = int(rng.integers(1, 40))
@@ -534,16 +709,19 @@ def test_dedup_keeps_the_points_of_the_loop_in_order():
                                                                           keepdims=True)
         cloud = list(centres[rng.integers(len(centres), size=n)] + dirs)
         cloud += [cloud[i] for i in rng.integers(n, size=n // 4)]
-        got, want = analysis._dedup(cloud, radius), _dedup_loop(cloud, radius)
+        got = [cloud[i] for i in analysis._dedup(np.array(cloud), radius)]
+        want = _dedup_loop(cloud, radius)
         assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+    # a family's shape, 8 samples all kept, takes the pairwise route
+    assert analysis._dedup(rng.standard_normal((8, 9)), radius) == list(range(8))
 
 
 def test_newton_rows_stay_on_their_incidence_blocks(doubled, deformed, smooth,
                                                     monkeypatch):
     # Gauss-Newton's callers: multistart (one shared block) at a target and
     # at the vertex, and the continuation rows of classify (a block per row);
-    # solve_fiber slices every fiber target once, and the quadric reducer
-    # slices its linear stage
+    # solve_fibers slices every stack of fiber targets once, and the quadric
+    # reducer slices the stack's linear stages
     calls = []
     slice_, newton = analysis._incidence_slice, analysis._gauss_newton
 
@@ -569,27 +747,29 @@ def test_newton_rows_stay_on_their_incidence_blocks(doubled, deformed, smooth,
     classify_hypercomplex(build_quadric(), CFG)
     classify_hypercomplex(deformed, CFG)
     newton_calls = [c for c in calls if len(c) == 6]  # a slice Newton stepped in
-    assert [c[0] for c in newton_calls] == ["solve_fiber"] * 2 + ["_examine_pairs"] * 2
+    assert [c[0] for c in newton_calls] == ["solve_fibers"] * 2 + ["_examine_pairs"] * 2
     for _, amats, rhs, _, _, x in newton_calls:
         assert _on_incidence(x, amats, rhs)
     closed = [c for c in calls if len(c) == 5]
-    # each quadric solve slices three times: its target in the 9 parameters,
-    # its linear stage in (y, rho) on that slice, and the centre of its
-    # quadric on that stage's kernel (1 direction at the target's two points,
-    # 3 at a vertex family); the solves are the target, the smooth-o11 target
-    # (4 parameters, the equation-free reducer), the quadric classify's three
-    # vertex pairs and the deformed one
-    quadric = [("solve_fiber", 9), ("_quadric_reduce", 4)]
-    assert [(c[0], c[1].shape[-1]) for c in closed] == (
-        quadric + [("_quadric_reduce", 1), ("solve_fiber", 4)]
-        + (quadric + [("_quadric_reduce", 3)]) * 4)
+    # each quadric solve slices its stack three times: the targets in the 9
+    # parameters, their linear stages in (y, rho) on those slices, and the
+    # centres of their quadrics on those stages' kernels (1 direction at a
+    # target's two points, 3 at a vertex family); the solves are the target,
+    # the smooth-o11 target (4 parameters, the equation-free reducer), the
+    # quadric classify's three vertex pairs in one stack and the deformed one
+    quadric = [("solve_fibers", 9), ("_quadric_reduce", 4), ("_quadric_reduce", 3)]
+    assert [(c[0], c[1].shape[-1], len(c[1])) for c in closed] == (
+        [(name, width, 1) for name, width in quadric[:2]]
+        + [("_quadric_reduce", 1, 1), ("solve_fibers", 4, 1)]
+        + [(name, width, 3) for name, width in quadric]
+        + [(name, width, 1) for name, width in quadric])
     for _, amats, rhs, base, kernel in closed:
         # every block here comes from a target on a real section: consistent
         assert _on_incidence(base, amats, rhs)
-        (amat,), (rows,) = amats, kernel
-        assert np.allclose(rows @ rows.T, np.eye(len(rows)), rtol=0, atol=1e-12)
-        assert np.abs(amat @ rows.T).max(initial=0.0) <= 1e-12 * (
-            1.0 + np.abs(amat).max())
+        for amat, rows in zip(amats, kernel):
+            assert np.allclose(rows @ rows.T, np.eye(len(rows)), rtol=0, atol=1e-12)
+            assert np.abs(amat @ rows.T).max(initial=0.0) <= 1e-12 * (
+                1.0 + np.abs(amat).max())
 
 
 def _finds_planted(res, planted):

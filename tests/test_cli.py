@@ -597,6 +597,17 @@ def test_solutions_beyond_the_float_range_exit_2(capsys):
     assert "overflow the float range" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("point", ["1e200,1e200,3e200", "1e160,1e160,1e160"])
+def test_fiber_values_beyond_the_fiber_test_exit_2(point, capsys):
+    # the deformed model is solved at the target's own scale, where
+    # 1 + sum |v|^2 overflows; this used to print numpy overflow warnings and
+    # report "0 sections, complete" with exit 0
+    assert main(["solve-fiber", "--model", "deformed", "--lam", "1j,0,-1j",
+                 "--reality", "antireal", "--zeta", "0.3", "--point", point]) == 2
+    captured = capsys.readouterr()
+    assert "too large" in captured.err and captured.out == ""
+
+
 def test_matrix_model_needs_the_quadric_layout(tmp_path, capsys):
     # nine parameters in another layout (the self-paired model of
     # test_quadric_tuples_only_in_the_quadric_layout) are no quadric section:
