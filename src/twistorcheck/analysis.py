@@ -350,7 +350,7 @@ def _eigh_steps(gram: np.ndarray, rhs: np.ndarray, cut: float) -> np.ndarray:
 def _incidence_slice(amats, rhs, rtol: float):
     """The solutions of each incidence block amats[k] @ x = rhs[k], (k, r, n)
     and (k, r), as a slice base[k] + kernel[k]·y: the fiber targets of
-    solve_fibers, the continuation rows of _examine_pairs and the quadric
+    solve_fibers, the singular pairs of _examine_pairs and the quadric
     reducer's linear stages and centres.
 
     One stacked SVD with the numerical_rank cutoff gives the minimum-norm
@@ -369,36 +369,34 @@ def _incidence_slice(amats, rhs, rtol: float):
     return base, kernel
 
 
-def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig, slices=None):
+def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig, slices):
     """Gauss-Newton for the system on incidence slices, on every row of
     ``x0`` at once; rows never interact.
 
     Each start row is projected onto its slice base + y·kernel (see
-    _incidence_slice): row k on slice slices[k], or on slice k when
-    ``slices`` is None; one slice of shape (1, n), (1, d, n) is shared by
-    every row.  It iterates in the slice coordinates y: the system
-    restricted to the slices once (RealEquationSystem.on_slice, one build
-    per slice, not per row) gives the residuals and the Jacobian in y, and
-    the minimum-norm step is taken in y.  Only
-    unconverged rows are stepped; a row stops when its residual is within
-    newton_tol*(1+|x|^2), kept from the pass that formed its x, or its step
-    stalls.  The per-row state is masked only on a pass where some row
-    stops.  Each pass forms x = base + y·kernel of the rows it stepped, for
-    their thresholds and the stall test; at the end every row is evaluated
-    once more on its slice, for the converged mask, and its x formed.  A row
-    whose step norm halved on two consecutive iterations, as at a singular
-    root where Newton only halves the error, takes a double step (Griewank
-    1985).  Each row tries the full-rank certificate of _gram_steps (one LU
-    solve instead of an eigh) until its Gram fails it once, and from then on
-    steps by eigh alone: rows near a rank drop, as on the A2 and A3 cones,
-    do not pay for a determinant on every pass.  Returns the final rows and
-    a mask of the converged ones.
+    _incidence_slice): row k on slice slices[k]; one slice of shape (1, n),
+    (1, d, n) is shared by every row.  It iterates in the slice coordinates
+    y: the system restricted to the slices once
+    (RealEquationSystem.on_slice, one build per slice, not per row) gives
+    the residuals and the Jacobian in y, and the minimum-norm step is taken
+    in y.  Only unconverged rows are stepped; a row stops when its residual
+    is within newton_tol*(1+|x|^2), kept from the pass that formed its x, or
+    its step stalls.  The per-row state is masked only on a pass where some
+    row stops.  Each pass forms x = base + y·kernel of the rows it stepped,
+    for their thresholds and the stall test; at the end every row is
+    evaluated once more on its slice, for the converged mask, and its x
+    formed.  A row whose step norm halved on two consecutive iterations, as
+    at a singular root where Newton only halves the error, takes a double
+    step (Griewank 1985).  Each row tries the full-rank certificate of
+    _gram_steps (one LU solve instead of an eigh) until its Gram fails it
+    once, and from then on steps by eigh alone: rows near a rank drop, as on
+    the A2 and A3 cones, do not pay for a determinant on every pass.  Returns
+    the final rows and a mask of the converged ones.
     """
     x = np.array(x0, dtype=float)
     restricted = sys.on_slice(base, kernel)
-    rows = np.arange(len(x))
-    owner = rows if slices is None else np.asarray(slices)
-    if len(base) > 1 and slices is not None:
+    rows, owner = np.arange(len(x)), np.asarray(slices)
+    if len(base) > 1:
         base, kernel = base[owner], kernel[owner]
     y = np.ones((len(x), kernel.shape[1] + 1))  # (y, 1) per row
     y[:, :-1] = np.einsum("kn,kdn->kd", x - base, kernel)
@@ -1000,59 +998,59 @@ def _examine_pairs(model, fibers, cfg: SolveConfig):
     """Corank + continuation certificates for the sections through every
     singular pair, one entry (or None) per (point, values, fiber) item.
 
-    Round j examines the j-th candidate of every pair without a certified
-    entry: one stacked SVD of [J(p); A(zeta)], the system plus the incidence
-    rows at the point, gives each corank and kernel, and one Gauss-Newton
-    call on the incidence slices of those rows corrects a step along up to
-    two kernel directions of every candidate of corank >= 1.  (A real
-    section through the point also meets its antipodal image, so the rows
-    there add nothing.)  A pair keeps its first confirmed candidate, else
-    its first one of corank >= 1.
+    A pair's candidates are its fiber solutions, then two samples of its
+    family.  Two stages examine the first candidate of every pair, then the
+    others of the pairs left uncertified: each takes every corank and kernel
+    of [J(p); A(zeta)], the system plus the incidence rows at the point
+    (rows at the antipodal point add nothing), from one stacked SVD, and
+    corrects a step from each candidate along up to two kernel directions
+    in one Gauss-Newton call, each row on its pair's incidence slice.  A
+    pair keeps its first confirmed candidate, else its first of corank >= 1.
     """
-    sys = real_section_system(model)
-    amats, rhs = _incidence(model, [pt for pt, _, _ in fibers],
-                            [values for _, values, _ in fibers])
-    candidates = []
+    sys, entries, cands = real_section_system(model), [None] * len(fibers), []
     for _, _, res in fibers:
-        cands = list(res.solutions)
+        found = list(res.solutions)
         if res.family is not None:
-            cands.extend(res.family.sample(2, np.random.default_rng(cfg.seed + 7)))
-        candidates.append([np.asarray(c, dtype=float) for c in cands])
-    entries = [None] * len(fibers)
-    certified = [False] * len(fibers)
-    for j in range(max(map(len, candidates), default=0)):
-        pairs = [i for i, c in enumerate(candidates)
-                 if j < len(c) and not certified[i]]
-        if not pairs:
-            break
-        sols = np.array([candidates[i][j] for i in pairs])
-        jacs = np.concatenate([sys.jacobian_at(sols), amats[pairs]], axis=1)
+            found.extend(res.family.sample(2, np.random.default_rng(cfg.seed + 7)))
+        cands.append(np.array(found, dtype=float).reshape(len(found), sys.nvars))
+    owner = np.repeat(np.arange(len(fibers)), [len(c) for c in cands])
+    if not len(owner):
+        return entries
+    amats, rhs = _incidence(model, *zip(*[fiber[:2] for fiber in fibers]))
+    base, kernel = _incidence_slice(amats, rhs, cfg.rank_rtol)
+    sols, first = np.concatenate(cands), np.concatenate([[True], owner[1:] != owner[:-1]])
+    coranks, confirmed = np.zeros(len(owner), dtype=int), np.zeros(len(owner), dtype=bool)
+
+    def examine(stage):
+        rows = np.flatnonzero(stage)
+        jacs = np.concatenate([sys.jacobian_at(sols[rows]), amats[owner[rows]]], axis=1)
         _, svals, vh = np.linalg.svd(jacs)
-        ranks = numerical_rank(svals, cfg.rank_rtol).tolist()
-        steps = [cfg.continuation_step * (1.0 + np.linalg.norm(sol)) for sol in sols]
-        owner, starts = [], []  # continuation rows: candidate, start point
-        for c, rank in enumerate(ranks):
-            for kdir in vh[c, rank:rank + 2]:
-                owner.append(c)
-                starts.append(sols[c] + steps[c] * kdir)
-        confirmed = [False] * len(pairs)
-        if owner:
-            src = [pairs[c] for c in owner]
-            corr, ok = _gauss_newton(
-                sys, *_incidence_slice(amats[src], rhs[src], cfg.rank_rtol),
-                starts, cfg)
+        ranks = numerical_rank(svals, cfg.rank_rtol)
+        coranks[rows] = sys.nvars - ranks
+        dirs = ranks[:, None] + np.arange(2)
+        cand, which = np.nonzero(dirs < sys.nvars)  # continuation rows
+        src = rows[cand]
+        if len(src):
+            steps = cfg.continuation_step * (1.0 + _norms(sols[src]))
+            starts = sols[src] + steps[:, None] * vh[cand, dirs[cand, which]]
+            corr, ok = _gauss_newton(sys, base, kernel, starts, cfg, owner[src])
             member = np.zeros(len(corr), dtype=bool)
             member[ok] = sys.members(corr[ok], cfg.member_tol)
-            for row, c in enumerate(owner):
-                moved = np.linalg.norm(corr[row] - sols[c]) > max(
-                    10 * cfg.dedup_radius, steps[c] / 4)
-                confirmed[c] = confirmed[c] or bool(member[row] and moved)
-        for c, i in enumerate(pairs):
-            corank = sys.nvars - ranks[c]
-            if corank >= 1 and (confirmed[c] or entries[i] is None):
-                entries[i] = _family_entry(fibers[i], corank, confirmed[c],
-                                           sols[c], cfg)
-                certified[i] = confirmed[c]
+            moved = _norms(corr - sols[src]) > np.maximum(10 * cfg.dedup_radius, steps / 4)
+            confirmed[src[member & moved]] = True
+
+    examine(first)
+    certified = np.zeros(len(fibers), dtype=bool)
+    certified[owner[confirmed]] = True
+    later = ~first & ~certified[owner]
+    if later.any():
+        examine(later)
+    score = 2 * confirmed + (coranks >= 1)  # each pair keeps its first best candidate
+    for i in set(owner.tolist()):
+        rows = np.flatnonzero(owner == i)
+        c = rows[np.argmax(score[rows])]
+        if score[c]:
+            entries[i] = _family_entry(fibers[i], coranks[c], confirmed[c], sols[c], cfg)
     return entries
 
 
