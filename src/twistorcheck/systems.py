@@ -218,11 +218,12 @@ class SliceSystem:
         # (D - 1, d + 1, S, M): the factors as forms in ỹ, laid out so that
         # every product and sum below runs along whole (S, M) rows
         forms = np.ascontiguousarray(maps[:, jac.gather].transpose(2, 3, 0, 1))
-        prod = np.ones((1, nslices, nmono))
-        for form in forms:  # outer products: ((d + 1)^k, S, M)
+        prod = forms[0] if len(forms) else np.ones((1, nslices, nmono))
+        for form in forms[1:]:  # outer products: ((d + 1)^k, S, M)
             prod = (form[:, None] * prod).reshape(width * len(prod), nslices, nmono)
         self.lows, positions, starts = _folding(width, jac.degree)
-        mono = np.add.reduceat(prod[positions], starts, axis=0)  # (P, S, M)
+        # (P, S, M), folded from order 2 on (lower orders have one ordering)
+        mono = prod if jac.degree < 2 else np.add.reduceat(prod[positions], starts, axis=0)
         # ∇r · maps[s] per monomial, (S, M, E·(d + 1))
         grad = (jac.matrix.reshape(-1, n + 1) @ maps).reshape(
             nslices, nmono, self.nres * width)
@@ -236,7 +237,7 @@ class SliceSystem:
     def values(self, y1: np.ndarray, rows):
         """Residuals (k, E) and Jacobians in y (k, E, d) at the points
         y1 = (y, 1), (k, d + 1), row k on slice rows[k]."""
-        mono = y1[:, self.lows].prod(axis=-1)  # (k, P), degree D - 1 in ỹ
+        mono = y1 if self.degree == 2 else y1[:, self.lows].prod(axis=-1)  # (k, P)
         # stacked matmuls, one product per row, so rows never interact
         half = mono[:, None, :] @ self._rows(self.coeffs, rows)  # C·ỹ^(D-1)
         half = half.reshape(len(y1), self.nres, self.dim + 1)

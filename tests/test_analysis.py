@@ -5,6 +5,7 @@ import json
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from twistorcheck import (DimensionError, FiberError, GaussianRational, ModelError,
                           OriginError,
                           P1Point, SolveConfig, branch_test,
-                          build_deformed, build_quadric, classify_hypercomplex,
+                          build_deformed, build_quadric, build_smooth_o11,
+                          classify_hypercomplex,
                           component_label, evaluate_section, normal_splitting,
                           quadric_params, quadric_tuple, rank_one_matrix_oracle,
                           singular_scan, solve_fiber, solve_fibers,
@@ -537,6 +539,96 @@ def test_batched_gauss_newton_rows_do_not_interact(doubled, max_iter):
         alone, alone_ok = _gauss_newton(sys, *block, [start], cfg, [0])
         assert np.array_equal(alone[0], x[i]) and alone_ok[0] == ok[i]
     assert ok[1::2].any()
+
+
+def _shipped_models():
+    """Every builtin model and every model file under tests/data."""
+    data = Path(__file__).parent / "data"
+    return ([build_quadric(), build_deformed(ANTIREAL_LAMBDA, "antireal"),
+             build_deformed([0, 1, 0], "real"), build_smooth_o11()]
+            + [serialize.model_from_dict(json.loads(path.read_text()))
+               for path in sorted(data.glob("*.json"))])
+
+
+def test_incidence_blocks_equal_one_product_per_point_and_coordinate():
+    # the stacked incidence blocks, against the vector of powers z^m of each
+    # coordinate (reversed in the chart at infinity) times its embedding
+    # matrix, one point at a time: bit for bit on every shipped model, the
+    # A2 and A3 cones (coordinate degrees 3, 3, 2 and 4, 4, 2) among them,
+    # in both charts, with real, tiny and zero base points
+    rng = np.random.default_rng(28)
+    degrees = set()
+    for model in _shipped_models():
+        model = model.float_view()
+        mats = model.section_basis.complex_matrices()
+        pts = [P1Point(chart, complex(*rng.standard_normal(2)) * 10.0 ** rng.uniform(-3, 0))
+               for chart in ("std", "inf") for _ in range(20)]
+        pts += [P1Point.std(0j), P1Point.inf(-0.5 + 0j), P1Point.std(1e-120j)]
+        targets = rng.standard_normal((len(pts), len(model.degrees), 2)).view(complex)[..., 0]
+        amats, rhs = _incidence(model, pts, targets)
+        assert amats.shape == (len(pts), 2 * len(model.degrees), model.nparams)
+        assert np.array_equal(rhs.view(complex), targets)
+        for amat, pt in zip(amats, pts):
+            rows = []
+            for i, k in enumerate(model.degrees):
+                exps = range(k + 1) if pt.chart == "std" else range(k, -1, -1)
+                crow = np.array([pt.value ** m for m in exps]) @ mats[i]
+                rows += [crow.real, crow.imag]
+            assert amat.tobytes() == np.array(rows).tobytes()
+            assert incidence_rows(model, pt).tobytes() == amat.tobytes()
+        degrees.add(tuple(model.degrees))
+        # an empty stack, as _branch_reports takes when there is nothing to check
+        empty, _ = _incidence(model, [], np.zeros((0, len(model.degrees))))
+        assert empty.shape == (0, 2 * len(model.degrees), model.nparams)
+    assert {(3, 3, 2), (4, 4, 2), (2, 2, 2)} <= degrees
+
+
+def _fresh_convergence(sys, base, kernel, x, slices, cfg):
+    """Each row of x projected to its slice's coordinates and evaluated on a
+    fresh restriction, against newton_tol*(1+|x|^2)."""
+    owner = np.asarray(slices)
+    y1 = np.ones((len(x), kernel.shape[1] + 1))
+    y1[:, :-1] = np.einsum("kn,kdn->kd", x - base[owner], kernel[owner])
+    r, _ = sys.on_slice(base, kernel).values(y1, owner)
+    return np.abs(r).max(axis=1) <= cfg.newton_tol * (1.0 + (x * x).sum(axis=1))
+
+
+@pytest.mark.parametrize("max_iter", [50, 2])
+def test_gauss_newton_converged_mask_matches_a_fresh_evaluation(doubled, a2_cone, max_iter,
+                                                                 monkeypatch):
+    # rows stopped by their residual are converged as the loop decided it;
+    # the mask must still read as a fresh evaluation of every returned row.
+    # Every third row of every call takes a zero first step, so it stops by
+    # the stall test; at max_iter 2 rows are cut off still stepping.  The
+    # doubled cone's rows share one slice, the A2 cone's are a stack of two
+    cfg = SolveConfig(seed=7, max_iter=max_iter)
+    original, passes = analysis._gram_steps, []
+
+    def stalling(jac, r, rtol, certify=None):
+        step, certified = original(jac, r, rtol, certify)
+        if not passes:
+            step[::3] = 0.0
+        passes.append(len(jac))
+        return step, certified
+
+    monkeypatch.setattr(analysis, "_gram_steps", stalling)
+    pt = P1Point.std(0.4 - 0.3j)
+    planted = squaring_section(0.3 + 0.7j, -1.1 + 0.2j, "minus")
+    cases = [(doubled, [pt], [evaluate_section(doubled, planted, pt).values], [0] * 40),
+             (a2_cone, [pt, P1Point.inf(0.2 + 0.5j)], [(2, 4, 2), (0j, 0j, 0j)],
+              [0, 1] * 20)]
+    for model, pts, targets, slices in cases:
+        model = model.float_view()
+        sys = real_section_system(model)
+        base, kernel = _incidence_slice(*_incidence(model, pts, targets), cfg.rank_rtol)
+        starts = np.random.default_rng(cfg.seed).standard_normal((40, sys.nvars))
+        passes.clear()
+        x, ok = _gauss_newton(sys, base, kernel, starts, cfg, slices)
+        assert passes[0] == 40 and len(passes) <= max_iter
+        assert np.array_equal(ok, _fresh_convergence(sys, base, kernel, x, slices, cfg))
+        # stalled rows never converge here; the others converge given passes
+        assert not ok[::3].any()
+        assert ok.any() == (max_iter == 50)
 
 
 def test_incidence_slice_pads_smaller_kernels_with_zero_rows(doubled):
@@ -1225,12 +1317,10 @@ def _called_from(name: str) -> bool:
     return frame is not None
 
 
-def test_a3_classify_examines_its_pairs_in_two_stages(a3_cone, monkeypatch):
-    # the A3 cone at seed 0: one of its two pairs is certified by its first
-    # candidate and the other never is, so the second stage takes the other
-    # 39 candidates of that pair in one Gauss-Newton call; each call builds
-    # the system on the two pairs' slices once
-    calls = {"_gauss_newton": 0, "on_slice": 0}
+def _examined(a3_cone, monkeypatch, seed):
+    """classify on the A3 cone at a seed, counting the _gauss_newton calls
+    and on_slice builds of _examine_pairs and the slices of each build."""
+    calls, built = {"_gauss_newton": 0, "on_slice": 0}, []
     newton, on_slice = analysis._gauss_newton, systems.RealEquationSystem.on_slice
 
     def stepping(*args):
@@ -1238,16 +1328,39 @@ def test_a3_classify_examines_its_pairs_in_two_stages(a3_cone, monkeypatch):
         return newton(*args)
 
     def building(self, base, kernel):
-        calls["on_slice"] += _called_from("_examine_pairs")
+        if _called_from("_examine_pairs"):
+            calls["on_slice"] += 1
+            built.append(len(base))
         return on_slice(self, base, kernel)
 
     monkeypatch.setattr(analysis, "_gauss_newton", stepping)
     monkeypatch.setattr(systems.RealEquationSystem, "on_slice", building)
-    cls = classify_hypercomplex(a3_cone, SolveConfig(seed=0))
+    return classify_hypercomplex(a3_cone, SolveConfig(seed=seed)), calls, built
+
+
+def test_a3_classify_examines_its_pairs_in_two_stages(a3_cone, monkeypatch):
+    # the A3 cone at seed 0: the first stage takes the first candidate of
+    # both pairs in one Gauss-Newton call; neither certifies there, so the
+    # second stage takes the other 39 candidates of both pairs in one more.
+    # Each call builds the system once, on the slices of the pairs it
+    # examines: both, twice
+    cls, calls, built = _examined(a3_cone, monkeypatch, 0)
     assert cls.verdict == "WeaklyHypercomplex"
     assert cls.evidence["family_dimension"] == 4
     assert [f["certified"] for f in cls.evidence["families"]] == [False, True]
     assert calls == {"_gauss_newton": 2, "on_slice": 2}
+    assert built == [2, 2]
+
+
+def test_a3_second_stage_builds_only_the_uncertified_pairs_slices(a3_cone, monkeypatch):
+    # at seed 6 the first pair certifies on its first candidate, so the
+    # second stage builds the system on the other pair's slice alone
+    cls, calls, built = _examined(a3_cone, monkeypatch, 6)
+    assert cls.verdict == "WeaklyHypercomplex"
+    assert cls.evidence["family_dimension"] == 2
+    assert [f["certified"] for f in cls.evidence["families"]] == [True, False]
+    assert calls == {"_gauss_newton": 2, "on_slice": 2}
+    assert built == [2, 1]
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the A3 verdict depends on the "
