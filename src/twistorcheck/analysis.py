@@ -79,7 +79,7 @@ _LABEL_TOL = 1e-9   # relative zero test of component_label
 _MATRIX_TOL = 1e-9  # relative 2x2-minor test of the float sym_matrix_model
 # Gauss-Newton step norm ratios read as a halving (linear convergence)
 _HALVING_BAND = (0.45, 0.55)
-_EPS, _FLOAT_MAX = float(np.finfo(float).eps), float(np.finfo(float).max)
+_EPS = float(np.finfo(float).eps)
 # det G / (tr G)^d above _CERT_MARGIN * c^2 certifies a Gram full rank
 # (derived in _gram_steps)
 _CERT_MARGIN = 1e3
@@ -124,11 +124,6 @@ def _point_on_fiber(model: TwistorModel, pt: P1Point, values, cfg: SolveConfig):
     return True
 
 
-def incidence_rows(model: TwistorModel, pt: P1Point):
-    """Real-linear map params -> stacked (re, im) coordinate values at pt."""
-    return _incidence(model, [pt], np.zeros((1, len(model.degrees))))[0][0]
-
-
 def _incidence(model: TwistorModel, pts, targets):
     """Stacked incidence blocks at pts[k], (k, r, n), and the (re, im) values
     of targets[k], (k, r): the slices of solve_fibers and _examine_pairs and
@@ -136,20 +131,24 @@ def _incidence(model: TwistorModel, pts, targets):
     z is the vector of z^m, m <= d (z^(d-m) in the chart at infinity), each
     Python's own power, times its embedding matrix: one vector-matrix
     product per point, in one call per coordinate for the whole stack."""
-    mats, degrees, powvecs = model.section_basis.complex_matrices(), model.degrees, []
+    mats = model.section_basis.complex_matrices()
+    degrees = model.degrees
     shape = (len(pts), 2 * len(degrees))
+    powvecs = []
     for pt in pts:
         powers = [pt.value ** m for m in range(max(degrees, default=0) + 1)]
         powvecs.append([p for k in degrees
                         for p in (powers[:k + 1] if pt.chart == "std" else powers[k::-1])])
     powvecs = np.array(powvecs, dtype=complex).reshape(len(pts), sum(degrees) + len(degrees))
-    crows, start = np.empty((len(pts), len(degrees), model.nparams), dtype=complex), 0
+    crows = np.empty((len(pts), len(degrees), model.nparams), dtype=complex)
+    start = 0
     for i, k in enumerate(degrees):  # a stack of (1, d + 1) @ (d + 1, n): gemv, as 1-D @
         np.matmul(powvecs[:, None, start:start + k + 1], mats[i], out=crows[:, i:i + 1])
         start += k + 1
     # the (re, im) rows of each coordinate, in one copy
-    return (crows.view(float).reshape(crows.shape + (2,)).transpose(0, 1, 3, 2).reshape(
-        shape + (model.nparams,)), np.asarray(targets, dtype=complex).view(float).reshape(shape))
+    amats = crows.view(float).reshape(crows.shape + (2,)).transpose(0, 1, 3, 2)
+    values = np.asarray(targets, dtype=complex).view(float).reshape(shape)
+    return amats.reshape(shape + (model.nparams,)), values
 
 
 @dataclass
@@ -183,17 +182,19 @@ class FiberSolveResult:
 def _quadric_reduce(model: TwistorModel, x0, nmat, values, cfg: SolveConfig):
     """Closed-form fiber solver for x*y = z^2 + mu, on a stack of targets.
 
-    On a target's incidence slice x0 + y·N the fiber equation is nu·h, nu
-    vanishing at the point and its antipodal image, with quadratic part
-    -q(y)·nu^2 for a positive definite q; so every fiber-row Hessian is a
-    multiple c_r of one form Q, and fiber row r, ỹ^T M_r ỹ with ỹ = (y, 1)
-    in the slice form (on_slice, one call for the stack), reads
-    F0 + L·y + c·rho with rho = y^T Q y / 2.  The rows are linear in
+    On a target's incidence slice x0 + y·N the fiber equation is nu·h,
+    where nu vanishes at the point and at its antipodal image, and its
+    quadratic part is -q(y)·nu^2 for a positive definite q; so every
+    fiber-row Hessian is a multiple c_r of one form Q, and the fiber rows
+    read F0 + L·y + c·rho with rho = y^T Q y / 2, all read from the slice
+    form (on_slice, one call for the stack): the system is quadratic, so
+    fiber row r is ỹ^T M_r ỹ, ỹ = (y, 1).  The rows are linear in
     (y, rho), and on their solutions rho = y^T Q y / 2 is one quadric,
-    centred by _incidence_slice per kernel dimension of the linear stage:
-    two points, one point, empty, or an ellipsoid family, read as masks over
-    the stack.  Returns (points, family) per target; the component rows are
-    left to solve_fibers' membership filter.
+    centred by _incidence_slice: two points, one point, empty, or an
+    ellipsoid family, the four outcomes read as masks over the stack.  The
+    centres are found per kernel dimension of the linear stage, each group
+    on its unpadded kernels.  Returns (points, family) per target; the
+    component rows are left to solve_fibers' membership filter.
     """
     sys, (k, d) = real_section_system(model), nmat.shape[:2]
     coeffs = sys.on_slice(x0, nmat).coeffs.reshape(k, d + 1, len(sys), d + 1)
@@ -251,9 +252,8 @@ def _kernel_groups(kernel: np.ndarray, mask: np.ndarray) -> list:
     as (index, rows, kernels): the index takes the group from a stack (a
     slice, no copy, when the group is every row), and the kernels come
     without the zero rows that _incidence_slice pads them with."""
-    full, k = kernel.shape[1], len(kernel)  # padding rows are zero, basis rows unit vectors
-    if np.count_nonzero(mask) == k and (full == 0 or np.count_nonzero(
-            np.vecdot(kernel[:, 0], kernel[:, 0])) == k):
+    full = kernel.shape[1]
+    if mask.all() and (full == 0 or kernel[:, 0].any(axis=1).all()):
         return [(slice(None), np.arange(len(kernel)), kernel)]  # nothing masked or padded
     dims = (kernel != 0).any(axis=2).sum(axis=1)
     groups = []
@@ -278,10 +278,11 @@ def _gram_steps(jac: np.ndarray, r: np.ndarray, rtol: float, certify=None):
     """Minimum-norm least-squares solutions of jac[k] @ step[k] = -r[k],
     (k, m, d) and (k, m), and the mask of the rows certified full rank.
 
-    Each system is first divided by its largest |jac[k]| entry (1 if it is
-    zero), which keeps its solution and its Gram G = J^T J finite.  A
-    direction is kept when its σ = √λ of G passes numerical_rank at
-    c = max(rtol, √(eps·max(m, d))), the Gram's own resolution.
+    Each system is first divided by its largest |jac[k]| entry (1 if
+    jac[k] is zero), which keeps its solution and its Gram matrix G = J^T J
+    finite.  A direction is kept when its σ = √λ of G passes numerical_rank
+    at c = max(rtol, √(eps·max(m, d))), the floor being the Gram's own
+    resolution, since the Gram squares the condition number.
 
     The rows in ``certify`` (every row if None) first try a certificate of
     full rank.  For a positive semidefinite G, λ_min/λ_max ≥ det G/(tr G)^d,
@@ -297,14 +298,14 @@ def _gram_steps(jac: np.ndarray, r: np.ndarray, rtol: float, certify=None):
     1 + 2q + p with room, so a certified row is one that eigh keeps at full
     rank.  The bound is nearly tight at d = 2: on stacks straddling the
     cutoff, rows that eigh calls rank deficient reach det G/(c²·(tr G)^d) =
-    1.01 there, and stay below 0.15 for d ≥ 3.  Every other row (a zero
-    kernel column, a zero or non-finite J, an ill-conditioned Gram) steps
-    by one stacked eigh, as the rank rule reads it.  Every product and
-    factorization is a stacked gufunc, so systems never interact.
+    1.01 there, and stay below 0.15 for d ≥ 3.  Every other row (a
+    zero-padded kernel direction, a zero or non-finite J, an ill-conditioned
+    Gram) takes its step from one stacked eigh, as the rank rule reads it.
+    Each product and factorization is a stacked gufunc, one matrix at a
+    time, so systems never interact.
     """
     peak = np.abs(jac).max(axis=(1, 2), initial=0.0)
-    if np.count_nonzero(peak) < len(peak):
-        peak[peak == 0.0] = 1.0
+    peak[peak == 0.0] = 1.0
     jac, r = jac / peak[:, None, None], r / peak[:, None]
     jact = jac.transpose(0, 2, 1)
     # matmul computes J^T J from one buffer by syrk, about twice as slow on
@@ -357,8 +358,9 @@ def _incidence_slice(amats, rhs, rtol: float):
     smaller dimension is padded with zero rows up to the largest one.
     """
     u, svals, vh = np.linalg.svd(amats)
+    p = svals.shape[1]
     ranks = numerical_rank(svals, rtol)
-    low, p = ranks.min(), svals.shape[1]
+    low = ranks.min()
     if low == p:  # every block of full rank: no value to cut
         inv = 1.0 / svals
     else:
@@ -375,21 +377,28 @@ def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig, slices):
     """Gauss-Newton for the system on incidence slices, on every row of
     ``x0`` at once; rows never interact.
 
-    Row k starts projected onto slice slices[k], base + y·kernel (see
-    _incidence_slice; one slice of shape (1, n), (1, d, n) is shared by
-    every row), and iterates in y on the system restricted to the slices
-    once (RealEquationSystem.on_slice), taking minimum-norm steps.  A row
-    stops when its residual is within newton_tol*(1+|x|^2), x formed after
-    its last step, and is then converged, or when its step stalls; the rows
-    still moving are compacted on a pass where some row stops.  Only the
-    stalled rows and those still moving after max_iter passes are evaluated
-    once more at the end, for the converged mask.  A row whose step norm
-    halved on two consecutive iterations, as at a singular root, takes a
-    double step (Griewank 1985).  Each row tries the full-rank certificate
-    of _gram_steps (an LU solve instead of an eigh) until its Gram fails it
-    once, then steps by eigh alone: rows near a rank drop, as on the A2 and
-    A3 cones, do not pay for a determinant on every pass.  Returns the
-    final rows and a mask of the converged ones.
+    Each start row is projected onto its slice base + y·kernel (see
+    _incidence_slice): row k on slice slices[k]; one slice of shape (1, n),
+    (1, d, n) is shared by every row.  It iterates in the slice coordinates
+    y: the system restricted to the slices once
+    (RealEquationSystem.on_slice, one build per slice, not per row) gives
+    the residuals and the Jacobian in y, and the minimum-norm step is taken
+    in y.  Only unconverged rows are stepped; a row stops when its residual
+    is within newton_tol*(1+|x|^2), kept from the pass that formed its x, or
+    its step stalls.  The per-row state is compacted by one index array only
+    on a pass where some row stops.  Each pass forms x = base + y·kernel of
+    the rows it stepped, for their thresholds and the stall test.  At the
+    end every row's x is formed, and only the rows stopped by the stall test
+    and those still moving after max_iter passes are evaluated once more on
+    their slice, for the converged mask; a row stopped by its residual is
+    converged as that pass decided, which a fresh evaluation repeats bit for
+    bit.  A row whose step norm halved on two consecutive iterations, as at
+    a singular root where Newton only halves the error, takes a double step
+    (Griewank 1985).  Each row tries the full-rank certificate of
+    _gram_steps (one LU solve instead of an eigh) until its Gram fails it
+    once, and from then on steps by eigh alone: rows near a rank drop, as on
+    the A2 and A3 cones, do not pay for a determinant on every pass.  Returns
+    the final rows and a mask of the converged ones.
     """
     x = np.array(x0, dtype=float)
     restricted = sys.on_slice(base, kernel)
@@ -400,10 +409,14 @@ def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig, slices):
     y[:, :-1] = np.einsum("kn,kdn->kd", x - base, kernel)
     xa = restricted.points(y, owner)
     tol = cfg.newton_tol * (1.0 + (xa * xa).sum(axis=1))
-    # per moving row: index, slice, (y, 1) (written back when it stops), last
-    # step norm, whether it halved, whether every step was certified
-    active, rows, ya, undecided = np.arange(len(x)), owner, y, []
-    last, halved, certify = np.full(len(x), np.inf), np.zeros(len(x), bool), np.ones(len(x), bool)
+    # per moving row: its index, its slice, its (y, 1) (written back to y
+    # when it stops), its last step norm, whether that step halved, and
+    # whether every step so far was certified
+    active, rows, ya = np.arange(len(x)), owner, y
+    last = np.full(len(x), np.inf)
+    halved = np.zeros(len(x), dtype=bool)
+    certify = np.ones(len(x), dtype=bool)
+    undecided = []  # the rows stopped by a stall, then those cut off by max_iter
     lo, hi = _HALVING_BAND
     for _ in range(cfg.max_iter):
         r, jac = restricted.values(ya, rows)
@@ -412,9 +425,11 @@ def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig, slices):
         if not left:
             break
         if left < len(moving):
-            y[active], keep = ya, np.flatnonzero(moving)
-            active, rows, ya, r, jac, last, halved, certify = (a.take(keep, axis=0) for a in (
-                active, rows, ya, r, jac, last, halved, certify))
+            y[active] = ya
+            keep = np.flatnonzero(moving)
+            active, rows, ya = active[keep], rows[keep], ya[keep]
+            r, jac = r[keep], jac[keep]
+            last, halved, certify = last[keep], halved[keep], certify[keep]
         step, certify = _gram_steps(jac, r, cfg.rank_rtol, certify)
         norm = np.sqrt((step * step).sum(axis=1))  # np.linalg.norm, less overhead
         halving = (lo * last < norm) & (norm < hi * last)
@@ -427,19 +442,21 @@ def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig, slices):
         last, halved, tol = norm, halving, cfg.newton_tol * (1.0 + sq)
         moved = norm > 1e-15 * (1.0 + np.sqrt(sq))
         if np.count_nonzero(moved) < len(moved):
-            y[active], keep = ya, np.flatnonzero(moved)
+            y[active] = ya
             undecided.append(active[~moved])
-            active, rows, ya, tol, last, halved, certify = (a.take(keep, axis=0) for a in (
-                active, rows, ya, tol, last, halved, certify))
+            keep = np.flatnonzero(moved)
+            active, rows, ya, tol = active[keep], rows[keep], ya[keep], tol[keep]
+            last, halved, certify = last[keep], halved[keep], certify[keep]
     else:
         undecided.append(active)
     y[active] = ya
-    x, ok = restricted.points(y, owner), np.ones(len(x), dtype=bool)
+    x = restricted.points(y, owner)
+    ok = np.ones(len(x), dtype=bool)
     if undecided:
         idx = np.concatenate(undecided)
         r, _ = restricted.values(y[idx], owner[idx])
-        ok[idx] = np.abs(r).max(axis=1, initial=0.0) <= \
-            cfg.newton_tol * (1.0 + (x[idx] * x[idx]).sum(axis=1))
+        tol = cfg.newton_tol * (1.0 + (x[idx] * x[idx]).sum(axis=1))
+        ok[idx] = np.abs(r).max(axis=1, initial=0.0) <= tol
     return x, ok
 
 
@@ -561,7 +578,7 @@ def solve_fibers(model: TwistorModel, points, targets,
         sols = sols[member[start:end]]
         sols = sols[_dedup(sols, radius)]
         # exact, as scale is a power of two; scaling down never overflows
-        limit = _FLOAT_MAX / max(scale, 1.0)
+        limit = np.finfo(float).max / max(scale, 1.0)
         scaled = [sols] + ([fam.center_params, fam.basis_params] if fam is not None else [])
         if any(np.abs(a).max(initial=0.0) > limit for a in scaled):
             results[k] = FiberError("the solutions overflow the float range once "
@@ -581,21 +598,25 @@ def solve_fiber(model: TwistorModel, zeta, target,
     one-target view of solve_fibers, raising the FiberError that refuses
     the target.
 
-    The incidence rows at the point cut the parameters to x0 + y·N, and a
-    target off that slice (rows inconsistent beyond 1e-8 relative) has no
-    solutions.  On the slice, closed-form families use their reducer
-    (complete), other models multistart Newton (heuristic completeness).
-    The solve runs in the canonical chart of the point, values given in the
-    other chart multiplied by w**k_i, w the new chart value.  On a
-    homogeneous model it is scale covariant, solve_fiber(s*v) =
-    s*solve_fiber(v) for real s > 0 (bit for bit for a power of two s): the
-    target is divided by the power of two nearest its largest entry and the
-    solutions and family multiplied back.  On any other model a target whose
-    1 + Σ|v|² overflows is refused before any solver runs.  Newton points
-    are deduplicated at max(dedup_radius, √newton_tol), 1e-6 by default: a
-    row stops within newton_tol of a zero residual, about newton_tol/σ_min(J)
-    from its root (√newton_tol at a double root), so rows of one root can
-    lie farther apart than dedup_radius at a loose newton_tol.
+    The target is sliced once, for every family: the incidence rows at the
+    point cut the parameters to x0 + y·N, and a target off that slice (rows
+    inconsistent beyond 1e-8 relative) has no solutions.  On the slice,
+    closed-form families use their reducer (complete); other models use
+    multistart Newton with heuristic completeness.  The solve runs in the
+    canonical chart of the point: values given in the other chart are
+    multiplied by w**k_i, w the new chart value.  On a homogeneous model the
+    solve is scale covariant, solve_fiber(s*v) = s*solve_fiber(v) for real
+    s > 0 (bit for bit when s is a power of two): the target is divided by the
+    power of two nearest its largest entry, solved at unit scale, and the
+    solutions and family are multiplied back.  On any other model a target
+    whose 1 + Σ|v|² overflows is refused before any solver runs.  A family's
+    points stay one stacked array through one membership test and the
+    deduplication; only the kept ones are scaled and sorted.  Newton points
+    are deduplicated at max(dedup_radius, √newton_tol): a row stops once its
+    residual is within newton_tol, which leaves it about newton_tol/σ_min(J)
+    from its root (√newton_tol at a double root), so with a loose newton_tol
+    two rows of one root can lie farther apart than dedup_radius.
+    √1e-12 is the default dedup_radius, 1e-6.
     """
     (res,) = solve_fibers(model, [zeta], [target], cfg)
     if isinstance(res, FiberError):

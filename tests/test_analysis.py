@@ -26,7 +26,7 @@ from twistorcheck.analysis import (_FAMILIES, FamilyDescriptor, FiberSolveResult
                                   _examine_pairs,
                                   _gauss_newton, _incidence,
                                   _incidence_slice, _newton_multistart,
-                                  incidence_rows, sample_sections)
+                                  sample_sections)
 from twistorcheck.projline import SplittingType
 from twistorcheck import analysis, models, serialize, systems
 from twistorcheck.serialize import jsonable
@@ -575,7 +575,6 @@ def test_incidence_blocks_equal_one_product_per_point_and_coordinate():
                 crow = np.array([pt.value ** m for m in exps]) @ mats[i]
                 rows += [crow.real, crow.imag]
             assert amat.tobytes() == np.array(rows).tobytes()
-            assert incidence_rows(model, pt).tobytes() == amat.tobytes()
         degrees.add(tuple(model.degrees))
         # an empty stack, as _branch_reports takes when there is nothing to check
         empty, _ = _incidence(model, [], np.zeros((0, len(model.degrees))))
@@ -1217,8 +1216,9 @@ def test_batched_examination_equals_each_pair_alone(name, verdict, request):
 def _antipodal_rows_add_no_rank(model, p, pt):
     """Numerical rank of [J(p); A(zeta)] against [J(p); A(zeta); A(sigma zeta)]."""
     jac = real_section_system(model).jacobian_at(np.asarray(p, dtype=float))
-    single = np.vstack([jac, incidence_rows(model, pt)])
-    both = np.vstack([single, incidence_rows(model, pt.antipodal())])
+    amats, _ = _incidence(model, [pt, pt.antipodal()], np.zeros((2, len(model.degrees))))
+    single = np.vstack([jac, amats[0]])
+    both = np.vstack([single, amats[1]])
     ranks = [numerical_rank(np.linalg.svd(m, compute_uv=False), CFG.rank_rtol)
              for m in (single, both)]
     return ranks[0] == ranks[1]

@@ -13,7 +13,7 @@ from twistorcheck import (DimensionError, ModelError, SigmaCoordRule,
                           build_deformed, build_quadric, build_smooth_o11,
                           glue_cone_twistor, quadric_params, serialize,
                           squaring_section)
-from twistorcheck.analysis import _incidence_slice, incidence_rows
+from twistorcheck.analysis import _incidence, _incidence_slice
 from twistorcheck.exactla import exact_rank
 from twistorcheck.models import FiberEquation, TwistorModel, _coeff_form
 from twistorcheck.mpoly import MPoly
@@ -524,8 +524,8 @@ def _incidence_slices(model, layout, rng):
     test_incidence_slice_pads_smaller_kernels_with_zero_rows, where the
     second repeats an incidence row, so the first kernel gets a zero row."""
     count = {"shared": 1, "per-row": 4, "per-row-40": 40, "padded": 1}[layout]
-    amats = [incidence_rows(model, P1Point.std(complex(*rng.standard_normal(2))))
-             for _ in range(count)]
+    pts = [P1Point.std(complex(*rng.standard_normal(2))) for _ in range(count)]
+    amats = list(_incidence(model, pts, np.zeros((count, len(model.degrees))))[0])
     rhs = [rng.standard_normal(len(a)) for a in amats]
     if layout == "padded":
         low, low_b = amats[0].copy(), rhs[0].copy()
