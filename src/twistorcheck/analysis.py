@@ -80,10 +80,14 @@ _MATRIX_TOL = 1e-9  # relative 2x2-minor test of the float sym_matrix_model
 # Gauss-Newton step norm ratios read as a halving (linear convergence)
 _HALVING_BAND = (0.45, 0.55)
 _EPS = float(np.finfo(float).eps)
-# det G / (tr G)^d above _CERT_MARGIN * c^2 certifies a Gram full rank
-# (derived in _gram_steps)
+# det G / (tr G)^d above _CERT_MARGIN * c^2 certifies a Gram whose trace lies
+# in _TRACE_RANGE full rank (derived in _slice_steps)
 _CERT_MARGIN = 1e3
+_TRACE_RANGE = (2.0 ** -400, 2.0 ** 400)
 _SIGNS = np.array([1.0, -1.0])  # the two points of a one-dimensional fiber quadric
+# bits of the float range the fiber test keeps free above (1 + Σ|v|²)^(D/2):
+# coefficients, term counts and the spread of the Newton starts
+_RANGE_HEADROOM = 64
 
 
 @dataclass(frozen=True)
@@ -112,10 +116,14 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat))
 
 
-def _point_on_fiber(model: TwistorModel, pt: P1Point, values, cfg: SolveConfig):
+def _point_on_fiber(model: TwistorModel, pt: P1Point, values, cfg: SolveConfig,
+                    degree: int):
     scale = 1.0 + sum(abs2(v) for v in values)
-    if not math.isfinite(scale):
-        raise FiberError("the fiber values are too large: 1 + sum |v|^2 overflows "
+    # the solvers evaluate forms of degree D (the system's, at least 2) at
+    # points about √scale in size
+    if not degree / 2 * math.log2(scale) <= 1024 - _RANGE_HEADROOM:
+        raise FiberError(f"the fiber values are too large: (1 + sum |v|^2)^(D/2) at the "
+                         f"system degree D = {degree} comes within 2^{_RANGE_HEADROOM} of "
                          "the float range")
     for eq, coeff_scale in zip(model.equations, model.equation_scales):
         val = eq.eval_at(pt, values)
@@ -274,77 +282,85 @@ def _linear_reduce(model: TwistorModel, x0, nmat, values, cfg: SolveConfig):
             for x, n in zip(x0, nmat)]
 
 
-def _gram_steps(jac: np.ndarray, r: np.ndarray, rtol: float, certify=None):
+def _gram_steps(jac: np.ndarray, r: np.ndarray, rtol: float) -> np.ndarray:
     """Minimum-norm least-squares solutions of jac[k] @ step[k] = -r[k],
-    (k, m, d) and (k, m), and the mask of the rows certified full rank.
-
-    Each system is first divided by its largest |jac[k]| entry (1 if
-    jac[k] is zero), which keeps its solution and its Gram matrix G = J^T J
+    (k, m, d) and (k, m), by one stacked eigh: the rows _slice_steps does not
+    certify.  Each system is first divided by its largest |jac[k]| entry (1
+    if jac[k] is zero), which keeps its solution and its Gram G = J^T J
     finite.  A direction is kept when its σ = √λ of G passes numerical_rank
     at c = max(rtol, √(eps·max(m, d))), the floor being the Gram's own
-    resolution, since the Gram squares the condition number.
-
-    The rows in ``certify`` (every row if None) first try a certificate of
-    full rank.  For a positive semidefinite G, λ_min/λ_max ≥ det G/(tr G)^d,
-    as λ_max ≤ tr G and det G ≤ λ_min·λ_max^(d-1).  A row with
-    det G > _CERT_MARGIN·c²·(tr G)^d keeps every direction, and its step
-    -G⁻¹·J^T r comes from one stacked LU solve.  The margin covers rounding.
-    The LU determinant is the exact determinant of G + E, ‖E‖ ≤ p·eps·λ_max,
-    and eigh's eigenvalues lie within q·eps·λ_max of G's, p and q of order
-    d² for these small Grams (Björck 1996).  If eigh finds rank < d,
-    λ_min ≤ (c² + 2q·eps)·λ_max; each singular value of G + E is within
-    p·eps·λ_max of a |λ_i|, so |det(G + E)| ≤ (c² + (2q + p)·eps)·(tr G)^d
-    ≤ (1 + 2q + p)·c²·(tr G)^d, because c² ≥ eps.  _CERT_MARGIN bounds
-    1 + 2q + p with room, so a certified row is one that eigh keeps at full
-    rank.  The bound is nearly tight at d = 2: on stacks straddling the
-    cutoff, rows that eigh calls rank deficient reach det G/(c²·(tr G)^d) =
-    1.01 there, and stay below 0.15 for d ≥ 3.  Every other row (a
-    zero-padded kernel direction, a zero or non-finite J, an ill-conditioned
-    Gram) takes its step from one stacked eigh, as the rank rule reads it.
-    Each product and factorization is a stacked gufunc, one matrix at a
-    time, so systems never interact.
-    """
+    resolution, since the Gram squares the condition number."""
     peak = np.abs(jac).max(axis=(1, 2), initial=0.0)
     peak[peak == 0.0] = 1.0
     jac, r = jac / peak[:, None, None], r / peak[:, None]
     jact = jac.transpose(0, 2, 1)
     # matmul computes J^T J from one buffer by syrk, about twice as slow on
     # these stacks as gemm from a copy of J^T, with the same bits
-    gram, rhs = jact.copy() @ jac, jact @ r[:, :, None]
-    k, d = gram.shape[:2]
-    cut = max(rtol, math.sqrt(_EPS * max(jac.shape[1:])))
-    bound = _CERT_MARGIN * cut ** 2
-    tried = k if certify is None else np.count_nonzero(certify)
-    if tried == k:
-        certified = np.linalg.det(gram) > bound * gram.trace(axis1=1, axis2=2) ** d
-    elif tried:
-        certified = np.zeros(k, dtype=bool)
-        g = gram[certify]
-        certified[certify] = np.linalg.det(g) > bound * g.trace(axis1=1, axis2=2) ** d
-    else:
-        certified = certify
-    passed = np.count_nonzero(certified)
-    if passed == k:
-        return -np.linalg.solve(gram, rhs)[:, :, 0], certified
-    if not passed:
-        return _eigh_steps(gram, rhs, cut), certified
-    step = np.empty((k, d))
-    step[certified] = -np.linalg.solve(gram[certified], rhs[certified])[:, :, 0]
-    rest = ~certified
-    step[rest] = _eigh_steps(gram[rest], rhs[rest], cut)
-    return step, certified
-
-
-def _eigh_steps(gram: np.ndarray, rhs: np.ndarray, cut: float) -> np.ndarray:
-    """-G⁺·rhs for a stack of Gram matrices G (k, d, d) and rhs (k, d, 1), the
-    directions of one stacked eigh cut at numerical_rank's c = ``cut``."""
-    lam, vec = np.linalg.eigh(gram)  # ascending; numerical_rank reads descending
+    lam, vec = np.linalg.eigh(jact.copy() @ jac)  # ascending; numerical_rank reads descending
     d = lam.shape[1]
-    rank = numerical_rank(np.sqrt(np.maximum(lam[:, ::-1], 0.0)), cut)
+    rank = numerical_rank(np.sqrt(np.maximum(lam[:, ::-1], 0.0)),
+                          max(rtol, math.sqrt(_EPS * max(jac.shape[1:]))))
     inv = np.divide(-1.0, lam, out=np.zeros_like(lam),
                     where=np.arange(d) >= d - rank[:, None])
-    coef = inv[:, :, None] * (vec.transpose(0, 2, 1) @ rhs)
+    coef = inv[:, :, None] * (vec.transpose(0, 2, 1) @ (jact @ r[:, :, None]))
     return (vec @ coef)[:, :, 0]
+
+
+def _slice_steps(half: np.ndarray, y1: np.ndarray, r: np.ndarray, degree: int,
+                 rtol: float, certify=None):
+    """Minimum-norm least-squares steps of J[k] @ step[k] = -r[k] and the
+    mask of the rows certified full rank, from the blocks H = half
+    (k, m, d + 1) of SliceSystem.values at y1 = ỹ: J = D·H[:, :, :d] with
+    D = degree, and r = H·ỹ as that call returned it.
+
+    The rows in ``certify`` (every row if None) first try a certificate on
+    P = H[:, :d]^T·H, whose g = P[:, :d] is G/D² for the Gram G = J^T J.  For
+    a positive semidefinite g, λ_min/λ_max ≥ det g/(tr g)^d, as λ_max ≤ tr g
+    and det g ≤ λ_min·λ_max^(d-1); the ratio is scale invariant, so g needs
+    no normalising.  A row whose tr g lies in [2^-400, 2^400], where g
+    neither overflows nor underflows below eps·tr g, is certified when
+    det(g/tr g) > _CERT_MARGIN·c², c being _gram_steps' cutoff.  The margin
+    covers rounding: the LU determinant is the exact one of g/tr g + E,
+    ‖E‖ ≤ p·eps, and eigh's eigenvalues lie within q·eps·λ_max of G's, p and
+    q of order d² (Björck 1996).  If eigh finds rank < d, λ_min ≤
+    (c² + 2q·eps)·λ_max, so |det(g/tr g + E)| ≤ (1 + 2q + p)·c² as c² ≥ eps,
+    and _CERT_MARGIN bounds 1 + 2q + p with room: eigh keeps every certified
+    row at full rank.  The bound is nearly tight at d = 2 (rows eigh calls
+    rank deficient reach 1.01·c²) and below 0.15·c² for d ≥ 3.  A certified
+    row steps by -g⁻¹·(P·ỹ)/D from one stacked LU solve; P·ỹ = J^T r/D, and
+    both carry a rounding error of about eps·|H|²·|ỹ| (r = H·ỹ errs by
+    eps·|H|·|ỹ|).  Every other row (a zero-padded kernel direction, a zero
+    or non-finite H, a scale out of range, an ill-conditioned Gram) steps by
+    _gram_steps on (J, r).  Each product and factorization is a stacked
+    gufunc, one matrix at a time, so rows never interact.
+    """
+    k, m, width = half.shape
+    d = width - 1
+    tried = k if certify is None else np.count_nonzero(certify)
+    if not tried:
+        return _gram_steps(degree * half[:, :, :d], r, rtol), np.zeros(k, dtype=bool)
+    h = half if tried == k else half[certify]
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge H falls out of range
+        top = h[:, :, :d].transpose(0, 2, 1) @ h  # P, (tried, d, d + 1)
+    gram = top[:, :, :d]
+    trace = gram.trace(axis1=1, axis2=2)
+    passed = (trace >= _TRACE_RANGE[0]) & (trace <= _TRACE_RANGE[1])  # NaN fails
+    bound = _CERT_MARGIN * max(rtol, math.sqrt(_EPS * max(m, d))) ** 2
+    if np.count_nonzero(passed) == tried:
+        passed = np.linalg.det(gram / trace[:, None, None]) > bound
+    else:
+        passed[passed] = np.linalg.det(gram[passed] / trace[passed, None, None]) > bound
+    if np.count_nonzero(passed) == k:
+        return np.linalg.solve(gram, top @ y1[:, :, None])[:, :, 0] / -degree, passed
+    certified = np.zeros(k, dtype=bool)
+    certified[slice(None) if certify is None else certify] = passed
+    step = np.empty((k, d))
+    if np.count_nonzero(passed):
+        rhs = top[passed] @ y1[certified][:, :, None]
+        step[certified] = np.linalg.solve(gram[passed], rhs)[:, :, 0] / -degree
+    rest = ~certified
+    step[rest] = _gram_steps(degree * half[rest, :, :d], r[rest], rtol)
+    return step, certified
 
 
 def _incidence_slice(amats, rhs, rtol: float):
@@ -377,28 +393,30 @@ def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig, slices):
     """Gauss-Newton for the system on incidence slices, on every row of
     ``x0`` at once; rows never interact.
 
-    Each start row is projected onto its slice base + y·kernel (see
-    _incidence_slice): row k on slice slices[k]; one slice of shape (1, n),
-    (1, d, n) is shared by every row.  It iterates in the slice coordinates
-    y: the system restricted to the slices once
-    (RealEquationSystem.on_slice, one build per slice, not per row) gives
-    the residuals and the Jacobian in y, and the minimum-norm step is taken
-    in y.  Only unconverged rows are stepped; a row stops when its residual
-    is within newton_tol*(1+|x|^2), kept from the pass that formed its x, or
+    Row k starts projected onto its slice base + y·kernel (see
+    _incidence_slice), slice slices[k]; one slice of shape (1, n), (1, d, n)
+    is shared by every row.  It iterates in the slice coordinates y: the
+    system restricted to the slices once (RealEquationSystem.on_slice, one
+    build per slice, not per row) gives the residuals r and their slice form
+    H (SliceSystem.values), and _slice_steps the minimum-norm step in y.
+    Only unconverged rows are stepped; a row stops when its residual is
+    within newton_tol*(1+|x|^2), kept from the pass that formed its x, or
     its step stalls.  The per-row state is compacted by one index array only
     on a pass where some row stops.  Each pass forms x = base + y·kernel of
     the rows it stepped, for their thresholds and the stall test.  At the
     end every row's x is formed, and only the rows stopped by the stall test
-    and those still moving after max_iter passes are evaluated once more on
-    their slice, for the converged mask; a row stopped by its residual is
-    converged as that pass decided, which a fresh evaluation repeats bit for
-    bit.  A row whose step norm halved on two consecutive iterations, as at
-    a singular root where Newton only halves the error, takes a double step
-    (Griewank 1985).  Each row tries the full-rank certificate of
-    _gram_steps (one LU solve instead of an eigh) until its Gram fails it
-    once, and from then on steps by eigh alone: rows near a rank drop, as on
-    the A2 and A3 cones, do not pay for a determinant on every pass.  Returns
-    the final rows and a mask of the converged ones.
+    and those still moving after max_iter passes are evaluated once more,
+    for the converged mask; a row stopped by its residual is converged as
+    that pass decided, which a fresh evaluation repeats bit for bit.  A row
+    whose step norm halved on two consecutive iterations, as at a singular
+    root where Newton only halves the error, takes a double step (Griewank
+    1985).  Each row tries the full-rank certificate of _slice_steps, made
+    on its unnormalised Gram H^T H with no Jacobian stack (one LU solve
+    instead of an eigh), until its Gram fails it or its scale leaves the
+    certificate's range once; from then on it steps by the normalised eigh
+    alone, so rows near a rank drop, as on the A2 and A3 cones, do not pay
+    for a determinant on every pass.  Returns the final rows and a mask of
+    the converged ones.
     """
     x = np.array(x0, dtype=float)
     restricted = sys.on_slice(base, kernel)
@@ -419,7 +437,7 @@ def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig, slices):
     undecided = []  # the rows stopped by a stall, then those cut off by max_iter
     lo, hi = _HALVING_BAND
     for _ in range(cfg.max_iter):
-        r, jac = restricted.values(ya, rows)
+        r, half = restricted.values(ya, rows)
         moving = ~(np.abs(r).max(axis=1, initial=0.0) <= tol)  # NaN keeps moving
         left = np.count_nonzero(moving)
         if not left:
@@ -428,9 +446,9 @@ def _gauss_newton(sys, base, kernel, x0, cfg: SolveConfig, slices):
             y[active] = ya
             keep = np.flatnonzero(moving)
             active, rows, ya = active[keep], rows[keep], ya[keep]
-            r, jac = r[keep], jac[keep]
+            r, half = r[keep], half[keep]
             last, halved, certify = last[keep], halved[keep], certify[keep]
-        step, certify = _gram_steps(jac, r, cfg.rank_rtol, certify)
+        step, certify = _slice_steps(half, ya, r, restricted.degree, cfg.rank_rtol, certify)
         norm = np.sqrt((step * step).sum(axis=1))  # np.linalg.norm, less overhead
         halving = (lo * last < norm) & (norm < hi * last)
         double = halving & halved
@@ -506,14 +524,18 @@ def _newton_multistart(model, x0, nmat, values, cfg: SolveConfig):
     return [(rows[mask], None) for rows, mask in zip(x, ok)]
 
 
-def _fiber_target(model: TwistorModel, zeta, target, cfg: SolveConfig):
+def _fiber_target(model: TwistorModel, zeta, target, cfg: SolveConfig, degree: int):
     """A target's canonical base point, its fiber values there divided by
     the solve's scale, and that scale; FiberError refuses a target that is
-    not finite, too large for the fiber test, or off the fiber."""
+    not finite, too large for the fiber test at the system degree, or off
+    the fiber."""
     if isinstance(target, FiberPoint):
         zeta, target = target.zeta, target.values
-    given = _float_point(zeta if isinstance(zeta, P1Point) else P1Point.std(zeta))
-    values = tuple(complex(v) for v in target)
+    try:
+        given = _float_point(zeta if isinstance(zeta, P1Point) else P1Point.std(zeta))
+        values = tuple(complex(v) for v in target)
+    except OverflowError:  # an exact number beyond the float range
+        raise FiberError("the base point and the fiber values must be finite") from None
     if len(values) != len(model.degrees):
         raise DimensionError("fiber value count differs from coordinate count")
     if not all(map(cmath.isfinite, (given.value,) + values)):
@@ -525,7 +547,7 @@ def _fiber_target(model: TwistorModel, zeta, target, cfg: SolveConfig):
     rescale = model.homogeneous and 0.0 < peak < math.inf
     scale = 2.0 ** min(round(math.log2(peak)), 1023) if rescale else 1.0
     values = tuple(v / scale for v in values)
-    if not _point_on_fiber(model, pt, values, cfg):
+    if not _point_on_fiber(model, pt, values, cfg, degree):
         raise FiberError("target does not satisfy the fiber equations")
     return pt, values, scale
 
@@ -551,7 +573,8 @@ def solve_fibers(model: TwistorModel, points, targets,
     results, parsed = [None] * len(targets), []
     for k, (zeta, target) in enumerate(zip(points, targets)):
         try:
-            parsed.append((k,) + _fiber_target(model, zeta, target, cfg))
+            parsed.append((k,) + _fiber_target(model, zeta, target, cfg,
+                                               max(sys.degree, 2)))
         except FiberError as exc:
             results[k] = exc
     if not parsed:
@@ -609,7 +632,8 @@ def solve_fiber(model: TwistorModel, zeta, target,
     s > 0 (bit for bit when s is a power of two): the target is divided by the
     power of two nearest its largest entry, solved at unit scale, and the
     solutions and family are multiplied back.  On any other model a target
-    whose 1 + Σ|v|² overflows is refused before any solver runs.  A family's
+    whose (1 + Σ|v|²)^(D/2), D the system degree (at least 2), comes within
+    2^64 of the float range is refused before any solver runs.  A family's
     points stay one stacked array through one membership test and the
     deduplication; only the kept ones are scaled and sorted.  Newton points
     are deduplicated at max(dedup_radius, √newton_tol): a row stops once its

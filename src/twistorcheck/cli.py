@@ -29,8 +29,8 @@ from . import __version__
 from .analysis import (SolveConfig, branch_test, classify_hypercomplex,
                        component_label, normal_splitting,
                        rank_one_matrix_oracle, sample_sections, singular_scan,
-                       solve_fiber, sym_matrix_model)
-from .errors import ScenarioError, TwistorCheckError
+                       solve_fibers, sym_matrix_model)
+from .errors import FiberError, ScenarioError, TwistorCheckError
 from .models import (build_deformed, build_quadric, build_smooth_o11,
                      glue_cone_twistor, models_structurally_equal,
                      quadric_params, quadric_tuple, validate_model)
@@ -228,7 +228,9 @@ def _op_sections(args, model, cfg):
 
 
 def _op_solve_fiber(args, model, cfg):
-    res = solve_fiber(model, args["zeta"], tuple(args["point"]), cfg)
+    res = args["solved"]  # by run_scenario_doc, one solve_fibers call per batch
+    if isinstance(res, FiberError):
+        raise res
     numbers = {"count": len(res.solutions), "complete": res.complete,
                "family_dim": res.family.dim if res.family else 0}
     evidence = {"method": res.method,
@@ -423,6 +425,23 @@ def _check_ops(doc) -> dict:
     return scenario
 
 
+def _solve_fiber_batch(jobs, first: int) -> dict:
+    """The results of the solve-fiber task jobs[first] and of every later one
+    on the same model object with an equal config, by job index, from one
+    solve_fibers call; each equals its one-target solve_fiber, or is the
+    FiberError that refuses it.  A task whose point has the wrong value
+    count forms a batch of its own, so that it raises at its own turn."""
+    _, args, model, cfg = jobs[first]
+    width, batch = len(model.degrees), [first]
+    if len(args["point"]) == width:
+        batch = [i for i, (_, a, m, c) in enumerate(jobs[first:], first)
+                 if a["op"] == "solve-fiber" and m is model and c == cfg
+                 and len(a["point"]) == width]
+    results = solve_fibers(model, [jobs[i][1]["zeta"] for i in batch],
+                           [tuple(jobs[i][1]["point"]) for i in batch], cfg)
+    return dict(zip(batch, results))
+
+
 def run_scenario_doc(doc: dict, out_path=None) -> dict:
     """Run a scenario: one stdout line per task, the report to its target.
 
@@ -430,10 +449,15 @@ def run_scenario_doc(doc: dict, out_path=None) -> dict:
     """
     scenario = _check_ops(doc)
     cfg = SolveConfig(seed=scenario.get("seed", 0), **scenario["tolerances"])
-    records = []
-    for task, args in zip(doc["tasks"], scenario["tasks"]):
-        model = args.get("model", scenario.get("model"))
-        task_cfg = cfg if "seed" not in args else replace(cfg, seed=args["seed"])
+    jobs = [(task, args, args.get("model", scenario.get("model")),
+             cfg if "seed" not in args else replace(cfg, seed=args["seed"]))
+            for task, args in zip(doc["tasks"], scenario["tasks"])]
+    records, solved = [], {}
+    for i, (task, args, model, task_cfg) in enumerate(jobs):
+        if args["op"] == "solve-fiber":
+            if i not in solved:
+                solved.update(_solve_fiber_batch(jobs, i))
+            args = {**args, "solved": solved.pop(i)}
         records.append(execute_task(task, args, model, task_cfg))
     report = {
         "toolkit": {"name": "twistorcheck", "version": __version__},

@@ -48,6 +48,7 @@ class RealEquationSystem:
         self.labels = list(labels)
         self.exact = exact
         self._res = residuals
+        self.degree = residuals.degree  # of the residuals in the parameters
         self._jac, self._lead = residuals.jacobian()
         # the rows of the fiber equations; the others come from component
         # equations (labels <model>.eq<i>[z^<m>].<part> and
@@ -235,14 +236,14 @@ class SliceSystem:
         return stack if len(stack) == 1 else stack[rows]
 
     def values(self, y1: np.ndarray, rows):
-        """Residuals (k, E) and Jacobians in y (k, E, d) at the points
-        y1 = (y, 1), (k, d + 1), row k on slice rows[k]."""
+        """Residuals r (k, E) and blocks H = C·ỹ^(D-1) (k, E, d + 1) at the
+        points y1 = ỹ = (y, 1), (k, d + 1), row k on slice rows[k]: r = H·ỹ,
+        and the Jacobian in y is D·H without its last column."""
         mono = y1 if self.degree == 2 else y1[:, self.lows].prod(axis=-1)  # (k, P)
         # stacked matmuls, one product per row, so rows never interact
         half = mono[:, None, :] @ self._rows(self.coeffs, rows)  # C·ỹ^(D-1)
         half = half.reshape(len(y1), self.nres, self.dim + 1)
-        return ((half @ y1[:, :, None])[:, :, 0],
-                self.degree * half[:, :, :self.dim])
+        return (half @ y1[:, :, None])[:, :, 0], half
 
     def points(self, y1: np.ndarray, rows) -> np.ndarray:
         """The points x = base + y·kernel (k, n) at y1 = (y, 1), (k, d + 1)."""

@@ -141,6 +141,27 @@ def test_solve_fiber_refuses_values_beyond_the_fiber_test(deformed, values):
     assert isinstance(refused, FiberError)
 
 
+@pytest.mark.parametrize("name,values", [
+    ("a2_cone", (2e102, 4e102, 2e68)), ("a2_cone", (2e105, 4e105, 2e70)),
+    ("a3_cone", (1e80, 1.6e81, 2e40))])
+def test_newton_targets_beyond_the_degree_bound_are_refused(name, values, request):
+    # the A2 and A3 cones are not homogeneous, so Newton starts at the
+    # target's own scale, where forms of degree 3 or 4 overflow although
+    # 1 + sum |v|^2 does not: these used to warn "overflow encountered in
+    # matmul" and report no section
+    model = request.getfixturevalue(name)
+    with pytest.raises(FiberError, match="too large"):
+        solve_fiber(model, 0.4 - 0.3j, values, CFG)
+    (refused,) = solve_fibers(model, [0.4 - 0.3j], [values], CFG)
+    assert isinstance(refused, FiberError)
+
+
+def test_newton_targets_within_the_degree_bound_are_solved(a2_cone):
+    # 2e60 stays well inside the bound for the degree-3 A2 system
+    res = solve_fiber(a2_cone, 0.4 - 0.3j, (2e60, 4e60, 2e40), CFG)
+    assert res.method == "newton-multistart"
+
+
 def _same_result(a, b):
     """Bit-for-bit equal FiberSolveResults, family included."""
     if (a.method, a.complete, len(a.solutions)) != (b.method, b.complete,
@@ -601,16 +622,16 @@ def test_gauss_newton_converged_mask_matches_a_fresh_evaluation(doubled, a2_cone
     # the stall test; at max_iter 2 rows are cut off still stepping.  The
     # doubled cone's rows share one slice, the A2 cone's are a stack of two
     cfg = SolveConfig(seed=7, max_iter=max_iter)
-    original, passes = analysis._gram_steps, []
+    original, passes = analysis._slice_steps, []
 
-    def stalling(jac, r, rtol, certify=None):
-        step, certified = original(jac, r, rtol, certify)
+    def stalling(half, y1, r, degree, rtol, certify=None):
+        step, certified = original(half, y1, r, degree, rtol, certify)
         if not passes:
             step[::3] = 0.0
-        passes.append(len(jac))
+        passes.append(len(half))
         return step, certified
 
-    monkeypatch.setattr(analysis, "_gram_steps", stalling)
+    monkeypatch.setattr(analysis, "_slice_steps", stalling)
     pt = P1Point.std(0.4 - 0.3j)
     planted = squaring_section(0.3 + 0.7j, -1.1 + 0.2j, "minus")
     cases = [(doubled, [pt], [evaluate_section(doubled, planted, pt).values], [0] * 40),
@@ -679,6 +700,15 @@ def _conditioned_stack(rng, m, d, ratios):
     return (u * svals[:, None, :]) @ v.transpose(0, 2, 1) * scale
 
 
+def _steps(jac, r, certify=None):
+    """_slice_steps on the slice form of the systems jac @ step = -r:
+    H = [J | r], ỹ = e_{d+1} and D = 1, so that J = D·H[:, :, :d] and r = H·ỹ."""
+    y1 = np.zeros((len(jac), jac.shape[2] + 1))
+    y1[:, -1] = 1.0
+    return analysis._slice_steps(np.concatenate([jac, r[:, :, None]], axis=2), y1, r, 1,
+                                 CFG.rank_rtol, certify)
+
+
 def _eigh_ranks(jac, rtol):
     """The rank the eigh rule reads off each system's Gram, scaled and cut
     as _gram_steps scales and cuts it."""
@@ -699,7 +729,7 @@ def test_gram_steps_equal_the_pseudo_inverse(m, d):
     for _ in range(20):
         jac = rng.standard_normal((20, m, d)) * 10.0 ** rng.uniform(-3, 3, (20, 1, 1))
         r = rng.standard_normal((20, m)) * 10.0 ** rng.uniform(-3, 3, (20, 1))
-        got, certified = analysis._gram_steps(jac, r, CFG.rank_rtol)
+        got, certified = _steps(jac, r)
         assert certified.all()
         assert _relative_gap(got, _pinv_steps(jac, r)) <= 1e-12
     # well-conditioned rows mixed with rows whose σ_min/σ_max straddles the
@@ -712,8 +742,8 @@ def test_gram_steps_equal_the_pseudo_inverse(m, d):
                           10.0 ** rng.uniform(-2, 0, 40))
         jac = _conditioned_stack(rng, m, d, ratios)
         r = rng.standard_normal((40, m)) * 10.0 ** rng.uniform(-3, 3, (40, 1))
-        got, certified = analysis._gram_steps(jac, r, CFG.rank_rtol)
-        eigh, none = analysis._gram_steps(jac, r, CFG.rank_rtol, np.zeros(40, dtype=bool))
+        got, certified = _steps(jac, r)
+        eigh, none = _steps(jac, r, np.zeros(40, dtype=bool))
         ranks = _eigh_ranks(jac, CFG.rank_rtol)
         assert not none.any() and not (certified & (ranks < d)).any()
         assert np.array_equal(got[~certified], eigh[~certified])
@@ -735,12 +765,12 @@ def test_gram_steps_of_a_mixed_stack_equal_one_row_calls():
     r = rng.standard_normal((30, 7))
     tried = rng.random(30) < 0.7
     for certify in (None, tried):
-        got, certified = analysis._gram_steps(jac, r, CFG.rank_rtol, certify)
+        got, certified = _steps(jac, r, certify)
         assert certified.any() and not certified.all()
         assert not certified[::5].any() and not certified[7]
         for i in range(30):
             one = None if certify is None else certify[i:i + 1]
-            alone, cert = analysis._gram_steps(jac[i:i + 1], r[i:i + 1], CFG.rank_rtol, one)
+            alone, cert = _steps(jac[i:i + 1], r[i:i + 1], one)
             assert np.array_equal(alone[0], got[i]) and cert[0] == certified[i]
     assert not (certified & ~tried).any()
 
@@ -752,16 +782,15 @@ def test_gram_steps_on_zero_columns_and_zero_jacobians():
     rng = np.random.default_rng(19)
     jac, r = rng.standard_normal((20, 7, 4)), rng.standard_normal((20, 7))
     jac[:, :, 3] = 0.0
-    got, certified = analysis._gram_steps(jac, r, CFG.rank_rtol)
+    got, certified = _steps(jac, r)
     assert not got[:, 3].any() and not certified.any()
     assert _relative_gap(got[:, :3], _pinv_steps(jac[:, :, :3], r)) <= 1e-12
-    zero, certified = analysis._gram_steps(np.zeros((3, 7, 3)), r[:3], CFG.rank_rtol)
+    zero, certified = _steps(np.zeros((3, 7, 3)), r[:3])
     assert zero.shape == (3, 3) and not zero.any() and not certified.any()
     # no slice directions, and no rows
-    none, certified = analysis._gram_steps(np.zeros((3, 7, 0)), r[:3], CFG.rank_rtol)
+    none, certified = _steps(np.zeros((3, 7, 0)), r[:3])
     assert none.shape == (3, 0) and certified.shape == (3,)
-    empty, certified = analysis._gram_steps(np.zeros((0, 7, 3)), np.zeros((0, 7)),
-                                             CFG.rank_rtol)
+    empty, certified = _steps(np.zeros((0, 7, 3)), np.zeros((0, 7)))
     assert empty.shape == (0, 3) and certified.shape == (0,)
 
 
@@ -771,8 +800,68 @@ def test_gram_steps_are_scale_invariant(scale):
     # Jacobian with entries near 1e300 would overflow
     rng = np.random.default_rng(19)
     jac, r = rng.standard_normal((20, 7, 3)), rng.standard_normal((20, 7))
-    got, _ = analysis._gram_steps(jac * scale, r * scale, CFG.rank_rtol)
-    assert _relative_gap(got, analysis._gram_steps(jac, r, CFG.rank_rtol)[0]) <= 1e-12
+    got, _ = _steps(jac * scale, r * scale)
+    assert _relative_gap(got, _steps(jac, r)[0]) <= 1e-12
+
+
+def _normalised_eigh_steps(jac, r, rtol):
+    """Reference: each system divided by its largest |entry| (1 if zero), its
+    Gram J^T J from a copy of J^T, one stacked eigh cut at numerical_rank's
+    c = max(rtol, √(eps·max(m, d))), and -G⁺·J^T r."""
+    peak = np.abs(jac).max(axis=(1, 2), initial=0.0)
+    peak[peak == 0.0] = 1.0
+    jac, r = jac / peak[:, None, None], r / peak[:, None]
+    jact = jac.transpose(0, 2, 1)
+    gram, rhs = jact.copy() @ jac, jact @ r[:, :, None]
+    lam, vec = np.linalg.eigh(gram)
+    d = lam.shape[1]
+    cut = max(rtol, math.sqrt(np.finfo(float).eps * max(jac.shape[1:])))
+    rank = numerical_rank(np.sqrt(np.maximum(lam[:, ::-1], 0.0)), cut)
+    inv = np.divide(-1.0, lam, out=np.zeros_like(lam),
+                    where=np.arange(d) >= d - rank[:, None])
+    return (vec @ (inv[:, :, None] * (vec.transpose(0, 2, 1) @ rhs)))[:, :, 0]
+
+
+def test_slice_steps_of_a_mixed_stack_equal_one_row_calls_and_the_eigh_route():
+    # one stack of slice forms H (k, m, d + 1) at degree D = 3 and a general
+    # ỹ: well-conditioned rows, rows straddling the certificate's edge, a
+    # zero-padded kernel column, a zero H, rows at 2^±450 (out of the trace
+    # range) and 2^±600 (P overflows or underflows) and a row with a NaN
+    # residual.  Each row's step and certificate are its one-row call's, bit
+    # for bit, every rejected row takes the normalised eigh step on
+    # (D·H[:, :, :d], H·ỹ), bit for bit, and no RuntimeWarning is raised
+    rng = np.random.default_rng(29)
+    m, d, degree = 9, 4, 3
+    ratios = np.where(rng.random(24) < 0.5, 10.0 ** rng.uniform(-9, -4, 24),
+                      10.0 ** rng.uniform(-2, 0, 24))
+    ratios[7:11] = 0.5  # the scaled rows would pass the certificate at unit scale
+    half = _conditioned_stack(rng, m, d + 1, ratios)
+    half[3, :, 1] = 0.0
+    half[5] = 0.0
+    for i, scale in zip((7, 8, 9, 10), (2.0 ** 450, 2.0 ** -450, 2.0 ** 600, 2.0 ** -600)):
+        half[i] *= scale
+    half[11, 2, d] = np.nan
+    y1 = np.ones((24, d + 1))
+    y1[:, :-1] = rng.standard_normal((24, d))
+    r = (half @ y1[:, :, None])[:, :, 0]
+    tried = rng.random(24) < 0.8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eigh = _normalised_eigh_steps(degree * half[:, :, :d], r, CFG.rank_rtol)
+        for certify in (None, tried):
+            got, certified = analysis._slice_steps(half, y1, r, degree, CFG.rank_rtol,
+                                                   certify)
+            assert certified.any() and not certified[[3, 5, 7, 8, 9, 10]].any()
+            assert certify is None or not (certified & ~certify).any()
+            assert got[~certified].tobytes() == eigh[~certified].tobytes()
+            for i in range(24):
+                one = None if certify is None else certify[i:i + 1]
+                alone, cert = analysis._slice_steps(half[i:i + 1], y1[i:i + 1], r[i:i + 1],
+                                                    degree, CFG.rank_rtol, one)
+                assert alone.tobytes() == got[i:i + 1].tobytes() and cert[0] == certified[i]
+    assert np.isnan(got[11]).all()
+    # the edge rows fall on both sides of the certificate
+    assert 0 < certified.sum() < tried.sum() - 6
 
 
 def _dedup_loop(points, radius):
@@ -1375,13 +1464,13 @@ def test_a3_classify_verdict_does_not_depend_on_the_seed(a3_cone):
 def corrector_steps(monkeypatch):
     """Row counts of the Gauss-Newton steps taken while the test runs."""
     rows = []
-    original = analysis._gram_steps
+    original = analysis._slice_steps
 
-    def counting(jac, r, rtol, certify=None):
-        rows.append(len(jac))
-        return original(jac, r, rtol, certify)
+    def counting(half, y1, r, degree, rtol, certify=None):
+        rows.append(len(half))
+        return original(half, y1, r, degree, rtol, certify)
 
-    monkeypatch.setattr(analysis, "_gram_steps", counting)
+    monkeypatch.setattr(analysis, "_slice_steps", counting)
     return rows
 
 
@@ -1389,15 +1478,15 @@ def corrector_steps(monkeypatch):
 def step_certificates(monkeypatch):
     """Per Gauss-Newton step: the rows stepped, tried and certified."""
     calls = []
-    original = analysis._gram_steps
+    original = analysis._slice_steps
 
-    def recording(jac, r, rtol, certify=None):
-        step, certified = original(jac, r, rtol, certify)
-        tried = len(jac) if certify is None else int(certify.sum())
-        calls.append((len(jac), tried, int(certified.sum())))
+    def recording(half, y1, r, degree, rtol, certify=None):
+        step, certified = original(half, y1, r, degree, rtol, certify)
+        tried = len(half) if certify is None else int(certify.sum())
+        calls.append((len(half), tried, int(certified.sum())))
         return step, certified
 
-    monkeypatch.setattr(analysis, "_gram_steps", recording)
+    monkeypatch.setattr(analysis, "_slice_steps", recording)
     return calls
 
 

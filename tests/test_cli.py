@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from twistorcheck import (cli, evaluate_section, models_structurally_equal,
                           serialize)
 from twistorcheck.cli import OPS, main, run_scenario, run_scenario_doc
+from twistorcheck.errors import TwistorCheckError
 from twistorcheck.scalars import GaussianRational
 from twistorcheck.serialize import dump_report, encode_scalar, jsonable, load_scenario
 from twistorcheck.models import TwistorModel
@@ -349,6 +350,52 @@ def test_standalone_solve_fiber_in_the_inf_chart(tmp_path, capsys):
                        rtol=0, atol=1e-12)
 
 
+def test_scenario_solves_its_fiber_tasks_in_batches(monkeypatch, capsys):
+    # the solve-fiber tasks on one model object with an equal config share
+    # one solve_fibers call, in task order; a task seed, a task model or a
+    # wrong value count starts a batch of its own.  Every record is the one
+    # the task writes alone
+    calls = []
+    original = cli.solve_fibers
+
+    def counting(model, points, targets, cfg=None):
+        calls.append((model.name, [list(t) for t in targets], cfg.seed))
+        return original(model, points, targets, cfg)
+
+    monkeypatch.setattr(cli, "solve_fibers", counting)
+    doubled = {"file": str(REPO / "tests" / "data" / "doubled-quadric.json")}
+    tasks = [{"op": "solve-fiber", "zeta": 2, "point": [4, 4, 4]},
+             {"op": "validate"},
+             {"op": "solve-fiber", "zeta": 0.5, "point": [1, 1, 1], "seed": 3},
+             {"op": "solve-fiber", "model": doubled, "zeta": [0.4, -0.3],
+              "point": [4, 1, 2], "expect": {"count": 2}},
+             {"op": "solve-fiber", "zeta": [0.4, -0.3], "point": [4, 1, 2]},
+             {"op": "solve-fiber", "zeta": 0.5, "point": [1, 1, 1], "seed": 3}]
+    doc = {"model": "quadric", "seed": 1, "tasks": tasks}
+    report = run_scenario_doc(doc)
+    assert [(seed, targets) for _, targets, seed in calls] == [
+        (1, [[4, 4, 4], [4, 1, 2]]), (3, [[1, 1, 1], [1, 1, 1]]), (1, [[4, 1, 2]])]
+    for task, record in zip(tasks, report["tasks"]):
+        (alone,) = run_scenario_doc({**doc, "tasks": [task]})["tasks"]
+        assert dump_report(alone) == dump_report(record)
+    assert report["tasks"][3]["status"] == "pass"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("points,message", [
+    ([[1, 1, 1], [1, 1], [1, 2, 1]], "value count"),
+    ([[1, 1, 1], [1, 2, 1], [1, 1]], "does not satisfy the fiber equations"),
+    ([[1, 1, 1], ["1e400", 1, 1], [1, 2, 1]], "must be finite")])
+def test_scenario_fiber_batches_raise_at_each_tasks_turn(points, message, capsys):
+    # a batch solves later targets early, but each error, a refusal or a
+    # wrong value count, is raised at its own task's turn
+    doc = {"model": "quadric", "exact": True,
+           "tasks": [{"op": "solve-fiber", "point": p} for p in points]}
+    with pytest.raises(TwistorCheckError, match=message):
+        run_scenario_doc(doc)
+    capsys.readouterr()
+
+
 def test_inline_model_classifies_as_its_builtin(deformed, capsys):
     builtin = {"builtin": "deformed", "lambda": [[0, 1], [0, 0], [0, -1]],
                "reality": "antireal"}
@@ -604,6 +651,18 @@ def test_fiber_values_beyond_the_fiber_test_exit_2(point, capsys):
     # report "0 sections, complete" with exit 0
     assert main(["solve-fiber", "--model", "deformed", "--lam", "1j,0,-1j",
                  "--reality", "antireal", "--zeta", "0.3", "--point", point]) == 2
+    captured = capsys.readouterr()
+    assert "too large" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("model,point", [("a2-cone", "2e102,4e102,2e68"),
+                                         ("a3-cone", "1e80,1.6e81,2e40")])
+def test_newton_values_beyond_the_degree_bound_exit_2(model, point, capsys):
+    # Newton on these cones used to overflow in matmul, print the warning
+    # and report "count=0"
+    path = REPO / "tests" / "data" / f"{model}.json"
+    assert main(["solve-fiber", "--model", str(path), "--zeta", "0.4-0.3j",
+                 "--point", point]) == 2
     captured = capsys.readouterr()
     assert "too large" in captured.err and captured.out == ""
 

@@ -561,7 +561,9 @@ def test_on_slice_equals_the_system_on_the_slice(name, layout, seed, log_scale):
     y1 = np.column_stack([y, np.ones(count)])
     x = base[rows] + np.einsum("kd,kdn->kn", y, kernel[rows])
     restricted = system.on_slice(base, kernel)
-    res, jac = restricted.values(y1, rows)
+    res, half = restricted.values(y1, rows)
+    assert np.array_equal(res, (half @ y1[:, :, None])[:, :, 0])
+    jac = restricted.degree * half[:, :, :-1]
     assert _within(restricted.points(y1, rows), x, 1e-12)
     assert _within(res, system.residuals(x), 1e-12)
     assert _within(jac, np.einsum("ken,kdn->ked", system.jacobian_at(x), kernel[rows]),
