@@ -116,6 +116,19 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat))
 
 
+def _wide_norms(a: np.ndarray) -> np.ndarray:
+    """_norms without overflow, called under np.errstate(over="ignore"): when
+    some square overflows, a row whose largest entry is 2^e, e > 500, is
+    scaled by 2^(500 - e) and its norm scaled back (both exact); rows with
+    smaller entries keep their bits."""
+    flat = a.reshape(len(a), -1)
+    norms = _norms(flat)
+    if math.isinf(sum(norms.tolist())):
+        shift = np.maximum(np.frexp(np.abs(flat).max(axis=1, initial=0.0))[1] - 500, 0)
+        norms = np.ldexp(_norms(np.ldexp(flat, -shift[:, None])), shift)
+    return norms
+
+
 def _point_on_fiber(model: TwistorModel, pt: P1Point, values, cfg: SolveConfig,
                     degree: int):
     scale = 1.0 + sum(abs2(v) for v in values)
@@ -214,9 +227,10 @@ def _quadric_reduce(model: TwistorModel, x0, nmat, values, cfg: SolveConfig):
     tmat = np.concatenate([2.0 * mats[:, :, :d, d], rho[:, :, None]], axis=2)
     rhs = -mats[:, :, d, d]
     base, kernel = _incidence_slice(tmat, rhs, cfg.rank_rtol)
-    resid_scale = 1.0 + _norms(rhs) + _norms(tmat)
-    # an inconsistent linear stage: no real section hits the target
-    live = ~(_norms(np.matvec(tmat, base) - rhs) > 1e-8 * resid_scale)
+    with np.errstate(over="ignore"):  # norms of about |v|^2 on a non-cone
+        resid_scale = 1.0 + _wide_norms(rhs) + _wide_norms(tmat)
+        # an inconsistent linear stage: no real section hits the target
+        live = ~(_wide_norms(np.matvec(tmat, base) - rhs) > 1e-8 * resid_scale)
     out = [(np.empty((0, x0.shape[1])), None)] * k
     for group, rows, kern in _kernel_groups(kernel, live):
         b, x0g, ng = base[group], x0[group], nmat[group]
@@ -1116,11 +1130,18 @@ def _family_entry(fiber, corank, confirmed, sol, cfg: SolveConfig):
 
 
 def component_label(params):
-    """Sign s with |x0| - |x2| = s*r on the quadric; 'boundary' when both vanish."""
-    p = [float(v) for v in params]
+    """Sign s with |x0| - |x2| = s*r on the quadric; 'boundary' when both vanish.
+
+    The test runs in floats, scaled by 1 + |p| (math.hypot, which does not
+    overflow); an exact section beyond the float range raises ModelError.
+    """
+    try:
+        p = [float(v) for v in params]
+    except OverflowError:  # an exact number beyond the float range
+        raise ModelError("component labels take sections within the float range") from None
     if len(p) != 9:
         raise DimensionError("component labels require the 9-parameter model")
-    scale = 1.0 + math.sqrt(sum(v * v for v in p))
+    scale = 1.0 + math.hypot(*p)
     tol_s = _LABEL_TOL * scale
     if all(abs(v) <= tol_s for v in p):
         raise OriginError("both components meet at the origin")
@@ -1178,21 +1199,29 @@ def sym_matrix_model(params, label: int, exact: bool = False):
     b = [[a[i][j] - trace if i == j else a[i][j] for j in range(4)]
          for i in range(4)]
     if exact:
-        if _integer_rank([row[:] for row in a]) > 1:
+        if _integer_rank(a) > 1:
             raise ModelError("recovered products are inconsistent (2x2 minor != 0)")
-        return [[Fraction(v, 4 * den) for v in row] for row in b], Fraction(trace, den)
+        quarter = [[None] * 4 for _ in range(4)]  # b / (4 den), one Fraction per pair
+        for i in range(4):
+            for j in range(i, 4):
+                quarter[i][j] = quarter[j][i] = Fraction(b[i][j], 4 * den)
+        return quarter, Fraction(trace, den)
     _check_rank_one([[v / 4 for v in row] for row in a])
     return np.array(b, dtype=float) / 4, float(trace)
 
 
 def _check_rank_one(a):
     scale = max(abs(a[i][j]) for i in range(4) for j in range(4))
+    # a power of two brings 1 + scale into [1, 2): exact, and no minor overflows
+    unit = math.ldexp(1.0, 1 - math.frexp(1.0 + scale)[1])
+    a = [[v * unit for v in row] for row in a]
+    bound = _MATRIX_TOL * ((1.0 + scale) * unit) ** 2
     for i in range(4):
         for j in range(i + 1, 4):
             for k in range(4):
                 for m in range(k + 1, 4):
                     minor = a[i][k] * a[j][m] - a[i][m] * a[j][k]
-                    if abs(minor) > _MATRIX_TOL * (1.0 + scale) ** 2:
+                    if abs(minor) > bound:
                         raise ModelError(
                             "recovered products are inconsistent beyond tolerance")
 

@@ -30,7 +30,7 @@ from .analysis import (SolveConfig, branch_test, classify_hypercomplex,
                        component_label, normal_splitting,
                        rank_one_matrix_oracle, sample_sections, singular_scan,
                        solve_fibers, sym_matrix_model)
-from .errors import FiberError, ScenarioError, TwistorCheckError
+from .errors import FiberError, ModelError, ScenarioError, TwistorCheckError
 from .models import (build_deformed, build_quadric, build_smooth_o11,
                      glue_cone_twistor, models_structurally_equal,
                      quadric_params, quadric_tuple, validate_model)
@@ -304,9 +304,12 @@ def _op_matrix_model(args, model, cfg):
         lab = component_label(section)
         label = 1 if lab == "boundary" else lab
     b, t = sym_matrix_model(section, label, exact=certifies(True, section))
-    numbers = {"t": float(t),
-               "trace_b": float(np.trace(np.asarray(b, dtype=float))),
-               "label": int(label)}
+    try:
+        numbers = {"t": float(t),
+                   "trace_b": float(np.trace(np.asarray(b, dtype=float))),
+                   "label": int(label)}
+    except OverflowError:  # an exact model beyond the float range of the numbers
+        raise ModelError("the matrix model's t is beyond the float range") from None
     return numbers, {"b": b}
 
 

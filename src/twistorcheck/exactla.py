@@ -33,29 +33,41 @@ def common_denominator(values):
     """Integer parts re, im and the lcm d of the denominators of exact
     values, with values = (re + i im) / d."""
     parts = [exact_parts(v) for v in values]
-    den = math.lcm(*(d for _, _, d in parts))
-    return [a * (den // d) for a, _, d in parts], [b * (den // d) for _, b, d in parts], den
+    den = math.lcm(*[d for _, _, d in parts])
+    re, im = [], []
+    for a, b, d in parts:
+        scale = den // d
+        re.append(a * scale)
+        im.append(b * scale)
+    return re, im, den
 
 
 def _integer_rank(rows) -> int:
     """Bareiss elimination: after k pivots every entry is a (k+1)-minor, so
-    the division by the previous pivot is exact."""
-    rank, prev = 0, 1
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot is None:
+    the division by the previous pivot is exact.  Each pivot row leaves the
+    list, the others keep only the columns right of the pivot, and a row
+    that has become zero (a combination of the pivot rows) is dropped; the
+    rows given are not changed."""
+    rank, prev, start = 0, 1, 0  # the rows hold the columns from start on
+    rows = [row for row in rows if any(row)]
+    for c in range(len(rows[0]) if rows else 0):
+        j = c - start
+        for k, row in enumerate(rows):
+            if row[j]:
+                break
+        else:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        p = top[c]
-        for i in range(rank + 1, len(rows)):
-            row = rows[i]
-            f = row[c]
-            rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
-        prev = p
+        top = rows.pop(k)
+        p, tail = top[j], top[j + 1:]
+        rest = []
+        for row in rows:
+            f = row[j]
+            new = [(p * a - f * b) // prev for a, b in zip(row[j + 1:], tail)]
+            if any(new):
+                rest.append(new)
+        rows, prev, start = rest, p, c + 1
         rank += 1
-        if rank == len(rows):
+        if not rows:
             break
     return rank
 

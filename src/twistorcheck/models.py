@@ -10,6 +10,8 @@ smooth rank-two model and weighted-cone gluings live here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from .mpoly import MPoly
 from .projline import (CoeffPoly, P1Point, SectionBasis, SigmaCoordRule,
                        check_bundle_degrees, check_rule_parity, reality_fixed_space,
                        tau_pullback)
-from .scalars import GaussianRational, abs2, is_exact, make_complex
+from .scalars import GaussianRational, exact_parts, is_exact, make_complex
 
 
 @dataclass(frozen=True)
@@ -131,14 +133,18 @@ class TwistorModel:
         """
         if not self.exact:
             return self
-        equations = [FiberEquation(eq.twist, tuple((e, c.to_float())
-                                                   for e, c in eq.monomials))
-                     for eq in self.equations]
         return TwistorModel(
-            self.name, self.degrees, self.coordinates, self.rules, equations,
+            self.name, self.degrees, self.coordinates, self.rules, self.float_equations(),
             [c.map_coeffs(complex) for c in self.component_equations],
             lam=None if self.lam is None else self.lam.to_float(),
             reality=self.reality)
+
+    def float_equations(self) -> tuple:
+        """The fiber equations of :meth:`float_view`, without the model."""
+        if not self.exact:
+            return self.equations
+        return tuple(FiberEquation(eq.twist, tuple((e, c.to_float()) for e, c in eq.monomials))
+                     for eq in self.equations)
 
     @property
     def section_basis(self) -> SectionBasis:
@@ -316,24 +322,25 @@ def squaring_section(a, b, variant: str = "minus", exact: bool = False):
 
     minus: squares (a - conj(b) z, b + conj(a) z); plus squares
     (a + conj(b) z, b - conj(a) z).  The result always satisfies the quadric
-    equations.  Floats go through squaring_sections.
+    equations.  Floats go through squaring_sections; exact values take
+    its formulas in integers, one Fraction per parameter.
     """
     if variant not in ("minus", "plus"):
         raise ModelError(f"unknown squaring variant {variant!r}")
     if not exact:
         return squaring_sections(complex(a), complex(b), variant == "minus")
-    a, b = GaussianRational(a), GaussianRational(b)
-    ab_bar = a * b.conjugate()
-    x0 = a * a
-    x2 = b.conjugate() * b.conjugate()
-    z0 = a * b
-    if variant == "minus":
-        x1 = -2 * ab_bar
-        r = abs2(a) - abs2(b)
-    else:
-        x1 = 2 * ab_bar
-        r = abs2(b) - abs2(a)
-    return quadric_params(x0, x1, x2, z0, r, exact=True)
+    # the parts of squaring_sections over a = (ar + ai i)/da, b = (br + bi i)/db
+    ar, ai, da = exact_parts(GaussianRational(a))
+    br, bi, db = exact_parts(GaussianRational(b))
+    minus = variant == "minus"
+    sign = -2 if minus else 2
+    aa, bb, ab = da * da, db * db, da * db
+    gap = (ar * ar + ai * ai) * bb - (br * br + bi * bi) * aa
+    return [Fraction(ar * ar - ai * ai, aa), Fraction(2 * ar * ai, aa),
+            Fraction(sign * (ar * br + ai * bi), ab), Fraction(sign * (ai * br - ar * bi), ab),
+            Fraction(br * br - bi * bi, bb), Fraction(-2 * br * bi, bb),
+            Fraction(ar * br - ai * bi, ab), Fraction(ar * bi + ai * br, ab),
+            Fraction(gap if minus else -gap, aa * bb)]
 
 
 def squaring_sections(a, b, minus) -> np.ndarray:
@@ -443,6 +450,16 @@ _BUILTIN_RULES = {
 }
 
 
+@cache
+def _probe_points(ncoord: int) -> np.ndarray:
+    """u[b, k]: the k-th of four seeded random fiber points over base point
+    b of the generic-rank probe, (4, 4, ncoord), read-only."""
+    z = np.random.default_rng(20240901).standard_normal((4, 4, 2, ncoord))
+    u = z[:, :, 0] + 1j * z[:, :, 1]
+    u.flags.writeable = False
+    return u
+
+
 def validate_model(model: TwistorModel) -> ValidationReport:
     """Check involutivity, sigma-compatibility, twists and generic fiber rank."""
     report = ValidationReport()
@@ -480,14 +497,15 @@ def validate_model(model: TwistorModel) -> ValidationReport:
         ncoord = len(model.degrees)
         expected = min(len(model.equations), ncoord)
         partials = [[eq.partial(c, model.degrees) for c in range(ncoord)]
-                    for eq in model.float_view().equations]
+                    for eq in model.float_equations()]
         base_points = [P1Point.std(0.37 - 0.21j), P1Point.std(0.61 + 0.4j),
                        P1Point.inf(0.152 + 0.73j), P1Point.inf(-0.5 + 0.12j)]
-        # u[b, k]: the k-th of four random fiber points over base point b
-        z = np.random.default_rng(20240901).standard_normal((4, 4, 2, ncoord))
-        u = z[:, :, 0] + 1j * z[:, :, 1]
-        jacs = np.array([[[np.broadcast_to(part.eval_at(pt, u[b].T), 4) for part in row]
-                          for row in partials] for b, pt in enumerate(base_points)])
+        u = _probe_points(ncoord)
+        jacs = np.empty((len(base_points), len(partials), ncoord, 4), dtype=complex)
+        for b, pt in enumerate(base_points):
+            for r, row in enumerate(partials):
+                for c, part in enumerate(row):
+                    jacs[b, r, c] = part.eval_at(pt, u[b].T)
         # one SVD per fiber point; a base point's rank is the best of its four
         svals = np.linalg.svd(jacs.transpose(0, 3, 1, 2), compute_uv=False)
         ranks = numerical_rank(svals, 1e-7).max(axis=1).tolist()

@@ -7,6 +7,8 @@ operations, so one class serves both backends.
 
 from __future__ import annotations
 
+from operator import add
+
 from .scalars import negligible
 
 
@@ -76,7 +78,7 @@ class MPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 t = c1 * c2
                 out[e] = out[e] + t if e in out else t
         return _mpoly(self.nvars, _nonzero(out))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations_with_replacement, product
+from operator import mul
 
 import numpy as np
 
@@ -78,24 +79,38 @@ class RealEquationSystem:
         # einsum sums each row in a fixed order, so rows never interact
         return np.einsum("...m,me->...e", mono, block.matrix[:lead])
 
-    def _integer_values(self, p, block: "_Block", lead, rows):
-        """Rows of the block's columns at the exact point p from its first
-        ``lead`` monomials, as integer numerators over one positive denominator."""
+    @cached_property
+    def _exact_terms(self):
+        """The exact path's flat form of each block: (entry, monomial,
+        coefficient) triples of the residuals, and of the Jacobian's x
+        entries, row major (its t entries are never evaluated)."""
+        n, cols = self.nvars, self._jac.columns
+        xcols = [cols[k + i] for k in range(0, len(cols), n + 1) for i in range(n)]
+        return ([(e, m, c) for e, col in enumerate(self._res.columns) for m, c in col],
+                [(e, m, c) for e, col in enumerate(xcols) for m, c in col])
+
+    def _integer_values(self, p, block: "_Block", lead, terms, size):
+        """The ``size`` entries of a block at the exact point p, each the sum
+        of c times monomial m over its (entry, m, c) ``terms``, the monomials
+        taken from the block's first ``lead``: integer numerators over one
+        positive denominator."""
         num, im, den = common_denominator(p)
         if any(im):
             raise ModelError("section parameters are real")
         # every monomial is brought to the top degree, so one denominator serves all
         powers = [den ** k for k in range(block.degree + 1)]
-        mono = [math.prod([num[i] for i in f]) * powers[block.degree - len(f)]
+        mono = [math.prod(map(num.__getitem__, f), start=powers[block.degree - len(f)])
                 for f in block.factors[:lead]]
-        return ([[sum([c * mono[m] for m, c in col]) for col in row] for row in rows],
-                block.den * powers[-1])
+        out = [0] * size
+        for e, m, c in terms:
+            out[e] += c * mono[m]
+        return out, block.den * powers[-1]
 
     def residuals(self, p):
         """Residuals at p: exact values when certified, else a float array
         (one row per point of a stacked input)."""
         if self._certifies(p):
-            (nums,), den = self._integer_values(p, self._res, None, [self._res.columns])
+            nums, den = self._integer_residuals(p)
             return [Fraction(n, den) for n in nums]
         return self._float_values(self._float_points(p), self._res, None)
 
@@ -109,11 +124,15 @@ class RealEquationSystem:
         flat = self._float_values(x, self._jac, self._lead)  # t entries partial
         return flat.reshape(x.shape[:-1] + (len(self), self.nvars + 1))[..., :-1]
 
+    def _integer_residuals(self, p):
+        return self._integer_values(p, self._res, None, self._exact_terms[0], len(self))
+
     def _integer_jacobian(self, p):
         """The x entries of each row; the t entries are never evaluated."""
-        n, cols = self.nvars, self._jac.columns
-        return self._integer_values(p, self._jac, self._lead,
-                                    [cols[k:k + n] for k in range(0, len(cols), n + 1)])
+        n = self.nvars
+        flat, den = self._integer_values(p, self._jac, self._lead, self._exact_terms[1],
+                                         len(self) * n)
+        return [flat[k:k + n] for k in range(0, len(flat), n)], den
 
     def _float_points(self, p) -> np.ndarray:
         x = np.asarray(p)
@@ -144,10 +163,14 @@ class RealEquationSystem:
 
     def membership(self, p, tol: float = 1e-9) -> MembershipReport:
         """Membership of one point: exact when certified, decided on the
-        integer numerators of its residuals; else within the scaled tolerance."""
+        integer numerators of its residuals (max_residual is inf past the
+        float range); else within the scaled tolerance."""
         if self._certifies(p):
-            (nums,), den = self._integer_values(p, self._res, None, [self._res.columns])
-            mx = max(map(abs, nums), default=0) / den
+            nums, den = self._integer_residuals(p)
+            try:
+                mx = max(map(abs, nums), default=0) / den
+            except OverflowError:
+                mx = math.inf
             return MembershipReport(not any(nums), [Fraction(n, den) for n in nums],
                                     mx, 0.0, list(self.labels))
         x = self._float_points(p)
@@ -376,12 +399,15 @@ def real_section_system(model: TwistorModel) -> RealEquationSystem:
             term = [{0: pair} if any(pair) else {} for pair in pairs]
             for i in [i for i, e in enumerate(exps) for _ in range(e)]:
                 term = _times(term, forms[i], [{} for _ in low])
-            _times(term, [{0: (1, 0)}], low)  # add the term to the equation
+            for acc, pa in zip(low, term):  # add the term to the equation
+                for k, (ar, ai) in pa.items():
+                    r, s = acc.get(k, (0, 0))
+                    acc[k] = (r + ar, s + ai)
         for m, poly in enumerate(low):
             emit(poly, f"eq{idx}[z^{m}]", middle=2 * m == eq.twist)
     for cdx, comp in enumerate(model.component_equations):
-        emit({sum(p * s for p, s in zip(e, steps)): scaled(c)
-              for e, c in comp.terms.items()}, f"component{cdx}")
+        emit({sum(map(mul, e, steps)): scaled(c) for e, c in comp.terms.items()},
+             f"component{cdx}")
     block = _Block(columns, list(index), steps, den)
     model._system = RealEquationSystem(n, block, labels, model.exact)
     return model._system

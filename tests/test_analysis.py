@@ -141,6 +141,19 @@ def test_solve_fiber_refuses_values_beyond_the_fiber_test(deformed, values):
     assert isinstance(refused, FiberError)
 
 
+def test_closed_form_norms_do_not_overflow(deformed):
+    # the deformed model is not a cone, so its targets keep their scale; the
+    # linear stage's residual scale squared entries of about t^2 and warned
+    # "overflow encountered in vecdot" from t = 1e80 on (the suite turns
+    # the warning into an error); 1e140 is near the fiber bound
+    for exponent in range(8, 141, 4):
+        t = 10.0 ** exponent
+        res = solve_fiber(deformed, 0.3, (t, t, t), CFG)
+        assert res.method == "closed-form" and res.solutions == []
+        (same,) = solve_fibers(deformed, [0.3], [(t, t, t)], CFG)
+        assert _same_result(same, res)
+
+
 @pytest.mark.parametrize("name,values", [
     ("a2_cone", (2e102, 4e102, 2e68)), ("a2_cone", (2e105, 4e105, 2e70)),
     ("a3_cone", (1e80, 1.6e81, 2e40))])
@@ -1596,6 +1609,32 @@ def test_component_label_examples():
     assert component_label(quadric_params(1, -2, 1, 1, 0)) == "boundary"
     with pytest.raises(OriginError):
         component_label(np.zeros(9))
+
+
+def test_component_label_scales_without_overflow():
+    # the norm of [1e200, 0, 0, 0, 1e200, ...] used to overflow to inf, and
+    # with it the zero test, which reported the origin
+    assert component_label([1e200, 0, 0, 0, 1e200, 0, 0, 0, 0]) == "boundary"
+    assert component_label([1e100, 0, 0, 0, 1e100, 0, 0, 0, 0]) == "boundary"
+    for exponent in (100, 150, 200, 300):
+        for variant, label in (("minus", 1), ("plus", -1)):
+            sec = squaring_section(0.3 + 0.7j, -1.1 + 0.2j, variant) * 10.0 ** exponent
+            assert component_label(sec) == label
+    with pytest.raises(ModelError, match="float range"):
+        component_label([Fraction(10 ** 400)] + [Fraction(0)] * 3
+                        + [Fraction(10 ** 400)] + [Fraction(0)] * 4)
+
+
+def test_float_matrix_model_near_the_float_range():
+    # its rank-one test squared 1 + max|a| and raised OverflowError at 1e200
+    unit = quadric_params(1, 0, 0, 0, 1)
+    b1, t1 = sym_matrix_model(unit, 1)
+    for exponent in (100, 200, 300):
+        b, t = sym_matrix_model(unit * 10.0 ** exponent, 1)
+        assert t == pytest.approx(t1 * 10.0 ** exponent, rel=1e-15)
+        assert np.allclose(b / 10.0 ** exponent, b1, rtol=1e-15, atol=0)
+    with pytest.raises(ModelError, match="inconsistent"):
+        sym_matrix_model(quadric_params(1e200, 2e200, 0, 0, 1e200), 1)
 
 
 def test_sym_matrix_model_examples():

@@ -744,6 +744,24 @@ def test_exact_matrix_model_rejects_a_non_square_modulus(capsys):
     assert "exact rational square" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label", [["--label", "1"], []], ids=["label", "no-label"])
+def test_exact_matrix_model_beyond_the_float_range_exits_2(label, capsys):
+    # a valid section of size 1e400: float(t) (with a label) and the float
+    # component label (without one) used to raise OverflowError, exit 1
+    argv = ["matrix-model", "--exact", "--section", "1e400,0,0,0,1e400", *label]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "float range" in captured.err and "Traceback" not in captured.err
+
+
+def test_float_matrix_model_command_near_the_float_range(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["matrix-model", "--section", "1e200,0,0,0,1e200", "--out", str(out)]) == 0
+    capsys.readouterr()
+    numbers = json.loads(out.read_text())["tasks"][0]["numbers"]
+    assert numbers["label"] == 1 and numbers["t"] == pytest.approx(1e200, rel=1e-15)
+
+
 def test_matrix_model_float_params_ignore_the_exact_flag(tmp_path, capsys):
     # float params take the float path in either mode, as branch and normal-bundle do
     reports = []

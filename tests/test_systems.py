@@ -1,11 +1,13 @@
 """Induced real systems: equation counts, membership, Jacobians."""
 
 import functools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -210,6 +212,94 @@ def test_integer_certificates_equal_the_fraction_route(build):
     # the deformed model's shift keeps the zero section and the squares off it
     assert (True in verdicts) == (model.name != "deformed")
     assert (False in verdicts) == (len(system) > 0)
+
+
+def test_exact_membership_past_the_float_range(quadric_exact):
+    # residuals of about 1e400 used to raise OverflowError computing
+    # max_residual; the verdict is read from the integers, the maximum saturates
+    system = real_section_system(quadric_exact)
+    big = Fraction(10 ** 200)
+    far = [big] + [Fraction(0)] * 3 + [big] + [Fraction(0)] * 4
+    rep = system.membership(far)
+    assert not rep.passed and rep.max_residual == math.inf
+    assert rep.residuals == system.residuals(far) \
+        == [eq.evaluate(far) for eq in system_equations(system)]
+    member = squaring_section(GR(big, 3), GR(Fraction(1, 7), -big), "plus", exact=True)
+    rep = system.membership(member)
+    assert rep.passed and rep.max_residual == 0.0
+    assert system.jacobian_rank(member) == 5
+
+
+_EXACT_BUILTINS = {
+    "quadric": lambda: build_quadric(exact=True),
+    "smooth-o11": lambda: build_smooth_o11(exact=True),
+    "deformed": lambda: build_deformed([GR(0, 1), GR(0), GR(0, -1)], "antireal",
+                                       exact=True),
+}
+
+
+@functools.cache
+def _exact_oracle(name):
+    """A builtin's exact system with its residuals and Jacobian as MPolys."""
+    system = real_section_system(_EXACT_BUILTINS[name]())
+    return system, system_equations(system), _mpoly_jacobian(system)
+
+
+# Gaussian rationals on the real line, in each exact spelling, with zeros and
+# denominators up to 1e30
+_exact_real = st.one_of(
+    st.just(Fraction(0)), st.integers(-9, 9),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 30),
+    st.builds(GR, st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 9)))
+
+
+def _as_fraction(v):
+    return v.re if isinstance(v, GR) else Fraction(v)
+
+
+_exact_complex = st.builds(GR, _exact_real.map(_as_fraction), _exact_real.map(_as_fraction))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_EXACT_BUILTINS)), data=st.data())
+def test_exact_paths_equal_independent_oracles(name, data):
+    # at a point, or at a planted squaring section on the 9-parameter
+    # models: residuals equal the MPoly evaluation and the rank sympy's rank
+    # of the MPoly Jacobian
+    system, equations, jacobian = _exact_oracle(name)
+    if system.nvars == 9 and data.draw(st.booleans()):
+        p = squaring_section(data.draw(_exact_complex), data.draw(_exact_complex),
+                             data.draw(st.sampled_from(["minus", "plus"])), exact=True)
+    else:
+        p = data.draw(st.lists(_exact_real, min_size=system.nvars, max_size=system.nvars))
+    q = [_as_fraction(v) for v in p]
+    res = system.residuals(p)
+    assert res == [eq.evaluate(q) for eq in equations]
+    assert all(type(r) is Fraction for r in res)
+    rep = system.membership(p)
+    assert rep.residuals == res and rep.passed == (not any(res))
+    values = [[sympy.Rational(e.evaluate(q)) for e in row] for row in jacobian]
+    want = sympy.Matrix(len(values), system.nvars, sum(values, [])).rank()
+    assert system.jacobian_rank(p) == want
+
+
+def _gaussian_squaring_section(a, b, variant):
+    """squaring_section on the GaussianRational arithmetic: the oracle."""
+    sign = -1 if variant == "minus" else 1
+    x0, x2, z0 = a * a, b.conjugate() * b.conjugate(), a * b
+    x1 = 2 * sign * (a * b.conjugate())
+    r = -sign * ((a * a.conjugate()).re - (b * b.conjugate()).re)
+    return [x0.re, x0.im, x1.re, x1.im, x2.re, x2.im, z0.re, z0.im, r]
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(a=_exact_complex, b=_exact_complex, variant=st.sampled_from(["minus", "plus"]))
+def test_exact_squaring_section_equals_the_gaussian_formula(quadric_exact, a, b, variant):
+    got = squaring_section(a, b, variant, exact=True)
+    assert got == _gaussian_squaring_section(a, b, variant)
+    assert all(type(v) is Fraction for v in got)
+    assert real_section_system(quadric_exact).membership(got).passed
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
