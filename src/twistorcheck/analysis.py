@@ -76,7 +76,7 @@ DEFAULT_CONFIG = SolveConfig()
 # sections drawn from a positive-dimensional fiber family as its solutions
 _FAMILY_SAMPLES = 8
 _LABEL_TOL = 1e-9   # relative zero test of component_label
-_MATRIX_TOL = 1e-9  # relative 2x2-minor test of the float sym_matrix_model
+_MATRIX_TOL = 1e-9  # rank cutoff of A in the float sym_matrix_model
 # Gauss-Newton step norm ratios read as a halving (linear convergence)
 _HALVING_BAND = (0.45, 0.55)
 _EPS = float(np.finfo(float).eps)
@@ -108,6 +108,27 @@ def evaluate_section(model: TwistorModel, params, zeta) -> FiberPoint:
 
 def _float_point(pt: P1Point) -> P1Point:
     return P1Point(pt.chart, complex(pt.value))
+
+
+def _unit_scale(values, homogeneous: bool, exact: bool = False):
+    """The values divided by 2^k, and k.  On a homogeneous model, whose
+    fibers are cones, 2^k is the power of two nearest the largest |v| (its
+    rounded log2, at most 1023 for floats), so the division is exact; else,
+    or at a zero or non-finite peak, k = 0.  All-exact values are divided
+    exactly, kept exact when ``exact`` and else made floats."""
+    values = list(values)
+    if certifies(True, values):
+        k = 0
+        if homogeneous and any(values):
+            re, im, den = common_denominator(values)
+            k = round(math.log2(max(map(abs, re + im))) - math.log2(den))
+        unit = Fraction(2) ** -k
+        values = [v * unit for v in values]
+        return (values if exact else [float(v) for v in values]), k
+    peak = max(map(abs, values), default=0.0)
+    k = min(round(math.log2(peak)), 1023) if homogeneous and 0.0 < peak < math.inf else 0
+    scale = 2.0 ** k
+    return [v / scale for v in values], k
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
@@ -303,10 +324,14 @@ def _gram_steps(jac: np.ndarray, r: np.ndarray, rtol: float) -> np.ndarray:
     if jac[k] is zero), which keeps its solution and its Gram G = J^T J
     finite.  A direction is kept when its σ = √λ of G passes numerical_rank
     at c = max(rtol, √(eps·max(m, d))), the floor being the Gram's own
-    resolution, since the Gram squares the condition number."""
+    resolution, since the Gram squares the condition number.  A system with
+    a non-finite peak is zeroed: its row stalls and fails _gauss_newton."""
     peak = np.abs(jac).max(axis=(1, 2), initial=0.0)
-    peak[peak == 0.0] = 1.0
+    finite = np.isfinite(peak)
+    peak[(peak == 0.0) | ~finite] = 1.0
     jac, r = jac / peak[:, None, None], r / peak[:, None]
+    if not finite.all():
+        jac[~finite], r[~finite] = 0.0, 0.0
     jact = jac.transpose(0, 2, 1)
     # matmul computes J^T J from one buffer by syrk, about twice as slow on
     # these stacks as gemm from a copy of J^T, with the same bits
@@ -557,13 +582,10 @@ def _fiber_target(model: TwistorModel, zeta, target, cfg: SolveConfig, degree: i
     pt = given.canonical()
     if pt is not given:
         values = tuple(v * pt.value ** k for v, k in zip(values, model.degrees))
-    peak = max(abs(v) for v in values)
-    rescale = model.homogeneous and 0.0 < peak < math.inf
-    scale = 2.0 ** min(round(math.log2(peak)), 1023) if rescale else 1.0
-    values = tuple(v / scale for v in values)
+    values, k = _unit_scale(values, model.homogeneous)
     if not _point_on_fiber(model, pt, values, cfg, degree):
         raise FiberError("target does not satisfy the fiber equations")
-    return pt, values, scale
+    return pt, values, 2.0 ** k
 
 
 def solve_fibers(model: TwistorModel, points, targets,
@@ -643,11 +665,11 @@ def solve_fiber(model: TwistorModel, zeta, target,
     canonical chart of the point: values given in the other chart are
     multiplied by w**k_i, w the new chart value.  On a homogeneous model the
     solve is scale covariant, solve_fiber(s*v) = s*solve_fiber(v) for real
-    s > 0 (bit for bit when s is a power of two): the target is divided by the
-    power of two nearest its largest entry, solved at unit scale, and the
-    solutions and family are multiplied back.  On any other model a target
-    whose (1 + Σ|v|²)^(D/2), D the system degree (at least 2), comes within
-    2^64 of the float range is refused before any solver runs.  A family's
+    s > 0 (bit for bit when s is a power of two): the target is solved at
+    unit size (_unit_scale) and the solutions and family multiplied back.
+    On any other model a target whose (1 + Σ|v|²)^(D/2), D the system
+    degree (at least 2), comes within 2^64 of the float range is refused
+    before any solver runs.  A family's
     points stay one stacked array through one membership test and the
     deduplication; only the kept ones are scaled and sorted.  Newton points
     are deduplicated at max(dedup_radius, √newton_tol): a row stops once its
@@ -675,11 +697,12 @@ def branch_test(model: TwistorModel, params, zeta,
 
     The section is unbranched at the base point when the defining system
     plus the incidence conditions pinning its fiber value has full-rank
-    Jacobian there (an isolated simple solution).
+    Jacobian there (an isolated simple solution).  On a homogeneous model it
+    is tested at unit size (_unit_scale), exact beyond the float range too.
     """
     cfg = cfg or DEFAULT_CONFIG
     model = model.float_view()
-    p = np.array([float(v) for v in params])
+    p = np.array(_unit_scale(params, model.homogeneous)[0])
     if not real_section_system(model).membership(p, tol=cfg.member_tol).passed:
         raise ModelError("branch test requires a point of the section space")
     return _branch_reports(model, [p], [zeta], cfg)[0]
@@ -687,12 +710,16 @@ def branch_test(model: TwistorModel, params, zeta,
 
 def _branch_reports(model: TwistorModel, params, zetas, cfg: SolveConfig):
     """Branch verdicts of sections params[k] (members) at base points
-    zetas[k], from one stacked Jacobian and one stacked SVD of [J(p); A(zeta)]."""
+    zetas[k], from one stacked SVD of [J(p); A(zeta)], each J(p) divided by
+    the power of two nearest its peak, so the cutoff does not move with |p|."""
     sys = real_section_system(model)
     params = np.reshape(params, (len(zetas), sys.nvars))
     amats, _ = _incidence(model, [_float_point(as_p1(z)) for z in zetas],
                           np.zeros((len(zetas), len(model.degrees))))
-    jacs = np.concatenate([sys.jacobian_at(params), amats], axis=1)
+    jac = sys.jacobian_at(params)
+    peak = np.abs(jac).max(axis=(1, 2), initial=0.0)
+    shift = np.round(np.log2(peak, out=np.zeros_like(peak), where=peak > 0.0)).astype(int)
+    jacs = np.concatenate([np.ldexp(jac, -shift[:, None, None]), amats], axis=1)
     ranks = numerical_rank(np.linalg.svd(jacs, compute_uv=False), cfg.rank_rtol)
     return [BranchReport("unbranched" if rank == sys.nvars else "branched",
                          rank, sys.nvars) for rank in ranks.tolist()]
@@ -714,14 +741,15 @@ def normal_splitting(model: TwistorModel, params,
     Each equation row is its gradient along the embedded section; the kernel
     subsheaf of the coordinate bundle is the normal sheaf of the section.
     An exact model with exact parameters certifies the splitting exactly;
-    otherwise it is computed on the float view.
+    otherwise it is computed on the float view.  On a homogeneous model the
+    section is taken at unit size (_unit_scale), exactly on the exact path.
     """
     cfg = cfg or DEFAULT_CONFIG
     params = list(params)
     exact = certifies(model.exact, params)
     if not exact:
         model = model.float_view()
-        params = [float(v) for v in params]
+    params, _ = _unit_scale(params, model.homogeneous, exact)
     sys = real_section_system(model)
     membership = sys.membership(params, tol=cfg.member_tol)
     if not membership.passed:
@@ -1132,13 +1160,10 @@ def _family_entry(fiber, corank, confirmed, sol, cfg: SolveConfig):
 def component_label(params):
     """Sign s with |x0| - |x2| = s*r on the quadric; 'boundary' when both vanish.
 
-    The test runs in floats, scaled by 1 + |p| (math.hypot, which does not
-    overflow); an exact section beyond the float range raises ModelError.
+    The test runs in floats at unit size (_unit_scale), exact sections beyond
+    the float range included, with tolerances scaled by 1 + |p|.
     """
-    try:
-        p = [float(v) for v in params]
-    except OverflowError:  # an exact number beyond the float range
-        raise ModelError("component labels take sections within the float range") from None
+    p, _ = _unit_scale(params, True)
     if len(p) != 9:
         raise DimensionError("component labels require the 9-parameter model")
     scale = 1.0 + math.hypot(*p)
@@ -1162,7 +1187,8 @@ def sym_matrix_model(params, label: int, exact: bool = False):
 
     The section determines all pairwise products and square differences of a
     real 4-vector q; the label fixes the trace sign, A = B + (t/4)Id has rank
-    at most one, and tr B = 0.
+    at most one, and tr B = 0.  The float pair is computed at unit size and
+    multiplied back, so s·p gives exactly (s·B, s·t) for s = 2^j.
     """
     if label not in (1, -1):
         raise ModelError("label must be +1 or -1")
@@ -1174,7 +1200,7 @@ def sym_matrix_model(params, label: int, exact: bool = False):
             [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in p])
         modulus = _integer_modulus
     else:
-        x0r, x0i, x1r, x1i, x2r, x2i, z0r, z0i, _ = [float(v) for v in p]
+        (x0r, x0i, x1r, x1i, x2r, x2i, z0r, z0i, _), k = _unit_scale(p, True)
         den, modulus = 1, math.hypot
     # a is 4*den*A; with the section written as n / den, den*|x0|, den*|x2|
     # and the entries of a are integers on the exact backend (den = 1 on floats)
@@ -1206,24 +1232,10 @@ def sym_matrix_model(params, label: int, exact: bool = False):
             for j in range(i, 4):
                 quarter[i][j] = quarter[j][i] = Fraction(b[i][j], 4 * den)
         return quarter, Fraction(trace, den)
-    _check_rank_one([[v / 4 for v in row] for row in a])
-    return np.array(b, dtype=float) / 4, float(trace)
-
-
-def _check_rank_one(a):
-    scale = max(abs(a[i][j]) for i in range(4) for j in range(4))
-    # a power of two brings 1 + scale into [1, 2): exact, and no minor overflows
-    unit = math.ldexp(1.0, 1 - math.frexp(1.0 + scale)[1])
-    a = [[v * unit for v in row] for row in a]
-    bound = _MATRIX_TOL * ((1.0 + scale) * unit) ** 2
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for k in range(4):
-                for m in range(k + 1, 4):
-                    minor = a[i][k] * a[j][m] - a[i][m] * a[j][k]
-                    if abs(minor) > bound:
-                        raise ModelError(
-                            "recovered products are inconsistent beyond tolerance")
+    if numerical_rank(np.linalg.svd(np.array(a, dtype=float), compute_uv=False),
+                      _MATRIX_TOL) > 1:
+        raise ModelError("recovered products are inconsistent beyond tolerance")
+    return np.ldexp(np.array(b, dtype=float) / 4, k), math.ldexp(float(trace), k)
 
 
 def _integer_modulus(re: int, im: int) -> int:

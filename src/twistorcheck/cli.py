@@ -30,7 +30,7 @@ from .analysis import (SolveConfig, branch_test, classify_hypercomplex,
                        component_label, normal_splitting,
                        rank_one_matrix_oracle, sample_sections, singular_scan,
                        solve_fibers, sym_matrix_model)
-from .errors import FiberError, ModelError, ScenarioError, TwistorCheckError
+from .errors import FiberError, ScenarioError, TwistorCheckError
 from .models import (build_deformed, build_quadric, build_smooth_o11,
                      glue_cone_twistor, models_structurally_equal,
                      quadric_params, quadric_tuple, validate_model)
@@ -304,12 +304,9 @@ def _op_matrix_model(args, model, cfg):
         lab = component_label(section)
         label = 1 if lab == "boundary" else lab
     b, t = sym_matrix_model(section, label, exact=certifies(True, section))
-    try:
-        numbers = {"t": float(t),
-                   "trace_b": float(np.trace(np.asarray(b, dtype=float))),
-                   "label": int(label)}
-    except OverflowError:  # an exact model beyond the float range of the numbers
-        raise ModelError("the matrix model's t is beyond the float range") from None
+    numbers = {"t": float(t),
+               "trace_b": float(np.trace(np.asarray(b, dtype=float))),
+               "label": int(label)}
     return numbers, {"b": b}
 
 
@@ -483,16 +480,24 @@ def run_scenario_doc(doc: dict, out_path=None) -> dict:
     return report
 
 
-def run_scenario(path: str, out_path=None) -> int:
-    """Execute a scenario file; exit code 0/1/2 per the contract."""
+def _checked_run(scenario: Callable, out_path, prefix: str):
+    """run_scenario_doc on scenario(), or None once the error that refuses
+    the input (exit 2) is printed after ``prefix``."""
     try:
-        report = run_scenario_doc(load_scenario(path), out_path)
+        return run_scenario_doc(scenario(), out_path)
     except BrokenPipeError:  # a closed stdout is handled by main
         raise
+    except OverflowError as exc:  # an exact number the float numbers cannot hold
+        print(f"{prefix}: a number is beyond the float range ({exc})", file=sys.stderr)
     except (TwistorCheckError, OSError, ValueError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-    return 1 if report["summary"]["fail"] else 0
+        print(f"{prefix}: {exc}", file=sys.stderr)
+    return None
+
+
+def run_scenario(path: str, out_path=None) -> int:
+    """Execute a scenario file; exit code 0/1/2 per the contract."""
+    report = _checked_run(lambda: load_scenario(path), out_path, "scenario error")
+    return 2 if report is None else 1 if report["summary"]["fail"] else 0
 
 
 def _add_common(parser, model=True):
@@ -566,12 +571,8 @@ def main(argv=None) -> int:
 
 
 def _run_standalone(ns) -> int:
-    try:
-        report = run_scenario_doc(_standalone_doc(ns), ns.out)
-    except BrokenPipeError:
-        raise
-    except (TwistorCheckError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    report = _checked_run(lambda: _standalone_doc(ns), ns.out, "error")
+    if report is None:
         return 2
     evidence = report["tasks"][0]["evidence"]
     if evidence:
