@@ -24,6 +24,7 @@ entry; the helpers below them see floats only.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -150,20 +151,16 @@ def _wide_norms(a: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _point_on_fiber(model: TwistorModel, pt: P1Point, values, cfg: SolveConfig,
-                    degree: int):
-    scale = 1.0 + sum(abs2(v) for v in values)
-    # the solvers evaluate forms of degree D (the system's, at least 2) at
-    # points about √scale in size
+def _range_scale(values, degree: int, error: type, what: str) -> float:
+    """1 + Σ|v|², summed in Python floats (numpy scalars warn on overflow);
+    ``error`` refuses values whose scale^(D/2), D = max(degree, 2), comes
+    within 2^_RANGE_HEADROOM of the float range, as the solvers and the
+    membership test evaluate forms of degree D at points about √scale in size."""
+    scale, degree = 1.0 + sum(abs2(complex(v)) for v in values), max(degree, 2)
     if not degree / 2 * math.log2(scale) <= 1024 - _RANGE_HEADROOM:
-        raise FiberError(f"the fiber values are too large: (1 + sum |v|^2)^(D/2) at the "
-                         f"system degree D = {degree} comes within 2^{_RANGE_HEADROOM} of "
-                         "the float range")
-    for eq, coeff_scale in zip(model.equations, model.equation_scales):
-        val = eq.eval_at(pt, values)
-        if abs(val) > cfg.fiber_tol * scale * coeff_scale:
-            return False
-    return True
+        raise error(f"the {what} are too large: (1 + sum |v|^2)^(D/2) at the system "
+                    f"degree D = {degree} comes within 2^{_RANGE_HEADROOM} of the float range")
+    return scale
 
 
 def _incidence(model: TwistorModel, pts, targets):
@@ -583,8 +580,11 @@ def _fiber_target(model: TwistorModel, zeta, target, cfg: SolveConfig, degree: i
     if pt is not given:
         values = tuple(v * pt.value ** k for v, k in zip(values, model.degrees))
     values, k = _unit_scale(values, model.homogeneous)
-    if not _point_on_fiber(model, pt, values, cfg, degree):
-        raise FiberError("target does not satisfy the fiber equations")
+    scale = _range_scale(values, degree, FiberError, "fiber values")
+    for eq, coeff_scale in zip(model.equations, model.equation_scales):
+        val = eq.eval_at(pt, values)
+        if abs(val) > cfg.fiber_tol * scale * coeff_scale:
+            raise FiberError("target does not satisfy the fiber equations")
     return pt, values, 2.0 ** k
 
 
@@ -609,8 +609,7 @@ def solve_fibers(model: TwistorModel, points, targets,
     results, parsed = [None] * len(targets), []
     for k, (zeta, target) in enumerate(zip(points, targets)):
         try:
-            parsed.append((k,) + _fiber_target(model, zeta, target, cfg,
-                                               max(sys.degree, 2)))
+            parsed.append((k,) + _fiber_target(model, zeta, target, cfg, sys.degree))
         except FiberError as exc:
             results[k] = exc
     if not parsed:
@@ -698,12 +697,15 @@ def branch_test(model: TwistorModel, params, zeta,
     The section is unbranched at the base point when the defining system
     plus the incidence conditions pinning its fiber value has full-rank
     Jacobian there (an isolated simple solution).  On a homogeneous model it
-    is tested at unit size (_unit_scale), exact beyond the float range too.
+    is tested at unit size (_unit_scale), exact beyond the float range too;
+    on any other model a section past the float-range bound of _range_scale
+    is refused with ModelError.
     """
     cfg = cfg or DEFAULT_CONFIG
     model = model.float_view()
-    p = np.array(_unit_scale(params, model.homogeneous)[0])
-    if not real_section_system(model).membership(p, tol=cfg.member_tol).passed:
+    sys, p = real_section_system(model), _unit_scale(params, model.homogeneous)[0]
+    _range_scale(p, sys.degree, ModelError, "section parameters")
+    if not sys.membership(np.array(p), tol=cfg.member_tol).passed:
         raise ModelError("branch test requires a point of the section space")
     return _branch_reports(model, [p], [zeta], cfg)[0]
 
@@ -742,7 +744,9 @@ def normal_splitting(model: TwistorModel, params,
     subsheaf of the coordinate bundle is the normal sheaf of the section.
     An exact model with exact parameters certifies the splitting exactly;
     otherwise it is computed on the float view.  On a homogeneous model the
-    section is taken at unit size (_unit_scale), exactly on the exact path.
+    section is taken at unit size (_unit_scale), exactly on the exact path;
+    on any other model a float section past the float-range bound of
+    _range_scale is refused with ModelError.
     """
     cfg = cfg or DEFAULT_CONFIG
     params = list(params)
@@ -751,6 +755,8 @@ def normal_splitting(model: TwistorModel, params,
         model = model.float_view()
     params, _ = _unit_scale(params, model.homogeneous, exact)
     sys = real_section_system(model)
+    if not exact:
+        _range_scale(params, sys.degree, ModelError, "section parameters")
     membership = sys.membership(params, tol=cfg.member_tol)
     if not membership.passed:
         raise ModelError("normal splitting requires a point of the section space")
@@ -825,7 +831,10 @@ class SingularReport:
 def singular_scan(model: TwistorModel, points,
                   cfg: SolveConfig | None = None) -> SingularReport:
     """Classify candidate sections (a list or a stacked array, taken as
-    given) by Jacobian rank and cluster the deficient ones."""
+    given) by Jacobian rank and cluster the deficient ones: single-linkage
+    clusters at cfg.cluster_radius, ordered by their first deficient point,
+    which represents them, and each with its diameter, the largest distance
+    between two of its points.  Both read one array of pair distances."""
     cfg = cfg or DEFAULT_CONFIG
     sys = real_section_system(model.float_view())
     expected = model.expected_regular_rank
@@ -837,43 +846,24 @@ def singular_scan(model: TwistorModel, points,
     entries = [ScanEntry(p, rank, expected is not None and rank < expected)
                for p, rank in zip(pts, ranks)]
     singular = [e for e in entries if e.deficient]
-    clusters = _cluster([e.params for e in singular], cfg.cluster_radius)
+    near = pts[[e.deficient for e in entries]]
+    # np.linalg.norm of every gap, bit for bit, a row at a time: n·n floats, not n·n·nvars
+    dist = np.array([_norms(near - p) for p in near]).reshape(len(near), len(near))
+    linked = dist <= cfg.cluster_radius
+    for _ in range(len(linked).bit_length()):  # chains of up to 2^bits >= n links
+        linked = linked @ linked
     cluster_info = []
-    for members in clusters:
-        pts = [singular[i] for i in members]
-        rep = pts[0].params
-        diam = max((float(np.linalg.norm(a.params - b.params))
-                    for a in pts for b in pts), default=0.0)
-        cluster_info.append({
-            "size": len(pts),
-            "representative": [float(v) for v in rep],
-            "ranks": sorted({e.rank for e in pts}),
-            "diameter": diam,
-        })
+    for i, row in enumerate(linked):
+        members = np.flatnonzero(row)
+        if members[0] == i:  # i is the first point of its cluster
+            cluster_info.append({
+                "size": len(members),
+                "representative": near[i].tolist(),
+                "ranks": sorted({singular[j].rank for j in members}),
+                "diameter": float(dist[np.ix_(members, members)].max()),
+            })
     return SingularReport(entries, singular, cluster_info,
                           sum(1 for e in entries if not e.deficient), skipped)
-
-
-def _cluster(points, radius):
-    n = len(points)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.linalg.norm(points[i] - points[j]) <= radius:
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    parent[ra] = rb
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
 
 
 def sample_sections(model: TwistorModel, n: int, rng,
@@ -1158,7 +1148,11 @@ def _family_entry(fiber, corank, confirmed, sol, cfg: SolveConfig):
 
 
 def component_label(params):
-    """Sign s with |x0| - |x2| = s*r on the quadric; 'boundary' when both vanish.
+    """The sign s in {1, -1} of the quadric sheet holding a nonzero member:
+    the s with |x0| - |x2| = s*r for which sym_matrix_model(p, s) finds A of
+    rank at most one.  The dichotomy alone cannot choose where r = 0
+    (|a| = |b|), the rank test alone where a or b is 0; together they label
+    every nonzero member, and ModelError refuses any other point.
 
     The test runs in floats at unit size (_unit_scale), exact sections beyond
     the float range included, with tolerances scaled by 1 + |p|.
@@ -1167,19 +1161,15 @@ def component_label(params):
     if len(p) != 9:
         raise DimensionError("component labels require the 9-parameter model")
     scale = 1.0 + math.hypot(*p)
-    tol_s = _LABEL_TOL * scale
-    if all(abs(v) <= tol_s for v in p):
+    if all(abs(v) <= _LABEL_TOL * scale for v in p):
         raise OriginError("both components meet at the origin")
     d = math.hypot(p[0], p[1]) - math.hypot(p[4], p[5])
-    r = p[8]
-    if abs(r) <= tol_s and abs(d) <= tol_s:
-        return "boundary"
-    plus = abs(d - r)
-    minus = abs(d + r)
-    best = 1 if plus <= minus else -1
-    if min(plus, minus) > 1e-6 * scale:
-        raise ModelError("point does not satisfy the component dichotomy")
-    return best
+    for s in (1, -1):
+        if abs(d - s * p[8]) <= 1e-6 * scale:
+            with contextlib.suppress(ModelError):  # A of rank above one
+                sym_matrix_model(p, s)
+                return s
+    raise ModelError("point does not satisfy the component dichotomy")
 
 
 def sym_matrix_model(params, label: int, exact: bool = False):

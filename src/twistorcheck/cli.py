@@ -301,8 +301,7 @@ def _op_matrix_model(args, model, cfg):
     section = _section(args, model)
     label = args.get("label")
     if label is None:
-        lab = component_label(section)
-        label = 1 if lab == "boundary" else lab
+        label = component_label(section)
     b, t = sym_matrix_model(section, label, exact=certifies(True, section))
     numbers = {"t": float(t),
                "trace_b": float(np.trace(np.asarray(b, dtype=float))),

@@ -1,5 +1,7 @@
 """Fiber solving, loci detection, classification and the matrix model."""
 
+import cmath
+import copy
 import inspect
 import json
 import math
@@ -300,8 +302,7 @@ def test_stacked_squaring_sections_are_regular_members_with_their_label(quadric,
     assert sys.members(secs, CFG.member_tol).all()
     for sec, m in zip(secs, minus):
         assert sys.jacobian_rank(sec, CFG.rank_rtol) == 5
-        label = component_label(sec)
-        assert label == "boundary" or label == (1 if m else -1)
+        assert component_label(sec) == (1 if m else -1)
 
 
 def test_samplers_return_one_array(quadric, deformed, smooth, doubled):
@@ -1282,6 +1283,45 @@ def test_singular_scan_smooth(smooth, rng):
     assert not rep.singular and rep.regular_count == 30
 
 
+def _union_find_clusters(points, radius):
+    """Reference single-linkage clusters: a union-find over every pair within
+    ``radius``, each cluster in order of its first point, members ascending."""
+    parent = list(range(len(points)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if np.linalg.norm(points[i] - points[j]) <= radius:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(len(points)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(cloud=st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 4), max_size=20),
+       steps=st.lists(st.tuples(*[st.floats(-0.2, 0.2)] * 4), max_size=12),
+       data=st.data())
+def test_singular_scan_clusters_match_a_union_find_reference(smooth, cloud, steps, data):
+    # smooth-o11 has no equations, so every point is a member of Jacobian
+    # rank 0, deficient against an expected rank of 1; the steps build a
+    # chain, often longer than the radius, mixed into the cloud
+    model = copy.copy(smooth)
+    model.expected_regular_rank = 1
+    points = np.array(cloud + np.cumsum(steps, axis=0).tolist()).reshape(-1, 4)
+    points = points[data.draw(st.permutations(range(len(points))))]
+    clusters = singular_scan(model, points, CFG).clusters
+    assert clusters == [
+        {"size": len(m), "representative": points[m[0]].tolist(), "ranks": [0],
+         "diameter": max(float(np.linalg.norm(points[a] - points[b])) for a in m for b in m)}
+        for m in _union_find_clusters(points, CFG.cluster_radius)]
+
+
 def test_branch_examples(quadric):
     assert branch_test(quadric, quadric_params(1, 0, 0, 0, 1), 0j).verdict \
         == "unbranched"
@@ -1623,24 +1663,48 @@ def test_classify_deterministic(deformed):
 def test_component_label_examples():
     assert component_label(quadric_params(1, 0, 0, 0, 1)) == 1
     assert component_label(squaring_section(1, 0, "plus")) == -1
-    assert component_label(quadric_params(1, -2, 1, 1, 0)) == "boundary"
+    # r = 0 and |x0| = |x2|: the rank test picks the sheet
+    assert component_label(quadric_params(1, -2, 1, 1, 0)) == 1
     with pytest.raises(OriginError):
         component_label(np.zeros(9))
 
 
 def test_component_label_scales_without_overflow():
     # the norm of [1e200, 0, 0, 0, 1e200, ...] used to overflow to inf, and
-    # with it the zero test, which reported the origin
-    assert component_label([1e200, 0, 0, 0, 1e200, 0, 0, 0, 0]) == "boundary"
-    assert component_label([1e100, 0, 0, 0, 1e100, 0, 0, 0, 0]) == "boundary"
+    # with it the zero test, which reported the origin; x0 = x2 with r = 0
+    # lies on neither sheet (A has rank two for either sign)
+    for size in (1e200, 1e100):
+        with pytest.raises(ModelError, match="dichotomy"):
+            component_label([size, 0, 0, 0, size, 0, 0, 0, 0])
     for exponent in (100, 150, 200, 300):
         for variant, label in (("minus", 1), ("plus", -1)):
             sec = squaring_section(0.3 + 0.7j, -1.1 + 0.2j, variant) * 10.0 ** exponent
             assert component_label(sec) == label
-    # an exact section beyond the float range is labelled at unit size (it
-    # used to raise ModelError)
-    assert component_label([Fraction(10 ** 400)] + [Fraction(0)] * 3
-                           + [Fraction(10 ** 400)] + [Fraction(0)] * 4) == "boundary"
+    # an exact section beyond the float range is tested at unit size
+    with pytest.raises(ModelError, match="dichotomy"):
+        component_label([Fraction(10 ** 400)] + [Fraction(0)] * 3
+                        + [Fraction(10 ** 400)] + [Fraction(0)] * 4)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(a=st.tuples(_unit, _unit), b=st.tuples(_unit, _unit),
+       edge=st.sampled_from(["free", "|a| = |b|", "|a| ~ |b|", "a = 0", "b = 0"]),
+       turn=st.integers(0, 3), angle=_unit, k=st.integers(-1000, 1000))
+def test_component_label_is_the_sheet_of_a_squaring_section(a, b, edge, turn, angle, k):
+    # the dichotomy cannot choose where r = 0 (|a| = |b|), the rank test
+    # where a or b is 0; the label reads both
+    a, b = complex(*a), complex(*b)
+    if edge == "|a| = |b|":
+        b = a * (1, 1j, -1, -1j)[turn]
+    elif edge == "|a| ~ |b|":
+        b = abs(a) * cmath.exp(1j * math.pi * angle)
+    elif edge != "free":
+        a, b = (0j, b) if edge == "a = 0" else (a, 0j)
+    s = 2.0 ** k
+    for variant, label in (("minus", 1), ("plus", -1)):
+        p = squaring_section(a, b, variant)
+        assume(np.any(p) and np.array_equal(p * s / s, p))
+        assert component_label(s * p) == label
 
 
 def test_float_matrix_model_near_the_float_range():
@@ -1744,9 +1808,7 @@ def test_sym_matrix_model_recovers_outer_product(rng):
         a = complex(q[0], q[1])
         bb = complex(q[2], q[3])
         sec = squaring_section(a, bb, "minus")
-        label = component_label(sec)
-        label = 1 if label == "boundary" else label
-        b, t = sym_matrix_model(sec, label)
+        b, t = sym_matrix_model(sec, component_label(sec))
         assert abs(np.trace(b)) < 1e-9 * (1 + abs(t))
         amat = b + (t / 4.0) * np.eye(4)
         assert np.allclose(amat, np.outer(q, q), atol=1e-8 * (1 + abs(t)))

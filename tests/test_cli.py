@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from twistorcheck import (cli, evaluate_section, models_structurally_equal,
+from twistorcheck import (analysis, cli, evaluate_section, models_structurally_equal,
                           serialize)
 from twistorcheck.cli import OPS, main, run_scenario, run_scenario_doc
 from twistorcheck.errors import TwistorCheckError
@@ -20,7 +20,7 @@ from twistorcheck.scalars import GaussianRational
 from twistorcheck.serialize import dump_report, encode_scalar, jsonable, load_scenario
 from twistorcheck.models import TwistorModel
 from twistorcheck.projline import SigmaCoordRule
-from twistorcheck.systems import real_section_system
+from twistorcheck.systems import RealEquationSystem, SliceSystem, real_section_system
 from conftest import with_real_constant
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -766,16 +766,9 @@ def _extreme_argv(command, key, value, model):
 # 0, 1e±300, and exact 1e±400, through every numeric flag of every op
 EXTREMES = [("0", False), ("1e300", False), ("1e-300", False), ("1e400", True),
             ("1e-400", True)]
-# the deformed model is no cone, so a section keeps its size, and float
-# membership's 1 + Σx² overflows with a RuntimeWarning
-_NON_CONE_OVERFLOW = pytest.mark.xfail(
-    strict=True, raises=RuntimeWarning,
-    reason="ROADMAP item 6: float membership overflows on a deformed section of size 1e300")
 EXTREME_SWEEP = [
     pytest.param(command, key, value, exact, model,
-                 id=f"{command}-{key or 'tol'}-{value}-{model}",
-                 marks=[_NON_CONE_OVERFLOW] if (model, value) == ("deformed", "1e300")
-                 and command in ("branch", "normal-bundle") and key != "zeta" else [])
+                 id=f"{command}-{key or 'tol'}-{value}-{model}")
     for command, op in OPS.items()
     for key in ([k for k, a in op.args.items()
                  if a.kind in ("section", "reals", "point", "zeta")] or [None])
@@ -842,6 +835,52 @@ def test_section_commands_read_the_unit_section(tmp_path, capsys):
     tiny = numbers("matrix-model", "--section", "1e-12,0,0,0,1e-12")
     assert tiny["label"] == 1 and tiny["t"] == 1e-12
     assert capsys.readouterr().err == ""
+
+
+def test_matrix_model_labels_the_plus_sheet_where_r_vanishes(tmp_path, capsys):
+    # a = b = 1 + i on the plus sheet: r = 0 and |x0| = |x2|, where only
+    # label -1 gives A of rank one; it was taken as label 1 and refused
+    out = tmp_path / "report.json"
+    assert main(["matrix-model", "--section", "2j,4,-2j,2j,0", "--out", str(out)]) == 0
+    capsys.readouterr()
+    numbers = json.loads(out.read_text())["tasks"][0]["numbers"]
+    assert numbers["label"] == -1 and numbers["t"] == -4.0
+
+
+@pytest.mark.parametrize("command", ["branch", "normal-bundle"])
+def test_non_cone_sections_past_the_float_range_exit_2(command, capsys):
+    # the deformed model is no cone, so its sections keep their size; float
+    # membership's 1 + Σx² overflowed with a RuntimeWarning and then refused
+    # the section as off the section space
+    argv = [command, "--model", "deformed", "--section", "1e300,0,0,0,1e300"]
+    assert main(argv + (["--zeta", "0.3"] if command == "branch" else [])) == 2
+    err = capsys.readouterr().err
+    assert "the section parameters are too large" in err and "section space" not in err
+
+
+def test_fixture_reports_read_no_solver_bits(tmp_path, monkeypatch, capsys):
+    # the reports carry closed-form bits only: every Gauss-Newton step and
+    # every x-space or slice evaluation scaled by 1 + 2^-44 leaves all seven
+    # byte-identical
+    bump, calls = 1.0 + 2.0 ** -44, []
+
+    def bumped(owner, name, scale):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return scale(fn(*args, **kwargs))
+        monkeypatch.setattr(owner, name, wrapper)
+
+    bumped(analysis, "_slice_steps", lambda out: (out[0] * bump, out[1]))  # (step, mask)
+    bumped(RealEquationSystem, "_float_values", lambda out: out * bump)
+    bumped(SliceSystem, "values", lambda out: tuple(v * bump for v in out))  # (r, H)
+    for name in ALL_FIXTURES:
+        out = tmp_path / name
+        run_scenario_doc(load_scenario(str(FIXTURES / name)), str(out))
+        assert out.read_bytes() == (REPORTS / name).read_bytes(), name
+    capsys.readouterr()
+    assert set(calls) == {"_slice_steps", "_float_values", "values"}
 
 
 def test_matrix_model_float_params_ignore_the_exact_flag(tmp_path, capsys):
