@@ -153,10 +153,13 @@ def _wide_norms(a: np.ndarray) -> np.ndarray:
 
 def _range_scale(values, degree: int, error: type, what: str) -> float:
     """1 + Σ|v|², summed in Python floats (numpy scalars warn on overflow);
-    ``error`` refuses values whose scale^(D/2), D = max(degree, 2), comes
-    within 2^_RANGE_HEADROOM of the float range, as the solvers and the
-    membership test evaluate forms of degree D at points about √scale in size."""
+    ``error`` refuses values that are not finite, and values whose
+    scale^(D/2), D = max(degree, 2), comes within 2^_RANGE_HEADROOM of the
+    float range, as the solvers and the membership test evaluate forms of
+    degree D at points about √scale in size."""
     scale, degree = 1.0 + sum(abs2(complex(v)) for v in values), max(degree, 2)
+    if not math.isfinite(scale) and not all(cmath.isfinite(complex(v)) for v in values):
+        raise error(f"the {what} must be finite")
     if not degree / 2 * math.log2(scale) <= 1024 - _RANGE_HEADROOM:
         raise error(f"the {what} are too large: (1 + sum |v|^2)^(D/2) at the system "
                     f"degree D = {degree} comes within 2^{_RANGE_HEADROOM} of the float range")
@@ -1018,7 +1021,8 @@ def classify_hypercomplex(model: TwistorModel,
                           cfg: SolveConfig | None = None) -> HCClassification:
     """Dichotomy test: positive-dimensional section families through singular
     fiber points force the weak verdict; otherwise isolated singular sections
-    plus unbranched incidence maps give the strong one."""
+    plus unbranched incidence maps give the strong one.  Families are
+    certified by closed-form reducers or by continuation (_examine_pairs)."""
     cfg = cfg or DEFAULT_CONFIG
     model = model.float_view()
     rng = np.random.default_rng(cfg.seed)
@@ -1069,18 +1073,21 @@ def classify_hypercomplex(model: TwistorModel,
 
 
 def _examine_pairs(model, fibers, cfg: SolveConfig):
-    """Corank + continuation certificates for the sections through every
-    singular pair, one entry (or None) per (point, values, fiber) item.
+    """Corank + family certificates for the sections through every singular
+    pair, one entry (or None) per (point, values, fiber) item.
 
     A pair's candidates are its fiber solutions, then two samples of its
     family.  Two stages examine the first candidate of every pair, then the
     others of the pairs left uncertified: each takes every corank and kernel
     of [J(p); A(zeta)], the system plus the incidence rows at the point
-    (rows at the antipodal point add nothing), from one stacked SVD, and
-    corrects a step from each candidate along up to two kernel directions
-    in one Gauss-Newton call, each row on its pair's incidence slice, the
-    system restricted to the slices of that stage's pairs only.  A pair
-    keeps its first confirmed candidate, else its first of corank >= 1.
+    (rows at the antipodal point add nothing), from one stacked SVD.  A
+    closed form's reducer returns every real section through the point, so
+    there a candidate of corank >= 1 is confirmed iff its pair has a family;
+    a Newton model corrects a step from each candidate along up to two
+    kernel directions in one Gauss-Newton call, each row on its pair's
+    incidence slice, the system restricted to the slices of that stage's
+    pairs only.  A pair keeps its first confirmed candidate, else its first
+    of corank >= 1.
     """
     sys, entries, cands = real_section_system(model), [None] * len(fibers), []
     for _, _, res in fibers:
@@ -1092,7 +1099,10 @@ def _examine_pairs(model, fibers, cfg: SolveConfig):
     if not len(owner):
         return entries
     amats, rhs = _incidence(model, *zip(*[fiber[:2] for fiber in fibers]))
-    base, kernel = _incidence_slice(amats, rhs, cfg.rank_rtol)
+    complete = _FAMILIES[model.family].complete
+    if not complete:
+        base, kernel = _incidence_slice(amats, rhs, cfg.rank_rtol)
+    has_family = np.array([res.family is not None for _, _, res in fibers])
     sols, first = np.concatenate(cands), np.concatenate([[True], owner[1:] != owner[:-1]])
     coranks, confirmed = np.zeros(len(owner), dtype=int), np.zeros(len(owner), dtype=bool)
 
@@ -1102,6 +1112,9 @@ def _examine_pairs(model, fibers, cfg: SolveConfig):
         _, svals, vh = np.linalg.svd(jacs)
         ranks = numerical_rank(svals, cfg.rank_rtol)
         coranks[rows] = sys.nvars - ranks
+        if complete:  # the reducer returned every real section through the point
+            confirmed[rows] = has_family[owner[rows]] & (ranks < sys.nvars)
+            return
         dirs = ranks[:, None] + np.arange(2)
         cand, which = np.nonzero(dirs < sys.nvars)  # continuation rows
         src = rows[cand]

@@ -31,10 +31,6 @@ def quat_norm_sq(a):
     return sum(float(v) * float(v) for v in a)
 
 
-def _dist_sq(a, b):
-    return sum((float(x) - float(y)) ** 2 for x, y in zip(a, b))
-
-
 class FiniteQuaternionGroup:
     """Finite group given by unit quaternions or an abstract multiplication table."""
 
@@ -55,27 +51,27 @@ class FiniteQuaternionGroup:
                 raise GroupAxiomError(f"element {e} is not a unit quaternion")
         tol_sq = tol * tol
         identity = None
-        for i, e in enumerate(elements):
-            if _dist_sq(e, (1.0, 0.0, 0.0, 0.0)) <= tol_sq:
+        for i, (e0, e1, e2, e3) in enumerate(elements):
+            if (e0 - 1.0) ** 2 + e1 ** 2 + e2 ** 2 + e3 ** 2 <= tol_sq:
                 identity = i
                 break
         if identity is None:
             raise GroupAxiomError("identity quaternion missing from the element list")
-        n = len(elements)
-        table = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                prod = quat_mul(elements[i], elements[j])
-                match = None
-                for k in range(n):
-                    if _dist_sq(prod, elements[k]) <= tol_sq:
-                        match = k
+        table = []
+        for a in elements:
+            row = []
+            for b in elements:
+                p0, p1, p2, p3 = prod = quat_mul(a, b)
+                for k, (e0, e1, e2, e3) in enumerate(elements):  # the first match
+                    if (p0 - e0) ** 2 + (p1 - e1) ** 2 + (p2 - e2) ** 2 + (p3 - e3) ** 2 \
+                            <= tol_sq:
+                        row.append(k)
                         break
-                if match is None:
+                else:
                     raise GroupAxiomError(
                         "product leaves the element list (closure fails)",
-                        witness=(elements[i], elements[j], prod))
-                table[i][j] = match
+                        witness=(a, b, prod))
+            table.append(row)
         return cls(table, identity, elements=elements, name=name)
 
     @classmethod

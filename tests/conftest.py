@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twistorcheck import (SigmaCoordRule, build_deformed, build_quadric,
+from twistorcheck import (SigmaCoordRule, analysis, build_deformed, build_quadric,
                           build_smooth_o11, glue_cone_twistor, serialize)
 from twistorcheck.models import FiberEquation, TwistorModel
 from twistorcheck.mpoly import MPoly
@@ -86,6 +86,22 @@ def a3_cone():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)
+
+
+def force_generic_examination(monkeypatch):
+    """Let classify examine the singular pairs of the closed-form families
+    by the Gauss-Newton continuation of Newton models: their family entries
+    read complete=False while _examine_pairs runs, and only then, so fiber
+    solves keep reporting complete=True."""
+    examine = analysis._examine_pairs
+
+    def generic(model, fibers, cfg):
+        entry = analysis._FAMILIES[model.family]
+        with monkeypatch.context() as patch:
+            patch.setitem(analysis._FAMILIES, model.family, entry._replace(complete=False))
+            return examine(model, fibers, cfg)
+
+    monkeypatch.setattr(analysis, "_examine_pairs", generic)
 
 
 def fd_jacobian(system, p, h=1e-6):

@@ -33,7 +33,8 @@ from twistorcheck.projline import SplittingType
 from twistorcheck import analysis, models, serialize, systems
 from twistorcheck.serialize import jsonable
 from twistorcheck.systems import real_section_system
-from conftest import ANTIREAL_LAMBDA, double_coefficients, with_real_constant
+from conftest import (ANTIREAL_LAMBDA, double_coefficients, force_generic_examination,
+                      with_real_constant)
 
 CFG = SolveConfig(seed=7)
 
@@ -933,7 +934,8 @@ def test_newton_rows_stay_on_their_incidence_blocks(doubled, deformed, smooth,
     # at the vertex, and the continuation rows of classify (a block per
     # singular pair, each row on its pair's); solve_fibers slices every stack
     # of fiber targets once, and the quadric reducer slices the stack's
-    # linear stages
+    # linear stages; the closed forms' pairs take the continuation here
+    force_generic_examination(monkeypatch)
     calls = []
     slice_, newton = analysis._incidence_slice, analysis._gauss_newton
 
@@ -1447,26 +1449,54 @@ def newton_rows(monkeypatch):
     return rows
 
 
-def test_examination_rounds_walk_past_regular_candidates(deformed, newton_rows):
+def test_examination_rounds_walk_past_regular_candidates(deformed, newton_rows,
+                                                         monkeypatch):
     # the second copy of the vertex pair starts with a generic point of
     # corank 0, so the first stage certifies only the first copy (two
     # continuation rows), and the second stage examines the ten other
     # candidates of the second copy (two rows each); it keeps the first
-    # confirmed one, the first copy's candidate
+    # confirmed one, the first copy's candidate (by the continuation)
+    force_generic_examination(monkeypatch)
     model = deformed.float_view()
     (pt, values), = _FAMILIES[model.family].singular_pairs(model)[0]
     res = solve_fiber(model, pt, values, CFG)
     generic = np.random.default_rng(3).standard_normal(model.nparams)
     late = FiberSolveResult([generic] + res.solutions, res.complete, res.family,
                             res.method)
-    first, second = _examine_pairs(model, [(pt, values, res), (pt, values, late)], CFG)
+    first, second = analysis._examine_pairs(model, [(pt, values, res), (pt, values, late)],
+                                            CFG)
     assert newton_rows == [2, 20] and first["certified"] and first == second
 
 
-def test_classify_runs_one_gauss_newton_call(newton_rows):
-    # the quadric cone: 3 vertex pairs x 2 kernel directions, one batched call
+def test_classify_runs_one_gauss_newton_call(newton_rows, monkeypatch):
+    # the quadric cone by the continuation: 3 vertex pairs x 2 kernel
+    # directions, one batched call
+    force_generic_examination(monkeypatch)
     classify_hypercomplex(build_quadric())
     assert newton_rows == [6]
+
+
+@pytest.mark.parametrize("lam,reality", [
+    (None, "quadric"), (None, "smooth-o11"), ([0, 1, 0], "real"), ([1, 0, -1], "real"),
+    ([1, 1, -1], "real"), (ANTIREAL_LAMBDA, "antireal"), ([1, 0, 1], "antireal"),
+    ([0, 1j, 0], "antireal")])
+def test_closed_forms_certify_as_the_continuation_does(lam, reality, monkeypatch):
+    # a closed form's reducer returns every real section through a singular
+    # pair, so it certifies a pair exactly when it returns a family; the
+    # continuation of Newton models gives the same verdicts and evidence on
+    # the quadric, smooth-o11 and real and antireal deformations, seed by seed
+    model = (build_deformed(lam, reality) if lam is not None else
+             {"quadric": build_quadric, "smooth-o11": build_smooth_o11}[reality]())
+    def run():
+        return [(cls.verdict, serialize.dump_report(cls.evidence))
+                for cls in (classify_hypercomplex(model, SolveConfig(seed=seed))
+                            for seed in range(12))]
+
+    fast = run()
+    force_generic_examination(monkeypatch)
+    assert run() == fast
+    verdict = "WeaklyHypercomplex" if reality == "antireal" else "Hypercomplex"
+    assert {got for got, _ in fast} == {verdict}
 
 
 def _called_from(name: str) -> bool:
@@ -1604,7 +1634,9 @@ def test_double_step_finishes_classify_at_the_singular_root(deformed, corrector_
     # the quadric's continuation rows fall back to the zero section, a
     # singular root, in a few steps with the double step and in many without
     # it (an empty halving band); the deformed model's rows converge
-    # quadratically, and both evidences are the same either way
+    # quadratically, and both evidences are the same either way (the
+    # continuation, not the closed forms' certificate)
+    force_generic_examination(monkeypatch)
     runs = {}
     for double, band in ((True, analysis._HALVING_BAND), (False, (1.0, 1.0))):
         monkeypatch.setattr(analysis, "_HALVING_BAND", band)
@@ -1777,6 +1809,22 @@ def test_deformed_branch_verdicts_of_large_sections(deformed):
         for sol in res.solutions:
             assert branch_test(deformed, sol, 0.5 - 0.1j, CFG) == analysis.BranchReport(
                 "unbranched", 9, 9)
+
+
+@pytest.mark.parametrize("verdict", [
+    lambda model, p: branch_test(model, p, 0.3, CFG),
+    lambda model, p: normal_splitting(model, p, CFG)], ids=["branch", "normal"])
+def test_non_finite_sections_are_refused_as_such(quadric, deformed, verdict):
+    # nan and inf are refused as such on the quadric, whose sections are
+    # taken at unit size, and on the deformed model, which keeps their size;
+    # finite sections of the deformed model whose squares overflow are
+    # refused as too large
+    for bad in ([math.nan] * 9, [math.inf] + [0.0] * 8):
+        for model in (quadric, deformed):
+            with pytest.raises(ModelError, match="the section parameters must be finite"):
+                verdict(model, bad)
+    with pytest.raises(ModelError, match="the section parameters are too large"):
+        verdict(deformed, [1e300] * 9)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: the deformed closed form "

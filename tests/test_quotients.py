@@ -10,7 +10,7 @@ from twistorcheck import (GroupAxiomError, ModelError, binary_dihedral,
                           component_count,
                           cyclic_group, involution_census,
                           quaternion_group_q8, veronese_quotient_check)
-from twistorcheck.quotients import FiniteQuaternionGroup, quat_mul
+from twistorcheck.quotients import MATCH_TOL, FiniteQuaternionGroup, quat_mul
 from twistorcheck.scalars import GaussianRational
 
 
@@ -136,6 +136,11 @@ def test_closure_and_associativity_witnesses_match_the_loop_reference():
         FiniteQuaternionGroup.from_quaternions(els)
     assert err.value.witness == _loop_closure(
         [tuple(map(float, e)) for e in els], 1e-12)[1]
+    # every builtin table: the first element within tol of each product
+    for name in ([f"Z{k}" for k in range(1, 13)] + [f"BD{4 * n}" for n in range(1, 7)]
+                 + ["Q8"]):
+        group = builtin_group(name)
+        assert group.table == _loop_closure(group.elements, MATCH_TOL)[0], name
     # a Latin square with a two-sided identity that is not associative
     table = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
              [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
